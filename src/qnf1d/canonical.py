@@ -19,19 +19,16 @@ import numpy as np
 
 from .errors import CanonicalizationError
 from .potentials import (
-    Eckart,
+    EckartReduction,
     Hua,
     Hulthen,
     ManningRosen,
     Mobius2,
     Morse,
-    MorseFeshbach,
-    PoschlTellerSech2,
-    RosenMorse,
-    Sech2,
-    Tanh,
     Tietz,
     evaluate,
+    is_scattering,
+    normal_form,
 )
 
 __all__ = ["CanonicalForm", "canonicalize"]
@@ -77,8 +74,7 @@ def _square_free_quadratic(p2c, p1c, p0c, d1):
     return a0, q2, q1, q0
 
 
-def _mobius2_from_tanh_quadratic(c0, c1, c2, a, shift=0.0, scattering=True,
-                                 degenerate=False, notes=""):
+def _mobius2_from_tanh_quadratic(c0, c1, c2, a, shift, notes):
     """V = c0 + c1 tanh(x/a) + c2 tanh^2(x/a) -> Mobius2 (needs c2 != 0)."""
     # in u = e^{-2x/a}: V = P(u) / (1+u)^2
     p2c = c0 - c1 + c2
@@ -90,7 +86,7 @@ def _mobius2_from_tanh_quadratic(c0, c1, c2, a, shift=0.0, scattering=True,
         form = Mobius2(A0=a0, E1=-r, F1=1.0, E2=1.0, F2=1.0, a=a, overall=q2)
     else:
         form = Mobius2(A0=a0, E1=1.0, F1=0.0, E2=1.0, F2=1.0, a=a, overall=q0)
-    return CanonicalForm(form, shift, scattering, degenerate, notes)
+    return CanonicalForm(form, shift, notes=notes)
 
 
 def _mobius2_from_coth_quadratic(c0, c1, c2, a, notes=""):
@@ -116,38 +112,40 @@ def canonicalize(spec) -> CanonicalForm:
     affine structure has no exact squared-Mobius representation.
     """
     if isinstance(spec, Mobius2):
-        return CanonicalForm(spec, 0.0, scattering=_mobius2_scatters(spec))
+        return CanonicalForm(spec, 0.0, scattering=is_scattering(spec))
 
-    if isinstance(spec, Eckart):
-        mid = 0.5 * (spec.V_minus + spec.V_plus)
-        half = 0.5 * (spec.V_plus - spec.V_minus)
-        if spec.V0 == 0.0:
+    if isinstance(spec, Tietz):
+        scattering = is_scattering(spec)
+        notes = {"sinh": "sinh denominator: pole at x = 0", "cosh": "",
+                 "exp": "exp denominator: Morse-type F2 = 0 limit"}[spec.kind]
+        return CanonicalForm(spec.mobius2(), 0.0, scattering, not scattering, notes)
+
+    if isinstance(spec, Hua):
+        scattering = is_scattering(spec)
+        if spec.q < 0:
+            # (1+|q|) sinh + (1-|q|)... maps to a cosh-type Tietz via
+            # tanh(theta) = (1+q)/(1-q)
+            theta = math.atanh((1.0 + spec.q) / (1.0 - spec.q))
+            notes = f"cosh-type Tietz with theta = {theta:.6g}"
+        elif spec.q == 0.0:
+            notes = "q = 0: Morse limit, confining on the left"
+        else:
+            theta = math.atanh((1.0 - spec.q) / (1.0 + spec.q))
+            notes = f"sinh-type Tietz with theta = {theta:.6g}; pole at x = (a/2) ln q"
+        return CanonicalForm(spec.mobius2(), 0.0, scattering, not scattering, notes)
+
+    red = normal_form(spec) if is_scattering(spec) else None
+    if isinstance(red, EckartReduction):
+        # V = mid + half tanh(u) + v0 sech^2(u), with sech^2 = 1 - tanh^2
+        if red.v0 == 0.0:
             raise CanonicalizationError(
                 "pure tanh potential is affine in tanh: no (Mobius)^2 form"
             )
-        return _mobius2_from_tanh_quadratic(mid + spec.V0, half, -spec.V0, spec.a)
-
-    if isinstance(spec, RosenMorse):
-        return canonicalize(Eckart(spec.A - spec.B, spec.A + spec.B, spec.C, spec.a))
-
-    if isinstance(spec, (Sech2, PoschlTellerSech2)):
-        return _mobius2_from_tanh_quadratic(spec.V0, 0.0, -spec.V0, spec.a)
-
-    if isinstance(spec, Tanh):
-        raise CanonicalizationError(
-            "pure tanh potential is affine in tanh: no (Mobius)^2 form"
-        )
-
-    if isinstance(spec, MorseFeshbach):
-        # after x -> x + mu L: v1 (tanh(x/L) + d)^2 = v1 d^2 + 2 d v1 tanh + v1 tanh^2
-        v1 = spec.V0 * math.cosh(spec.mu) ** 2
-        d = math.tanh(spec.mu)
-        cf = _mobius2_from_tanh_quadratic(
-            v1 * d * d, 2.0 * d * v1, v1, spec.L,
-            notes="origin shifted by mu*L",
-        )
-        return CanonicalForm(cf.form, spec.mu * spec.L, cf.scattering,
-                             cf.degenerate, cf.notes)
+        mid = 0.5 * (red.v_minus + red.v_plus)
+        half = 0.5 * (red.v_plus - red.v_minus)
+        notes = f"origin shifted by {red.shift:.6g}" if red.shift else ""
+        return _mobius2_from_tanh_quadratic(mid + red.v0, half, -red.v0, red.a,
+                                            red.shift, notes)
 
     if isinstance(spec, Morse):
         # V0 (1 - e^{x0/(2a')} u)^2 with u = e^{-2x/(2a)}: F2 = 0, a limiting
@@ -177,45 +175,6 @@ def canonicalize(spec) -> CanonicalForm:
             "exists (it is the A -> 0 limit of Manning-Rosen)"
         )
 
-    if isinstance(spec, Tietz):
-        c = math.exp(2.0 * spec.x0 / spec.a)
-        scale = spec.V0 * math.exp(-2.0 * spec.x0 / spec.a)
-        if spec.kind == "sinh":
-            form = Mobius2(A0=0.0, E1=1.0, F1=-c, E2=1.0, F2=-1.0,
-                           a=spec.a, overall=scale)
-            return CanonicalForm(form, 0.0, scattering=False, degenerate=True,
-                                 notes="sinh denominator: pole at x = 0")
-        if spec.kind == "cosh":
-            form = Mobius2(A0=0.0, E1=1.0, F1=-c, E2=1.0, F2=1.0,
-                           a=spec.a, overall=scale)
-            return CanonicalForm(form, 0.0, scattering=True)
-        form = Mobius2(A0=0.0, E1=1.0, F1=-c, E2=2.0, F2=0.0,
-                       a=spec.a, overall=spec.V0 * math.exp(-2.0 * spec.x0 / spec.a))
-        return CanonicalForm(form, 0.0, scattering=False, degenerate=True,
-                             notes="exp denominator: Morse-type F2 = 0 limit")
-
-    if isinstance(spec, Hua):
-        form = Mobius2(A0=0.0, E1=1.0, F1=-1.0, E2=1.0, F2=-spec.q,
-                       a=spec.a, overall=spec.V0)
-        if spec.q < 0:
-            # (1+|q|) sinh + (1-|q|)... maps to a cosh-type Tietz via
-            # tanh(theta) = (1+q)/(1-q)
-            theta = math.atanh((1.0 + spec.q) / (1.0 - spec.q))
-            return CanonicalForm(form, 0.0, scattering=True,
-                                 notes=f"cosh-type Tietz with theta = {theta:.6g}")
-        if spec.q == 0.0:
-            return CanonicalForm(form, 0.0, scattering=False, degenerate=True,
-                                 notes="q = 0: Morse limit, confining on the left")
-        theta = math.atanh((1.0 - spec.q) / (1.0 + spec.q))
-        return CanonicalForm(form, 0.0, scattering=False, degenerate=True,
-                             notes=f"sinh-type Tietz with theta = {theta:.6g}; "
-                                   f"pole at x = (a/2) ln q")
-
     raise CanonicalizationError(
         f"{type(spec).__name__} is not in the Eckart/(Mobius)^2 family"
     )
-
-
-def _mobius2_scatters(spec: Mobius2) -> bool:
-    return (spec.E2 != 0 and spec.F2 != 0 and spec.E2 * spec.F2 > 0
-            and spec.E1 * spec.F2 - spec.E2 * spec.F1 != 0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize
-from .errors import CanonicalizationError, Qnf1dError
+from .errors import CanonicalizationError, Qnf1dError, UnsupportedPotentialError
 from . import potentials as P
 from . import qnf as Q
 from . import oracle as O
@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--type", dest="pot_type", help="potential type name")
     for name in _PARAM_FLAGS:
         flag = "--" + name.replace("_", "-")
-        if name == "kind":
-            continue
         ap.add_argument(flag, dest=f"p_{name}", type=float, default=None)
     ap.add_argument("--kind", dest="p_kind", default=None,
                     help="Tietz denominator kind: sinh, cosh or exp")
@@ -157,10 +155,11 @@ def _write(args, text: str):
 
 def _energy_offset(spec, constants) -> float:
     """Asymptote converting the stored QNF wavenumber into E_QNF."""
-    v_minus, v_plus = P.scattering_limits(spec, constants)
-    if isinstance(spec, P.AsymRectBarrier):
+    form = P.normal_form(spec)
+    v_minus, v_plus = form.limits
+    if isinstance(form, P.Interfaces):
         return v_minus  # results are reported on the incidence side
-    return v_plus  # transmitted side for tanh/Eckart; equal sides otherwise
+    return v_plus  # the transmitted side for the Eckart family
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +226,7 @@ def _cmd_qnf(args, spec, constants):
     lo, hi = _parse_range(args.n)
     method = args.method
     if method is None:
-        method = ("transcendental"
-                  if isinstance(spec, (P.RectBarrier, P.AsymRectBarrier,
-                                       P.AsymDoubleDelta))
-                  else "closed_form")
+        method = "closed_form" if Q.has_closed_form(spec) else "transcendental"
     if method == "closed_form":
         results = Q.closed_form_qnfs(spec, (lo, hi), constants)
         results.sort(key=lambda r: (r.branch if r.branch is not None else 0,
@@ -270,39 +266,32 @@ def _cmd_fit(args, spec, constants):
             "log_re", "log_im", "max_residual", "verdict"], rows
 
 
+# (name, spec, defined on the half line x > 0 only)
 _CATALOG_DEMOS = [
-    ("eckart", P.Eckart(0.0, 2.0, -1.0, 1.0)),
-    ("rosen_morse", P.RosenMorse(1.0, 1.0, -1.0, 1.0)),
-    ("morse_feshbach", P.MorseFeshbach(0.8, 0.7, 1.1)),
-    ("sech2 (Poschl-Teller)", P.Sech2(-1.0, 1.0)),
-    ("morse", P.Morse(1.0, 0.4, 0.9)),
-    ("manning_rosen", P.ManningRosen(1.3, -0.6, 0.8)),
-    ("hulthen", P.Hulthen(1.0, 1.0)),
-    ("tietz sinh", P.Tietz(1.1, 0.3, 0.9, "sinh")),
-    ("tietz cosh", P.Tietz(1.1, 0.3, 0.9, "cosh")),
-    ("tietz exp", P.Tietz(1.1, 0.3, 0.9, "exp")),
-    ("hua q<0", P.Hua(1.2, -2.0, 1.0)),
-    ("hua q>0", P.Hua(1.2, 0.5, 1.0)),
+    ("eckart", P.Eckart(0.0, 2.0, -1.0, 1.0), False),
+    ("rosen_morse", P.RosenMorse(1.0, 1.0, -1.0, 1.0), False),
+    ("morse_feshbach", P.MorseFeshbach(0.8, 0.7, 1.1), False),
+    ("sech2 (Poschl-Teller)", P.Sech2(-1.0, 1.0), False),
+    ("morse", P.Morse(1.0, 0.4, 0.9), False),
+    ("manning_rosen", P.ManningRosen(1.3, -0.6, 0.8), True),
+    ("hulthen", P.Hulthen(1.0, 1.0), True),
+    ("tietz sinh", P.Tietz(1.1, 0.3, 0.9, "sinh"), True),
+    ("tietz cosh", P.Tietz(1.1, 0.3, 0.9, "cosh"), False),
+    ("tietz exp", P.Tietz(1.1, 0.3, 0.9, "exp"), False),
+    ("hua q<0", P.Hua(1.2, -2.0, 1.0), False),
+    ("hua q>0", P.Hua(1.2, 0.5, 1.0), True),
 ]
-
-
-def _catalog_grid(spec):
-    if isinstance(spec, (P.ManningRosen, P.Hulthen)) or (
-            isinstance(spec, P.Tietz) and spec.kind == "sinh") or (
-            isinstance(spec, P.Hua) and spec.q > 0):
-        return np.linspace(0.05, 8.0, 201)
-    return np.linspace(-6.0, 6.0, 201)
 
 
 def _cmd_catalog(args, spec, constants):
     rows = []
-    for name, demo in _CATALOG_DEMOS:
+    for name, demo, half_line in _CATALOG_DEMOS:
         try:
             cf = canonicalize(demo)
         except CanonicalizationError as exc:
             rows.append((name, "", "", "", "", "", "", "", "", "", str(exc)))
             continue
-        grid = _catalog_grid(demo)
+        grid = np.linspace(0.05, 8.0, 201) if half_line else np.linspace(-6.0, 6.0, 201)
         dev = float(np.max(np.abs(P.evaluate(demo, grid) - cf.evaluate(grid))))
         f = cf.form
         rows.append((name, f.A0, f.E1, f.F1, f.E2, f.F2, f.overall, f.a,
@@ -321,9 +310,10 @@ def _cmd_catalog(args, spec, constants):
 def _verify_checks(spec, constants, region, out):
     rng = np.random.default_rng(20260810)
     checks = []
-    piecewise = isinstance(spec, O._PIECEWISE)
+    form = P.normal_form(spec)
+    piecewise = isinstance(form, P.Interfaces)
     a_scale = getattr(spec, "a", None) or getattr(spec, "L", 1.0)
-    v_minus, v_plus = P.scattering_limits(spec, constants)
+    v_minus, v_plus = form.limits
 
     # 1. amplitude agreement, analytic vs numeric
     worst = 0.0
@@ -386,22 +376,20 @@ def _verify_checks(spec, constants, region, out):
 
     # 4. analytic QNFs vs oracle poles
     try:
-        if isinstance(spec, (P.Delta, P.DoubleDelta)):
+        if not piecewise:
+            analytic = Q.closed_form_qnfs(spec, (1, 3) if form.v0 == 0.0 else (0, 2),
+                                          constants)
+        elif Q.has_closed_form(spec):
             span = int(max(abs(region.re_min), abs(region.re_max)) * a_scale / math.pi) + 2
             analytic = Q.closed_form_qnfs(spec, (-span, span), constants)
-        elif isinstance(spec, (P.RectBarrier, P.AsymDoubleDelta, P.AsymRectBarrier)):
-            analytic = []
-            if not isinstance(spec, P.AsymRectBarrier):
-                analytic += Q.transcendental_qnfs(spec, "imaginary_axis", constants)
+        else:
+            try:
+                analytic = Q.transcendental_qnfs(spec, "imaginary_axis", constants)
+            except UnsupportedPotentialError:
+                analytic = []
             for r in Q.transcendental_qnfs(spec, region, constants):
                 if not any(abs(r.k - s.k) < 1e-8 for s in analytic):
                     analytic.append(r)
-        elif isinstance(spec, O._PIECEWISE):
-            analytic = []
-        else:
-            analytic = Q.closed_form_qnfs(
-                spec, (1, 3) if v_plus != v_minus and getattr(spec, "V0", 1.0) == 0.0
-                else (0, 2), constants)
     except Qnf1dError:
         analytic = []
     if piecewise:
@@ -459,10 +447,6 @@ def _cmd_verify(args, spec, constants):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    workers = os.environ.get("QNF1D_MAX_WORKERS")
-    if workers is not None and int(workers) < 1:
-        sys.stderr.write("QNF1D_MAX_WORKERS must be >= 1\n")
-        return 1
     try:
         if args.command == "catalog":
             columns, rows = _cmd_catalog(args, None, None)

@@ -9,10 +9,6 @@ class DomainError(Qnf1dError):
     """Input outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(Qnf1dError):
-    """An iteration failed to converge within its cap (internal seeding bug)."""
-
-
 class GammaPoleError(DomainError):
     """log-gamma evaluated at a non-positive integer pole."""
 

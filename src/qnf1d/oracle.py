@@ -18,18 +18,13 @@ from scipy.integrate import solve_ivp
 
 from .errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
 from .potentials import (
-    AsymDoubleDelta,
-    AsymRectBarrier,
-    Delta,
-    DoubleDelta,
-    PhysicalConstants,
     DEFAULT_CONSTANTS,
-    RectBarrier,
+    Eckart,
+    Interfaces,
+    PhysicalConstants,
     ScatteringAmplitudes,
-    Step,
-    delta_k0,
-    eckart_reduction,
     evaluate,
+    normal_form,
     scattering_limits,
 )
 
@@ -41,8 +36,6 @@ __all__ = [
     "refine_pole",
     "transfer_matrix_det_error",
 ]
-
-_PIECEWISE = (Delta, DoubleDelta, AsymDoubleDelta, Step, RectBarrier, AsymRectBarrier)
 
 # exp-argument cap: beyond this the transfer/ODE products are not representable
 _EXP_GUARD = 600.0
@@ -79,24 +72,12 @@ class PoleReport:
 # Transfer matrices (piecewise-constant + delta potentials)
 # ---------------------------------------------------------------------------
 
-def _interfaces(spec, c):
+def _interfaces(form: Interfaces, c):
     """(position, V_left, V_right, delta strength 2*k0) per interface, left to right."""
-    if isinstance(spec, Delta):
-        return [(0.0, 0.0, 0.0, 2.0 * delta_k0(spec.alpha, c))]
-    if isinstance(spec, DoubleDelta):
-        g = 2.0 * delta_k0(spec.alpha, c)
-        return [(-spec.a, 0.0, 0.0, g), (spec.a, 0.0, 0.0, g)]
-    if isinstance(spec, AsymDoubleDelta):
-        gp = 2.0 * delta_k0(spec.alpha_plus, c)
-        gm = 2.0 * delta_k0(spec.alpha_minus, c)
-        return [(-spec.a, 0.0, 0.0, gp), (spec.a, 0.0, 0.0, gm)]
-    if isinstance(spec, Step):
-        return [(0.0, 0.0, spec.V0, 0.0)]
-    if isinstance(spec, RectBarrier):
-        return [(-spec.a, 0.0, spec.V0, 0.0), (spec.a, spec.V0, 0.0, 0.0)]
-    if isinstance(spec, AsymRectBarrier):
-        return [(-spec.a, spec.V1, spec.V2, 0.0), (spec.a, spec.V2, spec.V3, 0.0)]
-    raise NotAScatteringPotential(f"{type(spec).__name__} is not piecewise-constant")
+    g_left, g_right = c.p2 * form.alpha_left, c.p2 * form.alpha_right
+    if form.a == 0:
+        return [(0.0, form.v1, form.v3, g_left + g_right)]
+    return [(-form.a, form.v1, form.v2, g_left), (form.a, form.v2, form.v3, g_right)]
 
 
 def _wave_matrix(x, kappa):
@@ -113,7 +94,10 @@ def _wave_matrix(x, kappa):
 def _transfer_matrix(spec, k, c):
     """M with (A_left, B_left) = M (A_right, B_right); also returns (k-, k+)."""
     p2 = c.p2
-    faces = _interfaces(spec, c)
+    form = normal_form(spec)
+    if not isinstance(form, Interfaces):
+        raise NotAScatteringPotential(f"{type(spec).__name__} is not piecewise-constant")
+    faces = _interfaces(form, c)
     v_in = faces[0][1]
     e = k * k / p2 + v_in  # energy from the incidence side
 
@@ -204,7 +188,7 @@ def _tail_state(etas, k, a, x, side):
 
 
 def _ode_amplitude(spec, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> ScatteringAmplitudes:
-    red = eckart_reduction(spec)
+    red = normal_form(spec)
     a, shift = red.a, red.shift
     p2 = c.p2
     k_m = complex(k)
@@ -231,9 +215,7 @@ def _ode_amplitude(spec, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> S
     eta_p = _tail_eta(ws_p, k_p, a)
 
     # integrate the reduced standard potential; the shift becomes a phase below
-    from .potentials import Eckart as _Eck
-
-    red_spec = _Eck(red.v_minus, red.v_plus, red.v0, a)
+    red_spec = Eckart(red.v_minus, red.v_plus, red.v0, a)
 
     def rhs(x, y):
         # y = (Re psi, Im psi, Re psi', Im psi')
@@ -283,9 +265,8 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, **ode_k
     k = complex(k)
     if k == 0:
         raise DomainError("numeric amplitude requires k != 0")
-    if isinstance(spec, _PIECEWISE):
+    if isinstance(normal_form(spec), Interfaces):
         return _transfer_amplitude(spec, k, c)
-    scattering_limits(spec, c)  # raises NotAScatteringPotential when invalid
     return _ode_amplitude(spec, k, c, **ode_kwargs)
 
 
@@ -300,8 +281,6 @@ def _inv_t(spec, k, c, amplitude, variable):
         e = v_plus + k * k / c.p2
         km2 = c.p2 * (e - v_minus)
         k_in = cmath.sqrt(km2)
-        if k_in == 0:
-            return complex("inf")
     else:
         k_in = k
     if k_in == 0:

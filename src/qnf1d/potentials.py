@@ -2,17 +2,26 @@
 asymptotic wavenumbers, closed-form transmission amplitudes/probabilities
 and transmission-resonance families.
 
-Conventions: the stationary equation is [-hbar^2/(2m) d^2/dx^2 + V]психи = E psi,
+Conventions: the stationary equation is [-hbar^2/(2m) d^2/dx^2 + V] psi = E psi,
 incident waves come from the left, and the incidence-side asymptotic
 wavenumber k = k_{-inf} is the independent variable of the amplitude
 functions.  All closed forms hold for complex k.
+
+Every scattering member of the catalog has one of two normal forms (see
+``normal_form``): steps at x = -a and x = +a carrying delta couplings
+(``Interfaces``), or the tanh + sech^2 Eckart reduction
+(``EckartReduction``).  Asymptotes, amplitudes and probabilities are
+computed from the normal form; each spec class keeps only its textbook
+formula, its normal form and its resonance family.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -47,8 +56,11 @@ __all__ = [
     "Tietz",
     "Hua",
     "PotentialSpec",
+    "Interfaces",
+    "EckartReduction",
     "ScatteringAmplitudes",
     "ResonanceEntry",
+    "normal_form",
     "evaluate",
     "scattering_limits",
     "is_scattering",
@@ -58,9 +70,26 @@ __all__ = [
     "resonances",
 ]
 
+# parameters that are lengths (or hbar and mass) and must be positive
+_POSITIVE = ("a", "b", "L", "hbar", "mass")
+
+
+class _Validated:
+    """Rejects non-finite numbers, and non-positive lengths, at construction."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str):
+                continue
+            if not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
+            if f.name in _POSITIVE and not value > 0:
+                raise DomainError(f"{f.name} must be positive, got {value}")
+
 
 @dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Validated):
     """hbar, mass and the nonrelativistic/relativistic mode switch.
 
     In relativistic mode the wave equation maps onto the nonrelativistic one
@@ -73,8 +102,7 @@ class PhysicalConstants:
     mode: str = "nonrelativistic"
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise DomainError("hbar and mass must be positive")
+        super().__post_init__()
         if self.mode not in ("nonrelativistic", "relativistic"):
             raise DomainError(f"unknown mode {self.mode!r}")
 
@@ -92,235 +120,6 @@ class PhysicalConstants:
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
-
-
-# ---------------------------------------------------------------------------
-# Spec types
-# ---------------------------------------------------------------------------
-
-def _require_positive(name, value):
-    if not value > 0:
-        raise DomainError(f"{name} must be positive, got {value}")
-
-
-@dataclass(frozen=True)
-class Delta:
-    """V(x) = alpha * delta(x)."""
-
-    alpha: float
-
-
-@dataclass(frozen=True)
-class DoubleDelta:
-    """V(x) = alpha * (delta(x - a) + delta(x + a))."""
-
-    alpha: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class AsymDoubleDelta:
-    """V(x) = alpha_minus * delta(x - a) + alpha_plus * delta(x + a)."""
-
-    alpha_plus: float
-    alpha_minus: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class Step:
-    """V(x) = V0 for x > 0, 0 for x < 0."""
-
-    V0: float = 0.0
-
-
-@dataclass(frozen=True)
-class RectBarrier:
-    """V(x) = V0 on |x| <= a (width 2a), 0 elsewhere; V0 of either sign."""
-
-    V0: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class AsymRectBarrier:
-    """V = V1 (x < -a), V2 (|x| < a), V3 (x > a)."""
-
-    V1: float
-    V2: float
-    V3: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class Tanh:
-    """Smoothed step: (V- + V+)/2 + (V+ - V-)/2 * tanh(x/a)."""
-
-    V_minus: float
-    V_plus: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class Sech2:
-    """V(x) = V0 * sech^2(x/a)."""
-
-    V0: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class PoschlTellerSech2:
-    """Historical alias for the sech^2 well/barrier."""
-
-    V0: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class Eckart:
-    """(V- + V+)/2 + (V+ - V-)/2 * tanh(x/a) + V0 * sech^2(x/a)."""
-
-    V_minus: float
-    V_plus: float
-    V0: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class RosenMorse:
-    """V(x) = A + B tanh(x/a) + C sech^2(x/a)."""
-
-    A: float
-    B: float
-    C: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class MorseFeshbach:
-    """V(x) = V0 cosh^2(mu) (tanh((x - mu L)/L) + tanh(mu))^2."""
-
-    V0: float
-    mu: float
-    L: float
-
-    def __post_init__(self):
-        _require_positive("L", self.L)
-
-
-@dataclass(frozen=True)
-class Mobius2:
-    """A0 + overall * ((E1 + F1 u) / (E2 + F2 u))^2 with u = exp(-2 x / a)."""
-
-    A0: float
-    E1: float
-    F1: float
-    E2: float
-    F2: float
-    a: float
-    overall: float = 1.0
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-        if self.E2 == 0 and self.F2 == 0:
-            raise DomainError("E2 and F2 cannot both vanish")
-
-
-@dataclass(frozen=True)
-class Morse:
-    """V(x) = V0 (1 - exp(-(x - x0)/a))^2; bound-state model, no scattering."""
-
-    V0: float
-    x0: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class ManningRosen:
-    """V(x) = A exp(-2x/b)/(1 - exp(-x/b))^2 + B exp(-x/b)/(1 - exp(-x/b)); x > 0."""
-
-    A: float
-    B: float
-    b: float
-
-    def __post_init__(self):
-        _require_positive("b", self.b)
-
-
-@dataclass(frozen=True)
-class Hulthen:
-    """V(x) = V0 exp(-x/a)/(1 - exp(-x/a)); x > 0; Manning-Rosen with A = 0."""
-
-    V0: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-@dataclass(frozen=True)
-class Tietz:
-    """V(x) = V0 (sinh((x - x0)/a) / K(x/a))^2 with K in {sinh, cosh, exp}."""
-
-    V0: float
-    x0: float
-    a: float
-    kind: str = "sinh"
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-        if self.kind not in ("sinh", "cosh", "exp"):
-            raise DomainError(f"Tietz kind must be sinh/cosh/exp, got {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Hua:
-    """V(x) = V0 ((1 - exp(-2x/a)) / (1 - q exp(-2x/a)))^2."""
-
-    V0: float
-    q: float
-    a: float
-
-    def __post_init__(self):
-        _require_positive("a", self.a)
-
-
-PotentialSpec = Union[
-    Delta, DoubleDelta, AsymDoubleDelta, Step, RectBarrier, AsymRectBarrier,
-    Tanh, Sech2, PoschlTellerSech2, Eckart, RosenMorse, MorseFeshbach,
-    Mobius2, Morse, ManningRosen, Hulthen, Tietz, Hua,
-]
 
 
 @dataclass(frozen=True)
@@ -350,26 +149,18 @@ class ResonanceEntry:
     T: float | None = None
 
 
-# ---------------------------------------------------------------------------
-# Derived wavenumber scales
-# ---------------------------------------------------------------------------
-
-def delta_k0(alpha: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """k0 = m alpha / hbar^2 for the delta-function family."""
-    return 0.5 * c.p2 * alpha
-
-
 def _csqrt(z) -> complex:
     """Principal square root (cut on the negative real axis, +i side on the cut)."""
     return cmath.sqrt(complex(z))
 
 
 def _k_transmitted(k: complex, e: complex, v_minus: float, v_plus: float, p2: float) -> complex:
-    """Transmitted-side wavenumber consistent with analytic continuation in k.
+    """Wavenumber on a side at level v_plus, consistent with analytic continuation in k.
 
-    For equal asymptotes the closed forms are functions of the single
-    incidence wavenumber, so k is reused exactly (sqrt(k^2) would flip the
-    sign on the left half-plane); otherwise the principal root applies.
+    Where the level equals the incidence side's, the closed forms are
+    functions of the single incidence wavenumber, so k is reused exactly
+    (sqrt(k^2) would flip the sign on the left half-plane); otherwise the
+    principal root applies.
     """
     if v_plus == v_minus:
         return k
@@ -377,89 +168,73 @@ def _k_transmitted(k: complex, e: complex, v_minus: float, v_plus: float, p2: fl
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluation
+# The two normal forms
 # ---------------------------------------------------------------------------
 
-def evaluate(spec: PotentialSpec, x):
-    """V(x); accepts scalars or numpy arrays.
+@dataclass(frozen=True)
+class Interfaces:
+    """V = v1 (x < -a), v2 (|x| < a), v3 (x > a), plus the delta couplings
+    alpha_left delta(x + a) + alpha_right delta(x - a).
 
-    Delta-function potentials are distributional: evaluate returns their
-    regular part (identically zero).  Potentials with a pole (Manning-Rosen,
-    Hulthen, sinh-type Tietz at x = 0; Hua with q > 0) raise DomainError when
-    evaluated at the pole.
+    a = 0 merges the two interfaces into one at the origin (Delta, Step).
     """
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    v = _evaluate_array(spec, x)
-    return float(v) if scalar else v
 
+    v1: float
+    v2: float
+    v3: float
+    alpha_left: float
+    alpha_right: float
+    a: float
 
-def _evaluate_array(spec, x):
-    if isinstance(spec, (Delta, DoubleDelta, AsymDoubleDelta)):
-        return np.zeros_like(x)
-    if isinstance(spec, Step):
-        return np.where(x > 0, spec.V0, 0.0)
-    if isinstance(spec, RectBarrier):
-        return np.where(np.abs(x) <= spec.a, spec.V0, 0.0)
-    if isinstance(spec, AsymRectBarrier):
-        return np.where(x < -spec.a, spec.V1, np.where(x > spec.a, spec.V3, spec.V2))
-    if isinstance(spec, Tanh):
-        mid = 0.5 * (spec.V_minus + spec.V_plus)
-        slope = 0.5 * (spec.V_plus - spec.V_minus)
-        return mid + slope * np.tanh(x / spec.a)
-    if isinstance(spec, (Sech2, PoschlTellerSech2)):
-        return spec.V0 / np.cosh(x / spec.a) ** 2
-    if isinstance(spec, Eckart):
-        mid = 0.5 * (spec.V_minus + spec.V_plus)
-        slope = 0.5 * (spec.V_plus - spec.V_minus)
-        return mid + slope * np.tanh(x / spec.a) + spec.V0 / np.cosh(x / spec.a) ** 2
-    if isinstance(spec, RosenMorse):
-        return spec.A + spec.B * np.tanh(x / spec.a) + spec.C / np.cosh(x / spec.a) ** 2
-    if isinstance(spec, MorseFeshbach):
-        d = math.tanh(spec.mu)
-        v1 = spec.V0 * math.cosh(spec.mu) ** 2
-        return v1 * (np.tanh((x - spec.mu * spec.L) / spec.L) + d) ** 2
-    if isinstance(spec, Mobius2):
-        u = np.exp(-2.0 * x / spec.a)
-        den = spec.E2 + spec.F2 * u
-        if np.any(den == 0):
-            raise DomainError("Mobius2 evaluated at its pole")
-        return spec.A0 + spec.overall * ((spec.E1 + spec.F1 * u) / den) ** 2
-    if isinstance(spec, Morse):
-        return spec.V0 * (1.0 - np.exp(-(x - spec.x0) / spec.a)) ** 2
-    if isinstance(spec, ManningRosen):
-        if np.any(x <= 0):
-            raise DomainError("Manning-Rosen is defined on x > 0")
-        v = np.exp(-x / spec.b)
-        return spec.A * v**2 / (1.0 - v) ** 2 + spec.B * v / (1.0 - v)
-    if isinstance(spec, Hulthen):
-        if np.any(x <= 0):
-            raise DomainError("Hulthen is defined on x > 0")
-        v = np.exp(-x / spec.a)
-        return spec.V0 * v / (1.0 - v)
-    if isinstance(spec, Tietz):
-        num = np.sinh((x - spec.x0) / spec.a)
-        if spec.kind == "sinh":
-            if np.any(x == 0):
-                raise DomainError("sinh-type Tietz has a pole at x = 0")
-            den = np.sinh(x / spec.a)
-        elif spec.kind == "cosh":
-            den = np.cosh(x / spec.a)
-        else:
-            den = np.exp(x / spec.a)
-        return spec.V0 * (num / den) ** 2
-    if isinstance(spec, Hua):
-        u = np.exp(-2.0 * x / spec.a)
-        den = 1.0 - spec.q * u
-        if np.any(den == 0):
-            raise DomainError("Hua evaluated at its pole")
-        return spec.V0 * ((1.0 - u) / den) ** 2
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
+    @property
+    def limits(self):
+        return (self.v1, self.v3)
 
+    @property
+    def flat(self) -> bool:
+        """True when only the delta couplings scatter (no steps)."""
+        return self.v1 == self.v2 == self.v3
 
-# ---------------------------------------------------------------------------
-# Scattering structure
-# ---------------------------------------------------------------------------
+    def evaluate(self, x):
+        """The regular (step) part of V on an array x."""
+        return np.where(x < -self.a, self.v1, np.where(x > self.a, self.v3, self.v2))
+
+    def amplitude(self, k: complex, p2: float) -> ScatteringAmplitudes:
+        """t of the two-interface problem with couplings g = p2 * alpha."""
+        g1, g2 = p2 * self.alpha_left, p2 * self.alpha_right
+        e = self.v1 + k * k / p2
+        k1 = k
+        k2 = _k_transmitted(k, e, self.v1, self.v2, p2)
+        k3 = _k_transmitted(k, e, self.v1, self.v3, p2)
+        a = self.a
+        den = (k1 + k2 - 1j * g1) * (k3 + k2 - 1j * g2) * cmath.exp(2j * k2 * a) \
+            - (k1 - k2 - 1j * g1) * (k3 - k2 - 1j * g2) * cmath.exp(-2j * k2 * a)
+        if den == 0:
+            raise AtPoleError(k)
+        t = 4.0 * k2 * _csqrt(k1) * _csqrt(k3) * cmath.exp(1j * (k1 + k3) * a) / den
+        return ScatteringAmplitudes(t, None, k1, k3)
+
+    def probability(self, e: float, p2: float) -> float:
+        """T(E) for real E above both limits: the asymmetric-barrier closed
+        form for steps, the asymmetric double-delta one for couplings."""
+        k1 = math.sqrt(p2 * (e - self.v1))
+        if self.alpha_left == 0 and self.alpha_right == 0:
+            k3 = math.sqrt(p2 * (e - self.v3))
+            q2 = _csqrt(p2 * (e - self.v2))
+            s = cmath.sin(2.0 * q2 * self.a)
+            k2sq = q2 * q2
+            denom = (k1 + k3) ** 2 * k2sq + (
+                k1**2 * k3**2 + k2sq * (k2sq - k1**2 - k3**2)
+            ) * s * s
+            val = 4.0 * k1 * k2sq * k3 / denom
+            return float(val.real)
+        kp = 0.5 * p2 * self.alpha_left
+        km = 0.5 * p2 * self.alpha_right
+        cth = math.cos(2 * k1 * self.a)
+        sth = math.sin(2 * k1 * self.a)
+        term = 4.0 * kp * km / k1**4 * (k1 * cth + kp * sth) * (k1 * cth + km * sth)
+        return 1.0 / (1.0 + (kp - km) ** 2 / k1**2 + term)
+
 
 @dataclass(frozen=True)
 class EckartReduction:
@@ -471,70 +246,520 @@ class EckartReduction:
     a: float
     shift: float = 0.0
 
+    @property
+    def limits(self):
+        return (self.v_minus, self.v_plus)
 
-def eckart_reduction(spec: PotentialSpec) -> EckartReduction:
-    """Reduce a smooth Eckart-family scattering spec to the standard form."""
-    if isinstance(spec, Tanh):
-        return EckartReduction(spec.V_minus, spec.V_plus, 0.0, spec.a)
-    if isinstance(spec, (Sech2, PoschlTellerSech2)):
-        return EckartReduction(0.0, 0.0, spec.V0, spec.a)
-    if isinstance(spec, Eckart):
-        return EckartReduction(spec.V_minus, spec.V_plus, spec.V0, spec.a)
-    if isinstance(spec, RosenMorse):
-        return EckartReduction(spec.A - spec.B, spec.A + spec.B, spec.C, spec.a)
-    if isinstance(spec, MorseFeshbach):
-        v1 = spec.V0 * math.cosh(spec.mu) ** 2
-        d = math.tanh(spec.mu)
+    def evaluate(self, x):
+        """V on an array x."""
+        u = (x - self.shift) / self.a
+        mid = 0.5 * (self.v_minus + self.v_plus)
+        slope = 0.5 * (self.v_plus - self.v_minus)
+        return mid + slope * np.tanh(u) + self.v0 / np.cosh(u) ** 2
+
+    def amplitude(self, k: complex, p2: float) -> ScatteringAmplitudes:
+        """t as a ratio of gamma functions (valid for complex k)."""
+        e = self.v_minus + k * k / p2
+        k_m = k
+        k_p = _k_transmitted(k, e, self.v_minus, self.v_plus, p2)
+        kbar = 0.5 * (k_m + k_p)
+        a = self.a
+        s = _csqrt(0.25 - p2 * self.v0 * a * a)
+        try:
+            ratio = _gamma_ratio(
+                [1j * kbar * a + 0.5 + s, 1j * kbar * a + 0.5 - s],
+                [1j * k_p * a, 1j * k_m * a],
+            )
+        except AtPoleError:
+            raise AtPoleError(k)
+        t = -1j / (_csqrt(k_p) * _csqrt(k_m) * a) * ratio
+        if self.shift != 0.0:
+            t *= cmath.exp(1j * (k_p - k_m) * self.shift)
+        return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
+
+    def probability(self, e: float, p2: float) -> float:
+        """T(E) for real E above both limits, in overflow-safe logarithms."""
+        a = self.a
+        k_m = math.sqrt(p2 * (e - self.v_minus))
+        k_p = math.sqrt(p2 * (e - self.v_plus))
+        kbar = 0.5 * (k_m + k_p)
+        ls = _log_sinh(math.pi * k_m * a) + _log_sinh(math.pi * k_p * a)
+        cos2 = (cmath.cos(cmath.pi * _csqrt(0.25 - p2 * self.v0 * a * a)) ** 2).real
+        log_den = 2.0 * _log_sinh(math.pi * kbar * a)
+        log_den += math.log1p(max(cos2, -0.999999999999) * math.exp(-log_den))
+        return math.exp(ls - log_den)
+
+
+def _gamma_ratio(log_num: list, log_den: list) -> complex:
+    """exp(sum log_gamma(num) - sum log_gamma(den)), overflow-safe."""
+    s = 0j
+    for z in log_num:
+        s += log_gamma(z)
+    for z in log_den:
+        s -= log_gamma(z)
+    if s.real > 700.0:
+        raise AtPoleError(None, "gamma ratio overflows (too close to a pole)")
+    return cmath.exp(s)
+
+
+def _log_sinh(x: float) -> float:
+    """log(sinh(x)) for x > 0 without overflow."""
+    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+
+
+def _mobius2_reduction(m: Mobius2) -> EckartReduction:
+    """Eckart reduction of the squared-Moebius form, when it scatters."""
+    if m.E2 == 0 or m.F2 == 0 or m.E2 * m.F2 < 0:
+        raise NotAScatteringPotential(
+            "Mobius2 needs E2, F2 nonzero and of equal sign for scattering"
+        )
+    if m.E1 * m.F2 - m.E2 * m.F1 == 0:
+        raise NotAScatteringPotential("Mobius2 with E1 F2 = E2 F1 is constant")
+    # center the Moebius denominator: u = (E2/F2) w makes it E2 (1 + w)
+    shift = 0.5 * m.a * math.log(m.F2 / m.E2)
+    p = m.E1
+    q = m.F1 * m.E2 / m.F2
+    alpha = 0.5 * (p + q) / m.E2
+    beta = 0.5 * (p - q) / m.E2
+    mid = m.A0 + m.overall * (alpha**2 + beta**2)
+    half_step = 2.0 * m.overall * alpha * beta
+    v0 = -m.overall * beta**2
+    return EckartReduction(mid - half_step, mid + half_step, v0, m.a, shift)
+
+
+# ---------------------------------------------------------------------------
+# Spec types
+# ---------------------------------------------------------------------------
+
+class _Spec(_Validated):
+    """A catalog member: its textbook V(x), normal form and resonances."""
+
+    def _potential(self, x):
+        raise NotImplementedError
+
+    def _normal_form(self):
+        raise NotAScatteringPotential(
+            f"{type(self).__name__} does not define a scattering problem"
+        )
+
+    @cached_property
+    def _form(self):
+        # specs are frozen, so the normal form is built once per instance
+        return self._normal_form()
+
+    def _resonances(self, n_max: int, c: PhysicalConstants) -> list:
+        raise NotAScatteringPotential(
+            f"{type(self).__name__} has no transmission-resonance analysis"
+        )
+
+
+def _sech2_conditions(a: float, n_max: int, c: PhysicalConstants) -> list:
+    """The reflectionless couplings V0 = -n(n+1) hbar^2/(2 m a^2)."""
+    return [ResonanceEntry(n, "parameter_condition", parameter=-n * (n + 1) * c.h2_2m / (a * a))
+            for n in range(1, n_max + 1)]
+
+
+@dataclass(frozen=True)
+class Delta(_Spec):
+    """V(x) = alpha * delta(x)."""
+
+    alpha: float
+
+    def _potential(self, x):
+        return np.zeros_like(x)
+
+    def _normal_form(self):
+        return Interfaces(0.0, 0.0, 0.0, self.alpha, 0.0, 0.0)
+
+    def _resonances(self, n_max, c):
+        return []
+
+
+@dataclass(frozen=True)
+class DoubleDelta(_Spec):
+    """V(x) = alpha * (delta(x - a) + delta(x + a))."""
+
+    alpha: float
+    a: float
+
+    def _potential(self, x):
+        return np.zeros_like(x)
+
+    def _normal_form(self):
+        return Interfaces(0.0, 0.0, 0.0, self.alpha, self.alpha, self.a)
+
+    def _resonances(self, n_max, c):
+        k0 = 0.5 * c.p2 * self.alpha
+        if k0 == 0:
+            return []
+        return [ResonanceEntry(n, "exact", k=k, E=c.h2_2m * k * k)
+                for n, k in _double_delta_resonance_roots(k0, self.a, n_max)]
+
+
+@dataclass(frozen=True)
+class AsymDoubleDelta(_Spec):
+    """V(x) = alpha_minus * delta(x - a) + alpha_plus * delta(x + a)."""
+
+    alpha_plus: float
+    alpha_minus: float
+    a: float
+
+    def _potential(self, x):
+        return np.zeros_like(x)
+
+    def _normal_form(self):
+        return Interfaces(0.0, 0.0, 0.0, self.alpha_plus, self.alpha_minus, self.a)
+
+    def _resonances(self, n_max, c):
+        out = []
+        for n in range(n_max):
+            k = (n + 0.5) * math.pi / (2.0 * self.a)
+            e = c.h2_2m * k * k
+            out.append(ResonanceEntry(n, "approximate", k=k, E=e,
+                                      T=transmission_probability(self, e, c)))
+        return out
+
+
+@dataclass(frozen=True)
+class Step(_Spec):
+    """V(x) = V0 for x > 0, 0 for x < 0."""
+
+    V0: float = 0.0
+
+    def _potential(self, x):
+        return np.where(x > 0, self.V0, 0.0)
+
+    def _normal_form(self):
+        return Interfaces(0.0, 0.0, self.V0, 0.0, 0.0, 0.0)
+
+    def _resonances(self, n_max, c):
+        return []
+
+
+@dataclass(frozen=True)
+class RectBarrier(_Spec):
+    """V(x) = V0 on |x| <= a (width 2a), 0 elsewhere; V0 of either sign."""
+
+    V0: float
+    a: float
+
+    def _potential(self, x):
+        return np.where(np.abs(x) <= self.a, self.V0, 0.0)
+
+    def _normal_form(self):
+        return Interfaces(0.0, self.V0, 0.0, 0.0, 0.0, self.a)
+
+    def _resonances(self, n_max, c):
+        out = []
+        for n in range(1, n_max + 1):
+            e = self.V0 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2
+            if e <= 0:
+                continue  # below the asymptotic continuum, not a scattering energy
+            out.append(ResonanceEntry(n, "exact", k=math.sqrt(c.p2 * e), E=e))
+        return out
+
+
+@dataclass(frozen=True)
+class AsymRectBarrier(_Spec):
+    """V = V1 (x < -a), V2 (|x| < a), V3 (x > a)."""
+
+    V1: float
+    V2: float
+    V3: float
+    a: float
+
+    def _potential(self, x):
+        return np.where(x < -self.a, self.V1, np.where(x > self.a, self.V3, self.V2))
+
+    def _normal_form(self):
+        return Interfaces(self.V1, self.V2, self.V3, 0.0, 0.0, self.a)
+
+    def _resonances(self, n_max, c):
+        out = []
+        for n in range(1, n_max + 1):
+            e = self.V2 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2
+            if not (e > self.V1 and e > self.V3):
+                continue
+            k1 = math.sqrt(c.p2 * (e - self.V1))
+            out.append(ResonanceEntry(n, "pseudo", k=k1, E=e, T=step_bound(self, e, c)))
+        return out
+
+
+@dataclass(frozen=True)
+class Tanh(_Spec):
+    """Smoothed step: (V- + V+)/2 + (V+ - V-)/2 * tanh(x/a)."""
+
+    V_minus: float
+    V_plus: float
+    a: float
+
+    def _potential(self, x):
+        mid = 0.5 * (self.V_minus + self.V_plus)
+        slope = 0.5 * (self.V_plus - self.V_minus)
+        return mid + slope * np.tanh(x / self.a)
+
+    def _normal_form(self):
+        return EckartReduction(self.V_minus, self.V_plus, 0.0, self.a)
+
+    def _resonances(self, n_max, c):
+        return []
+
+
+@dataclass(frozen=True)
+class Sech2(_Spec):
+    """V(x) = V0 * sech^2(x/a)."""
+
+    V0: float
+    a: float
+
+    def _potential(self, x):
+        return self.V0 / np.cosh(x / self.a) ** 2
+
+    def _normal_form(self):
+        return EckartReduction(0.0, 0.0, self.V0, self.a)
+
+    def _resonances(self, n_max, c):
+        return _sech2_conditions(self.a, n_max, c)
+
+
+@dataclass(frozen=True)
+class PoschlTellerSech2(Sech2):
+    """Historical alias for the sech^2 well/barrier."""
+
+
+@dataclass(frozen=True)
+class Eckart(_Spec):
+    """(V- + V+)/2 + (V+ - V-)/2 * tanh(x/a) + V0 * sech^2(x/a)."""
+
+    V_minus: float
+    V_plus: float
+    V0: float
+    a: float
+
+    def _potential(self, x):
+        mid = 0.5 * (self.V_minus + self.V_plus)
+        slope = 0.5 * (self.V_plus - self.V_minus)
+        return mid + slope * np.tanh(x / self.a) + self.V0 / np.cosh(x / self.a) ** 2
+
+    def _normal_form(self):
+        return EckartReduction(self.V_minus, self.V_plus, self.V0, self.a)
+
+    def _resonances(self, n_max, c):
+        return _sech2_conditions(self.a, n_max, c)
+
+
+@dataclass(frozen=True)
+class RosenMorse(_Spec):
+    """V(x) = A + B tanh(x/a) + C sech^2(x/a)."""
+
+    A: float
+    B: float
+    C: float
+    a: float
+
+    def _potential(self, x):
+        return self.A + self.B * np.tanh(x / self.a) + self.C / np.cosh(x / self.a) ** 2
+
+    def _normal_form(self):
+        return EckartReduction(self.A - self.B, self.A + self.B, self.C, self.a)
+
+
+@dataclass(frozen=True)
+class MorseFeshbach(_Spec):
+    """V(x) = V0 cosh^2(mu) (tanh((x - mu L)/L) + tanh(mu))^2."""
+
+    V0: float
+    mu: float
+    L: float
+
+    def _potential(self, x):
+        d = math.tanh(self.mu)
+        v1 = self.V0 * math.cosh(self.mu) ** 2
+        return v1 * (np.tanh((x - self.mu * self.L) / self.L) + d) ** 2
+
+    def _normal_form(self):
+        v1 = self.V0 * math.cosh(self.mu) ** 2
+        d = math.tanh(self.mu)
         return EckartReduction(
-            v1 * (d - 1.0) ** 2, v1 * (d + 1.0) ** 2, -v1, spec.L, spec.mu * spec.L
+            v1 * (d - 1.0) ** 2, v1 * (d + 1.0) ** 2, -v1, self.L, self.mu * self.L
         )
-    if isinstance(spec, Hua):
-        if spec.q >= 0:
-            raise NotAScatteringPotential(
-                "Hua with q >= 0 has a pole (or Morse limit); no scattering problem"
-            )
-        return eckart_reduction(
-            Mobius2(0.0, 1.0, -1.0, 1.0, -spec.q, spec.a, overall=spec.V0)
-        )
-    if isinstance(spec, Mobius2):
-        if spec.E2 == 0 or spec.F2 == 0 or spec.E2 * spec.F2 < 0:
-            raise NotAScatteringPotential(
-                "Mobius2 needs E2, F2 nonzero and of equal sign for scattering"
-            )
-        if spec.E1 * spec.F2 - spec.E2 * spec.F1 == 0:
-            raise NotAScatteringPotential("Mobius2 with E1 F2 = E2 F1 is constant")
-        # center the Moebius denominator: u = (E2/F2) w makes it E2 (1 + w)
-        shift = 0.5 * spec.a * math.log(spec.F2 / spec.E2)
-        p = spec.E1
-        q = spec.F1 * spec.E2 / spec.F2
-        alpha = 0.5 * (p + q) / spec.E2
-        beta = 0.5 * (p - q) / spec.E2
-        mid = spec.A0 + spec.overall * (alpha**2 + beta**2)
-        half_step = 2.0 * spec.overall * alpha * beta
-        v0 = -spec.overall * beta**2
-        return EckartReduction(mid - half_step, mid + half_step, v0, spec.a, shift)
-    raise NotAScatteringPotential(
-        f"{type(spec).__name__} does not reduce to a smooth scattering form"
-    )
+
+
+@dataclass(frozen=True)
+class Mobius2(_Spec):
+    """A0 + overall * ((E1 + F1 u) / (E2 + F2 u))^2 with u = exp(-2 x / a)."""
+
+    A0: float
+    E1: float
+    F1: float
+    E2: float
+    F2: float
+    a: float
+    overall: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.E2 == 0 and self.F2 == 0:
+            raise DomainError("E2 and F2 cannot both vanish")
+
+    def mobius2(self) -> Mobius2:
+        return self
+
+    def _potential(self, x):
+        u = np.exp(-2.0 * x / self.a)
+        den = self.E2 + self.F2 * u
+        if np.any(den == 0):
+            raise DomainError("Mobius2 evaluated at its pole")
+        return self.A0 + self.overall * ((self.E1 + self.F1 * u) / den) ** 2
+
+    def _normal_form(self):
+        return _mobius2_reduction(self)
+
+
+@dataclass(frozen=True)
+class Morse(_Spec):
+    """V(x) = V0 (1 - exp(-(x - x0)/a))^2; bound-state model, no scattering."""
+
+    V0: float
+    x0: float
+    a: float
+
+    def _potential(self, x):
+        return self.V0 * (1.0 - np.exp(-(x - self.x0) / self.a)) ** 2
+
+
+@dataclass(frozen=True)
+class ManningRosen(_Spec):
+    """V(x) = A exp(-2x/b)/(1 - exp(-x/b))^2 + B exp(-x/b)/(1 - exp(-x/b)); x > 0."""
+
+    A: float
+    B: float
+    b: float
+
+    def _potential(self, x):
+        if np.any(x <= 0):
+            raise DomainError("Manning-Rosen is defined on x > 0")
+        v = np.exp(-x / self.b)
+        return self.A * v**2 / (1.0 - v) ** 2 + self.B * v / (1.0 - v)
+
+
+@dataclass(frozen=True)
+class Hulthen(_Spec):
+    """V(x) = V0 exp(-x/a)/(1 - exp(-x/a)); x > 0; Manning-Rosen with A = 0."""
+
+    V0: float
+    a: float
+
+    def _potential(self, x):
+        if np.any(x <= 0):
+            raise DomainError("Hulthen is defined on x > 0")
+        v = np.exp(-x / self.a)
+        return self.V0 * v / (1.0 - v)
+
+
+@dataclass(frozen=True)
+class Tietz(_Spec):
+    """V(x) = V0 (sinh((x - x0)/a) / K(x/a))^2 with K in {sinh, cosh, exp}."""
+
+    V0: float
+    x0: float
+    a: float
+    kind: str = "sinh"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind not in ("sinh", "cosh", "exp"):
+            raise DomainError(f"Tietz kind must be sinh/cosh/exp, got {self.kind!r}")
+
+    def mobius2(self) -> Mobius2:
+        """The exact squared-Moebius form; only the cosh kind scatters."""
+        c = math.exp(2.0 * self.x0 / self.a)
+        scale = self.V0 * math.exp(-2.0 * self.x0 / self.a)
+        e2, f2 = {"sinh": (1.0, -1.0), "cosh": (1.0, 1.0), "exp": (2.0, 0.0)}[self.kind]
+        return Mobius2(A0=0.0, E1=1.0, F1=-c, E2=e2, F2=f2, a=self.a, overall=scale)
+
+    def _potential(self, x):
+        num = np.sinh((x - self.x0) / self.a)
+        if self.kind == "sinh":
+            if np.any(x == 0):
+                raise DomainError("sinh-type Tietz has a pole at x = 0")
+            den = np.sinh(x / self.a)
+        elif self.kind == "cosh":
+            den = np.cosh(x / self.a)
+        else:
+            den = np.exp(x / self.a)
+        return self.V0 * (num / den) ** 2
+
+    def _normal_form(self):
+        return _mobius2_reduction(self.mobius2())
+
+
+@dataclass(frozen=True)
+class Hua(_Spec):
+    """V(x) = V0 ((1 - exp(-2x/a)) / (1 - q exp(-2x/a)))^2."""
+
+    V0: float
+    q: float
+    a: float
+
+    def mobius2(self) -> Mobius2:
+        """The exact squared-Moebius form; it scatters for q < 0."""
+        return Mobius2(A0=0.0, E1=1.0, F1=-1.0, E2=1.0, F2=-self.q, a=self.a,
+                       overall=self.V0)
+
+    def _potential(self, x):
+        u = np.exp(-2.0 * x / self.a)
+        den = 1.0 - self.q * u
+        if np.any(den == 0):
+            raise DomainError("Hua evaluated at its pole")
+        return self.V0 * ((1.0 - u) / den) ** 2
+
+    def _normal_form(self):
+        return _mobius2_reduction(self.mobius2())
+
+
+PotentialSpec = Union[
+    Delta, DoubleDelta, AsymDoubleDelta, Step, RectBarrier, AsymRectBarrier,
+    Tanh, Sech2, PoschlTellerSech2, Eckart, RosenMorse, MorseFeshbach,
+    Mobius2, Morse, ManningRosen, Hulthen, Tietz, Hua,
+]
+
+
+# ---------------------------------------------------------------------------
+# Pointwise evaluation and scattering structure
+# ---------------------------------------------------------------------------
+
+def evaluate(spec: PotentialSpec, x):
+    """V(x); accepts scalars or numpy arrays.
+
+    Delta-function potentials are distributional: evaluate returns their
+    regular part (identically zero).  Potentials with a pole (Manning-Rosen,
+    Hulthen, sinh-type Tietz at x = 0; Hua with q > 0) raise DomainError when
+    evaluated at the pole.
+    """
+    if not isinstance(spec, _Spec):
+        raise TypeError(f"unknown potential spec {type(spec).__name__}")
+    scalar = np.isscalar(x)
+    x = np.asarray(x, dtype=float)
+    v = spec._potential(x)
+    return float(v) if scalar else v
+
+
+def normal_form(spec: PotentialSpec) -> Interfaces | EckartReduction:
+    """The spec's normal form, built once per (frozen) spec instance.
+
+    Interfaces for the delta and piecewise-constant members; the Eckart
+    reduction for the smooth ones (Tietz, Hua and Mobius2 through their
+    squared-Moebius form).  Raises NotAScatteringPotential otherwise.
+    """
+    if not isinstance(spec, _Spec):
+        raise NotAScatteringPotential(f"{type(spec).__name__} is not a catalog potential")
+    return spec._form
 
 
 def scattering_limits(spec: PotentialSpec, c: PhysicalConstants = DEFAULT_CONSTANTS):
     """(V at x -> -inf, V at x -> +inf); raises NotAScatteringPotential otherwise."""
-    if isinstance(spec, (Delta, DoubleDelta, AsymDoubleDelta)):
-        return (0.0, 0.0)
-    if isinstance(spec, Step):
-        return (0.0, spec.V0)
-    if isinstance(spec, RectBarrier):
-        return (0.0, 0.0)
-    if isinstance(spec, AsymRectBarrier):
-        return (spec.V1, spec.V3)
-    if isinstance(spec, (Tanh, Sech2, PoschlTellerSech2, Eckart, RosenMorse,
-                         MorseFeshbach, Mobius2, Hua)):
-        red = eckart_reduction(spec)
-        return (red.v_minus, red.v_plus)
-    raise NotAScatteringPotential(
-        f"{type(spec).__name__} does not define a scattering problem"
-    )
+    return normal_form(spec).limits
 
 
 def is_scattering(spec: PotentialSpec) -> bool:
@@ -552,50 +777,8 @@ def asymptotic_wavenumbers(spec: PotentialSpec, E, c: PhysicalConstants = DEFAUL
 
 
 # ---------------------------------------------------------------------------
-# Transmission amplitudes
+# Transmission amplitudes and probabilities
 # ---------------------------------------------------------------------------
-
-def _gamma_ratio(log_num: list, log_den: list) -> complex:
-    """exp(sum log_gamma(num) - sum log_gamma(den)), overflow-safe."""
-    s = 0j
-    for z in log_num:
-        s += log_gamma(z)
-    for z in log_den:
-        s -= log_gamma(z)
-    if s.real > 700.0:
-        raise AtPoleError(None, "gamma ratio overflows (too close to a pole)")
-    return cmath.exp(s)
-
-
-def _amp_eckart_family(spec, k, c) -> ScatteringAmplitudes:
-    red = eckart_reduction(spec)
-    p2 = c.p2
-    k = complex(k)
-    e = red.v_minus + k * k / p2
-    k_m = k
-    k_p = _k_transmitted(k, e, red.v_minus, red.v_plus, p2)
-    kbar = 0.5 * (k_m + k_p)
-    a = red.a
-    s = _csqrt(0.25 - p2 * red.v0 * a * a)
-    sqrt_kk = _csqrt(k_p) * _csqrt(k_m)
-    try:
-        if red.v0 == 0.0:
-            ratio = _gamma_ratio(
-                [1j * kbar * a, 1j * kbar * a], [1j * k_p * a, 1j * k_m * a]
-            )
-            t = kbar / sqrt_kk * ratio
-        else:
-            ratio = _gamma_ratio(
-                [1j * kbar * a + 0.5 + s, 1j * kbar * a + 0.5 - s],
-                [1j * k_p * a, 1j * k_m * a],
-            )
-            t = -1j / (sqrt_kk * a) * ratio
-    except AtPoleError:
-        raise AtPoleError(k)
-    if red.shift != 0.0:
-        t *= cmath.exp(1j * (k_p - k_m) * red.shift)
-    return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
-
 
 def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> ScatteringAmplitudes:
     """Closed-form t at incidence-side wavenumber k (valid for complex k).
@@ -606,78 +789,7 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
     k = complex(k)
     if k == 0:
         raise DomainError("transmission amplitude requires k != 0")
-    p2 = c.p2
-
-    if isinstance(spec, Delta):
-        k0 = delta_k0(spec.alpha, c)
-        den = 1.0 - 1j * k0 / k
-        if den == 0:
-            raise AtPoleError(k)
-        return ScatteringAmplitudes(1.0 / den, None, k, k)
-
-    if isinstance(spec, DoubleDelta):
-        k0 = delta_k0(spec.alpha, c)
-        den = (k - 1j * k0) ** 2 + k0**2 * cmath.exp(-4j * k * spec.a)
-        if den == 0:
-            raise AtPoleError(k)
-        return ScatteringAmplitudes(k * k / den, None, k, k)
-
-    if isinstance(spec, AsymDoubleDelta):
-        kp = delta_k0(spec.alpha_plus, c)
-        km = delta_k0(spec.alpha_minus, c)
-        den = (k - 1j * kp) * (k - 1j * km) + kp * km * cmath.exp(-4j * k * spec.a)
-        if den == 0:
-            raise AtPoleError(k)
-        return ScatteringAmplitudes(k * k / den, None, k, k)
-
-    if isinstance(spec, Step):
-        e = k * k / p2
-        q = _k_transmitted(k, e, 0.0, spec.V0, p2)
-        den = k + q
-        if den == 0:
-            raise AtPoleError(k)
-        t = 2.0 * _csqrt(k) * _csqrt(q) / den
-        return ScatteringAmplitudes(t, None, k, q)
-
-    if isinstance(spec, RectBarrier):
-        e = k * k / p2
-        q = _csqrt(p2 * (e - spec.V0))
-        a = spec.a
-        den = (k + q) ** 2 * cmath.exp(2j * q * a) - (k - q) ** 2 * cmath.exp(-2j * q * a)
-        if den == 0:
-            raise AtPoleError(k)
-        t = 4.0 * k * q * cmath.exp(2j * k * a) / den
-        return ScatteringAmplitudes(t, None, k, k)
-
-    if isinstance(spec, AsymRectBarrier):
-        e = spec.V1 + k * k / p2
-        k1 = k
-        k2 = _csqrt(p2 * (e - spec.V2))
-        k3 = _k_transmitted(k, e, spec.V1, spec.V3, p2)
-        a = spec.a
-        den = (k1 + k2) * (k3 + k2) * cmath.exp(2j * k2 * a) \
-            - (k1 - k2) * (k3 - k2) * cmath.exp(-2j * k2 * a)
-        if den == 0:
-            raise AtPoleError(k)
-        t = 4.0 * k2 * _csqrt(k1) * _csqrt(k3) * cmath.exp(1j * (k1 + k3) * a) / den
-        return ScatteringAmplitudes(t, None, k1, k3)
-
-    if isinstance(spec, (Tanh, Sech2, PoschlTellerSech2, Eckart, RosenMorse,
-                         MorseFeshbach, Mobius2, Hua)):
-        return _amp_eckart_family(spec, k, c)
-
-    raise NotAScatteringPotential(
-        f"{type(spec).__name__} does not define a scattering problem"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Transmission probabilities (closed forms, real scattering energies)
-# ---------------------------------------------------------------------------
-
-def _log_sinh(x: float) -> float:
-    """log(sinh(x)) for x > 0 without overflow."""
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+    return normal_form(spec).amplitude(k, c.p2)
 
 
 def _check_regime(spec, e, c):
@@ -692,86 +804,20 @@ def _check_regime(spec, e, c):
 def transmission_probability(spec: PotentialSpec, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Closed-form T(E) for real E above both asymptotic limits."""
     e = float(E)
-    v_minus, v_plus = _check_regime(spec, e, c)
-    p2 = c.p2
-
-    if isinstance(spec, Delta):
-        k0 = delta_k0(spec.alpha, c)
-        k2 = p2 * e
-        return 1.0 / (1.0 + k0 * k0 / k2)
-
-    if isinstance(spec, DoubleDelta):
-        k0 = delta_k0(spec.alpha, c)
-        k = math.sqrt(p2 * e)
-        bracket = k * math.cos(2 * k * spec.a) + k0 * math.sin(2 * k * spec.a)
-        return 1.0 / (1.0 + 4.0 * k0 * k0 / k**4 * bracket**2)
-
-    if isinstance(spec, AsymDoubleDelta):
-        kp = delta_k0(spec.alpha_plus, c)
-        km = delta_k0(spec.alpha_minus, c)
-        k = math.sqrt(p2 * e)
-        cth = math.cos(2 * k * spec.a)
-        sth = math.sin(2 * k * spec.a)
-        term = 4.0 * kp * km / k**4 * (k * cth + kp * sth) * (k * cth + km * sth)
-        return 1.0 / (1.0 + (kp - km) ** 2 / k**2 + term)
-
-    if isinstance(spec, Step):
-        k = math.sqrt(p2 * e)
-        q = math.sqrt(p2 * (e - spec.V0))
-        return 4.0 * k * q / (k + q) ** 2
-
-    if isinstance(spec, RectBarrier):
-        # complex q covers tunneling (E < V0) transparently
-        k2 = p2 * e
-        q = _csqrt(p2 * (e - spec.V0))
-        s = cmath.sin(2.0 * q * spec.a)
-        denom = k2 * q * q + 0.25 * (k2 - q * q) ** 2 * s * s
-        val = k2 * q * q / denom
-        return float(val.real)
-
-    if isinstance(spec, AsymRectBarrier):
-        k1 = math.sqrt(p2 * (e - spec.V1))
-        k3 = math.sqrt(p2 * (e - spec.V3))
-        q2 = _csqrt(p2 * (e - spec.V2))
-        s = cmath.sin(2.0 * q2 * spec.a)
-        k2sq = q2 * q2
-        denom = (k1 + k3) ** 2 * k2sq + (
-            k1**2 * k3**2 + k2sq * (k2sq - k1**2 - k3**2)
-        ) * s * s
-        val = 4.0 * k1 * k2sq * k3 / denom
-        return float(val.real)
-
-    if isinstance(spec, (Tanh, Sech2, PoschlTellerSech2, Eckart, RosenMorse,
-                         MorseFeshbach, Mobius2, Hua)):
-        red = eckart_reduction(spec)
-        a = red.a
-        k_m = math.sqrt(p2 * (e - red.v_minus))
-        k_p = math.sqrt(p2 * (e - red.v_plus))
-        kbar = 0.5 * (k_m + k_p)
-        ls = _log_sinh(math.pi * k_m * a) + _log_sinh(math.pi * k_p * a)
-        if red.v0 == 0.0:
-            return math.exp(ls - 2.0 * _log_sinh(math.pi * kbar * a))
-        cos2 = (cmath.cos(cmath.pi * _csqrt(0.25 - p2 * red.v0 * a * a)) ** 2).real
-        log_den = 2.0 * _log_sinh(math.pi * kbar * a)
-        log_den += math.log1p(cos2 * math.exp(-log_den)) if cos2 > 0 else (
-            math.log1p(max(cos2, -0.999999999999) * math.exp(-log_den)))
-        return math.exp(ls - log_den)
-
-    raise NotAScatteringPotential(
-        f"{type(spec).__name__} does not define a scattering problem"
-    )
+    _check_regime(spec, e, c)
+    return normal_form(spec).probability(e, c.p2)
 
 
 # ---------------------------------------------------------------------------
 # Transmission resonances
 # ---------------------------------------------------------------------------
 
-def step_bound(spec: AsymRectBarrier, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def step_bound(spec: PotentialSpec, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """T_step = 4 k1 k3 / (k1 + k3)^2, the step-barrier transmission bound."""
     e = float(E)
-    _check_regime(spec, e, c)
-    k1 = math.sqrt(c.p2 * (e - spec.V1))
-    k3 = math.sqrt(c.p2 * (e - spec.V3))
+    v_minus, v_plus = _check_regime(spec, e, c)
+    k1 = math.sqrt(c.p2 * (e - v_minus))
+    k3 = math.sqrt(c.p2 * (e - v_plus))
     return 4.0 * k1 * k3 / (k1 + k3) ** 2
 
 
@@ -808,61 +854,6 @@ def resonances(spec: PotentialSpec, n_max: int, c: PhysicalConstants = DEFAULT_C
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    p2 = c.p2
-
-    if isinstance(spec, (Delta, Step, Tanh)):
-        return []
-
-    if isinstance(spec, RectBarrier):
-        out = []
-        for n in range(1, n_max + 1):
-            e = spec.V0 + c.h2_2m * (n * math.pi / (2.0 * spec.a)) ** 2
-            if e <= 0:
-                continue  # below the asymptotic continuum, not a scattering energy
-            out.append(ResonanceEntry(n, "exact", k=math.sqrt(p2 * e), E=e))
-        return out
-
-    if isinstance(spec, DoubleDelta):
-        k0 = delta_k0(spec.alpha, c)
-        if k0 == 0:
-            return []
-        out = []
-        for n, k in _double_delta_resonance_roots(k0, spec.a, n_max):
-            e = c.h2_2m * k * k
-            out.append(ResonanceEntry(n, "exact", k=k, E=e))
-        return out
-
-    if isinstance(spec, AsymDoubleDelta):
-        out = []
-        for n in range(n_max):
-            k = (n + 0.5) * math.pi / (2.0 * spec.a)
-            e = c.h2_2m * k * k
-            out.append(
-                ResonanceEntry(n, "approximate", k=k, E=e,
-                               T=transmission_probability(spec, e, c))
-            )
-        return out
-
-    if isinstance(spec, AsymRectBarrier):
-        out = []
-        for n in range(1, n_max + 1):
-            e = spec.V2 + c.h2_2m * (n * math.pi / (2.0 * spec.a)) ** 2
-            if not (e > spec.V1 and e > spec.V3):
-                continue
-            k1 = math.sqrt(p2 * (e - spec.V1))
-            out.append(
-                ResonanceEntry(n, "pseudo", k=k1, E=e, T=step_bound(spec, e, c))
-            )
-        return out
-
-    if isinstance(spec, (Sech2, PoschlTellerSech2, Eckart)):
-        a = spec.a
-        out = []
-        for n in range(1, n_max + 1):
-            v0 = -n * (n + 1) * c.h2_2m / (a * a)
-            out.append(ResonanceEntry(n, "parameter_condition", parameter=v0))
-        return out
-
-    raise NotAScatteringPotential(
-        f"{type(spec).__name__} has no transmission-resonance analysis"
-    )
+    if not isinstance(spec, _Spec):
+        raise NotAScatteringPotential(f"{type(spec).__name__} is not a catalog potential")
+    return spec._resonances(n_max, c)

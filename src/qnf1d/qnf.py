@@ -20,24 +20,11 @@ from scipy.optimize import brentq
 
 from .errors import AtPoleError, DomainError, UnsupportedPotentialError
 from .potentials import (
-    AsymDoubleDelta,
-    AsymRectBarrier,
-    Delta,
-    DoubleDelta,
-    Eckart,
-    Hua,
-    Mobius2,
-    MorseFeshbach,
-    PhysicalConstants,
     DEFAULT_CONSTANTS,
-    PoschlTellerSech2,
-    RectBarrier,
-    RosenMorse,
-    Sech2,
-    Step,
-    Tanh,
-    delta_k0,
-    eckart_reduction,
+    EckartReduction,
+    Interfaces,
+    PhysicalConstants,
+    normal_form,
     transmission_amplitude,
 )
 from .specfn import lambert_w, lambert_w_comtet
@@ -47,6 +34,7 @@ __all__ = [
     "QnfResult",
     "AsymptoticFit",
     "classify",
+    "has_closed_form",
     "pole_condition",
     "closed_form_qnfs",
     "transcendental_qnfs",
@@ -57,8 +45,6 @@ __all__ = [
     "rect_barrier_q_series",
     "rect_barrier_k_series",
 ]
-
-_SMOOTH = (Tanh, Sech2, PoschlTellerSech2, Eckart, RosenMorse, MorseFeshbach, Mobius2, Hua)
 
 TRIVIAL_ZERO_TOL = 1e-8
 CLASSIFY_TOL = 1e-10
@@ -129,42 +115,53 @@ def pole_condition(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
 def _pole_condition(spec, k, c) -> float:
     k = complex(k)
     p2 = c.p2
-    if isinstance(spec, Delta):
-        k0 = delta_k0(spec.alpha, c)
-        return abs(1.0 - 1j * k0 / k) if k != 0 else abs(k0)
-    if isinstance(spec, DoubleDelta):
-        k0 = delta_k0(spec.alpha, c)
-        val = (k - 1j * k0) ** 2 + k0 * k0 * cmath.exp(-4j * k * spec.a)
-        return abs(val) / max(k0 * k0, abs(k) ** 2)
-    if isinstance(spec, AsymDoubleDelta):
-        kp = delta_k0(spec.alpha_plus, c)
-        km = delta_k0(spec.alpha_minus, c)
-        val = (k - 1j * kp) * (k - 1j * km) + kp * km * cmath.exp(-4j * k * spec.a)
-        return abs(val) / max(abs(kp * km), abs(k) ** 2)
-    if isinstance(spec, (RectBarrier, AsymRectBarrier)):
-        try:
-            amp = transmission_amplitude(spec, k, c)
-        except AtPoleError:
-            return 0.0
-        return abs(1.0 / amp.t)
-    if isinstance(spec, _SMOOTH):
-        red = eckart_reduction(spec)
-        a = red.a
+    form = normal_form(spec)
+    if isinstance(form, EckartReduction):
+        a = form.a
         kp = k
         # reconstruct the partner wavenumber; either root may be physical
-        km2 = kp * kp + p2 * (red.v_plus - red.v_minus)
+        km2 = kp * kp + p2 * (form.v_plus - form.v_minus)
         km = cmath.sqrt(km2)
         best = math.inf
         for km_c in (km, -km):
             zbar = 1j * 0.5 * (kp + km_c) * a
-            if red.v0 == 0.0:
+            if form.v0 == 0.0:
                 best = min(best, _nearest_gamma_pole_distance(zbar))
             else:
-                s = cmath.sqrt(0.25 - p2 * red.v0 * a * a)
+                s = cmath.sqrt(0.25 - p2 * form.v0 * a * a)
                 for sgn in (1.0, -1.0):
                     best = min(best, _nearest_gamma_pole_distance(zbar + 0.5 + sgn * s))
         return best
-    raise UnsupportedPotentialError(f"no pole condition for {type(spec).__name__}")
+    if form.flat:
+        kp, km = _delta_k0s(form, c)
+        val = (k - 1j * kp) * (k - 1j * km) + kp * km * cmath.exp(-4j * k * form.a)
+        scale = max(abs(kp * km), abs(k) ** 2)
+        return abs(val) / scale if scale else abs(kp + km)
+    try:
+        amp = transmission_amplitude(spec, k, c)
+    except AtPoleError:
+        return 0.0
+    return abs(1.0 / amp.t)
+
+
+def _delta_k0s(form: Interfaces, c) -> tuple:
+    """k0 = m alpha / hbar^2 of the left and the right delta coupling."""
+    return 0.5 * c.p2 * form.alpha_left, 0.5 * c.p2 * form.alpha_right
+
+
+def _delta_pair(form) -> bool:
+    """Two delta couplings a distance 2a apart, no steps."""
+    return isinstance(form, Interfaces) and form.a > 0 and form.flat
+
+
+def _barrier(form) -> bool:
+    """Steps at x = -a and x = +a, no delta couplings."""
+    return (isinstance(form, Interfaces) and form.a > 0
+            and form.alpha_left == 0 and form.alpha_right == 0)
+
+
+def _symmetric_barrier(form) -> bool:
+    return _barrier(form) and form.v1 == form.v3
 
 
 def _length_scale(spec) -> float:
@@ -192,33 +189,45 @@ def _norm_range(n_range) -> list:
     return sorted(set(int(n) for n in n_range))
 
 
+def has_closed_form(spec) -> bool:
+    """Whether closed_form_qnfs serves the spec (barriers and unequal delta
+    pairs are served by transcendental_qnfs instead)."""
+    form = normal_form(spec)
+    if isinstance(form, EckartReduction) or form.a == 0:
+        return True
+    left, right = form.alpha_left, form.alpha_right
+    return form.flat and (left == right or left * right == 0)
+
+
 def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS,
                      include_trivial: bool = False) -> list[QnfResult]:
     """All closed-form QNFs over the requested tower indices.
 
-    Delta has a single pure-imaginary pole; DoubleDelta carries the Lambert-W
-    tower (both signs per branch, de-duplicated); tanh / sech^2 / Eckart carry
-    gamma-pole towers; Step has none.  Barrier potentials have no closed
-    forms and are served by transcendental_qnfs.
+    A single delta coupling has a single pure-imaginary pole; two equal
+    couplings (DoubleDelta) carry the Lambert-W tower (both signs per branch,
+    de-duplicated); tanh / sech^2 / Eckart carry gamma-pole towers; Step has
+    none.  Barrier potentials have no closed forms and are served by
+    transcendental_qnfs.
     """
     ns = _norm_range(n_range)
     if not ns:
         raise DomainError("empty n_range")
     p2 = c.p2
+    form = normal_form(spec)
 
-    if isinstance(spec, Step):
-        return []
-
-    if isinstance(spec, Delta):
-        k0 = delta_k0(spec.alpha, c)
-        if k0 == 0:
-            return []
-        return [_result(spec, 1j * k0, "closed_form", c)]
-
-    if isinstance(spec, DoubleDelta):
-        k0, a = delta_k0(spec.alpha, c), spec.a
-        if k0 == 0:
-            return []
+    if isinstance(form, Interfaces):
+        if not has_closed_form(spec):
+            raise UnsupportedPotentialError(
+                f"{type(spec).__name__} has no closed-form QNFs; use transcendental_qnfs"
+            )
+        kp, km = _delta_k0s(form, c)
+        if form.a == 0 or kp * km == 0:
+            # one interface: t = 2 sqrt(k1 k3) / (k1 + k3 - 2 i k0)
+            k0 = kp + km
+            if k0 == 0 or form.v1 != form.v3:
+                return []
+            return [_result(spec, 1j * k0, "closed_form", c)]
+        k0, a = kp, form.a
         arg = 2.0 * k0 * a * math.exp(2.0 * k0 * a)
         out: list[QnfResult] = []
         for n in ns:
@@ -236,40 +245,34 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS,
                 out.append(r)
         return out
 
-    if isinstance(spec, _SMOOTH):
-        red = eckart_reduction(spec)
-        a, dv = red.a, red.v_plus - red.v_minus
-        out = []
-        if red.v0 == 0.0:  # pure tanh: poles of Gamma(i kbar a)^2 at -n, n > 0
-            if any(n <= 0 for n in ns):
-                raise DomainError("tanh closed-form tower is defined for n > 0")
-            for n in ns:
-                kp = 1j * (0.25 * p2 * dv * a / n + n / a)
-                km = 1j * (-0.25 * p2 * dv * a / n + n / a)
-                out.append(
-                    _result(spec, kp, "closed_form", c, branch=n, k_minus=km)
-                )
-            return out
-        if any(n < 0 for n in ns):
-            raise DomainError("sech^2 / Eckart towers are defined for n >= 0")
-        two_s = 2.0 * cmath.sqrt(0.25 - p2 * red.v0 * a * a)
+    a, dv = form.a, form.v_plus - form.v_minus
+    out = []
+    if form.v0 == 0.0:  # pure tanh: poles of Gamma(i kbar a)^2 at -n, n > 0
+        if any(n <= 0 for n in ns):
+            raise DomainError("tanh closed-form tower is defined for n > 0")
         for n in ns:
-            for sgn, label in ((1.0, "plus"), (-1.0, "minus")):
-                d = (2 * n + 1) + sgn * two_s
-                if abs(d) < 1e-12:
-                    continue  # degenerate member (division by zero in the tower)
-                kp = 1j * (0.5 * p2 * dv * a / d + d / (2.0 * a))
-                km = 1j * (-0.5 * p2 * dv * a / d + d / (2.0 * a))
-                r = _result(spec, kp, "closed_form", c, branch=n,
-                            sign_choice=label, k_minus=km)
-                if r.classification == "trivial_zero" and not include_trivial:
-                    continue
-                out.append(r)
+            kp = 1j * (0.25 * p2 * dv * a / n + n / a)
+            km = 1j * (-0.25 * p2 * dv * a / n + n / a)
+            out.append(
+                _result(spec, kp, "closed_form", c, branch=n, k_minus=km)
+            )
         return out
-
-    raise UnsupportedPotentialError(
-        f"{type(spec).__name__} has no closed-form QNFs; use transcendental_qnfs"
-    )
+    if any(n < 0 for n in ns):
+        raise DomainError("sech^2 / Eckart towers are defined for n >= 0")
+    two_s = 2.0 * cmath.sqrt(0.25 - p2 * form.v0 * a * a)
+    for n in ns:
+        for sgn, label in ((1.0, "plus"), (-1.0, "minus")):
+            d = (2 * n + 1) + sgn * two_s
+            if abs(d) < 1e-12:
+                continue  # degenerate member (division by zero in the tower)
+            kp = 1j * (0.5 * p2 * dv * a / d + d / (2.0 * a))
+            km = 1j * (-0.5 * p2 * dv * a / d + d / (2.0 * a))
+            r = _result(spec, kp, "closed_form", c, branch=n,
+                        sign_choice=label, k_minus=km)
+            if r.classification == "trivial_zero" and not include_trivial:
+                continue
+            out.append(r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +295,14 @@ def _scan_brackets(f, xs):
     return out
 
 
-def _rect_imaginary_axis(spec: RectBarrier, c) -> list[QnfResult]:
+def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
     p2 = c.p2
-    a = spec.a
+    a = form.a
+    v0 = form.v2 - form.v1
     out = []
-    if spec.V0 > 0:
+    if v0 > 0:
         # damped modes: |q| a = k0 a cosh(|q| a), zero/one/two roots
-        k0 = math.sqrt(p2 * spec.V0)
+        k0 = math.sqrt(p2 * v0)
         ca = k0 * a
         f = lambda u: ca * math.cosh(u) - u
         us = np.linspace(1e-9, 50.0, 4001)
@@ -308,7 +312,7 @@ def _rect_imaginary_axis(spec: RectBarrier, c) -> list[QnfResult]:
             out.append(_result(spec, k, "transcendental", c, aux=1j * u / a))
     else:
         # attractive: real-q poles, always with |q| <= |k0|
-        k0m = math.sqrt(-p2 * spec.V0)
+        k0m = math.sqrt(-p2 * v0)
 
         def even(q):  # k = -i q tan(q a) combined with k^2 = q^2 - |k0|^2
             y = -math.sqrt(max(k0m * k0m - q * q, 0.0))
@@ -350,10 +354,9 @@ def _rect_imaginary_axis(spec: RectBarrier, c) -> list[QnfResult]:
     return out
 
 
-def _asym_dd_imaginary_axis(spec: AsymDoubleDelta, c) -> list[QnfResult]:
-    kp = delta_k0(spec.alpha_plus, c)
-    km = delta_k0(spec.alpha_minus, c)
-    a = spec.a
+def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
+    kp, km = _delta_k0s(form, c)
+    a = form.a
 
     # pole condition on the imaginary axis k = i y:
     # (y - kp)(y - km) = kp km exp(+4 y a)   [sign fixed by the amplitude]
@@ -395,10 +398,11 @@ def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) 
         return out
     if search != "imaginary_axis":
         raise DomainError(f"unknown search descriptor {search!r}")
-    if isinstance(spec, RectBarrier):
-        return _rect_imaginary_axis(spec, c)
-    if isinstance(spec, AsymDoubleDelta):
-        return _asym_dd_imaginary_axis(spec, c)
+    form = normal_form(spec)
+    if _symmetric_barrier(form):
+        return _rect_imaginary_axis(spec, form, c)
+    if _delta_pair(form):
+        return _asym_dd_imaginary_axis(spec, form, c)
     raise UnsupportedPotentialError(
         f"imaginary-axis search not implemented for {type(spec).__name__}"
     )
@@ -433,19 +437,20 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
                       c: PhysicalConstants = DEFAULT_CONSTANTS) -> QnfResult:
     """Truncated-series QNF estimate; the residual reports truncation error.
 
-    near_symmetric_* and small_separation apply to AsymDoubleDelta,
-    small_k0a_series to the repulsive RectBarrier, small_a_asym_rect to the
-    AsymRectBarrier with |k2| a << 1 and mild asymmetry.
+    near_symmetric_* and small_separation apply to a pair of delta
+    couplings (AsymDoubleDelta), small_k0a_series to the repulsive
+    symmetric barrier (RectBarrier), small_a_asym_rect to a barrier
+    (AsymRectBarrier) with |k2| a << 1 and mild asymmetry.
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
+    form = normal_form(spec)
 
     if regime in ("near_symmetric_order0", "near_symmetric_order2", "small_separation"):
-        if not isinstance(spec, AsymDoubleDelta):
-            raise DomainError(f"{regime} requires an AsymDoubleDelta spec")
-        kp = delta_k0(spec.alpha_plus, c)
-        km = delta_k0(spec.alpha_minus, c)
-        a = spec.a
+        if not _delta_pair(form):
+            raise DomainError(f"{regime} requires a pair of delta couplings")
+        kp, km = _delta_k0s(form, c)
+        a = form.a
         if regime == "small_separation":
             # lowest QNF for small separation; the a^1 coefficient carries a
             # sign opposite to one display in the literature, fixed against
@@ -460,18 +465,18 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
         return _result(spec, k, "perturbative", c, branch=n)
 
     if regime == "small_k0a_series":
-        if not (isinstance(spec, RectBarrier) and spec.V0 > 0):
-            raise DomainError("small_k0a_series requires a repulsive RectBarrier")
-        k0 = math.sqrt(c.p2 * spec.V0)
-        k = rect_barrier_k_series(k0, spec.a)
-        return _result(spec, k, "perturbative", c, aux=rect_barrier_q_series(k0, spec.a))
+        if not (_symmetric_barrier(form) and form.v2 > form.v1):
+            raise DomainError("small_k0a_series requires a repulsive symmetric barrier")
+        k0 = math.sqrt(c.p2 * (form.v2 - form.v1))
+        k = rect_barrier_k_series(k0, form.a)
+        return _result(spec, k, "perturbative", c, aux=rect_barrier_q_series(k0, form.a))
 
     # small_a_asym_rect
-    if not isinstance(spec, AsymRectBarrier):
-        raise DomainError("small_a_asym_rect requires an AsymRectBarrier spec")
-    p2, a = c.p2, spec.a
-    P = p2 * (spec.V2 - spec.V1)
-    Q = p2 * (spec.V2 - spec.V3)
+    if not _barrier(form):
+        raise DomainError("small_a_asym_rect requires a barrier spec")
+    p2, a = c.p2, form.a
+    P = p2 * (form.v2 - form.v1)
+    Q = p2 * (form.v2 - form.v3)
     if P + Q == 0:
         raise DomainError("degenerate barrier: k12^2 + k23^2 = 0")
     k2sq = (
@@ -495,32 +500,32 @@ def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
                     sign: str = "plus") -> QnfResult:
     """The large-|n| approximation for the requested tower member."""
     p2 = c.p2
-    if isinstance(spec, DoubleDelta):
-        k0, a = delta_k0(spec.alpha, c), spec.a
+    form = normal_form(spec)
+    if _delta_pair(form) and form.alpha_left == form.alpha_right:
+        k0, a = _delta_k0s(form, c)[0], form.a
         sgn = 1.0 if sign == "plus" else -1.0
         wc = lambert_w_comtet(n, sgn * 2.0 * k0 * a * math.exp(2.0 * k0 * a), terms=2)
         k = 1j * (k0 - wc / (2.0 * a))
         return _result(spec, k, "asymptotic", c, branch=n, sign_choice=sign)
-    if isinstance(spec, RectBarrier):
-        a = spec.a
-        if spec.V0 > 0:
-            k0 = math.sqrt(p2 * spec.V0)
+    if _symmetric_barrier(form):
+        a, v0 = form.a, form.v2 - form.v1
+        if v0 > 0:
+            k0 = math.sqrt(p2 * v0)
             q = -1j * lambert_w(n, k0 * a / 2.0) / a
         else:
-            k0m = math.sqrt(-p2 * spec.V0)
+            k0m = math.sqrt(-p2 * v0)
             q = -1j * lambert_w(n, -1j * k0m * a / 2.0) / a
-        ksq = p2 * spec.V0 + q * q
+        ksq = p2 * v0 + q * q
         k = cmath.sqrt(ksq)
         if pole_condition(spec, -k, c) < pole_condition(spec, k, c):
             k = -k
         return _result(spec, k, "asymptotic", c, branch=n, aux=q)
-    if isinstance(spec, _SMOOTH):
-        red = eckart_reduction(spec)
-        a = red.a
-        if red.v0 == 0.0:
+    if isinstance(form, EckartReduction):
+        a = form.a
+        if form.v0 == 0.0:
             k = 1j * n / a
             return _result(spec, k, "asymptotic", c, branch=n)
-        two_s = 2.0 * cmath.sqrt(0.25 - p2 * red.v0 * a * a)
+        two_s = 2.0 * cmath.sqrt(0.25 - p2 * form.v0 * a * a)
         sgn = 1.0 if sign == "plus" else -1.0
         k = 1j * (n / a + (1.0 + sgn * two_s) / (2.0 * a))
         return _result(spec, k, "asymptotic", c, branch=n, sign_choice=sign)

@@ -1,9 +1,11 @@
 """Complex special functions: multi-branch Lambert W and complex log-gamma.
 
-The Lambert W function is the multi-valued inverse of w -> w*exp(w); branches
-follow the standard counter-clockwise-continuous convention (principal
-logarithm cut along the negative real axis), so ``lambert_w(0, x)`` and
-``lambert_w(-1, x)`` are the two real branches on (-1/e, 0).
+Both are thin wrappers over ``scipy.special`` that add this library's error
+contract.  The Lambert W function is the multi-valued inverse of
+w -> w*exp(w); branches follow the standard counter-clockwise-continuous
+convention (principal logarithm cut along the negative real axis), so
+``lambert_w(0, x)`` and ``lambert_w(-1, x)`` are the two real branches on
+(-1/e, 0).
 """
 
 from __future__ import annotations
@@ -11,76 +13,17 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ConvergenceError, DomainError, GammaPoleError
+from scipy import special
+
+from .errors import DomainError, GammaPoleError
 
 __all__ = ["lambert_w", "lambert_w_derivative", "lambert_w_comtet", "log_gamma"]
 
 _INV_E = math.exp(-1.0)
 _TWO_PI = 2.0 * math.pi
-_MAX_ITER = 100
 
 
-def _halley(w, z, tol):
-    """Halley iteration on f(w) = w*e^w - z, started from seed ``w``."""
-    for _ in range(_MAX_ITER):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        if abs(f) <= tol and abs(f) <= 1e-4 * max(1.0, abs(z)):
-            # polish with one Newton step to clean up the last bits
-            wp = ew * (w + 1.0)
-            if wp != 0:
-                w = w - f / wp
-            return w
-        wp = ew * (w + 1.0)
-        denom = wp - (w + 2.0) * f / (2.0 * (w + 1.0)) if w != -1.0 else wp
-        if denom == 0:
-            denom = wp if wp != 0 else 1e-300
-        dw = f / denom
-        w = w - dw
-        if abs(dw) <= 1e-16 * (2.0 + abs(w)):
-            return w
-    raise ConvergenceError(f"lambert_w Halley iteration did not converge for z={z}")
-
-
-def _seed(branch: int, z: complex) -> complex:
-    """Starting point for the Halley iteration on branch ``branch``."""
-    if branch == 0 and abs(z) < 0.25:
-        # series around the origin, W0(z) = z - z^2 + (3/2) z^3 - ...
-        return z * (1.0 + z * (-1.0 + z * 1.5))
-    near_bp = branch == 0
-    if branch == -1 and (z.imag > 0.0 or (z.imag == 0.0 and z.real <= 0.0)):
-        near_bp = True  # W_{-1} adjoins the branch point only from above
-    if branch == 1 and z.imag < 0.0:
-        near_bp = True  # and W_{+1} from below (counter-clockwise continuity)
-    if near_bp:
-        p2 = 2.0 * (math.e * z + 1.0)
-        if abs(p2) < 2.0:
-            # branch-point series in p = +/- sqrt(2(ez+1)) near z = -1/e
-            p = cmath.sqrt(p2)
-            if branch != 0:
-                p = -p
-            return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p2
-    if branch == 0 and z.imag == 0.0 and z.real < -_INV_E:
-        # on the cut: W0 is complex with Im > 0 (limit from above)
-        l1 = cmath.log(z)
-        return l1 - cmath.log(l1)
-    if branch == 0 and abs(z) <= 4.0:
-        # log(1 + z) tracks W0 well at moderate |z| (exact to O(z^2) at 0,
-        # real on (-1/e, inf)) where the asymptotic seed is unusable
-        return cmath.log(1.0 + z)
-    if branch == -1 and z.imag == 0.0 and -_INV_E < z.real < 0.0:
-        # real branch W_{-1} on (-1/e, 0)
-        l1 = math.log(-z.real)
-        l2 = math.log(-l1)
-        return complex(l1 - l2, 0.0)
-    # Comtet-form asymptotic seed ln z + 2*pi*i*n - ln(ln z + 2*pi*i*n)
-    l1 = cmath.log(z) + 1j * _TWO_PI * branch
-    if abs(l1) < 1e-2:
-        l1 += 1e-2  # keep the log argument away from 0 (z near 1 on branch 0)
-    return l1 - cmath.log(l1)
-
-
-def lambert_w(branch: int, z: complex, tol: float = 1e-13) -> complex:
+def lambert_w(branch: int, z: complex) -> complex:
     """W_n(z): solution w of w*exp(w) = z on branch ``branch``.
 
     Residual contract: ``|w*exp(w) - z| <= 1e-12 * max(1, |z|)``.
@@ -92,7 +35,7 @@ def lambert_w(branch: int, z: complex, tol: float = 1e-13) -> complex:
         raise DomainError(f"W_{branch}(0) is singular for branch != 0")
     if branch in (0, -1) and abs(z + _INV_E) < 1e-15 and abs(z.imag) < 1e-15:
         return complex(-1.0, 0.0)
-    w = _halley(_seed(branch, z), z, tol * max(1.0, abs(z)))
+    w = complex(special.lambertw(z, branch))
     if branch in (0, -1) and z.imag == 0.0 and w.imag != 0.0 and abs(w.imag) < 1e-12:
         w = complex(w.real, 0.0)
     return w
@@ -126,44 +69,6 @@ def lambert_w_comtet(branch: int, z: complex, terms: int = 2) -> complex:
     return l1 - cmath.log(l1 - cmath.log(l1))
 
 
-# ---------------------------------------------------------------------------
-# log-gamma
-# ---------------------------------------------------------------------------
-
-# Stirling-series coefficients B_{2n} / (2n (2n-1)) for n = 1..8
-_STIRLING = [
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    7.0 / 1092.0,
-    -3617.0 / 122400.0,
-]
-_LOG_2PI_HALF = 0.5 * math.log(2.0 * math.pi)
-_STIRLING_RADIUS = 12.0
-
-
-def _log_gamma_right(z: complex) -> complex:
-    """log-gamma for Re z >= 0.5 via recurrence shift + Stirling series."""
-    shift = 0
-    zs = z
-    while abs(zs) < _STIRLING_RADIUS:
-        zs += 1.0
-        shift += 1
-    out = (zs - 0.5) * cmath.log(zs) - zs + _LOG_2PI_HALF
-    zinv2 = 1.0 / (zs * zs)
-    term = 1.0 / zs
-    for c in _STIRLING:
-        out += c * term
-        term *= zinv2
-    # log Gamma(z) = log Gamma(z + shift) - sum log(z + j)
-    for j in range(shift):
-        out -= cmath.log(z + j)
-    return out
-
-
 def log_gamma(z: complex) -> complex:
     """Continuous (principal on the positive axis) log-gamma; exp of it is Gamma(z).
 
@@ -174,16 +79,4 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise GammaPoleError(f"log_gamma pole at z = {z.real:g}")
-    if z.real >= 0.5:
-        return _log_gamma_right(z)
-    if z.imag < 0.0:
-        return log_gamma(z.conjugate()).conjugate()
-    # Re z < 0.5, Im z >= 0: reflection with a winding-free branch of log sin(pi z);
-    # |exp(2*pi*i*z)| < 1 on the upper half-plane keeps log(1 - exp(...)) continuous.
-    log_sin = (
-        -1j * cmath.pi * z
-        - math.log(2.0)
-        + 0.5j * math.pi
-        + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z))
-    )
-    return math.log(math.pi) - log_sin - _log_gamma_right(1.0 - z)
+    return complex(special.loggamma(z))

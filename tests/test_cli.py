@@ -164,12 +164,6 @@ class TestCommands:
         assert code == 0
         assert "damped_mode" in out
 
-    def test_worker_cap_env_var(self, monkeypatch, capsys):
-        monkeypatch.setenv("QNF1D_MAX_WORKERS", "0")
-        assert main(["resonances", "--type", "step"]) == 1
-        monkeypatch.setenv("QNF1D_MAX_WORKERS", "4")
-        assert main(["resonances", "--type", "step"]) == 0
-
     def test_validation_errors_exit_one(self, capsys):
         code = main(["qnf", "--type", "sech2"])  # missing V0/a
         assert code == 1
