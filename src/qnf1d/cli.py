@@ -312,7 +312,7 @@ def _verify_checks(spec, constants, region, out):
     checks = []
     form = P.normal_form(spec)
     piecewise = isinstance(form, P.Interfaces)
-    a_scale = getattr(spec, "a", None) or getattr(spec, "L", 1.0)
+    a_scale = P.length_scale(spec)
     v_minus, v_plus = form.limits
 
     # 1. amplitude agreement, analytic vs numeric
@@ -437,7 +437,7 @@ def _cmd_verify(args, spec, constants):
     if args.region:
         region = _parse_region(args.region, density)
     else:
-        a_scale = getattr(spec, "a", None) or getattr(spec, "L", 1.0)
+        a_scale = P.length_scale(spec)
         region = O.SearchRegion(-12.0 / a_scale, 12.0 / a_scale, 0.01 / a_scale,
                                 3.0 / a_scale, density * a_scale)
     buf = io.StringIO()

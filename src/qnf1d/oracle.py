@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -19,11 +19,11 @@ from scipy.integrate import solve_ivp
 from .errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
 from .potentials import (
     DEFAULT_CONSTANTS,
-    Eckart,
     Interfaces,
     PhysicalConstants,
     ScatteringAmplitudes,
-    evaluate,
+    evaluate,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
+    length_scale,
     normal_form,
     scattering_limits,
 )
@@ -39,6 +39,10 @@ __all__ = [
 
 # exp-argument cap: beyond this the transfer/ODE products are not representable
 _EXP_GUARD = 600.0
+# acceptance rule of a refined pole: |1/t| below this ...
+_RESIDUAL_TOL = 1e-8
+# ... and |k| at least this (1/t vanishes trivially at k = 0)
+_TRIVIAL_ZERO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -143,14 +147,8 @@ def _tail_coefficients(red, c, side, order=4):
     """
     p2 = c.p2
     dv = red.v_plus - red.v_minus
-    out = []
-    for j in range(1, order + 1):
-        sgn = (-1.0) ** (j - 1)
-        if side > 0:
-            out.append(p2 * sgn * (4.0 * j * red.v0 - dv))
-        else:
-            out.append(p2 * sgn * (4.0 * j * red.v0 + dv))
-    return out
+    return [p2 * (-1.0) ** (j - 1) * (4.0 * j * red.v0 - side * dv)
+            for j in range(1, order + 1)]
 
 
 def _tail_eta(ws, k, a):
@@ -214,12 +212,12 @@ def _ode_amplitude(spec, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> S
     ws_m = _tail_coefficients(red, c, -1, tail_order)
     eta_p = _tail_eta(ws_p, k_p, a)
 
-    # integrate the reduced standard potential; the shift becomes a phase below
-    red_spec = Eckart(red.v_minus, red.v_plus, red.v0, a)
+    # integrate the unshifted reduction; the shift becomes a phase below
+    potential = replace(red, shift=0.0).evaluate
 
     def rhs(x, y):
         # y = (Re psi, Im psi, Re psi', Im psi')
-        v = evaluate(red_spec, x)
+        v = potential(x)
         psi = complex(y[0], y[1])
         dd = p2 * (v - e) * psi
         return [y[2], y[3], dd.real, dd.imag]
@@ -299,74 +297,51 @@ def _inv_t(spec, k, c, amplitude, variable):
     return 1.0 / t
 
 
-def _newton_polish(f, k0, tol=1e-12, max_iter=60):
+def _newton_polish(f, k0, on_axis=False, max_iter=60):
     """Damped Newton on complex f; returns the best iterate seen.
 
     Multiple roots (the tanh amplitude has double poles) stall at the
     evaluation noise floor, so iterates that stop improving end the search
-    rather than being allowed to run off."""
-    k = complex(k0)
-    best_k, best_f = k, abs(f(k))
-    if best_f != best_f:
+    rather than being allowed to run off.  With ``on_axis`` the iteration
+    runs over the real y of k = i y: the wavenumber square roots put their
+    branch cuts exactly on the imaginary axis, so on-axis poles are polished
+    with a one-real-parameter iteration that never crosses the cut."""
+    if on_axis:
+        g, z, tol = (lambda y: f(1j * y)), complex(k0).imag, 1e-13
+    else:
+        g, z, tol = f, complex(k0), 1e-12
+    best_z, best_g = z, abs(g(z))
+    if best_g != best_g:
         return None
     stale = 0
     for _ in range(max_iter):
-        fk = f(k)
-        if fk != fk:
+        gz = g(z)
+        if gz != gz:
             break
-        h = 1e-7 * max(1.0, abs(k))
-        df = (f(k + h) - f(k - h)) / (2.0 * h)
-        if df == 0 or df != df:
+        h = 1e-7 * max(1.0, abs(z))
+        dg = (g(z + h) - g(z - h)) / (2.0 * h)
+        if dg == 0 or dg != dg:
             break
-        step = fk / df
-        if abs(step) > 0.5 * (1.0 + abs(k)):
-            step *= 0.5 * (1.0 + abs(k)) / abs(step)
-        k = k - step
-        fa = abs(f(k))
-        if fa < best_f:
-            best_k, best_f = k, fa
+        step = gz / dg
+        cap = 0.5 * (1.0 + abs(z))
+        if on_axis:
+            step = step.real
+            if abs(step) > cap:
+                step = math.copysign(cap, step)
+        elif abs(step) > cap:
+            step *= cap / abs(step)
+        z = z - step
+        ga = abs(g(z))
+        if ga < best_g:
+            best_z, best_g = z, ga
             stale = 0
         else:
             stale += 1
             if stale >= 3:
                 break
-        if abs(step) < tol * max(1.0, abs(k)):
+        if abs(step) < tol * max(1.0, abs(z)):
             break
-    return best_k
-
-
-def _newton_polish_imag_axis(f, y0, tol=1e-13, max_iter=60):
-    """Newton along k = i y.  The wavenumber square roots put their branch
-    cuts exactly on the imaginary axis, so on-axis poles are polished with a
-    one-real-parameter iteration that never crosses the cut."""
-    y = float(y0)
-    best_y, best_f = y, abs(f(1j * y))
-    if best_f != best_f:
-        return None
-    stale = 0
-    for _ in range(max_iter):
-        fy = f(1j * y)
-        if fy != fy:
-            break
-        h = 1e-7 * max(1.0, abs(y))
-        df = (f(1j * (y + h)) - f(1j * (y - h))) / (2.0 * h)
-        if df == 0 or df != df:
-            break
-        step = (fy / df).real
-        if abs(step) > 0.5 * (1.0 + abs(y)):
-            step = math.copysign(0.5 * (1.0 + abs(y)), step)
-        y = y - step
-        fa = abs(f(1j * y))
-        if fa < best_f:
-            best_y, best_f = y, fa
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 3:
-                break
-        if abs(step) < tol * max(1.0, abs(y)):
-            break
-    return 1j * best_y
+    return 1j * best_z if on_axis else best_z
 
 
 def _is_isolated_zero(f, k, tol):
@@ -377,38 +352,52 @@ def _is_isolated_zero(f, k, tol):
     return max(vals) > 10.0 * max(abs(f(k)), tol * 1e-4)
 
 
+def _rejection(f, k, inside):
+    """Why k is not a certified pole of t (a zero of f = 1/t), or None."""
+    if k is None or not inside(k):
+        return "the iteration left the search basin"
+    res = abs(f(k))
+    if not res < _RESIDUAL_TOL:
+        return f"refined point k={k} has |1/t|={res:.2e} > {_RESIDUAL_TOL:.0e}"
+    if abs(k) < _TRIVIAL_ZERO_TOL:
+        return "refinement converged to the trivial zero k = 0"
+    if not _is_isolated_zero(f, k, _RESIDUAL_TOL):
+        return f"1/t is numerically flat around k={k}; not a certified pole"
+    return None
+
+
+def _refine(f, guess, near_axis, inside):
+    """Newton-polish a zero of f from ``guess``; returns (k, |f(k)|).
+
+    Near the imaginary axis a rejected iterate is retried with the on-axis
+    iteration.  Raises DomainError naming the reason the last iterate was
+    rejected."""
+    k = _newton_polish(f, guess)
+    reason = _rejection(f, k, inside)
+    if reason and near_axis:
+        # poles on the imaginary axis sit on the channel-sqrt branch cuts
+        k = _newton_polish(f, guess, on_axis=True)
+        reason = _rejection(f, k, inside)
+    if reason:
+        raise DomainError(f"no certified pole from guess {guess}: {reason}")
+    return k, abs(f(k))
+
+
 def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
-                amplitude=None, variable="incident", residual_tol=1e-8):
+                amplitude=None, variable="incident"):
     """Newton-polish a pole of t from ``guess``; returns (k, residual |1/t|).
 
-    Raises DomainError when the iteration escapes the basin or converges to
-    the trivial zero at k = 0.
+    Raises DomainError when the iteration escapes the basin
+    |k - guess| <= (1 + |guess|) / 2, or its result fails the acceptance
+    rule shared with find_poles (residual, trivial zero, flat 1/t).
     """
     if amplitude is None:
         amplitude = numeric_amplitude
     guess = complex(guess)
     f = lambda k: _inv_t(spec, k, c, amplitude, variable)
-
-    def escaped(k):
-        return k is None or abs(k - guess) > 0.5 * (1.0 + abs(guess))
-
-    k = _newton_polish(f, guess)
-    bad = escaped(k) or not abs(f(k)) < residual_tol or not _is_isolated_zero(f, k, residual_tol)
-    if bad and abs(guess.real) < 1e-6 * max(1.0, abs(guess)):
-        # poles on the imaginary axis sit on the channel-sqrt branch cuts
-        k = _newton_polish_imag_axis(f, guess.imag)
-    if escaped(k):
-        raise DomainError(f"pole refinement escaped the basin of guess {guess}")
-    res = abs(f(k))
-    if not res < residual_tol:
-        raise DomainError(
-            f"refined point k={k} has |1/t|={res:.2e} > {residual_tol:.0e}"
-        )
-    if abs(k) < 1e-8:
-        raise DomainError("refinement converged to the trivial zero k = 0")
-    if not _is_isolated_zero(f, k, residual_tol):
-        raise DomainError(f"1/t is numerically flat around k={k}; not a certified pole")
-    return k, res
+    radius = 0.5 * (1.0 + abs(guess))
+    near_axis = abs(guess.real) < 1e-6 * max(1.0, abs(guess))
+    return _refine(f, guess, near_axis, lambda k: abs(k - guess) <= radius)
 
 
 def _winding_count(f, region, samples_per_unit=40):
@@ -439,8 +428,7 @@ def _winding_count(f, region, samples_per_unit=40):
 
 
 def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTANTS,
-               amplitude=None, variable="incident", count_zeros=False,
-               dedup_radius=None) -> PoleReport:
+               amplitude=None, variable="incident", count_zeros=False) -> PoleReport:
     """Grid-scan g(k) = 1/t over the region, refine local minima of |g|.
 
     ``amplitude`` defaults to the numeric engine; pass
@@ -451,15 +439,14 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     """
     if amplitude is None:
         amplitude = numeric_amplitude
-    a_scale = getattr(spec, "a", None) or getattr(spec, "L", None) or 1.0
-    if dedup_radius is None:
-        dedup_radius = 1e-6 / a_scale
+    dedup_radius = 1e-6 / length_scale(spec)
 
     f = lambda k: _inv_t(spec, k, c, amplitude, variable)
     nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
     nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
     res = np.linspace(region.re_min, region.re_max, nre)
     ims = np.linspace(region.im_min, region.im_max, nim)
+    cell = max(res[1] - res[0], ims[1] - ims[0])
     mag = np.full((nim, nre), np.inf)
     for i, y in enumerate(ims):
         for j, x in enumerate(res):
@@ -470,57 +457,36 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
             if v == v:  # not nan
                 mag[i, j] = abs(v)
 
-    warnings = []
-    seeds = []
-    for i in range(nim):
-        for j in range(nre):
-            m = mag[i, j]
-            if not np.isfinite(m):
-                continue
-            neigh = mag[max(0, i - 1): i + 2, max(0, j - 1): j + 2]
-            if m <= neigh.min() + 0.0 and m < 1e6:
-                seeds.append(complex(res[j], ims[i]))
+    def inside(k):
+        return (region.re_min - 1e-9 <= k.real <= region.re_max + 1e-9
+                and region.im_min - 1e-9 <= k.imag <= region.im_max + 1e-9)
 
     poles = []
-    cell0 = max((res[1] - res[0]) if nre > 1 else 0.0,
-                (ims[1] - ims[0]) if nim > 1 else 0.0)
-    for seed in seeds:
-        k = _newton_polish(f, seed)
-        if (k is None or not abs(f(k)) < 1e-8) and abs(seed.real) < 1.5 * cell0:
-            # branch cuts of the channel wavenumbers lie on the imaginary
-            # axis; retry with the on-axis iteration
-            k = _newton_polish_imag_axis(f, seed.imag)
-        if k is None:
-            continue
-        r = abs(f(k))
-        if not r < 1e-8:
-            continue
-        if abs(k) < 1e-6:
-            continue
-        if not _is_isolated_zero(f, k, 1e-8):
-            continue  # 1/t underflowed flat; not a certified pole
-        if not (region.re_min - 1e-9 <= k.real <= region.re_max + 1e-9
-                and region.im_min - 1e-9 <= k.imag <= region.im_max + 1e-9):
-            continue
-        merged = False
-        for idx, (kp, rp, mult) in enumerate(poles):
-            if abs(kp - k) < dedup_radius:
-                poles[idx] = (kp if rp <= r else k, min(rp, r), mult + 1)
-                merged = True
-                break
-        if merged:
-            continue
-        poles.append((k, r, 1))
+    for i in range(nim):
+        for j in range(nre):
+            # seeds are the local minima of |1/t| (unevaluated points are inf)
+            m = mag[i, j]
+            if not m < 1e6 or m > mag[max(0, i - 1): i + 2, max(0, j - 1): j + 2].min():
+                continue
+            seed = complex(res[j], ims[i])
+            try:
+                k, r = _refine(f, seed, abs(seed.real) < 1.5 * cell, inside)
+            except DomainError:
+                continue
+            for idx, (kp, rp, mult) in enumerate(poles):
+                if abs(kp - k) < dedup_radius:
+                    poles[idx] = (kp if rp <= r else k, min(rp, r), mult + 1)
+                    break
+            else:
+                poles.append((k, r, 1))
 
-    # coarseness heuristic: two refined poles closer than two grid cells apart
-    cell = max((res[1] - res[0]) if nre > 1 else 0.0, (ims[1] - ims[0]) if nim > 1 else 0.0)
-    ks = sorted((p[0] for p in poles), key=lambda z: (z.imag, z.real))
-    for k1, k2 in zip(ks, ks[1:]):
-        if abs(k1 - k2) < 2.0 * cell:
-            warnings.append(
-                f"poles {k1:.6g} and {k2:.6g} are closer than two grid cells; "
-                "increase grid_density"
-            )
     poles.sort(key=lambda p: (p[0].imag, p[0].real))
+    # coarseness heuristic: two refined poles closer than two grid cells apart
+    ks = [p[0] for p in poles]
+    warnings = [
+        f"poles {k1:.6g} and {k2:.6g} are closer than two grid cells; "
+        "increase grid_density"
+        for k1, k2 in zip(ks, ks[1:]) if abs(k1 - k2) < 2.0 * cell
+    ]
     count = _winding_count(f, region) if count_zeros else None
     return PoleReport(poles=poles, region=region, count_check=count, warnings=warnings)

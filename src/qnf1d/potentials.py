@@ -61,6 +61,7 @@ __all__ = [
     "ScatteringAmplitudes",
     "ResonanceEntry",
     "normal_form",
+    "length_scale",
     "evaluate",
     "scattering_limits",
     "is_scattering",
@@ -755,6 +756,12 @@ def normal_form(spec: PotentialSpec) -> Interfaces | EckartReduction:
     if not isinstance(spec, _Spec):
         raise NotAScatteringPotential(f"{type(spec).__name__} is not a catalog potential")
     return spec._form
+
+
+def length_scale(spec: PotentialSpec) -> float:
+    """The normal form's half-width a (L for Morse-Feshbach); 1.0 for the
+    zero-width Delta and Step."""
+    return normal_form(spec).a or 1.0
 
 
 def scattering_limits(spec: PotentialSpec, c: PhysicalConstants = DEFAULT_CONSTANTS):

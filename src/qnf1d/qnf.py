@@ -24,6 +24,7 @@ from .potentials import (
     EckartReduction,
     Interfaces,
     PhysicalConstants,
+    length_scale,
     normal_form,
     transmission_amplitude,
 )
@@ -164,16 +165,12 @@ def _symmetric_barrier(form) -> bool:
     return _barrier(form) and form.v1 == form.v3
 
 
-def _length_scale(spec) -> float:
-    return getattr(spec, "a", None) or getattr(spec, "L", None) or getattr(spec, "b", 1.0)
-
-
 def _result(spec, k, method, c, **kw) -> QnfResult:
     return QnfResult(
         k=k,
         method=method,
         residual=pole_condition(spec, k, c),
-        classification=classify(k, _length_scale(spec)),
+        classification=classify(k, length_scale(spec)),
         **kw,
     )
 
@@ -314,33 +311,19 @@ def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
         # attractive: real-q poles, always with |q| <= |k0|
         k0m = math.sqrt(-p2 * v0)
 
-        def even(q):  # k = -i q tan(q a) combined with k^2 = q^2 - |k0|^2
-            y = -math.sqrt(max(k0m * k0m - q * q, 0.0))
-            return y + q * math.tan(q * a)
-
-        def even_anti(q):
-            y = math.sqrt(max(k0m * k0m - q * q, 0.0))
-            return y + q * math.tan(q * a)
-
-        def odd(q):  # k = +i q cot(q a)
-            y = -math.sqrt(max(k0m * k0m - q * q, 0.0))
-            return y - q / math.tan(q * a)
-
-        def odd_anti(q):
-            y = math.sqrt(max(k0m * k0m - q * q, 0.0))
-            return y - q / math.tan(q * a)
+        def cond(q, even, sign):
+            # even: k = -i q tan(q a), odd: k = +i q cot(q a), each combined
+            # with k = i y, y = sign sqrt(|k0|^2 - q^2) from k^2 = q^2 - |k0|^2
+            y = sign * math.sqrt(max(k0m * k0m - q * q, 0.0))
+            return y + q * math.tan(q * a) if even else y - q / math.tan(q * a)
 
         qs = np.linspace(1e-9, k0m * (1 - 1e-12), 4001)
         seen = []
-        for f, kmap in (
-            (even, lambda q: -1j * q * math.tan(q * a)),
-            (even_anti, lambda q: -1j * q * math.tan(q * a)),
-            (odd, lambda q: 1j * q / math.tan(q * a)),
-            (odd_anti, lambda q: 1j * q / math.tan(q * a)),
-        ):
+        for even, sign in ((True, -1.0), (True, 1.0), (False, -1.0), (False, 1.0)):
+            f = lambda q: cond(q, even, sign)
             for lo, hi in _scan_brackets(f, qs):
                 q = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-                k = complex(kmap(q))
+                k = -1j * q * math.tan(q * a) if even else 1j * q / math.tan(q * a)
                 if abs(k) < TRIVIAL_ZERO_TOL / a:
                     continue
                 if any(abs(k - s) < 1e-9 / a for s in seen):

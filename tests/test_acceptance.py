@@ -47,6 +47,7 @@ from qnf1d import (
     transmission_amplitude,
     transmission_probability,
 )
+from qnf1d.potentials import length_scale
 from qnf1d.qnf import rect_barrier_q_series
 
 C = PhysicalConstants()
@@ -359,7 +360,7 @@ def test_criterion_11_oracle_convergence_certificate():
     worst_pw = 0.0
     for spec in (Delta(1.3), DoubleDelta(0.8, 1.2), AsymDoubleDelta(0.6, 1.1, 0.8),
                  Step(1.5), RectBarrier(2.0, 0.7), AsymRectBarrier(0.3, 2.5, -0.4, 0.6)):
-        a_scale = getattr(spec, "a", 1.0)
+        a_scale = length_scale(spec)
         done = 0
         while done < 100:
             r = 10.0 * math.sqrt(rng.uniform(0.0025, 1.0))

@@ -28,6 +28,7 @@ from qnf1d import (
 )
 from qnf1d.errors import DomainError, NotAScatteringPotential
 from qnf1d.oracle import transfer_matrix_det_error
+from qnf1d.potentials import length_scale
 
 C = PhysicalConstants()
 
@@ -57,7 +58,7 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("spec", PIECEWISE, ids=lambda s: type(s).__name__)
     def test_exactness_random_complex_k(self, spec):
         rng = random.Random(42)
-        a_scale = getattr(spec, "a", 1.0)
+        a_scale = length_scale(spec)
         checked = 0
         while checked < 100:
             k = random_disc_k(rng, a_scale)
@@ -71,7 +72,7 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("spec", PIECEWISE, ids=lambda s: type(s).__name__)
     def test_determinant_flux_surrogate(self, spec):
         rng = random.Random(7)
-        a_scale = getattr(spec, "a", 1.0)
+        a_scale = length_scale(spec)
         for _ in range(40):
             k = complex(rng.uniform(-8, 8), rng.uniform(-2, 2)) / a_scale
             if abs(k) * a_scale < 0.05:
@@ -164,6 +165,37 @@ class TestFindPoles:
             SearchRegion(1.0, -1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             SearchRegion(-1.0, 1.0, 0.0, 1.0, grid_density=0.0)
+
+    def test_near_axis_seed_retried_on_axis(self):
+        # plain Newton from the seeds next to the imaginary axis runs to the
+        # pole at -1.0015i, outside the region; the on-axis retry from the
+        # same seeds finds the low tower member at 0.0116697i
+        spec = Sech2(-1.00882, 0.987014)
+        rep = find_poles(spec, SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0), C,
+                         amplitude=transmission_amplitude)
+        low = [r.k for r in closed_form_qnfs(spec, (0, 3), C)
+               if abs(r.k - 0.0116697j) < 1e-6]
+        assert len(low) == 1
+        assert min(abs(k - low[0]) for k, _, _ in rep.poles) < 1e-8
+
+    @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
+                             ids=["transfer", "closed_form"])
+    @pytest.mark.parametrize("spec", [
+        DoubleDelta(1.0, 1.0),
+        AsymDoubleDelta(1.0, 0.7, 1.0),
+        RectBarrier(1.0, 1.0),
+        RectBarrier(-1.0, 1.0),
+        AsymRectBarrier(0.0, 1.0, 0.5, 1.0),
+    ], ids=lambda s: repr(s))
+    def test_refine_pole_keeps_found_poles(self, spec, amplitude):
+        # both searches share one acceptance rule, so a reported pole is a
+        # fixed point of refine_pole
+        rep = find_poles(spec, SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0), C,
+                         amplitude=amplitude)
+        assert rep.poles
+        for k, _res, _mult in rep.poles:
+            k2, _ = refine_pole(spec, k, C, amplitude=amplitude)
+            assert abs(k2 - k) < 1e-12
 
     def test_coarse_grid_warns(self):
         # neighboring tower members closer than two grid cells
