@@ -64,12 +64,16 @@ class SearchRegion:
 
 @dataclass
 class PoleReport:
-    """Poles found in a region: (k, residual |1/t|, multiplicity hint) triples."""
+    """Poles found in a region: (k, residual |1/t|, multiplicity hint) triples.
+
+    ``rejected`` holds a (seed, reason) pair for every grid seed whose
+    refinement failed the acceptance rule."""
 
     poles: list
     region: SearchRegion
     count_check: int | None = None
     warnings: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +99,19 @@ def _wave_matrix(x, kappa):
     return np.array([[em, ep], [-1j * kappa * em, 1j * kappa * ep]], dtype=complex)
 
 
-def _transfer_matrix(spec, k, c):
-    """M with (A_left, B_left) = M (A_right, B_right); also returns (k-, k+)."""
+def _wave_matrices(x, kappa):
+    """_wave_matrix over an array of kappa: shape kappa.shape + (2, 2)."""
+    em = np.exp(-1j * kappa * x)
+    ep = np.exp(1j * kappa * x)
+    return np.stack([np.stack([em, ep], -1),
+                     np.stack([-1j * kappa * em, 1j * kappa * ep], -1)], -2)
+
+
+def _face_wavenumbers(spec, k, c, sqrt):
+    """(faces with their left/right wavenumbers, k+) of the transfer problem.
+
+    Each face is (x0, kappa_left, kappa_right, g); ``sqrt`` is cmath.sqrt for
+    a scalar k and np.sqrt for an array."""
     p2 = c.p2
     form = normal_form(spec)
     if not isinstance(form, Interfaces):
@@ -108,30 +123,70 @@ def _transfer_matrix(spec, k, c):
     def region_k(v):
         # reuse the caller's k wherever the potential matches the incidence
         # side, so the matrix is the analytic continuation in k
-        return k if v == v_in else cmath.sqrt(p2 * (e - v))
+        return k if v == v_in else sqrt(p2 * (e - v))
 
+    kappas = [(x0, region_k(v_l), region_k(v_r), g) for x0, v_l, v_r, g in faces]
+    return kappas, region_k(faces[-1][2])
+
+
+def _transfer_matrix(spec, k, c):
+    """M with (A_left, B_left) = M (A_right, B_right); also returns (k-, k+)."""
+    kappas, k_p = _face_wavenumbers(spec, k, c, cmath.sqrt)
     m = np.eye(2, dtype=complex)
-    for x0, v_l, v_r, g in faces:
-        w_l = _wave_matrix(x0, region_k(v_l))
-        w_r = _wave_matrix(x0, region_k(v_r))
+    for x0, k_l, k_r, g in kappas:
+        w_l = _wave_matrix(x0, k_l)
+        w_r = _wave_matrix(x0, k_r)
         jump = np.array([[1.0, 0.0], [-g, 1.0]], dtype=complex)
         m = m @ np.linalg.solve(w_l, jump @ w_r)
-    return m, k, region_k(faces[-1][2])
+    # each face can scale the entries by exp(|Im kappa x|) twice (and by
+    # 1/kappa), so the product overflows long before one exponential does
+    if not (cmath.isfinite(m[0, 0]) and cmath.isfinite(m[0, 1])
+            and cmath.isfinite(m[1, 0]) and cmath.isfinite(m[1, 1])):
+        raise OverflowGuardError(f"transfer matrix product not representable at k={k}")
+    return m, k, k_p
 
 
 def _transfer_amplitude(spec, k, c) -> ScatteringAmplitudes:
-    m, k_m, k_p = _transfer_matrix(spec, k, c)
-    if m[0, 0] == 0:
-        return ScatteringAmplitudes(complex("inf"), None, k_m, k_p)
-    t_coeff = 1.0 / m[0, 0]
-    r = m[1, 0] / m[0, 0]
-    t = t_coeff * cmath.sqrt(k_p) / cmath.sqrt(k_m)
+    # overflow inside the product is caught by the guard; t itself may
+    # overflow to inf next to a pole
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, k_m, k_p = _transfer_matrix(spec, k, c)
+        if m[0, 0] == 0:
+            return ScatteringAmplitudes(complex("inf"), None, k_m, k_p)
+        t_coeff = 1.0 / m[0, 0]
+        r = m[1, 0] / m[0, 0]
+        t = t_coeff * cmath.sqrt(k_p) / cmath.sqrt(k_m)
     return ScatteringAmplitudes(t, r, k_m, k_p)
+
+
+def _transfer_amplitudes(spec, k, c) -> ScatteringAmplitudes:
+    """_transfer_amplitude over an array of k as one stack of (..., 2, 2)
+    products; nan where the scalar call raises (guard, a singular matrix,
+    which includes k = 0)."""
+    kappas, k_p = _face_wavenumbers(spec, k, c, np.sqrt)
+    bad = np.zeros(k.shape, dtype=bool)
+    for x0, k_l, k_r, _g in kappas:
+        bad |= (np.abs(k_l.imag * x0) > _EXP_GUARD) | (np.abs(k_r.imag * x0) > _EXP_GUARD)
+        bad |= (k_l == 0) | (k_r == 0)  # a singular wave matrix
+    m = np.eye(2, dtype=complex)
+    for x0, k_l, k_r, g in kappas:
+        # bad points get a harmless stand-in and are masked below
+        w_l = _wave_matrices(x0, np.where(bad, 1.0, k_l))
+        w_r = _wave_matrices(x0, np.where(bad, 1.0, k_r))
+        jump = np.array([[1.0, 0.0], [-g, 1.0]], dtype=complex)
+        m = m @ np.linalg.solve(w_l, jump @ w_r)
+    bad |= ~np.isfinite(m).all(axis=(-2, -1))
+    m00 = m[..., 0, 0]
+    t = np.where(m00 == 0, complex("inf"), 1.0 / m00 * np.sqrt(k_p) / np.sqrt(k))
+    nan = complex("nan")
+    return ScatteringAmplitudes(np.where(bad, nan, t), np.where(bad, nan, m[..., 1, 0] / m00),
+                                k, k_p)
 
 
 def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """|det M - k_+/k_-|: the flux-conservation surrogate (0 for exact matrices)."""
-    m, k_m, k_p = _transfer_matrix(spec, complex(k), c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, k_m, k_p = _transfer_matrix(spec, complex(k), c)
     return abs(np.linalg.det(m) - k_p / k_m)
 
 
@@ -259,13 +314,44 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, **ode_k
     Piecewise-constant and delta potentials use exact transfer matrices;
     smooth potentials integrate the stationary equation with tail-corrected
     outgoing boundary data (keyword args L, rtol, atol, tail_order tune it).
+
+    An ndarray k gives arrays under the contract of
+    ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where
+    the scalar call raises); the transfer matrices are then one stacked
+    product, the ODE runs point by point.
     """
+    if isinstance(k, np.ndarray):
+        k = k.astype(complex)
+        if not isinstance(normal_form(spec), Interfaces):
+            return _pointwise(lambda z: numeric_amplitude(spec, z, c, **ode_kwargs), k)
+        with np.errstate(all="ignore"):
+            return _transfer_amplitudes(spec, k, c)
     k = complex(k)
     if k == 0:
         raise DomainError("numeric amplitude requires k != 0")
     if isinstance(normal_form(spec), Interfaces):
         return _transfer_amplitude(spec, k, c)
     return _ode_amplitude(spec, k, c, **ode_kwargs)
+
+
+def _pointwise(amplitude_at, k):
+    """Scalar amplitude calls over an array of k, mapped onto the array
+    contract: inf at AtPoleError, nan at any other library error."""
+    t = np.empty(k.shape, dtype=complex)
+    r = np.full(k.shape, complex("nan"))
+    k_p = np.full(k.shape, complex("nan"))
+    for i, z in np.ndenumerate(k):
+        try:
+            amp = amplitude_at(complex(z))
+        except AtPoleError:
+            t[i] = complex("inf")
+        except (OverflowGuardError, DomainError, OverflowError):
+            t[i] = complex("nan")
+        else:
+            t[i], k_p[i] = amp.t, amp.k_plus_inf
+            if amp.r is not None:
+                r[i] = amp.r
+    return ScatteringAmplitudes(t, r, k, k_p)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +381,21 @@ def _inv_t(spec, k, c, amplitude, variable):
     if cmath.isinf(abs(t)):
         return 0j
     return 1.0 / t
+
+
+def _inv_t_array(spec, k, c, amplitude, variable):
+    """_inv_t over an array of k with one amplitude call."""
+    with np.errstate(all="ignore"):
+        if variable == "transmitted":
+            v_minus, v_plus = scattering_limits(spec, c)
+            e = v_plus + k * k / c.p2
+            km2 = c.p2 * (e - v_minus)
+            k_in = np.sqrt(km2)
+        else:
+            k_in = k
+        t = amplitude(spec, k_in, c).t
+        inv = np.where(t == 0, complex("inf"), np.where(np.isinf(np.abs(t)), 0j, 1.0 / t))
+    return np.where(k_in == 0, complex("inf"), inv)
 
 
 def _newton_polish(f, k0, on_axis=False, max_iter=60):
@@ -401,7 +502,9 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
 
 
 def _winding_count(f, region, samples_per_unit=40):
-    """Winding number of f around the region boundary (zeros minus poles of f)."""
+    """Winding number of f around the region boundary (zeros minus poles of f).
+
+    ``f`` evaluates on an array of boundary points."""
     corners = [
         complex(region.re_min, region.im_min),
         complex(region.re_max, region.im_min),
@@ -414,17 +517,14 @@ def _winding_count(f, region, samples_per_unit=40):
         n = max(8, int(abs(z1 - z0) * samples_per_unit))
         for j in range(n):
             pts.append(z0 + (z1 - z0) * j / n)
-    vals = [f(z) for z in pts]
-    total = 0.0
-    for i in range(len(vals)):
-        v0, v1 = vals[i], vals[(i + 1) % len(vals)]
-        if v0 == 0 or v1 == 0 or v0 != v0 or v1 != v1:
-            return None
-        dphi = cmath.phase(v1 / v0)
-        if abs(dphi) > 2.5:  # too coarse to trust
-            return None
-        total += dphi
-    return round(total / (2.0 * math.pi))
+    vals = f(np.array(pts))
+    if (vals == 0).any() or np.isnan(vals).any():
+        return None
+    with np.errstate(all="ignore"):
+        dphi = np.angle(np.roll(vals, -1) / vals)
+    if not (np.abs(dphi) <= 2.5).all():  # too coarse to trust
+        return None
+    return round(float(dphi.sum()) / (2.0 * math.pi))
 
 
 def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -433,7 +533,9 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
 
     ``amplitude`` defaults to the numeric engine; pass
     ``qnf1d.potentials.transmission_amplitude`` to hunt poles of the closed
-    forms instead (useful for towers beyond the ODE engine's reach).
+    forms instead (useful for towers beyond the ODE engine's reach).  It
+    must accept an ndarray k: the grid (and the ``count_zeros`` boundary)
+    is evaluated in one call, refinement with scalar calls.
     ``variable`` chooses the k-plane: incidence side (default) or the
     transmitted side for asymmetric-asymptote potentials.
     """
@@ -442,26 +544,23 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     dedup_radius = 1e-6 / length_scale(spec)
 
     f = lambda k: _inv_t(spec, k, c, amplitude, variable)
+    f_grid = lambda k: _inv_t_array(spec, k, c, amplitude, variable)
     nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
     nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
     res = np.linspace(region.re_min, region.re_max, nre)
     ims = np.linspace(region.im_min, region.im_max, nim)
     cell = max(res[1] - res[0], ims[1] - ims[0])
-    mag = np.full((nim, nre), np.inf)
-    for i, y in enumerate(ims):
-        for j, x in enumerate(res):
-            z = complex(x, y)
-            if abs(z) < 1e-6:
-                continue
-            v = f(z)
-            if v == v:  # not nan
-                mag[i, j] = abs(v)
+    grid = np.empty((nim, nre), dtype=complex)
+    grid.real, grid.imag = res[None, :], ims[:, None]
+    mag = np.abs(f_grid(grid))
+    # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
+    mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
 
     def inside(k):
         return (region.re_min - 1e-9 <= k.real <= region.re_max + 1e-9
                 and region.im_min - 1e-9 <= k.imag <= region.im_max + 1e-9)
 
-    poles = []
+    poles, rejected = [], []
     for i in range(nim):
         for j in range(nre):
             # seeds are the local minima of |1/t| (unevaluated points are inf)
@@ -471,7 +570,8 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
             seed = complex(res[j], ims[i])
             try:
                 k, r = _refine(f, seed, abs(seed.real) < 1.5 * cell, inside)
-            except DomainError:
+            except DomainError as exc:
+                rejected.append((seed, str(exc)))
                 continue
             for idx, (kp, rp, mult) in enumerate(poles):
                 if abs(kp - k) < dedup_radius:
@@ -488,5 +588,6 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
         "increase grid_density"
         for k1, k2 in zip(ks, ks[1:]) if abs(k1 - k2) < 2.0 * cell
     ]
-    count = _winding_count(f, region) if count_zeros else None
-    return PoleReport(poles=poles, region=region, count_check=count, warnings=warnings)
+    count = _winding_count(f_grid, region) if count_zeros else None
+    return PoleReport(poles=poles, region=region, count_check=count, warnings=warnings,
+                      rejected=rejected)

@@ -215,6 +215,26 @@ class Interfaces:
         t = 4.0 * k2 * _csqrt(k1) * _csqrt(k3) * cmath.exp(1j * (k1 + k3) * a) / den
         return ScatteringAmplitudes(t, None, k1, k3)
 
+    def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
+        """``amplitude`` over an array of k, elementwise (see transmission_amplitude)."""
+        g1, g2 = p2 * self.alpha_left, p2 * self.alpha_right
+        e = self.v1 + k * k / p2
+        k1 = k
+        k2 = k if self.v2 == self.v1 else np.sqrt(p2 * (e - self.v2))
+        k3 = k if self.v3 == self.v1 else np.sqrt(p2 * (e - self.v3))
+        a = self.a
+        grow, decay = np.exp(2j * k2 * a), np.exp(-2j * k2 * a)
+        phase = np.exp(1j * (k1 + k3) * a)
+        den = (k1 + k2 - 1j * g1) * (k3 + k2 - 1j * g2) * grow \
+            - (k1 - k2 - 1j * g1) * (k3 - k2 - 1j * g2) * decay
+        t = 4.0 * k2 * np.sqrt(k1) * np.sqrt(k3) * phase / den
+        # the scalar errors in the order they are raised: an overflowing
+        # exponential (OverflowError) before den == 0 (AtPoleError)
+        t = np.where(np.isfinite(phase), t, complex("nan"))
+        t = np.where(den == 0, complex("inf"), t)
+        t = np.where(np.isfinite(grow) & np.isfinite(decay), t, complex("nan"))
+        return ScatteringAmplitudes(t, None, k1, k3)
+
     def probability(self, e: float, p2: float) -> float:
         """T(E) for real E above both limits: the asymmetric-barrier closed
         form for steps, the asymmetric double-delta one for couplings."""
@@ -276,6 +296,24 @@ class EckartReduction:
         t = -1j / (_csqrt(k_p) * _csqrt(k_m) * a) * ratio
         if self.shift != 0.0:
             t *= cmath.exp(1j * (k_p - k_m) * self.shift)
+        return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
+
+    def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
+        """``amplitude`` over an array of k, elementwise (see transmission_amplitude)."""
+        e = self.v_minus + k * k / p2
+        k_m = k
+        k_p = k if self.v_plus == self.v_minus else np.sqrt(p2 * (e - self.v_plus))
+        kbar = 0.5 * (k_m + k_p)
+        a = self.a
+        s = _csqrt(0.25 - p2 * self.v0 * a * a)
+        # nan at a gamma pole (where the scalar log_gamma raises)
+        log_ratio = log_gamma(1j * kbar * a + 0.5 + s) + log_gamma(1j * kbar * a + 0.5 - s) \
+            - log_gamma(1j * k_p * a) - log_gamma(1j * k_m * a)
+        t = -1j / (np.sqrt(k_p) * np.sqrt(k_m) * a) * np.exp(log_ratio)
+        if self.shift != 0.0:
+            phase = np.exp(1j * (k_p - k_m) * self.shift)
+            t = np.where(np.isfinite(phase), t * phase, complex("nan"))
+        t = np.where(log_ratio.real > 700.0, complex("inf"), t)
         return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
 
     def probability(self, e: float, p2: float) -> float:
@@ -792,7 +830,17 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
 
     Reflection amplitudes are not displayed by the closed forms; ``r`` is None
     here and is only produced by the numeric engine in ``qnf1d.oracle``.
+
+    An ndarray k gives arrays of the same shape and never raises per point:
+    t is inf at a pole and nan where the scalar call raises any other error
+    (k = 0, a gamma pole, an unrepresentable exponential).
     """
+    if isinstance(k, np.ndarray):
+        with np.errstate(all="ignore"):
+            k = k.astype(complex)
+            amp = normal_form(spec).amplitudes(k, c.p2)
+            t = np.where(k == 0, complex("nan"), amp.t)
+        return dataclasses.replace(amp, t=t)
     k = complex(k)
     if k == 0:
         raise DomainError("transmission amplitude requires k != 0")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 from scipy import special
 
 from .errors import DomainError, GammaPoleError
@@ -74,8 +75,14 @@ def log_gamma(z: complex) -> complex:
 
     Raises GammaPoleError at the poles z = 0, -1, -2, ... (for the potentials
     in this catalog those poles are exactly the quasi-normal wavenumbers, so
-    they are detected rather than evaluated).
+    they are detected rather than evaluated).  An ndarray z gives an array
+    that is nan at the poles instead.
     """
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex)
+        pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+        with np.errstate(all="ignore"):
+            return np.where(pole, complex("nan"), special.loggamma(z))
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise GammaPoleError(f"log_gamma pole at z = {z.real:g}")

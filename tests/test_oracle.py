@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from qnf1d import (
     scattering_limits,
     transmission_amplitude,
 )
-from qnf1d.errors import DomainError, NotAScatteringPotential
-from qnf1d.oracle import transfer_matrix_det_error
+from qnf1d.errors import DomainError, NotAScatteringPotential, OverflowGuardError
+from qnf1d.oracle import _inv_t, _pointwise, transfer_matrix_det_error
 from qnf1d.potentials import length_scale
 
 C = PhysicalConstants()
@@ -47,11 +48,45 @@ SMOOTH = [
     Eckart(0.0, 2.0, -1.0, 1.0),
 ]
 
+# the pole-scan benchmark's piecewise specs
+SCAN_SPECS = [
+    DoubleDelta(1.0, 1.0),
+    AsymDoubleDelta(1.0, 0.7, 1.0),
+    RectBarrier(1.0, 1.0),
+    RectBarrier(-1.0, 1.0),
+    AsymRectBarrier(0.0, 1.0, 0.5, 1.0),
+]
+
 
 def random_disc_k(rng, a_scale, r_max=10.0):
     r = r_max * math.sqrt(rng.uniform(0.0025, 1.0))
     phi = rng.uniform(-math.pi, math.pi)
     return cmath.rect(r, phi) / a_scale
+
+
+def pointwise(amplitude):
+    """``amplitude`` with an array argument evaluated by one scalar call per
+    point (the grid find_poles scanned before it made array calls)."""
+    def amp(spec, k, c):
+        if isinstance(k, np.ndarray):
+            return _pointwise(lambda z: amplitude(spec, z, c), k)
+        return amplitude(spec, k, c)
+    return amp
+
+
+def scalar_grid(spec, region, amplitude):
+    """|1/t| on the find_poles grid from scalar calls; inf where unevaluated."""
+    nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
+    nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
+    mag = np.full((nim, nre), np.inf)
+    for i, y in enumerate(np.linspace(region.im_min, region.im_max, nim)):
+        for j, x in enumerate(np.linspace(region.re_min, region.re_max, nre)):
+            z = complex(x, y)
+            if abs(z) >= 1e-6:
+                v = _inv_t(spec, z, C, amplitude, "incident")
+                if v == v:
+                    mag[i, j] = abs(v)
+    return mag
 
 
 class TestTransferMatrix:
@@ -159,6 +194,11 @@ class TestFindPoles:
         rep = find_poles(spec, region, C, amplitude=transmission_amplitude,
                          count_zeros=True)
         assert rep.count_check == len(rep.poles)
+        # the transfer engine on the README double-delta rectangle
+        rep = find_poles(DoubleDelta(1.0, 1.0), SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0), C,
+                         count_zeros=True)
+        assert rep.poles
+        assert rep.count_check == len(rep.poles)
 
     def test_region_validation(self):
         with pytest.raises(DomainError):
@@ -180,13 +220,7 @@ class TestFindPoles:
 
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])
-    @pytest.mark.parametrize("spec", [
-        DoubleDelta(1.0, 1.0),
-        AsymDoubleDelta(1.0, 0.7, 1.0),
-        RectBarrier(1.0, 1.0),
-        RectBarrier(-1.0, 1.0),
-        AsymRectBarrier(0.0, 1.0, 0.5, 1.0),
-    ], ids=lambda s: repr(s))
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: repr(s))
     def test_refine_pole_keeps_found_poles(self, spec, amplitude):
         # both searches share one acceptance rule, so a reported pole is a
         # fixed point of refine_pole
@@ -211,16 +245,79 @@ class TestFindPoles:
         assert fine.warnings == []
 
 
+class TestArrayGrid:
+    """find_poles evaluates its grid in one array call and refines with
+    scalar calls; the poles are those of a grid evaluated point by point."""
+
+    def test_one_array_call_then_scalar_refinement(self):
+        calls = []
+
+        def counting(spec, k, c):
+            calls.append(k)
+            return numeric_amplitude(spec, k, c)
+
+        region = SearchRegion(-4.0, 4.0, 0.05, 2.0, 8.0)
+        rep = find_poles(DoubleDelta(1.0, 1.0), region, C, amplitude=counting)
+        assert rep.poles
+        assert isinstance(calls[0], np.ndarray)
+        nre = round((region.re_max - region.re_min) * region.grid_density)
+        nim = round((region.im_max - region.im_min) * region.grid_density)
+        assert calls[0].size == nre * nim
+        assert len(calls) > 1
+        assert all(isinstance(k, complex) for k in calls[1:])
+
+    @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
+                             ids=["transfer", "closed_form"])
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: repr(s))
+    def test_same_poles_as_pointwise_grid(self, spec, amplitude):
+        self.check_against_pointwise(spec, SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0), amplitude)
+
+    def test_sech2_same_poles_as_pointwise_grid(self):
+        self.check_against_pointwise(Sech2(-1.0, 1.0), SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0),
+                                     transmission_amplitude)
+
+    @staticmethod
+    def check_against_pointwise(spec, region, amplitude):
+        rep = find_poles(spec, region, C, amplitude=amplitude)
+        ref = find_poles(spec, region, C, amplitude=pointwise(amplitude))
+        assert len(rep.poles) == len(ref.poles)
+        for (k, _, _), (k_ref, _, _) in zip(rep.poles, ref.poles):
+            assert abs(k - k_ref) < 1e-12
+
+    def test_rejected_seeds_carry_a_reason(self):
+        spec = RectBarrier(-1.0, 1.0)
+        region = SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
+        rep = find_poles(spec, region, C)
+        assert rep.rejected
+        assert all(reason for _seed, reason in rep.rejected)
+        mag = scalar_grid(spec, region, numeric_amplitude)
+        seeds = sum(
+            1 for (i, j), m in np.ndenumerate(mag)
+            if m < 1e6 and m <= mag[max(0, i - 1): i + 2, max(0, j - 1): j + 2].min()
+        )
+        assert len(rep.rejected) + sum(mult for _, _, mult in rep.poles) == seeds
+
+
 class TestOverflowGuard:
     def test_transfer_matrix_guard(self):
-        from qnf1d.errors import OverflowGuardError
-
         with pytest.raises(OverflowGuardError):
             numeric_amplitude(DoubleDelta(0.5, 1.0), 1e3j, C)
 
-    def test_ode_guard(self):
-        from qnf1d.errors import OverflowGuardError
+    def test_transfer_product_guard(self):
+        # each face is representable at Im k a = 200, their product is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuardError):
+                numeric_amplitude(DoubleDelta(1.0, 1.0), 1 + 200j, C)
+            assert np.isnan(numeric_amplitude(DoubleDelta(1.0, 1.0), np.array([1 + 200j]), C).t[0])
+            rep = find_poles(DoubleDelta(1.0, 1.0), SearchRegion(-4.0, 4.0, 300.0, 700.0, 0.05), C)
+            assert rep.poles == []
+            # at Im k a = 100 the product is still finite and agrees with the closed form
+            t = numeric_amplitude(DoubleDelta(1.0, 1.0), 1 + 100j, C).t
+            ta = transmission_amplitude(DoubleDelta(1.0, 1.0), 1 + 100j, C).t
+            assert abs(t - ta) < 1e-12 * abs(ta)
 
+    def test_ode_guard(self):
         with pytest.raises(OverflowGuardError):
             numeric_amplitude(Sech2(-1.0, 1.0), 500j, C)
 
