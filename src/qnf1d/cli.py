@@ -192,16 +192,17 @@ def _cmd_transmission(args, spec, constants):
         e_max = d_max if e_max is None else e_max
     if not e_min < e_max:
         raise Qnf1dError("--e-min must be below --e-max")
-    es = np.linspace(e_min, e_max, args.points)
+    es = np.linspace(e_min, e_max, args.points).tolist()
     v_minus, _ = P.scattering_limits(spec, constants)
-    rows = []
-    for e in es:
-        e = float(e)
-        T = P.transmission_probability(spec, e, constants)
-        k = math.sqrt(constants.p2 * (e - v_minus))
-        t = P.transmission_amplitude(spec, k, constants).t
-        rows.append((e, T, abs(t) ** 2, cmath.phase(t)))
-    return ["E", "T", "abs_t_sq", "arg_t"], rows
+    # T first: it rejects energies outside the scattering regime
+    Ts = [P.transmission_probability(spec, e, constants) for e in es]
+    ts = P.transmission_amplitude(spec, np.sqrt(constants.p2 * (np.array(es) - v_minus)),
+                                  constants).t.tolist()
+    bad = [e for e, t in zip(es, ts) if not cmath.isfinite(t)]
+    if bad:
+        raise Qnf1dError(f"transmission amplitude not representable at E = {bad[0]:g}")
+    return ["E", "T", "abs_t_sq", "arg_t"], [
+        (e, T, abs(t) ** 2, cmath.phase(t)) for e, T, t in zip(es, Ts, ts)]
 
 
 def _qnf_rows(results, spec, constants):

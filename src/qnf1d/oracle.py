@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
 from .errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
@@ -22,6 +23,8 @@ from .potentials import (
     Interfaces,
     PhysicalConstants,
     ScatteringAmplitudes,
+    _first_point,
+    _sin_over,
     evaluate,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
     length_scale,
     normal_form,
@@ -80,102 +83,57 @@ class PoleReport:
 # Transfer matrices (piecewise-constant + delta potentials)
 # ---------------------------------------------------------------------------
 
-def _interfaces(form: Interfaces, c):
-    """(position, V_left, V_right, delta strength 2*k0) per interface, left to right."""
-    g_left, g_right = c.p2 * form.alpha_left, c.p2 * form.alpha_right
-    if form.a == 0:
-        return [(0.0, form.v1, form.v3, g_left + g_right)]
-    return [(-form.a, form.v1, form.v2, g_left), (form.a, form.v2, form.v3, g_right)]
-
-
-def _wave_matrix(x, kappa):
-    """Columns are (psi, psi') of the basis exp(-i kappa x), exp(+i kappa x)."""
-    if abs(kappa.imag * x) > _EXP_GUARD:
-        raise OverflowGuardError(
-            f"exp(|Im k| |x|) not representable at k={kappa}, x={x}"
-        )
-    em = cmath.exp(-1j * kappa * x)
-    ep = cmath.exp(1j * kappa * x)
-    return np.array([[em, ep], [-1j * kappa * em, 1j * kappa * ep]], dtype=complex)
-
-
 def _wave_matrices(x, kappa):
-    """_wave_matrix over an array of kappa: shape kappa.shape + (2, 2)."""
+    """Columns are (psi, psi') of the basis exp(-i kappa x), exp(+i kappa x),
+    over an array of kappa: shape kappa.shape + (2, 2)."""
     em = np.exp(-1j * kappa * x)
     ep = np.exp(1j * kappa * x)
     return np.stack([np.stack([em, ep], -1),
                      np.stack([-1j * kappa * em, 1j * kappa * ep], -1)], -2)
 
 
-def _face_wavenumbers(spec, k, c, sqrt):
-    """(faces with their left/right wavenumbers, k+) of the transfer problem.
-
-    Each face is (x0, kappa_left, kappa_right, g); ``sqrt`` is cmath.sqrt for
-    a scalar k and np.sqrt for an array."""
-    p2 = c.p2
+def _transfer_matrices(spec, k, c):
+    """M with (A_left, B_left) = M (A_right, B_right) over an array of k, as
+    one stack of (..., 2, 2) products; also returns k+ and the mask of the
+    points where M is not representable (k = 0, an exponential beyond the
+    guard, or a non-finite product)."""
     form = normal_form(spec)
     if not isinstance(form, Interfaces):
         raise NotAScatteringPotential(f"{type(spec).__name__} is not piecewise-constant")
-    faces = _interfaces(form, c)
-    v_in = faces[0][1]
-    e = k * k / p2 + v_in  # energy from the incidence side
-
-    def region_k(v):
-        # reuse the caller's k wherever the potential matches the incidence
-        # side, so the matrix is the analytic continuation in k
-        return k if v == v_in else sqrt(p2 * (e - v))
-
-    kappas = [(x0, region_k(v_l), region_k(v_r), g) for x0, v_l, v_r, g in faces]
-    return kappas, region_k(faces[-1][2])
-
-
-def _transfer_matrix(spec, k, c):
-    """M with (A_left, B_left) = M (A_right, B_right); also returns (k-, k+)."""
-    kappas, k_p = _face_wavenumbers(spec, k, c, cmath.sqrt)
-    m = np.eye(2, dtype=complex)
-    for x0, k_l, k_r, g in kappas:
-        w_l = _wave_matrix(x0, k_l)
-        w_r = _wave_matrix(x0, k_r)
-        jump = np.array([[1.0, 0.0], [-g, 1.0]], dtype=complex)
-        m = m @ np.linalg.solve(w_l, jump @ w_r)
-    # each face can scale the entries by exp(|Im kappa x|) twice (and by
-    # 1/kappa), so the product overflows long before one exponential does
-    if not (cmath.isfinite(m[0, 0]) and cmath.isfinite(m[0, 1])
-            and cmath.isfinite(m[1, 0]) and cmath.isfinite(m[1, 1])):
-        raise OverflowGuardError(f"transfer matrix product not representable at k={k}")
-    return m, k, k_p
-
-
-def _transfer_amplitude(spec, k, c) -> ScatteringAmplitudes:
-    # overflow inside the product is caught by the guard; t itself may
-    # overflow to inf next to a pole
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, k_m, k_p = _transfer_matrix(spec, k, c)
-        if m[0, 0] == 0:
-            return ScatteringAmplitudes(complex("inf"), None, k_m, k_p)
-        t_coeff = 1.0 / m[0, 0]
-        r = m[1, 0] / m[0, 0]
-        t = t_coeff * cmath.sqrt(k_p) / cmath.sqrt(k_m)
-    return ScatteringAmplitudes(t, r, k_m, k_p)
+    a, e = form.a, k * k / c.p2 + form.v1  # energy from the incidence side
+    # reuse the caller's k wherever the level matches the incidence side, so
+    # the matrix is the analytic continuation in k
+    k_mid, k_p = (k if v == form.v1 else np.sqrt(c.p2 * (e - v)) for v in (form.v2, form.v3))
+    bad = k == 0
+    for kappa in (k, k_mid, k_p):
+        bad |= np.abs(kappa.imag * a) > _EXP_GUARD
+    # psi' jumps by g psi at each face; bad points get a harmless stand-in
+    # and are masked by the caller
+    j_left, j_right = (np.array([[1.0, 0.0], [-c.p2 * alpha, 1.0]], dtype=complex)
+                       for alpha in (form.alpha_left, form.alpha_right))
+    left = np.linalg.inv(_wave_matrices(-a, np.where(bad, 1.0, k))) @ j_left
+    right = j_right @ _wave_matrices(a, k_p)
+    # the middle region carries (psi, psi') from x = a to x = -a by
+    # P = e I + sin(k_mid d) / k_mid u v^T, d = -2a, u = (1, w), v = (w, 1),
+    # with e = exp(-w d) the decaying one of exp(+-i k_mid d): no cancellation
+    # where one exponential dominates, nor as k_mid -> 0, where the
+    # exponential basis degenerates (a = 0 makes P the identity)
+    d = -2.0 * a
+    w = np.where((k_mid * d).imag >= 0, -1j, 1j) * k_mid
+    lu = left[..., :, 0] + w[..., None] * left[..., :, 1]
+    vr = w[..., None] * right[..., 0, :] + right[..., 1, :]
+    m = np.exp(-w * d)[..., None, None] * (left @ right) \
+        + _sin_over(k_mid, d)[..., None, None] * lu[..., :, None] * vr[..., None, :]
+    # each factor can scale the entries by exp(|Im kappa a|), so the product
+    # overflows long before one exponential does
+    bad |= ~np.isfinite(m).all(axis=(-2, -1))
+    return m, k_p, bad
 
 
 def _transfer_amplitudes(spec, k, c) -> ScatteringAmplitudes:
-    """_transfer_amplitude over an array of k as one stack of (..., 2, 2)
-    products; nan where the scalar call raises (guard, a singular matrix,
-    which includes k = 0)."""
-    kappas, k_p = _face_wavenumbers(spec, k, c, np.sqrt)
-    bad = np.zeros(k.shape, dtype=bool)
-    for x0, k_l, k_r, _g in kappas:
-        bad |= (np.abs(k_l.imag * x0) > _EXP_GUARD) | (np.abs(k_r.imag * x0) > _EXP_GUARD)
-        bad |= (k_l == 0) | (k_r == 0)  # a singular wave matrix
-    m = np.eye(2, dtype=complex)
-    for x0, k_l, k_r, g in kappas:
-        # bad points get a harmless stand-in and are masked below
-        w_l = _wave_matrices(x0, np.where(bad, 1.0, k_l))
-        w_r = _wave_matrices(x0, np.where(bad, 1.0, k_r))
-        jump = np.array([[1.0, 0.0], [-g, 1.0]], dtype=complex)
-        m = m @ np.linalg.solve(w_l, jump @ w_r)
-    bad |= ~np.isfinite(m).all(axis=(-2, -1))
+    """t and r over an array of k; inf at a pole, nan where M is not
+    representable."""
+    m, k_p, bad = _transfer_matrices(spec, k, c)
     m00 = m[..., 0, 0]
     t = np.where(m00 == 0, complex("inf"), 1.0 / m00 * np.sqrt(k_p) / np.sqrt(k))
     nan = complex("nan")
@@ -185,9 +143,12 @@ def _transfer_amplitudes(spec, k, c) -> ScatteringAmplitudes:
 
 def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """|det M - k_+/k_-|: the flux-conservation surrogate (0 for exact matrices)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, k_m, k_p = _transfer_matrix(spec, complex(k), c)
-    return abs(np.linalg.det(m) - k_p / k_m)
+    k = np.array([complex(k)])
+    with np.errstate(all="ignore"):
+        m, k_p, bad = _transfer_matrices(spec, k, c)
+    if bad[0]:
+        raise OverflowGuardError(f"transfer matrix not representable at k={k[0]}")
+    return float(abs(np.linalg.det(m[0]) - k_p[0] / k[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +277,29 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, **ode_k
     outgoing boundary data (keyword args L, rtol, atol, tail_order tune it).
 
     An ndarray k gives arrays under the contract of
-    ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where
-    the scalar call raises); the transfer matrices are then one stacked
-    product, the ODE runs point by point.
+    ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
+    is not representable); the transfer matrices are then one stacked
+    product, the ODE runs point by point.  A scalar k is the one-element
+    case: t is inf at a pole, and OverflowGuardError is raised where the
+    array would be nan.
     """
+    piecewise = isinstance(normal_form(spec), Interfaces)
     if isinstance(k, np.ndarray):
         k = k.astype(complex)
-        if not isinstance(normal_form(spec), Interfaces):
+        if not piecewise:
             return _pointwise(lambda z: numeric_amplitude(spec, z, c, **ode_kwargs), k)
         with np.errstate(all="ignore"):
             return _transfer_amplitudes(spec, k, c)
     k = complex(k)
     if k == 0:
         raise DomainError("numeric amplitude requires k != 0")
-    if isinstance(normal_form(spec), Interfaces):
-        return _transfer_amplitude(spec, k, c)
-    return _ode_amplitude(spec, k, c, **ode_kwargs)
+    if not piecewise:
+        return _ode_amplitude(spec, k, c, **ode_kwargs)
+    with np.errstate(all="ignore"):
+        amp = _first_point(_transfer_amplitudes(spec, np.array([k]), c))
+    if cmath.isnan(amp.t):
+        raise OverflowGuardError(f"transfer matrix not representable at k={k}")
+    return amp
 
 
 def _pointwise(amplitude_at, k):
@@ -359,34 +327,11 @@ def _pointwise(amplitude_at, k):
 # ---------------------------------------------------------------------------
 
 def _inv_t(spec, k, c, amplitude, variable):
-    if variable == "transmitted":
-        # parametrize by the transmitted-side wavenumber instead
-        v_minus, v_plus = scattering_limits(spec, c)
-        e = v_plus + k * k / c.p2
-        km2 = c.p2 * (e - v_minus)
-        k_in = cmath.sqrt(km2)
-    else:
-        k_in = k
-    if k_in == 0:
-        return complex("inf")
-    try:
-        amp = amplitude(spec, k_in, c)
-    except AtPoleError:
-        return 0j
-    except (OverflowGuardError, DomainError, OverflowError):
-        return complex("nan")
-    t = amp.t
-    if t == 0:
-        return complex("inf")
-    if cmath.isinf(abs(t)):
-        return 0j
-    return 1.0 / t
-
-
-def _inv_t_array(spec, k, c, amplitude, variable):
-    """_inv_t over an array of k with one amplitude call."""
+    """1/t over an array of k with one amplitude call: 0 at a pole, inf at
+    k = 0, nan where t is not representable."""
     with np.errstate(all="ignore"):
         if variable == "transmitted":
+            # parametrize by the transmitted-side wavenumber instead
             v_minus, v_plus = scattering_limits(spec, c)
             e = v_plus + k * k / c.p2
             km2 = c.p2 * (e - v_minus)
@@ -399,89 +344,103 @@ def _inv_t_array(spec, k, c, amplitude, variable):
 
 
 def _newton_polish(f, k0, on_axis=False, max_iter=60):
-    """Damped Newton on complex f; returns the best iterate seen.
+    """Damped Newton on complex f from every seed in the array k0 at once;
+    returns the best iterate seen per seed (nan where f is nan at the seed).
 
-    Multiple roots (the tanh amplitude has double poles) stall at the
-    evaluation noise floor, so iterates that stop improving end the search
-    rather than being allowed to run off.  With ``on_axis`` the iteration
-    runs over the real y of k = i y: the wavenumber square roots put their
-    branch cuts exactly on the imaginary axis, so on-axis poles are polished
-    with a one-real-parameter iteration that never crosses the cut."""
+    Each iteration makes one call of f, on the stacked (z, z + h, z - h) of
+    the seeds still iterating.  Multiple roots (the tanh amplitude has double
+    poles) stall at the evaluation noise floor, so a seed whose iterates stop
+    improving three times ends its search rather than being allowed to run
+    off.  With ``on_axis`` the iteration runs over the real y of k = i y: the
+    wavenumber square roots put their branch cuts exactly on the imaginary
+    axis, so on-axis poles are polished with a one-real-parameter iteration
+    that never crosses the cut."""
     if on_axis:
-        g, z, tol = (lambda y: f(1j * y)), complex(k0).imag, 1e-13
+        g, z, tol = (lambda y: f(1j * y)), k0.imag.copy(), 1e-13
     else:
-        g, z, tol = f, complex(k0), 1e-12
-    best_z, best_g = z, abs(g(z))
-    if best_g != best_g:
-        return None
-    stale = 0
-    for _ in range(max_iter):
-        gz = g(z)
-        if gz != gz:
+        g, z, tol = f, k0.astype(complex), 1e-12
+    best_z, best_g = z.copy(), np.full(z.shape, np.nan)
+    stale = np.zeros(z.shape, dtype=int)
+    step = np.zeros_like(z)
+    live = np.arange(z.size)
+    for n in range(max_iter + 1):
+        if not live.size:
             break
-        h = 1e-7 * max(1.0, abs(z))
-        dg = (g(z + h) - g(z - h)) / (2.0 * h)
-        if dg == 0 or dg != dg:
-            break
-        step = gz / dg
-        cap = 0.5 * (1.0 + abs(z))
-        if on_axis:
-            step = step.real
-            if abs(step) > cap:
-                step = math.copysign(cap, step)
-        elif abs(step) > cap:
-            step *= cap / abs(step)
-        z = z - step
-        ga = abs(g(z))
-        if ga < best_g:
-            best_z, best_g = z, ga
-            stale = 0
+        zl = z[live]
+        h = 1e-7 * np.maximum(1.0, np.abs(zl))
+        gz, gp, gm = np.split(g(np.concatenate([zl, zl + h, zl - h])), 3)
+        ga = np.abs(gz)
+        if n == 0:
+            best_g[live] = ga
+            done = np.isnan(ga)
         else:
-            stale += 1
-            if stale >= 3:
-                break
-        if abs(step) < tol * max(1.0, abs(z)):
-            break
+            # gz is f at the last step's iterate
+            better = ga < best_g[live]
+            best_z[live[better]], best_g[live[better]] = zl[better], ga[better]
+            stale[live] = np.where(better, 0, stale[live] + 1)
+            done = (stale[live] >= 3) | (np.abs(step[live]) < tol * np.maximum(1.0, np.abs(zl)))
+        dg = (gp - gm) / (2.0 * h)
+        done |= np.isnan(gz) | (dg == 0) | np.isnan(dg) | (n == max_iter)
+        live, zl, gz, dg = live[~done], zl[~done], gz[~done], dg[~done]
+        s = gz / dg
+        cap = 0.5 * (1.0 + np.abs(zl))
+        if on_axis:
+            s = np.clip(s.real, -cap, cap)
+        else:
+            s = s * (cap / np.maximum(np.abs(s), cap))
+        z[live] = zl - s
+        step[live] = s
+    best_z[np.isnan(best_g)] = np.nan
     return 1j * best_z if on_axis else best_z
 
 
-def _is_isolated_zero(f, k, tol):
-    """Accept k as a simple zero of f only if f is not flat around it
-    (guards against regions where 1/t merely underflows)."""
-    probe = 1e-4 * (1.0 + abs(k))
-    vals = [abs(f(k + probe)), abs(f(k + 1j * probe))]
-    return max(vals) > 10.0 * max(abs(f(k)), tol * 1e-4)
+def _rejections(f, k, inside):
+    """Why each k is not a certified pole of t (a zero of f = 1/t), or None;
+    and |f(k)| (nan outside the basin).  One call of f, on the points inside
+    the basin, which also probes that f is not flat around them (guards
+    against regions where 1/t merely underflows)."""
+    res = np.full(k.shape, np.nan)
+    flat = np.ones(k.shape, dtype=bool)
+    basin = np.array([inside(z) for z in k.tolist()], dtype=bool)
+    if basin.any():
+        kb = k[basin]
+        probe = 1e-4 * (1.0 + np.abs(kb))
+        res[basin], p_re, p_im = np.split(
+            np.abs(f(np.concatenate([kb, kb + probe, kb + 1j * probe]))), 3)
+        flat[basin] = ~(np.maximum(p_re, p_im) > 10.0 * np.maximum(res[basin], _RESIDUAL_TOL * 1e-4))
+    reasons = []
+    for z, r, fl, b in zip(k.tolist(), res.tolist(), flat.tolist(), basin.tolist()):
+        if not b:
+            reasons.append("the iteration left the search basin")
+        elif not r < _RESIDUAL_TOL:
+            reasons.append(f"refined point k={z} has |1/t|={r:.2e} > {_RESIDUAL_TOL:.0e}")
+        elif abs(z) < _TRIVIAL_ZERO_TOL:
+            reasons.append("refinement converged to the trivial zero k = 0")
+        elif fl:
+            reasons.append(f"1/t is numerically flat around k={z}; not a certified pole")
+        else:
+            reasons.append(None)
+    return reasons, res
 
 
-def _rejection(f, k, inside):
-    """Why k is not a certified pole of t (a zero of f = 1/t), or None."""
-    if k is None or not inside(k):
-        return "the iteration left the search basin"
-    res = abs(f(k))
-    if not res < _RESIDUAL_TOL:
-        return f"refined point k={k} has |1/t|={res:.2e} > {_RESIDUAL_TOL:.0e}"
-    if abs(k) < _TRIVIAL_ZERO_TOL:
-        return "refinement converged to the trivial zero k = 0"
-    if not _is_isolated_zero(f, k, _RESIDUAL_TOL):
-        return f"1/t is numerically flat around k={k}; not a certified pole"
-    return None
+def _refine(f, guesses, near_axis, inside):
+    """Newton-polish a zero of f from every guess in the array ``guesses``;
+    returns one (k, |f(k)|, reason) triple per guess.
 
-
-def _refine(f, guess, near_axis, inside):
-    """Newton-polish a zero of f from ``guess``; returns (k, |f(k)|).
-
-    Near the imaginary axis a rejected iterate is retried with the on-axis
-    iteration.  Raises DomainError naming the reason the last iterate was
-    rejected."""
-    k = _newton_polish(f, guess)
-    reason = _rejection(f, k, inside)
-    if reason and near_axis:
+    Rejected iterates of the guesses marked ``near_axis`` are retried with the
+    on-axis iteration, as a second pass.  ``reason`` is None for a certified
+    pole and otherwise names why the last iterate was rejected."""
+    k = _newton_polish(f, guesses)
+    reasons, res = _rejections(f, k, inside)
+    retry = [i for i, reason in enumerate(reasons) if reason and near_axis[i]]
+    if retry:
         # poles on the imaginary axis sit on the channel-sqrt branch cuts
-        k = _newton_polish(f, guess, on_axis=True)
-        reason = _rejection(f, k, inside)
-    if reason:
-        raise DomainError(f"no certified pole from guess {guess}: {reason}")
-    return k, abs(f(k))
+        k[retry] = _newton_polish(f, guesses[retry], on_axis=True)
+        reasons_ax, res[retry] = _rejections(f, k[retry], inside)
+        for i, reason in zip(retry, reasons_ax):
+            reasons[i] = reason
+    return [(z, r, reason and f"no certified pole from guess {guess}: {reason}")
+            for guess, z, r, reason in zip(guesses.tolist(), k.tolist(), res.tolist(), reasons)]
 
 
 def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -491,6 +450,7 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
     Raises DomainError when the iteration escapes the basin
     |k - guess| <= (1 + |guess|) / 2, or its result fails the acceptance
     rule shared with find_poles (residual, trivial zero, flat 1/t).
+    ``amplitude`` (default: the numeric engine) must accept an ndarray k.
     """
     if amplitude is None:
         amplitude = numeric_amplitude
@@ -498,7 +458,11 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
     f = lambda k: _inv_t(spec, k, c, amplitude, variable)
     radius = 0.5 * (1.0 + abs(guess))
     near_axis = abs(guess.real) < 1e-6 * max(1.0, abs(guess))
-    return _refine(f, guess, near_axis, lambda k: abs(k - guess) <= radius)
+    [(k, res, reason)] = _refine(f, np.array([guess]), [near_axis],
+                                 lambda k: abs(k - guess) <= radius)
+    if reason:
+        raise DomainError(reason)
+    return k, res
 
 
 def _winding_count(f, region, samples_per_unit=40):
@@ -534,8 +498,8 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     ``amplitude`` defaults to the numeric engine; pass
     ``qnf1d.potentials.transmission_amplitude`` to hunt poles of the closed
     forms instead (useful for towers beyond the ODE engine's reach).  It
-    must accept an ndarray k: the grid (and the ``count_zeros`` boundary)
-    is evaluated in one call, refinement with scalar calls.
+    must accept an ndarray k: the grid, each Newton iteration over all seeds
+    and the ``count_zeros`` boundary are one call each.
     ``variable`` chooses the k-plane: incidence side (default) or the
     transmitted side for asymmetric-asymptote potentials.
     """
@@ -544,7 +508,6 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     dedup_radius = 1e-6 / length_scale(spec)
 
     f = lambda k: _inv_t(spec, k, c, amplitude, variable)
-    f_grid = lambda k: _inv_t_array(spec, k, c, amplitude, variable)
     nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
     nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
     res = np.linspace(region.re_min, region.re_max, nre)
@@ -552,33 +515,29 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     cell = max(res[1] - res[0], ims[1] - ims[0])
     grid = np.empty((nim, nre), dtype=complex)
     grid.real, grid.imag = res[None, :], ims[:, None]
-    mag = np.abs(f_grid(grid))
+    mag = np.abs(f(grid))
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
+    # seeds are the local minima of |1/t| over each point's 3 x 3 window
+    window = sliding_window_view(np.pad(mag, 1, constant_values=np.inf), (3, 3))
+    seeds = grid[(mag < 1e6) & (mag <= window.min(axis=(-2, -1)))]
 
     def inside(k):
         return (region.re_min - 1e-9 <= k.real <= region.re_max + 1e-9
                 and region.im_min - 1e-9 <= k.imag <= region.im_max + 1e-9)
 
+    refined = _refine(f, seeds, np.abs(seeds.real) < 1.5 * cell, inside)
     poles, rejected = [], []
-    for i in range(nim):
-        for j in range(nre):
-            # seeds are the local minima of |1/t| (unevaluated points are inf)
-            m = mag[i, j]
-            if not m < 1e6 or m > mag[max(0, i - 1): i + 2, max(0, j - 1): j + 2].min():
-                continue
-            seed = complex(res[j], ims[i])
-            try:
-                k, r = _refine(f, seed, abs(seed.real) < 1.5 * cell, inside)
-            except DomainError as exc:
-                rejected.append((seed, str(exc)))
-                continue
-            for idx, (kp, rp, mult) in enumerate(poles):
-                if abs(kp - k) < dedup_radius:
-                    poles[idx] = (kp if rp <= r else k, min(rp, r), mult + 1)
-                    break
-            else:
-                poles.append((k, r, 1))
+    for seed, (k, r, reason) in zip(seeds.tolist(), refined):
+        if reason:
+            rejected.append((seed, reason))
+            continue
+        for idx, (kp, rp, mult) in enumerate(poles):
+            if abs(kp - k) < dedup_radius:
+                poles[idx] = (kp if rp <= r else k, min(rp, r), mult + 1)
+                break
+        else:
+            poles.append((k, r, 1))
 
     poles.sort(key=lambda p: (p[0].imag, p[0].real))
     # coarseness heuristic: two refined poles closer than two grid cells apart
@@ -588,6 +547,6 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
         "increase grid_density"
         for k1, k2 in zip(ks, ks[1:]) if abs(k1 - k2) < 2.0 * cell
     ]
-    count = _winding_count(f_grid, region) if count_zeros else None
+    count = _winding_count(f, region) if count_zeros else None
     return PoleReport(poles=poles, region=region, count_check=count, warnings=warnings,
                       rejected=rejected)

@@ -155,17 +155,10 @@ def _csqrt(z) -> complex:
     return cmath.sqrt(complex(z))
 
 
-def _k_transmitted(k: complex, e: complex, v_minus: float, v_plus: float, p2: float) -> complex:
-    """Wavenumber on a side at level v_plus, consistent with analytic continuation in k.
-
-    Where the level equals the incidence side's, the closed forms are
-    functions of the single incidence wavenumber, so k is reused exactly
-    (sqrt(k^2) would flip the sign on the left half-plane); otherwise the
-    principal root applies.
-    """
-    if v_plus == v_minus:
-        return k
-    return _csqrt(p2 * (e - v_plus))
+def _sin_over(q, w):
+    """sin(q w) / q over an array of complex q, with its limit w at q = 0."""
+    zero = q == 0
+    return np.where(zero, w, np.sin(q * w) / np.where(zero, 1.0, q))
 
 
 # ---------------------------------------------------------------------------
@@ -200,39 +193,31 @@ class Interfaces:
         """The regular (step) part of V on an array x."""
         return np.where(x < -self.a, self.v1, np.where(x > self.a, self.v3, self.v2))
 
-    def amplitude(self, k: complex, p2: float) -> ScatteringAmplitudes:
-        """t of the two-interface problem with couplings g = p2 * alpha."""
-        g1, g2 = p2 * self.alpha_left, p2 * self.alpha_right
-        e = self.v1 + k * k / p2
-        k1 = k
-        k2 = _k_transmitted(k, e, self.v1, self.v2, p2)
-        k3 = _k_transmitted(k, e, self.v1, self.v3, p2)
-        a = self.a
-        den = (k1 + k2 - 1j * g1) * (k3 + k2 - 1j * g2) * cmath.exp(2j * k2 * a) \
-            - (k1 - k2 - 1j * g1) * (k3 - k2 - 1j * g2) * cmath.exp(-2j * k2 * a)
-        if den == 0:
-            raise AtPoleError(k)
-        t = 4.0 * k2 * _csqrt(k1) * _csqrt(k3) * cmath.exp(1j * (k1 + k3) * a) / den
-        return ScatteringAmplitudes(t, None, k1, k3)
-
     def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
-        """``amplitude`` over an array of k, elementwise (see transmission_amplitude)."""
+        """t of the two-interface problem with couplings g = p2 * alpha, over
+        an array of k (see transmission_amplitude)."""
         g1, g2 = p2 * self.alpha_left, p2 * self.alpha_right
         e = self.v1 + k * k / p2
         k1 = k
         k2 = k if self.v2 == self.v1 else np.sqrt(p2 * (e - self.v2))
         k3 = k if self.v3 == self.v1 else np.sqrt(p2 * (e - self.v3))
         a = self.a
-        grow, decay = np.exp(2j * k2 * a), np.exp(-2j * k2 * a)
+        # t = 4 k2 sqrt(k1 k3) e^{i (k1 + k3) a} / den, where
+        # den = (w1 + k2)(w3 + k2) e^{iz} - (w1 - k2)(w3 - k2) e^{-iz}, z = 2 k2 a,
+        # is summed as 2 k2 (w1 + w3) e^{+-iz} + 2i (w1 -+ k2)(w3 -+ k2) sin z with
+        # the decaying exponential: no cancellation where one exponential
+        # dominates, nor as k2 -> 0 (den / k2 is finite at a barrier top)
+        w1, w3 = k1 - 1j * g1, k3 - 1j * g2
+        sgn = np.where(k2.imag >= 0, 1.0, -1.0)
+        sin_k2 = _sin_over(k2, 2.0 * a)
+        den_k2 = 2.0 * (w1 + w3) * np.exp(2j * sgn * k2 * a) \
+            + 2j * (w1 - sgn * k2) * (w3 - sgn * k2) * sin_k2
         phase = np.exp(1j * (k1 + k3) * a)
-        den = (k1 + k2 - 1j * g1) * (k3 + k2 - 1j * g2) * grow \
-            - (k1 - k2 - 1j * g1) * (k3 - k2 - 1j * g2) * decay
-        t = 4.0 * k2 * np.sqrt(k1) * np.sqrt(k3) * phase / den
-        # the scalar errors in the order they are raised: an overflowing
-        # exponential (OverflowError) before den == 0 (AtPoleError)
+        t = 4.0 * np.sqrt(k1) * np.sqrt(k3) * phase / den_k2
+        # a pole (den = 0) is inf, an overflowing exponential nan
         t = np.where(np.isfinite(phase), t, complex("nan"))
-        t = np.where(den == 0, complex("inf"), t)
-        t = np.where(np.isfinite(grow) & np.isfinite(decay), t, complex("nan"))
+        t = np.where(den_k2 == 0, complex("inf"), t)
+        t = np.where(np.isfinite(sin_k2), t, complex("nan"))
         return ScatteringAmplitudes(t, None, k1, k3)
 
     def probability(self, e: float, p2: float) -> float:
@@ -241,14 +226,12 @@ class Interfaces:
         k1 = math.sqrt(p2 * (e - self.v1))
         if self.alpha_left == 0 and self.alpha_right == 0:
             k3 = math.sqrt(p2 * (e - self.v3))
-            q2 = _csqrt(p2 * (e - self.v2))
-            s = cmath.sin(2.0 * q2 * self.a)
-            k2sq = q2 * q2
-            denom = (k1 + k3) ** 2 * k2sq + (
-                k1**2 * k3**2 + k2sq * (k2sq - k1**2 - k3**2)
-            ) * s * s
-            val = 4.0 * k1 * k2sq * k3 / denom
-            return float(val.real)
+            q = _csqrt(p2 * (e - self.v2))
+            # sin(2 q a) / q, which is 2a at the top of the barrier (q = 0)
+            s = cmath.sin(2.0 * q * self.a) / q if q else 2.0 * self.a
+            q2 = q * q
+            denom = (k1 + k3) ** 2 + (k1**2 * k3**2 + q2 * (q2 - k1**2 - k3**2)) * s * s
+            return float((4.0 * k1 * k3 / denom).real)
         kp = 0.5 * p2 * self.alpha_left
         km = 0.5 * p2 * self.alpha_right
         cth = math.cos(2 * k1 * self.a)
@@ -278,35 +261,16 @@ class EckartReduction:
         slope = 0.5 * (self.v_plus - self.v_minus)
         return mid + slope * np.tanh(u) + self.v0 / np.cosh(u) ** 2
 
-    def amplitude(self, k: complex, p2: float) -> ScatteringAmplitudes:
-        """t as a ratio of gamma functions (valid for complex k)."""
-        e = self.v_minus + k * k / p2
-        k_m = k
-        k_p = _k_transmitted(k, e, self.v_minus, self.v_plus, p2)
-        kbar = 0.5 * (k_m + k_p)
-        a = self.a
-        s = _csqrt(0.25 - p2 * self.v0 * a * a)
-        try:
-            ratio = _gamma_ratio(
-                [1j * kbar * a + 0.5 + s, 1j * kbar * a + 0.5 - s],
-                [1j * k_p * a, 1j * k_m * a],
-            )
-        except AtPoleError:
-            raise AtPoleError(k)
-        t = -1j / (_csqrt(k_p) * _csqrt(k_m) * a) * ratio
-        if self.shift != 0.0:
-            t *= cmath.exp(1j * (k_p - k_m) * self.shift)
-        return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
-
     def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
-        """``amplitude`` over an array of k, elementwise (see transmission_amplitude)."""
+        """t as a ratio of gamma functions, over an array of (complex) k
+        (see transmission_amplitude)."""
         e = self.v_minus + k * k / p2
         k_m = k
         k_p = k if self.v_plus == self.v_minus else np.sqrt(p2 * (e - self.v_plus))
         kbar = 0.5 * (k_m + k_p)
         a = self.a
         s = _csqrt(0.25 - p2 * self.v0 * a * a)
-        # nan at a gamma pole (where the scalar log_gamma raises)
+        # nan at a gamma pole
         log_ratio = log_gamma(1j * kbar * a + 0.5 + s) + log_gamma(1j * kbar * a + 0.5 - s) \
             - log_gamma(1j * k_p * a) - log_gamma(1j * k_m * a)
         t = -1j / (np.sqrt(k_p) * np.sqrt(k_m) * a) * np.exp(log_ratio)
@@ -327,18 +291,6 @@ class EckartReduction:
         log_den = 2.0 * _log_sinh(math.pi * kbar * a)
         log_den += math.log1p(max(cos2, -0.999999999999) * math.exp(-log_den))
         return math.exp(ls - log_den)
-
-
-def _gamma_ratio(log_num: list, log_den: list) -> complex:
-    """exp(sum log_gamma(num) - sum log_gamma(den)), overflow-safe."""
-    s = 0j
-    for z in log_num:
-        s += log_gamma(z)
-    for z in log_den:
-        s -= log_gamma(z)
-    if s.real > 700.0:
-        raise AtPoleError(None, "gamma ratio overflows (too close to a pole)")
-    return cmath.exp(s)
 
 
 def _log_sinh(x: float) -> float:
@@ -832,19 +784,32 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
     here and is only produced by the numeric engine in ``qnf1d.oracle``.
 
     An ndarray k gives arrays of the same shape and never raises per point:
-    t is inf at a pole and nan where the scalar call raises any other error
-    (k = 0, a gamma pole, an unrepresentable exponential).
+    t is inf at a pole and nan where it is not representable (k = 0, a gamma
+    pole, an overflowing exponential).  A scalar k is the one-element case
+    and raises instead: AtPoleError at a pole, DomainError where t is nan.
     """
-    if isinstance(k, np.ndarray):
-        with np.errstate(all="ignore"):
-            k = k.astype(complex)
-            amp = normal_form(spec).amplitudes(k, c.p2)
-            t = np.where(k == 0, complex("nan"), amp.t)
-        return dataclasses.replace(amp, t=t)
-    k = complex(k)
-    if k == 0:
+    scalar = not isinstance(k, np.ndarray)
+    if scalar and complex(k) == 0:
         raise DomainError("transmission amplitude requires k != 0")
-    return normal_form(spec).amplitude(k, c.p2)
+    with np.errstate(all="ignore"):
+        k = np.array([k] if scalar else k, dtype=complex)
+        amp = normal_form(spec).amplitudes(k, c.p2)
+        amp = dataclasses.replace(amp, t=np.where(k == 0, complex("nan"), amp.t))
+    if not scalar:
+        return amp
+    amp = _first_point(amp)
+    if cmath.isinf(amp.t):
+        raise AtPoleError(amp.k_minus_inf)
+    if cmath.isnan(amp.t):
+        raise DomainError(f"closed-form t is not representable at k = {amp.k_minus_inf} "
+                          "(a gamma pole or an overflowing exponential)")
+    return amp
+
+
+def _first_point(amp: ScatteringAmplitudes) -> ScatteringAmplitudes:
+    """The first point of array-valued amplitudes, as Python scalars."""
+    return ScatteringAmplitudes(complex(amp.t[0]), None if amp.r is None else complex(amp.r[0]),
+                                complex(amp.k_minus_inf[0]), complex(amp.k_plus_inf[0]))
 
 
 def _check_regime(spec, e, c):

@@ -109,7 +109,7 @@ def pole_condition(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """|defining equation| at k, dimensionless; ~0 exactly at a QNF."""
     try:
         return _pole_condition(spec, k, c)
-    except OverflowError:
+    except (OverflowError, DomainError):  # t or an exponential not representable
         return math.inf
 
 

@@ -1,5 +1,6 @@
-"""Array-valued amplitude engines: an ndarray k gives, point by point, the
-scalar engine's t, with poles as inf and the scalar errors as nan."""
+"""Array-valued amplitude engines: an ndarray k gives t point by point, with
+poles as inf and unrepresentable points as nan; a scalar k is the
+one-element case, with a library error in place of nan."""
 
 import cmath
 
@@ -22,17 +23,17 @@ from qnf1d import (
     transmission_amplitude,
 )
 from qnf1d.errors import AtPoleError, DomainError, OverflowGuardError
+from qnf1d.oracle import _inv_t
 from qnf1d.potentials import length_scale
 
 C = PhysicalConstants()
 
 # Specs and k are drawn in units of the length a (couplings alpha a, levels
 # V a^2, k a), on the scale of the pole-scan rectangles (Im k a <= 2.5).
-# The two paths round differently in the last bit (numpy's complex loops
-# fuse multiply-adds), and the transfer product amplifies that like
-# exp(2 |Im kappa| a) of the largest region wavenumber: for RectBarrier(0, 2)
-# at k = 2 + 6i (Im k a = 12) t differs by 4e-12, beyond the 1e-12 checked
-# here.
+# The closed form and the transfer matrix round differently in the last bit,
+# and the transfer product amplifies that like exp(2 |Im kappa| a) of the
+# largest region wavenumber: for RectBarrier(0, 2) at k = 2 + 6i
+# (Im k a = 12) t differs by 4e-12, beyond the 1e-12 checked here.
 unit = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
 level = st.just(0.0) | unit
 length = st.floats(0.1, 3.0)
@@ -85,7 +86,7 @@ def assert_matches_scalar(amplitude, spec, ks):
         except AtPoleError:
             assert cmath.isinf(t_arr)
             continue
-        except (OverflowGuardError, DomainError, OverflowError):
+        except (OverflowGuardError, DomainError):
             assert cmath.isnan(t_arr)
             continue
         if 1e-6 < abs(t_sc) < 1e6:
@@ -107,6 +108,21 @@ def test_piecewise_array_equals_scalar(spec, ks):
 @given(spec=smooth_specs(), ks=scaled_wavenumbers)
 def test_smooth_closed_form_array_equals_scalar(spec, ks):
     assert_matches_scalar(transmission_amplitude, spec, ks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=piecewise_specs(), ks=scaled_wavenumbers)
+def test_closed_form_matches_transfer_matrix(spec, ks):
+    # the independent engine: 1/t as the pole scan reads it (0 at a pole), to
+    # rounding, with the same poles and unrepresentable points
+    k = np.array(ks, dtype=complex) / length_scale(spec)
+    inv_cf = _inv_t(spec, k, C, transmission_amplitude, "incident")
+    inv_tm = _inv_t(spec, k, C, numeric_amplitude, "incident")
+    finite = np.isfinite(inv_cf)
+    assert (finite == np.isfinite(inv_tm)).all(), (k, inv_cf, inv_tm)
+    inv_cf, inv_tm = inv_cf[finite], inv_tm[finite]
+    assert (np.abs(inv_cf - inv_tm) <= 1e-12 * np.maximum(1.0, np.abs(inv_cf))).all(), \
+        (k, inv_cf, inv_tm)
 
 
 def test_ode_array_is_the_scalar_loop():
@@ -142,6 +158,9 @@ def test_contract_gamma_pole_and_overflow():
     t = transmission_amplitude(spec, np.array([1j, far]), C).t
     assert cmath.isnan(t[0])
     assert cmath.isinf(t[1])
+    # an overflowing exponential is a library error, not Python's OverflowError
+    with pytest.raises(DomainError):
+        transmission_amplitude(DoubleDelta(1.0, 1.0), 1 + 400j, C)
 
 
 def test_shapes_are_kept():

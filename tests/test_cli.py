@@ -140,6 +140,16 @@ class TestCommands:
             e, t, t2, _arg = (float(v) for v in r.split(","))
             assert t == pytest.approx(t2, abs=1e-12)
 
+    def test_transmission_through_barrier_top(self, capsys):
+        code, out = run_cli(
+            ["transmission", "--type", "rect-barrier", "--V0", "1", "--a", "1",
+             "--e-min", "0.5", "--e-max", "1.5", "--points", "3"],
+            capsys,
+        )
+        assert code == 0
+        e, t, _t2, _arg = (float(v) for v in out.strip().splitlines()[2].split(","))
+        assert e == 1.0 and t == pytest.approx(1.0 / 3.0, abs=1e-15)
+
     def test_fit_verdict_column(self, capsys):
         code, out = run_cli(
             ["fit", "--type", "double-delta", "--alpha", "0.5", "--a", "1",

@@ -163,6 +163,14 @@ class TestAmplitudes:
             )
             assert t1 == pytest.approx(num / den, abs=1e-12)
 
+    def test_barrier_top(self):
+        # at E = V0 the middle-region wavenumber is 0: T and t are their limits
+        assert transmission_probability(RectBarrier(1.0, 1.0), 1.0, C) == pytest.approx(
+            1.0 / 3.0, abs=1e-15)
+        t = transmission_amplitude(RectBarrier(2.0, 1.0), 2.0, C).t
+        # e^{4i} / (1 + 2i), evaluated with mpmath
+        assert abs(t - (-0.43344972229589368 + 0.11009694928385912j)) < 1e-12
+
     def test_rect_tunneling_regime(self):
         # 0 < E < V0 is still scattering (asymptotes at zero)
         T = transmission_probability(RectBarrier(2.0, 1.0), 0.5, C)
