@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
-from .errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
+from .errors import DomainError, NotAScatteringPotential, OverflowGuardError
 from .potentials import (
     DEFAULT_CONSTANTS,
     Interfaces,
@@ -141,14 +141,22 @@ def _transfer_amplitudes(spec, k, c) -> ScatteringAmplitudes:
                                 k, k_p)
 
 
-def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """|det M - k_+/k_-|: the flux-conservation surrogate (0 for exact matrices)."""
-    k = np.array([complex(k)])
+def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS):
+    """|det M - k_+/k_-|: the flux-conservation surrogate (0 for exact matrices).
+
+    An ndarray k gives an array of the same shape, nan where M is not
+    representable; a scalar k gives a float and raises OverflowGuardError
+    there instead."""
+    scalar = not isinstance(k, np.ndarray)
+    k = np.array([k] if scalar else k, dtype=complex)
     with np.errstate(all="ignore"):
         m, k_p, bad = _transfer_matrices(spec, k, c)
+        err = np.where(bad, np.nan, np.abs(np.linalg.det(m) - k_p / k))
+    if not scalar:
+        return err
     if bad[0]:
         raise OverflowGuardError(f"transfer matrix not representable at k={k[0]}")
-    return float(abs(np.linalg.det(m[0]) - k_p[0] / k[0]))
+    return float(err[0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +176,8 @@ def _tail_coefficients(red, c, side, order=4):
 
 
 def _tail_eta(ws, k, a):
-    """Correction coefficients of psi = e^{-i k u} (1 + sum eta_j e^{-2 j u / a}).
+    """Correction coefficients of psi = e^{-i k u} (1 + sum eta_j e^{-2 j u / a}),
+    over an array of k.
 
     Here u is the outward coordinate (+x on the right, -x on the left) and ws
     are the tail coefficients of W = p2 (V - V_inf) = sum_j ws_j e^{-2 j u/a}.
@@ -186,14 +195,15 @@ def _tail_eta(ws, k, a):
 
 
 def _tail_state(etas, k, a, x, side):
-    """(psi, psi') of the outgoing tail-corrected solution at coordinate x."""
+    """(psi, psi') of the outgoing tail-corrected solution at coordinate x,
+    over arrays of k and x."""
     # side > 0: psi = e^{-ikx} (1 + sum eta_j e^{-2jx/a}); side < 0 mirrored
     u = -x if side < 0 else x
-    phase = cmath.exp(-1j * k * u)
+    phase = np.exp(-1j * k * u)
     f = 1.0 + 0j
     fp = 0.0 + 0j  # derivative of the bracket w.r.t. u
     for j, eta in enumerate(etas, start=1):
-        e = cmath.exp(-2.0 * j * u / a)
+        e = np.exp(-2.0 * j * u / a)
         f += eta * e
         fp += eta * e * (-2.0 * j / a)
     psi = phase * f
@@ -201,72 +211,90 @@ def _tail_state(etas, k, a, x, side):
     return psi, (dpsi_du if side > 0 else -dpsi_du)
 
 
-def _ode_amplitude(spec, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> ScatteringAmplitudes:
-    red = normal_form(spec)
-    a, shift = red.a, red.shift
-    p2 = c.p2
-    k_m = complex(k)
-    e = red.v_minus + k_m * k_m / p2
-    k_p = k_m if red.v_plus == red.v_minus else cmath.sqrt(p2 * (e - red.v_plus))
+def _integrate(potential, p2, e, psi0, dpsi0, atol, L, rtol):
+    """(psi, psi') at x = -L of the solutions started at x = L, one per energy
+    in the array e, as one integration of the stacked complex state
+    (psi_1..psi_N, psi'_1..psi'_N); V(x) is evaluated once per stage for all
+    of them.  The step control reads the RMS error over all components, so
+    the result is not bitwise that of one-point integrations.  Only the end
+    state is kept.  A failed integration is split in halves and retried, so
+    only a point that fails on its own is nan."""
+    n = e.size
+    p2e = p2 * e
 
+    def rhs(x, y):
+        return np.concatenate((y[n:], (p2 * potential(x) - p2e) * y[:n]))
+
+    sol = solve_ivp(rhs, (L, -L), np.concatenate([psi0, dpsi0]), method="DOP853",
+                    rtol=rtol, atol=np.concatenate([atol, atol]), t_eval=[-L])
+    if sol.success:
+        return sol.y[:n, -1], sol.y[n:, -1]
+    if n == 1:
+        return np.full(1, complex("nan")), np.full(1, complex("nan"))
+    halves = [_integrate(potential, p2, e[s], psi0[s], dpsi0[s], atol[s], L, rtol)
+              for s in (slice(None, n // 2), slice(n // 2, None))]
+    return tuple(np.concatenate(parts) for parts in zip(*halves))
+
+
+def _ode_amplitudes(red, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> ScatteringAmplitudes:
+    """t and r of the Eckart reduction ``red`` over an array of k, with one
+    integration per group of points that share L; inf at a pole, nan at
+    k = 0 and where t is not representable."""
+    a, shift, p2 = red.a, red.shift, c.p2
+    e = red.v_minus + k * k / p2
+    k_p = k if red.v_plus == red.v_minus else np.sqrt(p2 * (e - red.v_plus))
+    im = np.maximum(np.abs(k.imag), np.abs(k_p.imag))
     if L is None:
-        im = max(abs(k_m.imag), abs(k_p.imag))
-        if im * a <= 0.05:
-            L = 14.0 * a
-        else:
-            # balance: extracting the subdominant coefficient loses a factor
-            # exp(2 |Im k| L) of precision while the tail-series boundary
-            # error falls like exp(-2(order+1) L / a)
-            L = a * min(14.0, max(2.0, 8.0 / (im * a)))
-    im_scale = max(abs(k_m.imag), abs(k_p.imag)) * 2.0 * L
-    if im_scale > _EXP_GUARD:
-        raise OverflowGuardError(
-            f"|Im k| L = {im_scale / 2:.1f} too large for the ODE oracle"
-        )
+        # balance: extracting the subdominant coefficient loses a factor
+        # exp(2 |Im k| L) of precision while the tail-series boundary error
+        # falls like exp(-2(order+1) L / a).  L is snapped down to a multiple
+        # of a/16, so a Newton triple (z, z +- h) on an asymmetric spec, whose
+        # |Im k+| differ slightly, shares one L and one integration except at
+        # rare snap boundaries.  Down, because for |Im k| a <= 3 the tail
+        # error is below e^{-26} and the precision loss sets the noise (the
+        # snap saves up to a factor e^{0.27} of it at |Im k| a = 2.15); for
+        # larger |Im k| it raises the tail error by at most e^{0.625}
+        span = np.where(im * a <= 0.05, 14.0, np.clip(8.0 / (im * a), 2.0, 14.0))
+        L = a * np.floor(16.0 * span) / 16.0
+    else:
+        L = np.full(k.shape, float(L))
+    bad = (k == 0) | (im * 2.0 * L > _EXP_GUARD)
 
     ws_p = _tail_coefficients(red, c, +1, tail_order)
     ws_m = _tail_coefficients(red, c, -1, tail_order)
-    eta_p = _tail_eta(ws_p, k_p, a)
+    psi0, dpsi0 = _tail_state(_tail_eta(ws_p, k_p, a), k_p, a, L, +1)
+    if atol is None:
+        atol = 1e-14 * np.maximum(1.0, np.abs(psi0))
+    else:
+        atol = np.full(k.shape, float(atol))
 
     # integrate the unshifted reduction; the shift becomes a phase below
     potential = replace(red, shift=0.0).evaluate
-
-    def rhs(x, y):
-        # y = (Re psi, Im psi, Re psi', Im psi')
-        v = potential(x)
-        psi = complex(y[0], y[1])
-        dd = p2 * (v - e) * psi
-        return [y[2], y[3], dd.real, dd.imag]
-
-    psi0, dpsi0 = _tail_state(eta_p, k_p, a, L, +1)
-    y0 = [psi0.real, psi0.imag, dpsi0.real, dpsi0.imag]
-    if atol is None:
-        atol = 1e-14 * max(1.0, abs(psi0))
-    sol = solve_ivp(
-        rhs, (L, -L), y0, method="DOP853", rtol=rtol, atol=atol, dense_output=False
-    )
-    if not sol.success:
-        raise OverflowGuardError(f"ODE integration failed: {sol.message}")
-    psi = complex(sol.y[0, -1], sol.y[1, -1])
-    dpsi = complex(sol.y[2, -1], sol.y[3, -1])
+    psi = np.full(k.shape, complex("nan"))
+    dpsi = psi.copy()
+    for length in np.unique(L[~bad]):
+        g = ~bad & (L == length)
+        psi[g], dpsi[g] = _integrate(potential, p2, e[g], psi0[g], dpsi0[g], atol[g],
+                                     length, rtol)
 
     # tail-corrected left basis: reflected e^{+ikx} = e^{-ik|x|} is the
     # outward state, incident e^{-ikx} is its k -> -k partner
-    p_ref, dp_ref = _tail_state(_tail_eta(ws_m, k_m, a), k_m, a, -L, -1)
-    p_inc, dp_inc = _tail_state(_tail_eta(ws_m, -k_m, a), -k_m, a, -L, -1)
+    p_ref, dp_ref = _tail_state(_tail_eta(ws_m, k, a), k, a, -L, -1)
+    p_inc, dp_inc = _tail_state(_tail_eta(ws_m, -k, a), -k, a, -L, -1)
     det = p_inc * dp_ref - p_ref * dp_inc
-    if det == 0:
-        raise OverflowGuardError("degenerate left-boundary basis")
     a_coef = (psi * dp_ref - p_ref * dpsi) / det
     b_coef = (p_inc * dpsi - psi * dp_inc) / det
-    if a_coef == 0:
-        return ScatteringAmplitudes(complex("inf"), None, k_m, k_p)
-    t = (1.0 / a_coef) * cmath.sqrt(k_p) / cmath.sqrt(k_m)
+    t = 1.0 / a_coef * np.sqrt(k_p) / np.sqrt(k)
     r = b_coef / a_coef
     if shift != 0.0:
-        t *= cmath.exp(1j * (k_p - k_m) * shift)
-        r *= cmath.exp(-2j * k_m * shift)
-    return ScatteringAmplitudes(t, r, k_m, k_p)
+        phase = np.exp(1j * (k_p - k) * shift)
+        bad |= ~np.isfinite(phase)
+        t, r = t * phase, r * np.exp(-2j * k * shift)
+    nan = complex("nan")
+    bad |= (det == 0) | ~np.isfinite(psi) | ~np.isfinite(dpsi)
+    t = np.where(bad, nan, np.where(a_coef == 0, complex("inf"), t))
+    r = np.where(bad | (a_coef == 0), nan, r)
+    return ScatteringAmplitudes(t, r, k, k_p)
 
 
 def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, **ode_kwargs) -> ScatteringAmplitudes:
@@ -279,47 +307,28 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, **ode_k
     An ndarray k gives arrays under the contract of
     ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
     is not representable); the transfer matrices are then one stacked
-    product, the ODE runs point by point.  A scalar k is the one-element
-    case: t is inf at a pole, and OverflowGuardError is raised where the
-    array would be nan.
+    product, and the ODE is one integration of the stacked states per group
+    of points that share the domain half-width L.  A scalar k is the
+    one-element case: t is inf at a pole, and OverflowGuardError is raised
+    where the array would be nan.
     """
-    piecewise = isinstance(normal_form(spec), Interfaces)
-    if isinstance(k, np.ndarray):
-        k = k.astype(complex)
-        if not piecewise:
-            return _pointwise(lambda z: numeric_amplitude(spec, z, c, **ode_kwargs), k)
-        with np.errstate(all="ignore"):
-            return _transfer_amplitudes(spec, k, c)
-    k = complex(k)
-    if k == 0:
+    form = normal_form(spec)
+    scalar = not isinstance(k, np.ndarray)
+    if scalar and complex(k) == 0:
         raise DomainError("numeric amplitude requires k != 0")
-    if not piecewise:
-        return _ode_amplitude(spec, k, c, **ode_kwargs)
     with np.errstate(all="ignore"):
-        amp = _first_point(_transfer_amplitudes(spec, np.array([k]), c))
-    if cmath.isnan(amp.t):
-        raise OverflowGuardError(f"transfer matrix not representable at k={k}")
-    return amp
-
-
-def _pointwise(amplitude_at, k):
-    """Scalar amplitude calls over an array of k, mapped onto the array
-    contract: inf at AtPoleError, nan at any other library error."""
-    t = np.empty(k.shape, dtype=complex)
-    r = np.full(k.shape, complex("nan"))
-    k_p = np.full(k.shape, complex("nan"))
-    for i, z in np.ndenumerate(k):
-        try:
-            amp = amplitude_at(complex(z))
-        except AtPoleError:
-            t[i] = complex("inf")
-        except (OverflowGuardError, DomainError, OverflowError):
-            t[i] = complex("nan")
+        k = np.array([k] if scalar else k, dtype=complex)
+        if isinstance(form, Interfaces):
+            amp = _transfer_amplitudes(spec, k, c)
         else:
-            t[i], k_p[i] = amp.t, amp.k_plus_inf
-            if amp.r is not None:
-                r[i] = amp.r
-    return ScatteringAmplitudes(t, r, k, k_p)
+            amp = _ode_amplitudes(form, k, c, **ode_kwargs)
+    if not scalar:
+        return amp
+    amp = _first_point(amp)
+    if cmath.isnan(amp.t):
+        raise OverflowGuardError(f"numeric amplitude not representable at k={amp.k_minus_inf} "
+                                 "(an overflow guard or a failed integration)")
+    return amp
 
 
 # ---------------------------------------------------------------------------

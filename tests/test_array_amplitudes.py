@@ -7,6 +7,7 @@ import cmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from qnf1d import (
     AsymDoubleDelta,
@@ -19,9 +20,14 @@ from qnf1d import (
     RectBarrier,
     Sech2,
     Step,
+    Tietz,
+    closed_form_qnfs,
     numeric_amplitude,
+    refine_pole,
+    scattering_limits,
     transmission_amplitude,
 )
+from qnf1d import oracle
 from qnf1d.errors import AtPoleError, DomainError, OverflowGuardError
 from qnf1d.oracle import _inv_t
 from qnf1d.potentials import length_scale
@@ -125,14 +131,119 @@ def test_closed_form_matches_transfer_matrix(spec, ks):
         (k, inv_cf, inv_tm)
 
 
-def test_ode_array_is_the_scalar_loop():
-    # the ODE engine has no stacked form: the array call loops the scalar one
+# a symmetric spec, a shifted asymmetric one and an asymmetric one whose
+# transmitted side is the lower level
+ODE_SPECS = [Sech2(-1.0, 1.0), MorseFeshbach(0.8, 0.7, 1.1), Tietz(1.1, 0.3, 0.9, "cosh")]
+
+
+class CountingSolveIvp:
+    """Stands in for qnf1d.oracle.solve_ivp and counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.solve_ivp = oracle.solve_ivp
+        monkeypatch.setattr(oracle, "solve_ivp", self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.solve_ivp(*args, **kwargs)
+
+
+@pytest.mark.parametrize("spec", ODE_SPECS, ids=lambda s: type(s).__name__)
+def test_ode_batch_matches_one_point_calls(spec):
+    # a batch shares one step sequence, whose error norm is the RMS over all
+    # of its points, so it is not bitwise equal to one-point integrations;
+    # measured worst case 2.8e-10 relative (Morse-Feshbach at |t| = 0.007,
+    # next to the k+ = 0 threshold), 1.3e-11 elsewhere
+    a = length_scale(spec)
+    k = np.concatenate([np.linspace(0.3, 3.0, 10),
+                        [0.7 + 0.1j, 1.3 - 0.2j, 0.4 + 0.9j, 2.0 + 1.5j, -1.1 + 0.6j,
+                         0.9 - 1.2j, -0.5 - 1.8j, 1.7 + 1.9j, 0.0]]) / a
+    t = numeric_amplitude(spec, k, C).t
+    one = np.array([numeric_amplitude(spec, k[i:i + 1], C).t[0] for i in range(k.size)])
+    assert cmath.isnan(t[-1]) and cmath.isnan(one[-1])
+    assert np.isfinite(t[:-1]).all()
+    assert (np.abs(t[:-1] - one[:-1]) <= 1e-9 * np.abs(one[:-1])).all(), (k, t, one)
+
+
+def test_ode_batch_is_one_integration(monkeypatch):
+    counter = CountingSolveIvp(monkeypatch)
+    k = np.sqrt(2.0 * np.linspace(0.2, 6.0, 25))
+    t = numeric_amplitude(Sech2(-1.0, 1.0), k, C).t
+    assert counter.calls == 1
+    assert np.isfinite(t).all()
+
+
+def test_newton_iteration_is_one_integration(monkeypatch):
+    # the asymmetric tietz cosh gives the triple (z, z +- h) three slightly
+    # different |Im k|; snapped, they share one L and one integration
+    counter = CountingSolveIvp(monkeypatch)
+    spec = Tietz(1.1, 0.3, 0.9, "cosh")
+    mode = next(r for r in closed_form_qnfs(spec, (0, 2), C) if abs(r.k - 1.8618259j) < 1e-6)
+    per_call = []
+
+    def amplitude(spec, k, c):
+        before = counter.calls
+        amp = numeric_amplitude(spec, k, c)
+        per_call.append((k.size, counter.calls - before))
+        return amp
+
+    k, _res = refine_pole(spec, mode.k * (1 + 1e-3), C, amplitude=amplitude,
+                          variable="transmitted")
+    assert abs(k - mode.k) < 1e-8
+    # the first call is the first Newton iteration's triple
+    assert per_call[0] == (3, 1)
+
+
+def test_failed_integration_is_split(monkeypatch):
+    # an integration that fails is retried in halves: only the point that
+    # fails on its own is nan
     spec = Sech2(-1.0, 1.0)
-    ks = np.array([0.7 + 0.1j, 1.3 - 0.2j, 0.0])
-    t = numeric_amplitude(spec, ks, C).t
-    assert t[0] == numeric_amplitude(spec, ks[0], C).t
-    assert t[1] == numeric_amplitude(spec, ks[1], C).t
+    k = np.array([0.5, 0.9, 1.3, 1.7, 2.1])
+    starts = []
+
+    def recording(fun, t_span, y0, **kwargs):
+        starts.append(y0[0])
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    # the starting psi of k = 1.3 marks every integration that carries it
+    monkeypatch.setattr(oracle, "solve_ivp", recording)
+    numeric_amplitude(spec, k[2:3], C)
+    [marked] = starts
+
+    def failing(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        if marked in y0[: y0.size // 2]:
+            sol.success, sol.message = False, "forced failure"
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_ivp", failing)
+    t = numeric_amplitude(spec, k, C).t
     assert cmath.isnan(t[2])
+    ta = transmission_amplitude(spec, k, C).t
+    good = np.arange(k.size) != 2
+    assert (np.abs(t[good] - ta[good]) < 1e-8 * np.abs(ta[good])).all()
+    with pytest.raises(OverflowGuardError):
+        numeric_amplitude(spec, k[2], C)
+
+
+def test_ode_contract_guard_row():
+    # |Im k| L beyond the guard is nan in a batch and does not spoil the rest
+    spec = Sech2(-1.0, 1.0)
+    t = numeric_amplitude(spec, np.array([0.8, 500j, 1.2 + 0.3j]), C).t
+    assert cmath.isnan(t[1])
+    assert np.isfinite(t[[0, 2]]).all()
+    assert t[0] == pytest.approx(transmission_amplitude(spec, 0.8, C).t, rel=1e-8)
+
+
+def test_morse_feshbach_array_matches_closed_form():
+    # the shifted reduction: the shift enters as a phase per point
+    spec = MorseFeshbach(0.8, 0.7, 1.1)
+    v_minus, v_plus = scattering_limits(spec, C)
+    k = np.sqrt(C.p2 * (max(v_minus, v_plus) + np.linspace(0.2, 6.0, 25) - v_minus))
+    t = numeric_amplitude(spec, k, C).t
+    ta = transmission_amplitude(spec, k, C).t
+    assert (np.abs(t - ta) < 1e-8 * np.abs(ta)).all()
 
 
 @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
@@ -165,8 +276,10 @@ def test_contract_gamma_pole_and_overflow():
 
 def test_shapes_are_kept():
     ks = np.linspace(0.5, 3.0, 12).reshape(3, 4) + 0.2j
-    for amplitude in (numeric_amplitude, transmission_amplitude):
-        amp = amplitude(RectBarrier(1.0, 1.0), ks, C)
-        assert amp.t.shape == (3, 4)
-        assert amp.t[1, 2] == pytest.approx(amplitude(RectBarrier(1.0, 1.0), ks[1, 2], C).t,
-                                            rel=1e-12)
+    # an ODE batch shares one step sequence, so it is not bitwise the
+    # one-point call
+    for spec, rel in ((RectBarrier(1.0, 1.0), 1e-12), (Sech2(-1.0, 1.0), 1e-9)):
+        for amplitude in (numeric_amplitude, transmission_amplitude):
+            amp = amplitude(spec, ks, C)
+            assert amp.t.shape == (3, 4)
+            assert amp.t[1, 2] == pytest.approx(amplitude(spec, ks[1, 2], C).t, rel=rel)

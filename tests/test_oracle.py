@@ -16,6 +16,7 @@ from qnf1d import (
     Hulthen,
     PhysicalConstants,
     RectBarrier,
+    ScatteringAmplitudes,
     SearchRegion,
     Sech2,
     Step,
@@ -27,8 +28,8 @@ from qnf1d import (
     scattering_limits,
     transmission_amplitude,
 )
-from qnf1d.errors import DomainError, NotAScatteringPotential, OverflowGuardError
-from qnf1d.oracle import _inv_t, _pointwise, transfer_matrix_det_error
+from qnf1d.errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
+from qnf1d.oracle import _inv_t, transfer_matrix_det_error
 from qnf1d.potentials import length_scale
 
 C = PhysicalConstants()
@@ -66,11 +67,21 @@ def random_disc_k(rng, a_scale, r_max=10.0):
 
 def pointwise(amplitude):
     """``amplitude`` with an array argument evaluated by one scalar call per
-    point (the grid find_poles scanned before it made array calls)."""
+    point (the grid find_poles scanned before it made array calls), mapped
+    onto the array contract: inf at AtPoleError, nan at any other library
+    error."""
     def amp(spec, k, c):
-        if isinstance(k, np.ndarray):
-            return _pointwise(lambda z: amplitude(spec, z, c), k)
-        return amplitude(spec, k, c)
+        if not isinstance(k, np.ndarray):
+            return amplitude(spec, k, c)
+        t = np.full(k.shape, complex("nan"))
+        for i, z in np.ndenumerate(k):
+            try:
+                t[i] = amplitude(spec, complex(z), c).t
+            except AtPoleError:
+                t[i] = complex("inf")
+            except (OverflowGuardError, DomainError):
+                pass
+        return ScatteringAmplitudes(t, None, k, k)
     return amp
 
 
