@@ -53,13 +53,17 @@ class CanonicalForm:
         return evaluate(self.form, np.asarray(x, dtype=float) - self.shift)
 
 
-def _square_free_quadratic(p2c, p1c, p0c, d1):
-    """Split P(u) = p2 u^2 + p1 u + p0 over (1 + d1 u + u^2-type) denominators.
+def _mobius2_from_quadratic(c0, c1, c2, a, d1) -> Mobius2:
+    """V = c0 + c1 w + c2 w^2 -> Mobius2, for w = tanh(x/a) (d1 = +2) or
+    w = coth(x/a) (d1 = -2, a (1 - u) pole).
 
-    Returns (A0, q2, q1, q0) with P - A0 (u^2 + d1 u + 1) = q2 u^2 + q1 u + q0
-    a perfect square; the denominator is (1 + u)^2 for d1 = +2 (tanh family)
-    and (1 - u)^2 for d1 = -2 (coth family).
+    In u = e^{-2x/a}, V = P(u) / (1 + u)^2 for tanh and P(u) / (1 - u)^2 for
+    coth, with P = p2 u^2 + p1 u + p0.  Splitting off A0 (u^2 + d1 u + 1)
+    leaves q2 u^2 + q1 u + q0, a perfect square.
     """
+    p2c = c0 - c1 + c2
+    p1c = d1 * (c0 - c2)
+    p0c = c0 + c1 + c2
     lead = p2c + p0c - (d1 / 2.0) * p1c  # 4 c2 of the tanh/coth quadratic
     if lead == 0:
         raise CanonicalizationError(
@@ -70,38 +74,10 @@ def _square_free_quadratic(p2c, p1c, p0c, d1):
     q2 = p2c - a0
     q1 = p1c - a0 * d1
     q0 = p0c - a0
-    # discriminant vanishes by construction; tidy roundoff
-    return a0, q2, q1, q0
-
-
-def _mobius2_from_tanh_quadratic(c0, c1, c2, a, shift, notes):
-    """V = c0 + c1 tanh(x/a) + c2 tanh^2(x/a) -> Mobius2 (needs c2 != 0)."""
-    # in u = e^{-2x/a}: V = P(u) / (1+u)^2
-    p2c = c0 - c1 + c2
-    p1c = 2.0 * (c0 - c2)
-    p0c = c0 + c1 + c2
-    a0, q2, q1, q0 = _square_free_quadratic(p2c, p1c, p0c, +2.0)
     if q2 != 0.0:
         r = -q1 / (2.0 * q2)  # double root of the perfect square
-        form = Mobius2(A0=a0, E1=-r, F1=1.0, E2=1.0, F2=1.0, a=a, overall=q2)
-    else:
-        form = Mobius2(A0=a0, E1=1.0, F1=0.0, E2=1.0, F2=1.0, a=a, overall=q0)
-    return CanonicalForm(form, shift, notes=notes)
-
-
-def _mobius2_from_coth_quadratic(c0, c1, c2, a, notes=""):
-    """V = c0 + c1 coth(x/a) + c2 coth^2(x/a) -> Mobius2 with a (1-u) pole."""
-    # coth = (1+u)/(1-u): V = P(u)/(1-u)^2
-    p2c = c0 - c1 + c2
-    p1c = -2.0 * (c0 - c2)
-    p0c = c0 + c1 + c2
-    a0, q2, q1, q0 = _square_free_quadratic(p2c, p1c, p0c, -2.0)
-    if q2 != 0.0:
-        r = -q1 / (2.0 * q2)
-        form = Mobius2(A0=a0, E1=-r, F1=1.0, E2=1.0, F2=-1.0, a=a, overall=q2)
-    else:
-        form = Mobius2(A0=a0, E1=1.0, F1=0.0, E2=1.0, F2=-1.0, a=a, overall=q0)
-    return CanonicalForm(form, 0.0, scattering=False, degenerate=True, notes=notes)
+        return Mobius2(A0=a0, E1=-r, F1=1.0, E2=1.0, F2=d1 / 2.0, a=a, overall=q2)
+    return Mobius2(A0=a0, E1=1.0, F1=0.0, E2=1.0, F2=d1 / 2.0, a=a, overall=q0)
 
 
 def canonicalize(spec) -> CanonicalForm:
@@ -144,8 +120,8 @@ def canonicalize(spec) -> CanonicalForm:
         mid = 0.5 * (red.v_minus + red.v_plus)
         half = 0.5 * (red.v_plus - red.v_minus)
         notes = f"origin shifted by {red.shift:.6g}" if red.shift else ""
-        return _mobius2_from_tanh_quadratic(mid + red.v0, half, -red.v0, red.a,
-                                            red.shift, notes)
+        form = _mobius2_from_quadratic(mid + red.v0, half, -red.v0, red.a, 2.0)
+        return CanonicalForm(form, red.shift, notes=notes)
 
     if isinstance(spec, Morse):
         # V0 (1 - e^{x0/(2a')} u)^2 with u = e^{-2x/(2a)}: F2 = 0, a limiting
@@ -162,11 +138,10 @@ def canonicalize(spec) -> CanonicalForm:
                 "in coth(x/2b): its simple pole admits no (Mobius)^2 form"
             )
         # in w = coth(x/(2b)): V = (A/4) w^2 + (B-A)/2 w + (A/4 - B/2)
-        return _mobius2_from_coth_quadratic(
-            0.25 * spec.A - 0.5 * spec.B, 0.5 * (spec.B - spec.A), 0.25 * spec.A,
-            2.0 * spec.b,
-            notes="half-line potential with a pole at x = 0",
-        )
+        form = _mobius2_from_quadratic(0.25 * spec.A - 0.5 * spec.B, 0.5 * (spec.B - spec.A),
+                                       0.25 * spec.A, 2.0 * spec.b, -2.0)
+        return CanonicalForm(form, 0.0, scattering=False, degenerate=True,
+                             notes="half-line potential with a pole at x = 0")
 
     if isinstance(spec, Hulthen):
         raise CanonicalizationError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -30,11 +31,10 @@ from . import qnf as Q
 from . import oracle as O
 from . import serialize as S
 
-_PARAM_FLAGS = [
-    "alpha", "a", "alpha_plus", "alpha_minus", "V0", "V1", "V2", "V3",
-    "V_minus", "V_plus", "A0", "E1", "F1", "E2", "F2", "overall",
-    "x0", "q", "A", "B", "C", "b", "mu", "L",
-]
+# one float flag per parameter of the catalog types (Tietz's kind is --kind)
+_PARAM_FLAGS = list(dict.fromkeys(
+    f.name for cls in S.TYPE_NAMES.values() for f in dataclasses.fields(cls)
+    if f.name != "kind"))
 
 
 def _fmt(x) -> str:
@@ -94,8 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--n-max", type=int, default=10)
     ap.add_argument("--method", choices=["closed_form", "transcendental", "asymptotic"],
                     default=None)
-    ap.add_argument("--search", choices=["imaginary_axis", "region"],
-                    default="imaginary_axis")
     ap.add_argument("--region", default=None,
                     help="re_min,re_max,im_min,im_max for pole searches")
     ap.add_argument("--grid-density", type=float, default=8.0)
@@ -153,7 +151,7 @@ def _write(args, text: str):
     os.replace(tmp, args.output)
 
 
-def _energy_offset(spec, constants) -> float:
+def _energy_offset(spec) -> float:
     """Asymptote converting the stored QNF wavenumber into E_QNF."""
     form = P.normal_form(spec)
     v_minus, v_plus = form.limits
@@ -172,8 +170,8 @@ def _cmd_eval(args, spec, constants):
     return ["x", "V"], rows
 
 
-def _default_energy_window(spec, constants):
-    v_minus, v_plus = P.scattering_limits(spec, constants)
+def _default_energy_window(spec):
+    v_minus, v_plus = P.scattering_limits(spec)
     base = max(v_minus, v_plus)
     scale = abs(v_plus - v_minus)
     for attr in ("V0", "V1", "V2", "V3", "alpha", "alpha_plus", "alpha_minus",
@@ -187,13 +185,13 @@ def _default_energy_window(spec, constants):
 def _cmd_transmission(args, spec, constants):
     e_min, e_max = args.e_min, args.e_max
     if e_min is None or e_max is None:
-        d_min, d_max = _default_energy_window(spec, constants)
+        d_min, d_max = _default_energy_window(spec)
         e_min = d_min if e_min is None else e_min
         e_max = d_max if e_max is None else e_max
     if not e_min < e_max:
         raise Qnf1dError("--e-min must be below --e-max")
     es = np.linspace(e_min, e_max, args.points).tolist()
-    v_minus, _ = P.scattering_limits(spec, constants)
+    v_minus, _ = P.scattering_limits(spec)
     # T first: it rejects energies outside the scattering regime
     Ts = [P.transmission_probability(spec, e, constants) for e in es]
     ts = P.transmission_amplitude(spec, np.sqrt(constants.p2 * (np.array(es) - v_minus)),
@@ -206,7 +204,7 @@ def _cmd_transmission(args, spec, constants):
 
 
 def _qnf_rows(results, spec, constants):
-    offset = _energy_offset(spec, constants)
+    offset = _energy_offset(spec)
     rows = []
     for r in results:
         e = Q.qnf_energy(r.k, constants, offset)

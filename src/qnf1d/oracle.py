@@ -24,6 +24,7 @@ from .potentials import (
     PhysicalConstants,
     ScatteringAmplitudes,
     _first_point,
+    _level_wavenumber,
     _sin_over,
     evaluate,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
     length_scale,
@@ -46,6 +47,12 @@ _EXP_GUARD = 600.0
 _RESIDUAL_TOL = 1e-8
 # ... and |k| at least this (1/t vanishes trivially at k = 0)
 _TRIVIAL_ZERO_TOL = 1e-6
+# Newton iterations per pass of the pole refiner
+_NEWTON_MAX_ITER = 60
+# boundary points per unit length of the argument-principle count
+_WINDING_SAMPLES_PER_UNIT = 40
+# terms of the exponential-tail series in the ODE boundary data
+_TAIL_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ def _transfer_matrices(spec, k, c):
     a, e = form.a, k * k / c.p2 + form.v1  # energy from the incidence side
     # reuse the caller's k wherever the level matches the incidence side, so
     # the matrix is the analytic continuation in k
-    k_mid, k_p = (k if v == form.v1 else np.sqrt(c.p2 * (e - v)) for v in (form.v2, form.v3))
+    k_mid, k_p = (_level_wavenumber(k, e, form.v1, v, c.p2) for v in (form.v2, form.v3))
     bad = k == 0
     for kappa in (k, k_mid, k_p):
         bad |= np.abs(kappa.imag * a) > _EXP_GUARD
@@ -163,7 +170,7 @@ def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS)
 # ODE integration for smooth potentials
 # ---------------------------------------------------------------------------
 
-def _tail_coefficients(red, c, side, order=4):
+def _tail_coefficients(red, c, side):
     """W_j of V - V_inf = sum_j W_j exp(-2 j |x| / a) in units of 1/length^2.
 
     Uses tanh(u) -/+ 1 = -/+ 2 sum (-1)^(j-1) exp(-/+ 2ju) and
@@ -172,7 +179,7 @@ def _tail_coefficients(red, c, side, order=4):
     p2 = c.p2
     dv = red.v_plus - red.v_minus
     return [p2 * (-1.0) ** (j - 1) * (4.0 * j * red.v0 - side * dv)
-            for j in range(1, order + 1)]
+            for j in range(1, _TAIL_ORDER + 1)]
 
 
 def _tail_eta(ws, k, a):
@@ -236,21 +243,21 @@ def _integrate(potential, p2, e, psi0, dpsi0, atol, L, rtol):
     return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
-def _ode_amplitudes(red, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> ScatteringAmplitudes:
+def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
     """t and r of the Eckart reduction ``red`` over an array of k, with one
     integration per group of points that share L; inf at a pole, nan at
     k = 0 and where t is not representable."""
     a, shift, p2 = red.a, red.shift, c.p2
     e = red.v_minus + k * k / p2
-    k_p = k if red.v_plus == red.v_minus else np.sqrt(p2 * (e - red.v_plus))
+    k_p = _level_wavenumber(k, e, red.v_minus, red.v_plus, p2)
     im = np.maximum(np.abs(k.imag), np.abs(k_p.imag))
     if L is None:
         # balance: extracting the subdominant coefficient loses a factor
         # exp(2 |Im k| L) of precision while the tail-series boundary error
-        # falls like exp(-2(order+1) L / a).  L is snapped down to a multiple
-        # of a/16, so a Newton triple (z, z +- h) on an asymmetric spec, whose
-        # |Im k+| differ slightly, shares one L and one integration except at
-        # rare snap boundaries.  Down, because for |Im k| a <= 3 the tail
+        # falls like exp(-2 (_TAIL_ORDER + 1) L / a).  L is snapped down to a
+        # multiple of a/16, so a Newton triple (z, z +- h) on an asymmetric
+        # spec, whose |Im k+| differ slightly, shares one L and one
+        # integration except at rare snap boundaries.  Down, because for |Im k| a <= 3 the tail
         # error is below e^{-26} and the precision loss sets the noise (the
         # snap saves up to a factor e^{0.27} of it at |Im k| a = 2.15); for
         # larger |Im k| it raises the tail error by at most e^{0.625}
@@ -260,13 +267,10 @@ def _ode_amplitudes(red, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> S
         L = np.full(k.shape, float(L))
     bad = (k == 0) | (im * 2.0 * L > _EXP_GUARD)
 
-    ws_p = _tail_coefficients(red, c, +1, tail_order)
-    ws_m = _tail_coefficients(red, c, -1, tail_order)
+    ws_p = _tail_coefficients(red, c, +1)
+    ws_m = _tail_coefficients(red, c, -1)
     psi0, dpsi0 = _tail_state(_tail_eta(ws_p, k_p, a), k_p, a, L, +1)
-    if atol is None:
-        atol = 1e-14 * np.maximum(1.0, np.abs(psi0))
-    else:
-        atol = np.full(k.shape, float(atol))
+    atol = 1e-14 * np.maximum(1.0, np.abs(psi0))
 
     # integrate the unshifted reduction; the shift becomes a phase below
     potential = replace(red, shift=0.0).evaluate
@@ -297,12 +301,15 @@ def _ode_amplitudes(red, k, c, L=None, rtol=1e-12, atol=None, tail_order=4) -> S
     return ScatteringAmplitudes(t, r, k, k_p)
 
 
-def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, **ode_kwargs) -> ScatteringAmplitudes:
+def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
+                      rtol=1e-12) -> ScatteringAmplitudes:
     """Analytic-formula-independent t (and r) at incidence-side wavenumber k.
 
     Piecewise-constant and delta potentials use exact transfer matrices;
-    smooth potentials integrate the stationary equation with tail-corrected
-    outgoing boundary data (keyword args L, rtol, atol, tail_order tune it).
+    smooth potentials integrate the stationary equation over [-L, L] with
+    tail-corrected outgoing boundary data (a 4-term tail series) and
+    relative tolerance ``rtol``; the default L follows |Im k| (see
+    ``_ode_amplitudes``).  The transfer matrices ignore L and rtol.
 
     An ndarray k gives arrays under the contract of
     ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
@@ -321,7 +328,7 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, **ode_k
         if isinstance(form, Interfaces):
             amp = _transfer_amplitudes(spec, k, c)
         else:
-            amp = _ode_amplitudes(form, k, c, **ode_kwargs)
+            amp = _ode_amplitudes(form, k, c, L, rtol)
     if not scalar:
         return amp
     amp = _first_point(amp)
@@ -341,10 +348,8 @@ def _inv_t(spec, k, c, amplitude, variable):
     with np.errstate(all="ignore"):
         if variable == "transmitted":
             # parametrize by the transmitted-side wavenumber instead
-            v_minus, v_plus = scattering_limits(spec, c)
-            e = v_plus + k * k / c.p2
-            km2 = c.p2 * (e - v_minus)
-            k_in = np.sqrt(km2)
+            v_minus, v_plus = scattering_limits(spec)
+            k_in = _level_wavenumber(k, v_plus + k * k / c.p2, v_plus, v_minus, c.p2)
         else:
             k_in = k
         t = amplitude(spec, k_in, c).t
@@ -352,7 +357,7 @@ def _inv_t(spec, k, c, amplitude, variable):
     return np.where(k_in == 0, complex("inf"), inv)
 
 
-def _newton_polish(f, k0, on_axis=False, max_iter=60):
+def _newton_polish(f, k0, on_axis=False):
     """Damped Newton on complex f from every seed in the array k0 at once;
     returns the best iterate seen per seed (nan where f is nan at the seed).
 
@@ -372,7 +377,7 @@ def _newton_polish(f, k0, on_axis=False, max_iter=60):
     stale = np.zeros(z.shape, dtype=int)
     step = np.zeros_like(z)
     live = np.arange(z.size)
-    for n in range(max_iter + 1):
+    for n in range(_NEWTON_MAX_ITER + 1):
         if not live.size:
             break
         zl = z[live]
@@ -389,7 +394,7 @@ def _newton_polish(f, k0, on_axis=False, max_iter=60):
             stale[live] = np.where(better, 0, stale[live] + 1)
             done = (stale[live] >= 3) | (np.abs(step[live]) < tol * np.maximum(1.0, np.abs(zl)))
         dg = (gp - gm) / (2.0 * h)
-        done |= np.isnan(gz) | (dg == 0) | np.isnan(dg) | (n == max_iter)
+        done |= np.isnan(gz) | (dg == 0) | np.isnan(dg) | (n == _NEWTON_MAX_ITER)
         live, zl, gz, dg = live[~done], zl[~done], gz[~done], dg[~done]
         s = gz / dg
         cap = 0.5 * (1.0 + np.abs(zl))
@@ -474,7 +479,7 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
     return k, res
 
 
-def _winding_count(f, region, samples_per_unit=40):
+def _winding_count(f, region):
     """Winding number of f around the region boundary (zeros minus poles of f).
 
     ``f`` evaluates on an array of boundary points."""
@@ -487,7 +492,7 @@ def _winding_count(f, region, samples_per_unit=40):
     pts = []
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
-        n = max(8, int(abs(z1 - z0) * samples_per_unit))
+        n = max(8, int(abs(z1 - z0) * _WINDING_SAMPLES_PER_UNIT))
         for j in range(n):
             pts.append(z0 + (z1 - z0) * j / n)
     vals = f(np.array(pts))

@@ -155,6 +155,13 @@ def _csqrt(z) -> complex:
     return cmath.sqrt(complex(z))
 
 
+def _level_wavenumber(k, e, v_in, v, p2):
+    """The wavenumber at level v and energy e, over an array of k: the
+    caller's k where v is the incidence level v_in (so the amplitude is the
+    analytic continuation in k), the principal root of p2 (e - v) elsewhere."""
+    return k if v == v_in else np.sqrt(p2 * (e - v))
+
+
 def _sin_over(q, w):
     """sin(q w) / q over an array of complex q, with its limit w at q = 0."""
     zero = q == 0
@@ -199,8 +206,8 @@ class Interfaces:
         g1, g2 = p2 * self.alpha_left, p2 * self.alpha_right
         e = self.v1 + k * k / p2
         k1 = k
-        k2 = k if self.v2 == self.v1 else np.sqrt(p2 * (e - self.v2))
-        k3 = k if self.v3 == self.v1 else np.sqrt(p2 * (e - self.v3))
+        k2 = _level_wavenumber(k, e, self.v1, self.v2, p2)
+        k3 = _level_wavenumber(k, e, self.v1, self.v3, p2)
         a = self.a
         # t = 4 k2 sqrt(k1 k3) e^{i (k1 + k3) a} / den, where
         # den = (w1 + k2)(w3 + k2) e^{iz} - (w1 - k2)(w3 - k2) e^{-iz}, z = 2 k2 a,
@@ -266,7 +273,7 @@ class EckartReduction:
         (see transmission_amplitude)."""
         e = self.v_minus + k * k / p2
         k_m = k
-        k_p = k if self.v_plus == self.v_minus else np.sqrt(p2 * (e - self.v_plus))
+        k_p = _level_wavenumber(k, e, self.v_minus, self.v_plus, p2)
         kbar = 0.5 * (k_m + k_p)
         a = self.a
         s = _csqrt(0.25 - p2 * self.v0 * a * a)
@@ -754,7 +761,7 @@ def length_scale(spec: PotentialSpec) -> float:
     return normal_form(spec).a or 1.0
 
 
-def scattering_limits(spec: PotentialSpec, c: PhysicalConstants = DEFAULT_CONSTANTS):
+def scattering_limits(spec: PotentialSpec):
     """(V at x -> -inf, V at x -> +inf); raises NotAScatteringPotential otherwise."""
     return normal_form(spec).limits
 
@@ -769,7 +776,7 @@ def is_scattering(spec: PotentialSpec) -> bool:
 
 def asymptotic_wavenumbers(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS):
     """k_{-inf} and k_{+inf} at (possibly complex) energy E, principal roots."""
-    v_minus, v_plus = scattering_limits(spec, c)
+    v_minus, v_plus = scattering_limits(spec)
     return (_csqrt(c.p2 * (E - v_minus)), _csqrt(c.p2 * (E - v_plus)))
 
 
@@ -812,8 +819,8 @@ def _first_point(amp: ScatteringAmplitudes) -> ScatteringAmplitudes:
                                 complex(amp.k_minus_inf[0]), complex(amp.k_plus_inf[0]))
 
 
-def _check_regime(spec, e, c):
-    v_minus, v_plus = scattering_limits(spec, c)
+def _check_regime(spec, e):
+    v_minus, v_plus = scattering_limits(spec)
     if not (e > v_minus and e > v_plus):
         raise RegimeError(
             f"E = {e} is not above both asymptotic limits ({v_minus}, {v_plus})"
@@ -824,7 +831,7 @@ def _check_regime(spec, e, c):
 def transmission_probability(spec: PotentialSpec, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Closed-form T(E) for real E above both asymptotic limits."""
     e = float(E)
-    _check_regime(spec, e, c)
+    _check_regime(spec, e)
     return normal_form(spec).probability(e, c.p2)
 
 
@@ -835,7 +842,7 @@ def transmission_probability(spec: PotentialSpec, E: float, c: PhysicalConstants
 def step_bound(spec: PotentialSpec, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """T_step = 4 k1 k3 / (k1 + k3)^2, the step-barrier transmission bound."""
     e = float(E)
-    v_minus, v_plus = _check_regime(spec, e, c)
+    v_minus, v_plus = _check_regime(spec, e)
     k1 = math.sqrt(c.p2 * (e - v_minus))
     k3 = math.sqrt(c.p2 * (e - v_plus))
     return 4.0 * k1 * k3 / (k1 + k3) ** 2

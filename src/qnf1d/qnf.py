@@ -49,6 +49,10 @@ __all__ = [
 
 TRIVIAL_ZERO_TOL = 1e-8
 CLASSIFY_TOL = 1e-10
+# fit_offset_gap verdicts: the linear model is clean below this relative
+# residual, and ln n must shrink the residual by this factor to count
+CLEAN_FIT_TOL = 1e-8
+LOG_FIT_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -56,21 +60,17 @@ class QnfResult:
     """One quasi-normal wavenumber with provenance and diagnostics.
 
     ``classification`` is damped_mode / bound_state / complex_qnf /
-    trivial_zero, plus ``cancelled`` for formula-tower members of the smooth
-    potentials whose numerator gamma pole is annihilated by a denominator
-    gamma pole (at reflectionless couplings the amplitude has no pole there;
-    ``pole_order`` records the net multiplicity, <= 0 when cancelled).
+    trivial_zero (see ``classify``).
     """
 
     k: complex
     method: str  # closed_form | transcendental | perturbative | asymptotic | oracle
     residual: float
-    classification: str  # damped_mode | bound_state | complex_qnf | trivial_zero | cancelled
+    classification: str  # damped_mode | bound_state | complex_qnf | trivial_zero
     branch: int | None = None
     sign_choice: str = "none"  # plus | minus | none
     k_minus: complex | None = None  # incidence-side wavenumber when asymmetric
     aux: complex | None = None  # inner wavenumber q (barriers) when relevant
-    pole_order: int = 1
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,9 @@ def has_closed_form(spec) -> bool:
     return form.flat and (left == right or left * right == 0)
 
 
-def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS,
-                     include_trivial: bool = False) -> list[QnfResult]:
-    """All closed-form QNFs over the requested tower indices.
+def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) -> list[QnfResult]:
+    """All closed-form QNFs over the requested tower indices, without the
+    trivial zero k = 0.
 
     A single delta coupling has a single pure-imaginary pole; two equal
     couplings (DoubleDelta) carry the Lambert-W tower (both signs per branch,
@@ -237,7 +237,7 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS,
                 if any(abs(k - r.k) < 1e-9 / a for r in out):
                     continue
                 r = _result(spec, k, "closed_form", c, branch=n, sign_choice=label)
-                if r.classification == "trivial_zero" and not include_trivial:
+                if r.classification == "trivial_zero":
                     continue
                 out.append(r)
         return out
@@ -266,7 +266,7 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS,
             km = 1j * (-0.5 * p2 * dv * a / d + d / (2.0 * a))
             r = _result(spec, kp, "closed_form", c, branch=n,
                         sign_choice=label, k_minus=km)
-            if r.classification == "trivial_zero" and not include_trivial:
+            if r.classification == "trivial_zero":
                 continue
             out.append(r)
     return out
@@ -277,19 +277,12 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS,
 # ---------------------------------------------------------------------------
 
 def _scan_brackets(f, xs):
-    """Sign-change brackets of f over the grid xs, skipping non-finite values."""
-    vals = []
-    for x in xs:
-        try:
-            v = f(x)
-        except (OverflowError, ValueError):
-            v = math.nan
-        vals.append(v)
-    out = []
-    for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        if math.isfinite(v0) and math.isfinite(v1) and v0 * v1 < 0:
-            out.append((x0, x1))
-    return out
+    """Sign-change brackets of f over the grid array xs, with one call of f
+    on the whole grid; non-finite values bracket nothing."""
+    with np.errstate(all="ignore"):
+        vals = f(xs)
+        change = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (vals[:-1] * vals[1:] < 0)
+    return list(zip(xs[:-1][change], xs[1:][change]))
 
 
 def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
@@ -301,7 +294,7 @@ def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
         # damped modes: |q| a = k0 a cosh(|q| a), zero/one/two roots
         k0 = math.sqrt(p2 * v0)
         ca = k0 * a
-        f = lambda u: ca * math.cosh(u) - u
+        f = lambda u: ca * np.cosh(u) - u
         us = np.linspace(1e-9, 50.0, 4001)
         for lo, hi in _scan_brackets(f, us):
             u = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
@@ -314,8 +307,8 @@ def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
         def cond(q, even, sign):
             # even: k = -i q tan(q a), odd: k = +i q cot(q a), each combined
             # with k = i y, y = sign sqrt(|k0|^2 - q^2) from k^2 = q^2 - |k0|^2
-            y = sign * math.sqrt(max(k0m * k0m - q * q, 0.0))
-            return y + q * math.tan(q * a) if even else y - q / math.tan(q * a)
+            y = sign * np.sqrt(np.maximum(k0m * k0m - q * q, 0.0))
+            return y + q * np.tan(q * a) if even else y - q / np.tan(q * a)
 
         qs = np.linspace(1e-9, k0m * (1 - 1e-12), 4001)
         seen = []
@@ -344,12 +337,12 @@ def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
     # pole condition on the imaginary axis k = i y:
     # (y - kp)(y - km) = kp km exp(+4 y a)   [sign fixed by the amplitude]
     def f(y):
-        return (y - kp) * (y - km) - kp * km * math.exp(4.0 * y * a)
+        return (y - kp) * (y - km) - kp * km * np.exp(4.0 * y * a)
 
     ymax = max(50.0 / a, 4.0 * (abs(kp) + abs(km)))
     ys = np.concatenate([np.linspace(-ymax, -1e-7, 2001), np.linspace(1e-7, ymax, 2001)])
     out = []
-    for lo, hi in _scan_brackets(f, list(ys)):
+    for lo, hi in _scan_brackets(f, ys):
         y = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
         k = 1j * y
         if abs(k) < TRIVIAL_ZERO_TOL / a:
@@ -529,13 +522,13 @@ def qnf_energy(k, c: PhysicalConstants = DEFAULT_CONSTANTS, v_offset: float = 0.
     return v_offset + c.h2_2m * k * k
 
 
-def fit_offset_gap(tower: list[QnfResult], model: str = "linear",
-                   clean_tol: float = 1e-8, log_factor: float = 10.0) -> AsymptoticFit:
+def fit_offset_gap(tower: list[QnfResult], model: str = "linear") -> AsymptoticFit:
     """Fit k(n) = offset + n*gap (+ c ln n) over >= 5 consecutive tower entries.
 
     The verdict is clean_offset_gap when the linear model already fits to
-    clean_tol, logarithmic_subleading when it does not but adding the c*ln n
-    term shrinks the maximum residual by at least log_factor, and
+    CLEAN_FIT_TOL relative to max(1, max |k|), logarithmic_subleading when it
+    does not but adding the c*ln n term beats rational 1/n, 1/n^2 terms and
+    shrinks the maximum residual by more than LOG_FIT_FACTOR, and
     inconclusive otherwise.
     """
     if model not in ("linear", "linear_plus_log"):
@@ -565,10 +558,10 @@ def fit_offset_gap(tower: list[QnfResult], model: str = "linear",
     # call the tower logarithmic when ln n genuinely beats them
     _, res_inv = _fit(1.0 / narr, 1.0 / narr**2)
     scale = max(1.0, float(np.max(np.abs(karr))))
-    if float(res_lin.max()) < clean_tol * scale:
+    if float(res_lin.max()) < CLEAN_FIT_TOL * scale:
         verdict = "clean_offset_gap"
     elif (float(res_log.max()) < float(res_inv.max())
-          and float(res_lin.max()) > log_factor * float(res_log.max())):
+          and float(res_lin.max()) > LOG_FIT_FACTOR * float(res_log.max())):
         verdict = "logarithmic_subleading"
     else:
         verdict = "inconclusive"

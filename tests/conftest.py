@@ -9,10 +9,10 @@ def units():
     return PhysicalConstants()
 
 
-def energy_grid(spec, constants, points=50, span=5.0, start=0.05):
+def energy_grid(spec, points=50, span=5.0, start=0.05):
     """Real energies strictly above both asymptotic limits."""
     from qnf1d import scattering_limits
 
-    v_minus, v_plus = scattering_limits(spec, constants)
+    v_minus, v_plus = scattering_limits(spec)
     base = max(v_minus, v_plus)
     return np.linspace(base + start, base + span, points)

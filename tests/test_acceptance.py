@@ -216,7 +216,7 @@ def test_criterion_07_amplitude_probability_consistency():
     ]
     worst = 0.0
     for spec in nine:
-        v_minus, v_plus = scattering_limits(spec, C)
+        v_minus, v_plus = scattering_limits(spec)
         base = max(v_minus, v_plus)
         for e in np.linspace(base + 0.05, base + 5.0, 50):
             e = float(e)
@@ -347,7 +347,7 @@ def test_criterion_11_oracle_convergence_certificate():
     # smooth potentials: domain doubling + step halving moves t < 1e-8
     worst_smooth = 0.0
     for spec in (Tanh(0.0, 2.0, 1.0), Sech2(-1.0, 1.0), Eckart(0.0, 2.0, -1.0, 1.0)):
-        v_minus, v_plus = scattering_limits(spec, C)
+        v_minus, v_plus = scattering_limits(spec)
         base = max(v_minus, v_plus)
         for e in np.linspace(base + 0.25, base + 4.0, 6):
             k = math.sqrt(C.p2 * (float(e) - v_minus))

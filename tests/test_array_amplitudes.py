@@ -239,7 +239,7 @@ def test_ode_contract_guard_row():
 def test_morse_feshbach_array_matches_closed_form():
     # the shifted reduction: the shift enters as a phase per point
     spec = MorseFeshbach(0.8, 0.7, 1.1)
-    v_minus, v_plus = scattering_limits(spec, C)
+    v_minus, v_plus = scattering_limits(spec)
     k = np.sqrt(C.p2 * (max(v_minus, v_plus) + np.linspace(0.2, 6.0, 25) - v_minus))
     t = numeric_amplitude(spec, k, C).t
     ta = transmission_amplitude(spec, k, C).t

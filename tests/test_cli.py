@@ -1,12 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from qnf1d import Eckart, Hua, PhysicalConstants, Tietz
-from qnf1d.cli import main
+from qnf1d.cli import _build_parser, _spec_from_args, main
 from qnf1d.errors import DomainError
-from qnf1d.serialize import dict_to_spec, dumps, loads, spec_to_dict
+from qnf1d.serialize import TYPE_NAMES, dict_to_spec, dumps, loads, spec_to_dict
 
 
 class TestSerialization:
@@ -190,6 +191,27 @@ class TestCommands:
         assert code == 0
         assert "FAIL" not in out
         assert "QNF/pole bijection" in out
+
+    @pytest.mark.parametrize("name", sorted(TYPE_NAMES))
+    def test_type_flags_build_the_spec(self, name):
+        # every parameter of every catalog type has a flag, and --type plus
+        # the flags gives the spec the schema gives
+        fields = [f.name for f in dataclasses.fields(TYPE_NAMES[name])]
+        doc = {"type": name}
+        argv = ["eval", "--type", name.replace("_", "-")]
+        for i, field in enumerate(fields):
+            value = "cosh" if field == "kind" else 0.5 + 0.25 * i
+            doc[field] = value
+            argv += ["--" + field.replace("_", "-"), str(value)]
+        spec, constants = _spec_from_args(_build_parser().parse_args(argv))
+        assert spec == dict_to_spec(doc)
+        assert constants == PhysicalConstants()
+
+    def test_search_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["qnf", "--type", "delta", "--alpha", "1", "--search", "region"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --search" in capsys.readouterr().err
 
     def test_verify_failure_exits_two(self, capsys):
         # a grid far too coarse to seed the pole refinement: the bijection

@@ -29,7 +29,7 @@ from qnf1d import (
     transmission_amplitude,
 )
 from qnf1d.errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
-from qnf1d.oracle import _inv_t, transfer_matrix_det_error
+from qnf1d.oracle import _NEWTON_MAX_ITER, _inv_t, transfer_matrix_det_error
 from qnf1d.potentials import length_scale
 
 C = PhysicalConstants()
@@ -138,10 +138,10 @@ class TestTransferMatrix:
 
     def test_reflection_unitarity_real_k(self):
         for spec in PIECEWISE:
-            v_minus, v_plus = scattering_limits(spec, C)
+            v_minus, v_plus = scattering_limits(spec)
             if v_minus != v_plus:
                 continue
-            for e in energy_grid(spec, C, points=10):
+            for e in energy_grid(spec, points=10):
                 k = math.sqrt(C.p2 * float(e))
                 amp = numeric_amplitude(spec, k, C)
                 assert abs(amp.t) ** 2 + abs(amp.r) ** 2 == pytest.approx(1.0, abs=1e-12)
@@ -150,8 +150,8 @@ class TestTransferMatrix:
 class TestOdeEngine:
     @pytest.mark.parametrize("spec", SMOOTH, ids=lambda s: type(s).__name__)
     def test_matches_closed_forms_on_real_axis(self, spec):
-        v_minus, _ = scattering_limits(spec, C)
-        for e in energy_grid(spec, C, points=12, span=6.0, start=0.3):
+        v_minus, _ = scattering_limits(spec)
+        for e in energy_grid(spec, points=12, span=6.0, start=0.3):
             k = math.sqrt(C.p2 * (float(e) - v_minus))
             ta = transmission_amplitude(spec, k, C).t
             tn = numeric_amplitude(spec, k, C).t
@@ -160,9 +160,9 @@ class TestOdeEngine:
     @pytest.mark.parametrize("spec", SMOOTH, ids=lambda s: type(s).__name__)
     def test_convergence_certificate(self, spec):
         # doubling the domain and tightening the integrator leaves t unchanged
-        v_minus, _ = scattering_limits(spec, C)
+        v_minus, _ = scattering_limits(spec)
         a = spec.a
-        for e in energy_grid(spec, C, points=5, span=4.0, start=0.25):
+        for e in energy_grid(spec, points=5, span=4.0, start=0.25):
             k = math.sqrt(C.p2 * (float(e) - v_minus))
             t1 = numeric_amplitude(spec, k, C, L=10.0 * a).t
             t2 = numeric_amplitude(spec, k, C, L=20.0 * a, rtol=1e-13).t
@@ -170,7 +170,7 @@ class TestOdeEngine:
 
     def test_reflection_unitarity(self):
         spec = Sech2(1.5, 0.9)
-        for e in energy_grid(spec, C, points=8):
+        for e in energy_grid(spec, points=8):
             k = math.sqrt(C.p2 * float(e))
             amp = numeric_amplitude(spec, k, C)
             assert abs(amp.t) ** 2 + abs(amp.r) ** 2 == pytest.approx(1.0, abs=1e-10)
@@ -281,10 +281,9 @@ class TestArrayGrid:
         nre = round((region.re_max - region.re_min) * region.grid_density)
         nim = round((region.im_max - region.im_min) * region.grid_density)
         assert calls[0].size == nre * nim
-        # the plain pass and the on-axis retry: at most max_iter + 1 Newton
-        # calls and one acceptance check each, however many seeds there are
-        max_iter = 60
-        assert len(calls) <= 1 + 2 * (max_iter + 2)
+        # the plain pass and the on-axis retry: at most _NEWTON_MAX_ITER + 1
+        # Newton calls and one acceptance check each, however many seeds there are
+        assert len(calls) <= 1 + 2 * (_NEWTON_MAX_ITER + 2)
 
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])

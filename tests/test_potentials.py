@@ -125,8 +125,8 @@ class TestAmplitudes:
 
     @pytest.mark.parametrize("spec", NINE_SCATTERING, ids=lambda s: type(s).__name__)
     def test_probability_is_squared_amplitude(self, spec):
-        v_minus, _ = scattering_limits(spec, C)
-        for e in energy_grid(spec, C, points=50):
+        v_minus, _ = scattering_limits(spec)
+        for e in energy_grid(spec, points=50):
             e = float(e)
             T = transmission_probability(spec, e, C)
             k = math.sqrt(C.p2 * (e - v_minus))
@@ -135,7 +135,7 @@ class TestAmplitudes:
 
     @pytest.mark.parametrize("spec", NINE_SCATTERING, ids=lambda s: type(s).__name__)
     def test_probability_bounds(self, spec):
-        for e in energy_grid(spec, C, points=50):
+        for e in energy_grid(spec, points=50):
             T = transmission_probability(spec, float(e), C)
             assert -1e-12 <= T <= 1.0 + 1e-12
 
@@ -147,7 +147,7 @@ class TestAmplitudes:
         # the compact form against the expanded cos(4ka)/sin(4ka) display
         spec = AsymDoubleDelta(0.6, 1.1, 0.8)
         kp, km = 0.6, 1.1
-        for e in energy_grid(spec, C, points=25):
+        for e in energy_grid(spec, points=25):
             e = float(e)
             k = math.sqrt(C.p2 * e)
             t1 = transmission_probability(spec, e, C)
@@ -223,7 +223,7 @@ class TestLimits:
 class TestStepBound:
     def test_barrier_configuration_bound(self):
         spec = AsymRectBarrier(0.2, 2.0, -0.3, 0.6)
-        for e in energy_grid(spec, C, points=60):
+        for e in energy_grid(spec, points=60):
             e = float(e)
             assert transmission_probability(spec, e, C) <= step_bound(spec, e, C) + 1e-12
 

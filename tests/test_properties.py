@@ -1,0 +1,124 @@
+"""Invariants over random specs, from the closed forms and the transfer
+matrix (no ODE): T = |t|^2, flux conservation, the reflection symmetry
+t(-k*) = t(k)* and the canonicalize round trip.
+
+Specs and wavenumbers come from the strategies of test_array_amplitudes, in
+units of the length a."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qnf1d import (
+    Eckart,
+    PhysicalConstants,
+    canonicalize,
+    evaluate,
+    numeric_amplitude,
+    scattering_limits,
+    transmission_amplitude,
+    transmission_probability,
+)
+from qnf1d.potentials import length_scale, normal_form
+from test_array_amplitudes import piecewise_specs, scaled_wavenumbers, smooth_specs
+
+C = PhysicalConstants()
+
+specs = piecewise_specs() | smooth_specs()
+symmetric_specs = specs.filter(lambda s: len(set(scattering_limits(s))) == 1)
+asymmetric_specs = specs.filter(lambda s: len(set(scattering_limits(s))) == 2)
+# energies above both limits, E - max(V-, V+) in units of 1/a^2
+scaled_energies = st.lists(st.floats(0.05, 5.0), min_size=1, max_size=12)
+
+
+def energies_and_wavenumbers(spec, scaled):
+    """Real energies above both limits and their incidence-side k."""
+    v_minus, v_plus = scattering_limits(spec)
+    e = max(v_minus, v_plus) + np.array(scaled) / length_scale(spec) ** 2
+    return e, np.sqrt(C.p2 * (e - v_minus))
+
+
+def conjugation_error(spec, k):
+    """max |t(-k*) - t(k)*| / |t(k)| over the k where 1e-6 < |t| < 1e6."""
+    with np.errstate(all="ignore"):
+        t = transmission_amplitude(spec, k, C).t
+        t_mirror = transmission_amplitude(spec, -k.conj(), C).t
+    keep = (1e-6 < np.abs(t)) & (np.abs(t) < 1e6)
+    return float(np.max(np.abs(t_mirror[keep] - t[keep].conj()) / np.abs(t[keep]), initial=0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs, scaled=scaled_energies)
+def test_probability_is_amplitude_squared(spec, scaled):
+    # measured <= 2e-14 over 3000 examples
+    e, k = energies_and_wavenumbers(spec, scaled)
+    T = np.array([transmission_probability(spec, x, C) for x in e])
+    t = transmission_amplitude(spec, k, C).t
+    assert np.max(np.abs(T - np.abs(t) ** 2)) <= 1e-10, (e, T, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=piecewise_specs(), scaled=scaled_energies)
+def test_transfer_matrix_conserves_flux(spec, scaled):
+    # t and r of the transfer engine are flux-normalized; measured <= 3e-15
+    _e, k = energies_and_wavenumbers(spec, scaled)
+    amp = numeric_amplitude(spec, k, C)
+    assert np.max(np.abs(np.abs(amp.r) ** 2 + np.abs(amp.t) ** 2 - 1.0)) <= 1e-12, (k, amp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=symmetric_specs, ks=scaled_wavenumbers)
+def test_reflection_symmetry_of_symmetric_asymptotes(spec, ks):
+    # a real potential gives t(-k*) = t(k)* over the whole k plane when both
+    # channels use k itself; measured <= 1.5e-15 over 3000 examples
+    k = np.array(ks, dtype=complex) / length_scale(spec)
+    assert conjugation_error(spec, k) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "with V- != V+ the transmitted wavenumber is the principal root "
+    "sqrt(k^2 - p2 (V+ - V-)), so -k* keeps the sign of k+ where the "
+    "mirrored pole needs -k+*; uniformizing the two-channel k plane "
+    "(ROADMAP item 5) removes this branch choice"))
+@settings(max_examples=20, deadline=None, report_multiple_bugs=False)
+@given(spec=asymmetric_specs, scaled=scaled_energies)
+def test_reflection_symmetry_of_asymmetric_asymptotes(spec, scaled):
+    # on the real axis above both limits; every drawn spec breaks it today
+    # (relative error >= 0.1 over 3000 examples)
+    _e, k = energies_and_wavenumbers(spec, scaled)
+    assert conjugation_error(spec, k) <= 1e-12
+
+
+def canonical_round_trip_error(spec):
+    """max |V(x) - V_canonical(x)| over |x| <= 6a, relative to the largest
+    level of the Eckart reduction."""
+    red = normal_form(spec)
+    x = np.linspace(-6.0, 6.0, 121) * red.a
+    diff = np.abs(evaluate(spec, x) - canonicalize(spec).evaluate(x))
+    return float(np.max(diff)) / max(abs(red.v_minus), abs(red.v_plus), abs(red.v0))
+
+
+def near_degenerate(red):
+    """V0 within 1e-3 |V0| of (V- - V+)/4, where the square in the canonical
+    form loses its u^2 term and the canonical coefficients cancel."""
+    return abs(4.0 * red.v0 - (red.v_minus - red.v_plus)) < 4e-3 * abs(red.v0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=smooth_specs().filter(lambda s: normal_form(s).v0 != 0.0
+                                  and not near_degenerate(normal_form(s))))
+def test_canonicalize_round_trip(spec):
+    # the pure tanh (V0 = 0) has no squared-Moebius form; the near-degenerate
+    # members are the known failure below.  Measured <= 1e-11 over 23000
+    # examples
+    assert canonical_round_trip_error(spec) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "at V0 = (V- - V+)/4 the perfect square's u^2 coefficient is an "
+    "O(eps) remainder of a cancellation instead of 0, so canonicalize takes "
+    "the F1 = 1 branch with overall ~ 1e-16 and returns a constant"))
+@pytest.mark.parametrize("spec", [Eckart(0.7, 0.0, 0.175, 1.0), Eckart(0.9, 0.1, 0.2, 1.0)],
+                         ids=str)
+def test_canonicalize_round_trip_near_degenerate(spec):
+    assert canonical_round_trip_error(spec) <= 1e-9

@@ -28,7 +28,7 @@ from qnf1d import (
     transmission_amplitude,
 )
 from qnf1d.errors import DomainError, UnsupportedPotentialError
-from qnf1d.qnf import rect_barrier_k_series, rect_barrier_q_series
+from qnf1d.qnf import _scan_brackets, rect_barrier_k_series, rect_barrier_q_series
 
 C = PhysicalConstants()
 
@@ -179,6 +179,21 @@ class TestTranscendental:
         assert len(found) == len(closed)
         for r in found:
             assert min(abs(r.k - q) for q in closed) < 1e-8
+
+    def test_bracket_scan_matches_scalar_loop(self):
+        # the grid is one array call; the reference loops over the grid with
+        # the math-library function, and an overflow brackets nothing
+        xs = np.linspace(-20.0, 800.0, 4001)
+        vals = []
+        for x in xs:
+            try:
+                vals.append(math.tan(x) * math.exp(x) - 1.0)
+            except OverflowError:
+                vals.append(math.nan)
+        ref = [(x0, x1) for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:])
+               if math.isfinite(v0) and math.isfinite(v1) and v0 * v1 < 0]
+        assert len(ref) > 100
+        assert _scan_brackets(lambda x: np.tan(x) * np.exp(x) - 1.0, xs) == ref
 
     def test_bad_descriptor(self):
         with pytest.raises(DomainError):
