@@ -480,7 +480,7 @@ def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
     if _delta_pair(form) and form.alpha_left == form.alpha_right:
         k0, a = _delta_k0s(form, c)[0], form.a
         sgn = 1.0 if sign == "plus" else -1.0
-        wc = lambert_w_comtet(n, sgn * 2.0 * k0 * a * math.exp(2.0 * k0 * a), terms=2)
+        wc = lambert_w_comtet(n, sgn * 2.0 * k0 * a * math.exp(2.0 * k0 * a))
         k = 1j * (k0 - wc / (2.0 * a))
         return _result(spec, k, "asymptotic", c, branch=n, sign_choice=sign)
     if _symmetric_barrier(form):

@@ -317,6 +317,17 @@ class TestArrayGrid:
         assert len(rep.rejected) + sum(mult for _, _, mult in rep.poles) == seeds
 
 
+    @pytest.mark.parametrize("spec", [Sech2(-1.0, 1.0), RectBarrier(1.0, 1.0)],
+                             ids=lambda s: repr(s))
+    def test_transmitted_variable_is_k_at_equal_asymptotes(self, spec):
+        # with V- == V+ the two channel wavenumbers are the same k, on both
+        # half planes (sqrt(k^2) would flip k with Re k < 0)
+        k = np.array([-1.3 + 0.4j, -0.7 - 0.2j, 0.9 + 0.6j])
+        inc = _inv_t(spec, k, C, transmission_amplitude, "incident")
+        tra = _inv_t(spec, k, C, transmission_amplitude, "transmitted")
+        assert np.array_equal(inc, tra)
+
+
 class TestOverflowGuard:
     def test_transfer_matrix_guard(self):
         with pytest.raises(OverflowGuardError):

@@ -290,12 +290,19 @@ class TestPerturbative:
 
 class TestAsymptotic:
     def test_double_delta_improves_with_branch(self):
+        self.check_double_delta_tower("plus")
+
+    def test_double_delta_minus_tower_improves_with_branch(self):
+        self.check_double_delta_tower("minus")
+
+    @staticmethod
+    def check_double_delta_tower(sign):
         spec = DoubleDelta(0.5, 1.0)
         errs = {}
         for n in (3, 6):
-            approx = asymptotic_qnfs(spec, n, C, sign="plus")
+            approx = asymptotic_qnfs(spec, n, C, sign=sign)
             exact = next(r.k for r in closed_form_qnfs(spec, (n, n), C)
-                         if r.sign_choice == "plus")
+                         if r.sign_choice == sign)
             errs[n] = abs(approx.k - exact) / abs(exact)
         assert errs[6] < errs[3]
 
@@ -316,9 +323,16 @@ class TestAsymptotic:
         assert abs(approx.k - exact) / abs(exact) < 0.02
 
     def test_sech2_offset(self):
-        approx = asymptotic_qnfs(Sech2(-1.0, 1.0), 7, C, sign="plus")
+        self.check_sech2_tower("plus")
+
+    def test_sech2_minus_tower_offset(self):
+        self.check_sech2_tower("minus")
+
+    @staticmethod
+    def check_sech2_tower(sign):
+        approx = asymptotic_qnfs(Sech2(-1.0, 1.0), 7, C, sign=sign)
         exact = next(r.k for r in closed_form_qnfs(Sech2(-1.0, 1.0), (7, 7), C)
-                     if r.sign_choice == "plus")
+                     if r.sign_choice == sign)
         assert abs(approx.k - exact) < 1e-12  # affine tower: exact at all n
 
 
