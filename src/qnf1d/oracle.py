@@ -29,7 +29,6 @@ from .potentials import (
     evaluate,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
     length_scale,
     normal_form,
-    scattering_limits,
 )
 
 __all__ = [
@@ -66,10 +65,11 @@ class SearchRegion:
     grid_density: float = 8.0
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise DomainError("empty search region")
-        if self.grid_density <= 0:
-            raise DomainError("grid_density must be positive")
+        inf = math.inf
+        if not (-inf < self.re_min < self.re_max < inf and -inf < self.im_min < self.im_max < inf):
+            raise DomainError("search region must be a finite, non-empty rectangle")
+        if not 0 < self.grid_density < inf:
+            raise DomainError("grid_density must be positive and finite")
 
 
 @dataclass
@@ -342,16 +342,14 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
 # Pole search
 # ---------------------------------------------------------------------------
 
-def _inv_t(spec, k, c, amplitude, variable):
-    """1/t over an array of k with one amplitude call: 0 at a pole, inf at
-    k = 0, nan where t is not representable."""
+def _inv_t(spec, k, c, amplitude):
+    """1/t over an array of k in the reported plane (the normal form's
+    ``qnf_level``) with one amplitude call: 0 at a pole, inf at k = 0, nan
+    where t is not representable."""
+    form = normal_form(spec)
+    level = form.qnf_level
     with np.errstate(all="ignore"):
-        if variable == "transmitted":
-            # parametrize by the transmitted-side wavenumber instead
-            v_minus, v_plus = scattering_limits(spec)
-            k_in = _level_wavenumber(k, v_plus + k * k / c.p2, v_plus, v_minus, c.p2)
-        else:
-            k_in = k
+        k_in = _level_wavenumber(k, level + k * k / c.p2, level, form.limits[0], c.p2)
         t = amplitude(spec, k_in, c).t
         inv = np.where(t == 0, complex("inf"), np.where(np.isinf(np.abs(t)), 0j, 1.0 / t))
     return np.where(k_in == 0, complex("inf"), inv)
@@ -457,10 +455,10 @@ def _refine(f, guesses, near_axis, inside):
             for guess, z, r, reason in zip(guesses.tolist(), k.tolist(), res.tolist(), reasons)]
 
 
-def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
-                amplitude=None, variable="incident"):
+def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude=None):
     """Newton-polish a pole of t from ``guess``; returns (k, residual |1/t|).
 
+    k is a wavenumber of the normal form's ``qnf_level``, as QNFs are reported.
     Raises DomainError when the iteration escapes the basin
     |k - guess| <= (1 + |guess|) / 2, or its result fails the acceptance
     rule shared with find_poles (residual, trivial zero, flat 1/t).
@@ -469,7 +467,7 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS,
     if amplitude is None:
         amplitude = numeric_amplitude
     guess = complex(guess)
-    f = lambda k: _inv_t(spec, k, c, amplitude, variable)
+    f = lambda k: _inv_t(spec, k, c, amplitude)
     radius = 0.5 * (1.0 + abs(guess))
     near_axis = abs(guess.real) < 1e-6 * max(1.0, abs(guess))
     [(k, res, reason)] = _refine(f, np.array([guess]), [near_axis],
@@ -506,7 +504,7 @@ def _winding_count(f, region):
 
 
 def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTANTS,
-               amplitude=None, variable="incident", count_zeros=False) -> PoleReport:
+               amplitude=None, count_zeros=False) -> PoleReport:
     """Grid-scan g(k) = 1/t over the region, refine local minima of |g|.
 
     ``amplitude`` defaults to the numeric engine; pass
@@ -514,14 +512,13 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     forms instead (useful for towers beyond the ODE engine's reach).  It
     must accept an ndarray k: the grid, each Newton iteration over all seeds
     and the ``count_zeros`` boundary are one call each.
-    ``variable`` chooses the k-plane: incidence side (default) or the
-    transmitted side for asymmetric-asymptote potentials.
+    The region lies in the plane QNFs are reported in (``qnf_level``).
     """
     if amplitude is None:
         amplitude = numeric_amplitude
     dedup_radius = 1e-6 / length_scale(spec)
 
-    f = lambda k: _inv_t(spec, k, c, amplitude, variable)
+    f = lambda k: _inv_t(spec, k, c, amplitude)
     nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
     nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
     res = np.linspace(region.re_min, region.re_max, nre)

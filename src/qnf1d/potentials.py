@@ -192,6 +192,11 @@ class Interfaces:
         return (self.v1, self.v3)
 
     @property
+    def qnf_level(self) -> float:
+        """The asymptote whose wavenumber a reported QNF k is (incidence)."""
+        return self.v1
+
+    @property
     def flat(self) -> bool:
         """True when only the delta couplings scatter (no steps)."""
         return self.v1 == self.v2 == self.v3
@@ -261,6 +266,15 @@ class EckartReduction:
     def limits(self):
         return (self.v_minus, self.v_plus)
 
+    @property
+    def qnf_level(self) -> float:
+        """The asymptote whose wavenumber a reported QNF k is (transmitted)."""
+        return self.v_plus
+
+    def s(self, p2: float) -> complex:
+        """s = sqrt(1/4 - p2 v0 a^2): the sech^2 gamma arguments are 1/2 +- s."""
+        return _csqrt(0.25 - p2 * self.v0 * self.a * self.a)
+
     def evaluate(self, x):
         """V on an array x."""
         u = (x - self.shift) / self.a
@@ -276,7 +290,7 @@ class EckartReduction:
         k_p = _level_wavenumber(k, e, self.v_minus, self.v_plus, p2)
         kbar = 0.5 * (k_m + k_p)
         a = self.a
-        s = _csqrt(0.25 - p2 * self.v0 * a * a)
+        s = self.s(p2)
         # nan at a gamma pole
         log_ratio = log_gamma(1j * kbar * a + 0.5 + s) + log_gamma(1j * kbar * a + 0.5 - s) \
             - log_gamma(1j * k_p * a) - log_gamma(1j * k_m * a)
@@ -294,7 +308,7 @@ class EckartReduction:
         k_p = math.sqrt(p2 * (e - self.v_plus))
         kbar = 0.5 * (k_m + k_p)
         ls = _log_sinh(math.pi * k_m * a) + _log_sinh(math.pi * k_p * a)
-        cos2 = (cmath.cos(cmath.pi * _csqrt(0.25 - p2 * self.v0 * a * a)) ** 2).real
+        cos2 = (cmath.cos(cmath.pi * self.s(p2)) ** 2).real
         log_den = 2.0 * _log_sinh(math.pi * kbar * a)
         log_den += math.log1p(max(cos2, -0.999999999999) * math.exp(-log_den))
         return math.exp(ls - log_den)

@@ -4,9 +4,10 @@ offset + i n (gap) fitting.
 
 QNFs are the complex poles of the transmission amplitude with Im(k) >= 0;
 purely imaginary poles with Im(k) > 0 are damped modes and with Im(k) < 0
-bound states.  For potentials with distinct asymptotes the ``k`` stored in a
-result is the transmitted-side wavenumber (the closed forms are usually
-quoted that way); the incidence-side partner is kept alongside it.
+bound states.  A result's ``k`` is the wavenumber of the normal form's
+``qnf_level`` asymptote, the plane the pole finder searches: the transmitted
+side for the Eckart family (the incidence-side partner is kept as
+``k_minus``), the incidence side for every ``Interfaces`` spec.
 """
 
 from __future__ import annotations
@@ -119,17 +120,16 @@ def _pole_condition(spec, k, c) -> float:
     form = normal_form(spec)
     if isinstance(form, EckartReduction):
         a = form.a
-        kp = k
-        # reconstruct the partner wavenumber; either root may be physical
-        km2 = kp * kp + p2 * (form.v_plus - form.v_minus)
+        # k is k+ (the qnf_level); either root of the partner k- may be physical
+        km2 = k * k + p2 * (form.v_plus - form.v_minus)
         km = cmath.sqrt(km2)
         best = math.inf
         for km_c in (km, -km):
-            zbar = 1j * 0.5 * (kp + km_c) * a
+            zbar = 1j * 0.5 * (k + km_c) * a
             if form.v0 == 0.0:
                 best = min(best, _nearest_gamma_pole_distance(zbar))
             else:
-                s = cmath.sqrt(0.25 - p2 * form.v0 * a * a)
+                s = form.s(p2)
                 for sgn in (1.0, -1.0):
                     best = min(best, _nearest_gamma_pole_distance(zbar + 0.5 + sgn * s))
         return best
@@ -242,32 +242,27 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
                 out.append(r)
         return out
 
-    a, dv = form.a, form.v_plus - form.v_minus
-    out = []
-    if form.v0 == 0.0:  # pure tanh: poles of Gamma(i kbar a)^2 at -n, n > 0
+    # a member sits where i kbar a = -d / 2, kbar = (k+ + k-) / 2, a gamma pole:
+    # d = 2n for the double poles of pure tanh's Gamma(i kbar a)^2 (n > 0),
+    # d = 2n + 1 +- 2s for the sech^2 arguments 1/2 +- s; k+^2 - k-^2 = -p2 dv
+    a, dv, two_s = form.a, form.v_plus - form.v_minus, 2.0 * form.s(p2)
+    if form.v0 == 0.0:
         if any(n <= 0 for n in ns):
             raise DomainError("tanh closed-form tower is defined for n > 0")
-        for n in ns:
-            kp = 1j * (0.25 * p2 * dv * a / n + n / a)
-            km = 1j * (-0.25 * p2 * dv * a / n + n / a)
-            out.append(
-                _result(spec, kp, "closed_form", c, branch=n, k_minus=km)
-            )
-        return out
-    if any(n < 0 for n in ns):
+        members = [(n, "none", 2 * n) for n in ns]
+    elif any(n < 0 for n in ns):
         raise DomainError("sech^2 / Eckart towers are defined for n >= 0")
-    two_s = 2.0 * cmath.sqrt(0.25 - p2 * form.v0 * a * a)
-    for n in ns:
-        for sgn, label in ((1.0, "plus"), (-1.0, "minus")):
-            d = (2 * n + 1) + sgn * two_s
-            if abs(d) < 1e-12:
-                continue  # degenerate member (division by zero in the tower)
-            kp = 1j * (0.5 * p2 * dv * a / d + d / (2.0 * a))
-            km = 1j * (-0.5 * p2 * dv * a / d + d / (2.0 * a))
-            r = _result(spec, kp, "closed_form", c, branch=n,
-                        sign_choice=label, k_minus=km)
-            if r.classification == "trivial_zero":
-                continue
+    else:
+        members = [(n, label, (2 * n + 1) + sgn * two_s)
+                   for n in ns for sgn, label in ((1.0, "plus"), (-1.0, "minus"))]
+    out = []
+    for n, label, d in members:
+        if abs(d) < 1e-12:
+            continue  # degenerate member (division by zero in the tower)
+        kp = 1j * (0.5 * p2 * dv * a / d + d / (2.0 * a))
+        km = 1j * (-0.5 * p2 * dv * a / d + d / (2.0 * a))
+        r = _result(spec, kp, "closed_form", c, branch=n, sign_choice=label, k_minus=km)
+        if r.classification != "trivial_zero":
             out.append(r)
     return out
 
@@ -365,13 +360,9 @@ def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) 
     with k0 a above the merge point).
     """
     if isinstance(search, _oracle.SearchRegion):
+        # find_poles returns its poles sorted by (Im k, Re k)
         rep = _oracle.find_poles(spec, search, c, amplitude=transmission_amplitude)
-        out = [
-            _result(spec, k, "transcendental", c)
-            for k, _res, _m in rep.poles
-        ]
-        out.sort(key=lambda r: (r.k.imag, r.k.real))
-        return out
+        return [_result(spec, k, "transcendental", c) for k, _res, _m in rep.poles]
     if search != "imaginary_axis":
         raise DomainError(f"unknown search descriptor {search!r}")
     form = normal_form(spec)
@@ -501,7 +492,7 @@ def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
         if form.v0 == 0.0:
             k = 1j * n / a
             return _result(spec, k, "asymptotic", c, branch=n)
-        two_s = 2.0 * cmath.sqrt(0.25 - p2 * form.v0 * a * a)
+        two_s = 2.0 * form.s(p2)
         sgn = 1.0 if sign == "plus" else -1.0
         k = 1j * (n / a + (1.0 + sgn * two_s) / (2.0 * a))
         return _result(spec, k, "asymptotic", c, branch=n, sign_choice=sign)

@@ -122,8 +122,8 @@ def test_closed_form_matches_transfer_matrix(spec, ks):
     # the independent engine: 1/t as the pole scan reads it (0 at a pole), to
     # rounding, with the same poles and unrepresentable points
     k = np.array(ks, dtype=complex) / length_scale(spec)
-    inv_cf = _inv_t(spec, k, C, transmission_amplitude, "incident")
-    inv_tm = _inv_t(spec, k, C, numeric_amplitude, "incident")
+    inv_cf = _inv_t(spec, k, C, transmission_amplitude)
+    inv_tm = _inv_t(spec, k, C, numeric_amplitude)
     finite = np.isfinite(inv_cf)
     assert (finite == np.isfinite(inv_tm)).all(), (k, inv_cf, inv_tm)
     inv_cf, inv_tm = inv_cf[finite], inv_tm[finite]
@@ -188,8 +188,7 @@ def test_newton_iteration_is_one_integration(monkeypatch):
         per_call.append((k.size, counter.calls - before))
         return amp
 
-    k, _res = refine_pole(spec, mode.k * (1 + 1e-3), C, amplitude=amplitude,
-                          variable="transmitted")
+    k, _res = refine_pole(spec, mode.k * (1 + 1e-3), C, amplitude=amplitude)
     assert abs(k - mode.k) < 1e-8
     # the first call is the first Newton iteration's triple
     assert per_call[0] == (3, 1)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qnf1d import Eckart, Hua, PhysicalConstants, Tietz
+from qnf1d import Eckart, Hua, PhysicalConstants, Tietz, oracle
 from qnf1d.cli import _build_parser, _spec_from_args, main
 from qnf1d.errors import DomainError
 from qnf1d.serialize import TYPE_NAMES, dict_to_spec, dumps, loads, spec_to_dict
@@ -181,6 +181,38 @@ class TestCommands:
         code = main(["transmission", "--type", "delta", "--alpha", "1",
                      "--e-min", "3", "--e-max", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--type", "double-delta", "--alpha", "1", "--a", "1", "--region=0,inf,0.1,1"],
+        ["verify", "--type", "double-delta", "--alpha", "1", "--a", "1", "--grid-density", "nan"],
+        ["verify", "--type", "double-delta", "--alpha", "1", "--a", "1", "--region=a,b,c,d"],
+        ["qnf", "--type", "sech2", "--V0", "-1", "--a", "1", "--n", "x..3"],
+        ["eval", "--type", "sech2", "--V0", "-1", "--a", "1", "--points", "-1"],
+        ["transmission", "--type", "sech2", "--V0", "-1", "--a", "1", "--points", "-1"],
+    ], ids=["inf-region", "nan-density", "text-region", "text-n", "eval-points", "points"])
+    def test_bad_input_is_an_error_message(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_verify_skip_lines(self, capsys, monkeypatch):
+        # a check that tests no mode says so and why, and is not a failure
+        code, out = run_cli(["verify", "--type", "morse-feshbach", "--V0", "0.8",
+                             "--mu", "0.7", "--L", "1.1"], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        assert "SKIP low-lying QNFs vs ODE poles: no closed-form QNF with |Im k| a <= 2.05" in out
+
+        def reject(spec, guess, c):
+            raise DomainError(f"no certified pole from guess {guess}")
+
+        # every refinement rejected, as for the tanh spec V- = 0, V+ = 2,
+        # a = 1, whose verify takes seconds
+        monkeypatch.setattr(oracle, "refine_pole", reject)
+        code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        assert ("SKIP low-lying QNFs vs ODE poles: 0 of 3 candidate modes certified by the "
+                "oracle; first rejection: no certified pole from guess") in out
 
     def test_verify_pass_and_exit_codes(self, capsys):
         code, out = run_cli(

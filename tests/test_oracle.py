@@ -13,7 +13,9 @@ from qnf1d import (
     Delta,
     DoubleDelta,
     Eckart,
+    Hua,
     Hulthen,
+    MorseFeshbach,
     PhysicalConstants,
     RectBarrier,
     ScatteringAmplitudes,
@@ -21,6 +23,7 @@ from qnf1d import (
     Sech2,
     Step,
     Tanh,
+    Tietz,
     closed_form_qnfs,
     find_poles,
     numeric_amplitude,
@@ -94,7 +97,7 @@ def scalar_grid(spec, region, amplitude):
         for j, x in enumerate(np.linspace(region.re_min, region.re_max, nre)):
             z = complex(x, y)
             if abs(z) >= 1e-6:
-                v = _inv_t(spec, np.array([z]), C, amplitude, "incident")[0]
+                v = _inv_t(spec, np.array([z]), C, amplitude)[0]
                 if v == v:
                     mag[i, j] = abs(v)
     return mag
@@ -169,11 +172,15 @@ class TestOdeEngine:
             assert abs(t1 - t2) / abs(t1) < 1e-8
 
     def test_reflection_unitarity(self):
-        spec = Sech2(1.5, 0.9)
-        for e in energy_grid(spec, points=8):
-            k = math.sqrt(C.p2 * float(e))
-            amp = numeric_amplitude(spec, k, C)
-            assert abs(amp.t) ** 2 + abs(amp.r) ** 2 == pytest.approx(1.0, abs=1e-10)
+        # t carries the flux factor sqrt(k+/k-), so |r|^2 + |t|^2 = 1 above
+        # both limits, for asymmetric asymptotes too; one array call per spec
+        for spec in (Sech2(1.5, 0.9), Eckart(0.0, 2.0, -1.0, 1.0), Tanh(0.0, 2.0, 1.0),
+                     Hua(1.2, -2.0, 1.0), Tietz(1.1, 0.3, 0.9, "cosh"),
+                     MorseFeshbach(0.8, 0.7, 1.1)):
+            v_minus, _ = scattering_limits(spec)
+            amp = numeric_amplitude(spec, np.sqrt(C.p2 * (energy_grid(spec, points=8) - v_minus)), C)
+            flux = np.abs(amp.t) ** 2 + np.abs(amp.r) ** 2
+            assert np.abs(flux - 1.0).max() <= 1e-10, (spec, flux)
 
     def test_non_scattering_rejected(self):
         with pytest.raises(NotAScatteringPotential):
@@ -187,6 +194,22 @@ class TestFindPoles:
         k, res, _mult = rep.poles[0]
         assert abs(k - 2j) < 1e-10
         assert res < 1e-8
+
+    @pytest.mark.parametrize("spec, n_range, expected", [
+        (Tanh(0.0, 0.6, 1.0), (1, 4), [1.3j, 2.15j, 3.1j, 4.075j]),
+        (Eckart(0.0, 2.0, -1.0, 1.0), (0, 4), [2.5j, 10j / 3, 4.25j]),
+    ], ids=["Tanh", "Eckart"])
+    def test_eckart_family_poles_in_the_reported_plane(self, spec, n_range, expected):
+        # the search runs in the plane closed_form_qnfs reports k in, the
+        # transmitted side; the Eckart tower's 2i (k_minus = 0, a threshold)
+        # is no pole of t.  The tanh poles are double, hence the tolerance
+        rep = find_poles(spec, SearchRegion(-3.0, 3.0, 0.05, 4.5, 8.0), C,
+                         amplitude=transmission_amplitude)
+        closed = [r.k for r in closed_form_qnfs(spec, n_range, C)]
+        assert all(min(abs(kc - k) for k in closed) < 1e-12 for kc in expected)
+        assert len(rep.poles) == len(expected)
+        for (k, _res, _mult), kc in zip(rep.poles, expected):
+            assert abs(k - kc) < 1e-6
 
     def test_step_has_no_poles(self):
         rep = find_poles(Step(1.0), SearchRegion(-5.0, 5.0, -3.0, 3.0, 6.0), C)
@@ -222,6 +245,15 @@ class TestFindPoles:
             SearchRegion(1.0, -1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             SearchRegion(-1.0, 1.0, 0.0, 1.0, grid_density=0.0)
+        # non-finite bounds and densities used to reach find_poles' grid
+        # sizing as an OverflowError or ValueError
+        for bounds in ((0.0, math.inf, 0.1, 1.0), (-math.inf, 0.0, 0.1, 1.0),
+                       (-1.0, 1.0, 0.1, math.inf)):
+            with pytest.raises(DomainError):
+                SearchRegion(*bounds)
+        for density in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                SearchRegion(-1.0, 1.0, 0.0, 1.0, grid_density=density)
 
     def test_near_axis_seed_retried_on_axis(self):
         # plain Newton from the seeds next to the imaginary axis runs to the
@@ -320,12 +352,19 @@ class TestArrayGrid:
     @pytest.mark.parametrize("spec", [Sech2(-1.0, 1.0), RectBarrier(1.0, 1.0)],
                              ids=lambda s: repr(s))
     def test_transmitted_variable_is_k_at_equal_asymptotes(self, spec):
-        # with V- == V+ the two channel wavenumbers are the same k, on both
-        # half planes (sqrt(k^2) would flip k with Re k < 0)
+        # with V- == V+ the reported plane is the incidence plane: t is
+        # evaluated at k itself, on both half planes (sqrt(k^2) would flip k
+        # with Re k < 0)
         k = np.array([-1.3 + 0.4j, -0.7 - 0.2j, 0.9 + 0.6j])
-        inc = _inv_t(spec, k, C, transmission_amplitude, "incident")
-        tra = _inv_t(spec, k, C, transmission_amplitude, "transmitted")
-        assert np.array_equal(inc, tra)
+        seen = []
+
+        def amplitude(spec, k_in, c):
+            seen.append(k_in)
+            return transmission_amplitude(spec, k_in, c)
+
+        inv = _inv_t(spec, k, C, amplitude)
+        assert np.array_equal(seen[0], k)
+        assert np.array_equal(inv, 1.0 / transmission_amplitude(spec, k, C).t)
 
 
 class TestOverflowGuard:
@@ -365,7 +404,7 @@ class TestRefinePole:
         # the machine-precision route
         spec = Tanh(0.0, 0.6, 1.0)
         mode = closed_form_qnfs(spec, (2, 2), C)[0]
-        k, res = refine_pole(spec, mode.k * (1.0 + 1e-3), C, variable="transmitted")
+        k, res = refine_pole(spec, mode.k * (1.0 + 1e-3), C)
         assert abs(k - mode.k) < 2e-5
         assert res < 1e-8
 
@@ -373,8 +412,7 @@ class TestRefinePole:
         spec = Tanh(0.0, 0.6, 1.0)
         mode = closed_form_qnfs(spec, (2, 2), C)[0]
         k, res = refine_pole(spec, mode.k * (1.0 + 1e-3), C,
-                             amplitude=transmission_amplitude,
-                             variable="transmitted")
+                             amplitude=transmission_amplitude)
         assert abs(k - mode.k) < 1e-7
         assert res < 1e-8
 
@@ -384,8 +422,7 @@ class TestRefinePole:
         spec = Eckart(0.0, 0.5, -0.4, 1.0)
         mode = closed_form_qnfs(spec, (1, 1), C)[0]
         k, res = refine_pole(spec, mode.k * (1.0 + 1e-3), C,
-                             amplitude=transmission_amplitude,
-                             variable="transmitted")
+                             amplitude=transmission_amplitude)
         assert abs(k - mode.k) < 1e-10
         assert res < 1e-10
 

@@ -76,6 +76,13 @@ class TestClosedForms:
         assert res[0].k == pytest.approx(2j)  # transmitted-side wavenumber
         assert res[0].k_minus == pytest.approx(0j)
 
+    def test_tanh_tower_drops_the_trivial_zero(self):
+        # V- > V+: the n = 1 member has k+ = 0, which is no pole of t; the
+        # tanh tower drops it as the sech^2 / Eckart tower does
+        res = closed_form_qnfs(Tanh(2.0, 0.0, 1.0), (1, 3), C)
+        assert [r.k for r in res] == [pytest.approx(1.5j), pytest.approx(8j / 3)]
+        assert [r.branch for r in res] == [2, 3]
+
     def test_tanh_rejects_nonpositive_indices(self):
         with pytest.raises(DomainError):
             closed_form_qnfs(Tanh(0.0, 2.0, 1.0), (0, 2), C)
