@@ -202,7 +202,9 @@ class TestFindPoles:
     def test_eckart_family_poles_in_the_reported_plane(self, spec, n_range, expected):
         # the search runs in the plane closed_form_qnfs reports k in, the
         # transmitted side; the Eckart tower's 2i (k_minus = 0, a threshold)
-        # is no pole of t.  The tanh poles are double, hence the tolerance
+        # is no pole of t.  All these poles are double (tanh's
+        # Gamma(i kbar a)^2; here s = 3/2 makes 1/2 +- s integers), so 1/t
+        # pins them only to about the root of its residual
         rep = find_poles(spec, SearchRegion(-3.0, 3.0, 0.05, 4.5, 8.0), C,
                          amplitude=transmission_amplitude)
         closed = [r.k for r in closed_form_qnfs(spec, n_range, C)]
