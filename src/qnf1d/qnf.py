@@ -50,6 +50,8 @@ __all__ = [
 
 TRIVIAL_ZERO_TOL = 1e-8
 CLASSIFY_TOL = 1e-10
+# how close i k a must come to a non-positive integer to count as a gamma pole
+GAMMA_POLE_TOL = 1e-9
 # fit_offset_gap verdicts: the linear model is clean below this relative
 # residual, and ln n must shrink the residual by this factor to count
 CLEAN_FIT_TOL = 1e-8
@@ -61,13 +63,14 @@ class QnfResult:
     """One quasi-normal wavenumber with provenance and diagnostics.
 
     ``classification`` is damped_mode / bound_state / complex_qnf /
-    trivial_zero (see ``classify``).
+    trivial_zero (see ``classify``), or cancelled for an Eckart-family
+    tower member that is no pole of t (see ``closed_form_qnfs``).
     """
 
     k: complex
     method: str  # closed_form | transcendental | perturbative | asymptotic | oracle
     residual: float
-    classification: str  # damped_mode | bound_state | complex_qnf | trivial_zero
+    classification: str  # damped_mode | bound_state | complex_qnf | trivial_zero | cancelled
     branch: int | None = None
     sign_choice: str = "none"  # plus | minus | none
     k_minus: complex | None = None  # incidence-side wavenumber when asymmetric
@@ -87,7 +90,10 @@ class AsymptoticFit:
 
 
 def classify(k: complex, length_scale: float = 1.0) -> str:
-    """Physical classification of a pole position at tolerance 1e-10."""
+    """Physical classification of a pole position at tolerance 1e-10.
+
+    Reads k alone, so it never says cancelled: only ``closed_form_qnfs``,
+    which knows the gamma functions behind a tower member, does."""
     k = complex(k)
     if abs(k) < TRIVIAL_ZERO_TOL / length_scale:
         return "trivial_zero"
@@ -100,10 +106,23 @@ def classify(k: complex, length_scale: float = 1.0) -> str:
 # Defining equations (dimensionless residuals)
 # ---------------------------------------------------------------------------
 
-def _nearest_gamma_pole_distance(z: complex) -> float:
-    """Distance from z to the nearest non-positive integer."""
-    n = max(0, round(-z.real))
-    return abs(z + n)
+def _gamma_pole_distance(z):
+    """Distance from each z of an array to the nearest non-positive integer."""
+    return np.abs(z + np.maximum(0.0, np.round(-z.real)))
+
+
+def _eckart_residual(form: EckartReduction, k, p2: float):
+    """pole_condition over an array of k+ (the Eckart-family qnf_level);
+    inf where the gamma arguments are not representable."""
+    with np.errstate(all="ignore"):
+        # either root of the partner k- may be physical
+        km = np.sqrt(k * k + p2 * (form.v_plus - form.v_minus))
+        zbars = [1j * 0.5 * (k + km_c) * form.a for km_c in (km, -km)]
+        if form.v0 != 0.0:
+            s = form.s(p2)
+            zbars = [z + 0.5 + sgn * s for z in zbars for sgn in (1.0, -1.0)]
+        best = np.min([_gamma_pole_distance(z) for z in zbars], axis=0)
+    return np.where(np.isnan(best), np.inf, best)
 
 
 def pole_condition(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -116,23 +135,9 @@ def pole_condition(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
 
 def _pole_condition(spec, k, c) -> float:
     k = complex(k)
-    p2 = c.p2
     form = normal_form(spec)
     if isinstance(form, EckartReduction):
-        a = form.a
-        # k is k+ (the qnf_level); either root of the partner k- may be physical
-        km2 = k * k + p2 * (form.v_plus - form.v_minus)
-        km = cmath.sqrt(km2)
-        best = math.inf
-        for km_c in (km, -km):
-            zbar = 1j * 0.5 * (k + km_c) * a
-            if form.v0 == 0.0:
-                best = min(best, _nearest_gamma_pole_distance(zbar))
-            else:
-                s = form.s(p2)
-                for sgn in (1.0, -1.0):
-                    best = min(best, _nearest_gamma_pole_distance(zbar + 0.5 + sgn * s))
-        return best
+        return float(_eckart_residual(form, np.array([k]), c.p2)[0])
     if form.flat:
         kp, km = _delta_k0s(form, c)
         val = (k - 1j * kp) * (k - 1j * km) + kp * km * cmath.exp(-4j * k * form.a)
@@ -205,6 +210,14 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
     de-duplicated); tanh / sech^2 / Eckart carry gamma-pole towers; Step has
     none.  Barrier potentials have no closed forms and are served by
     transcendental_qnfs.
+
+    A gamma-pole member is classified cancelled when the denominator gammas
+    Gamma(i k+- a) of t have at least as many poles there (i k+- a = -m,
+    m >= 1, to GAMMA_POLE_TOL) as the numerator gammas Gamma(i kbar a + 1/2
+    +- s): t has no pole at it, as at every damped member of a
+    reflectionless sech^2 well.  Such members stay in the list, so the
+    (n, sign) rows do not depend on the coupling.  Members with k- = 0 (a
+    threshold) keep the class ``classify`` gives them.
     """
     ns = _norm_range(n_range)
     if not ns:
@@ -245,26 +258,58 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
     # a member sits where i kbar a = -d / 2, kbar = (k+ + k-) / 2, a gamma pole:
     # d = 2n for the double poles of pure tanh's Gamma(i kbar a)^2 (n > 0),
     # d = 2n + 1 +- 2s for the sech^2 arguments 1/2 +- s; k+^2 - k-^2 = -p2 dv
-    a, dv, two_s = form.a, form.v_plus - form.v_minus, 2.0 * form.s(p2)
+    a, dv, s = form.a, form.v_plus - form.v_minus, form.s(p2)
     if form.v0 == 0.0:
         if any(n <= 0 for n in ns):
             raise DomainError("tanh closed-form tower is defined for n > 0")
-        members = [(n, "none", 2 * n) for n in ns]
+        rows = [(n, "none") for n in ns]
+        d = 2.0 * np.array(ns, dtype=float) + 0j
     elif any(n < 0 for n in ns):
         raise DomainError("sech^2 / Eckart towers are defined for n >= 0")
     else:
-        members = [(n, label, (2 * n + 1) + sgn * two_s)
-                   for n in ns for sgn, label in ((1.0, "plus"), (-1.0, "minus"))]
+        rows = [(n, label) for n in ns for label in ("plus", "minus")]
+        d = np.add.outer(2.0 * np.array(ns, dtype=float) + 1.0,
+                         [sgn * (2.0 * s) for sgn in (1.0, -1.0)]).ravel()
+    keep = np.abs(d) >= 1e-12  # else a degenerate member (d = 0)
+    rows = [row for row, ok in zip(rows, keep) if ok]
+    d = d[keep]
+    # k+- = i (+-p2 dv a / (2 d) + d / (2 a)), bit for bit as Python evaluates
+    # it on one member
+    half = _py_quot(d, 2.0 * a)
+    kp, km = (1j * (_py_quot(num, d) + half)
+              for num in (0.5 * p2 * dv * a, -0.5 * p2 * dv * a))
+    residual = _eckart_residual(form, kp, p2)
+    # no pole of t where the denominator gammas Gamma(i k+- a) have at least
+    # as many poles (i k+- a = -m) as the numerator gammas Gamma(i kbar a +
+    # 1/2 +- s); the thresholds k- = 0 (m = 0) keep their class
+    num_poles = sum(_gamma_pole_distance(0.5 - 0.5 * d + sgn * s) < GAMMA_POLE_TOL
+                    for sgn in (1.0, -1.0))
+    den_poles = sum(_gamma_pole_distance(1j * side * a) < GAMMA_POLE_TOL for side in (kp, km))
+    cancelled = (den_poles >= num_poles) & (np.abs(km) * a >= GAMMA_POLE_TOL)
+    scale = length_scale(spec)
     out = []
-    for n, label, d in members:
-        if abs(d) < 1e-12:
-            continue  # degenerate member (division by zero in the tower)
-        kp = 1j * (0.5 * p2 * dv * a / d + d / (2.0 * a))
-        km = 1j * (-0.5 * p2 * dv * a / d + d / (2.0 * a))
-        r = _result(spec, kp, "closed_form", c, branch=n, sign_choice=label, k_minus=km)
-        if r.classification != "trivial_zero":
-            out.append(r)
+    for (n, label), k, k_m, res, gone in zip(rows, kp.tolist(), km.tolist(),
+                                             residual.tolist(), cancelled.tolist()):
+        kind = classify(k, scale)
+        if kind != "trivial_zero":
+            out.append(QnfResult(k=k, method="closed_form", residual=res,
+                                 classification="cancelled" if gone else kind,
+                                 branch=n, sign_choice=label, k_minus=k_m))
     return out
+
+
+def _py_quot(a, b):
+    """a / b over complex arrays in the steps of CPython's complex division
+    (Smith's algorithm), so the bits match scalar code."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    with np.errstate(all="ignore"):
+        by_re = np.abs(b.real) >= np.abs(b.imag)
+        ratio = np.where(by_re, b.imag / b.real, b.real / b.imag)
+        denom = np.where(by_re, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        q = np.empty(np.broadcast(a, b).shape, dtype=complex)
+        q.real = np.where(by_re, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+        q.imag = np.where(by_re, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return q
 
 
 # ---------------------------------------------------------------------------

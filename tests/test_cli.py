@@ -173,7 +173,11 @@ class TestCommands:
         cfg.write_text("type: sech2\nV0: -1.0\na: 1.0\n", encoding="utf-8")
         code, out = run_cli(["qnf", "--config", str(cfg), "--n", "0..1"], capsys)
         assert code == 0
-        assert "damped_mode" in out
+        # a reflectionless well: its one bound state is a pole of t, and the
+        # denominator gammas cancel the damped members' poles
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert {float(row[4]): row[6] for row in rows} == {
+            -1.0: "bound_state", 2.0: "cancelled", 3.0: "cancelled"}
 
     def test_validation_errors_exit_one(self, capsys):
         code = main(["qnf", "--type", "sech2"])  # missing V0/a
@@ -211,8 +215,26 @@ class TestCommands:
         code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
         assert code == 0
         assert "FAIL" not in out
-        assert ("SKIP low-lying QNFs vs ODE poles: 0 of 3 candidate modes certified by the "
+        assert ("SKIP low-lying QNFs vs ODE poles: 0 of 1 candidate modes certified by the "
                 "oracle; first rejection: no certified pole from guess") in out
+        assert out.rstrip().endswith("(2 cancelled members not refined)")
+
+    def test_verify_refines_no_cancelled_member(self, capsys, monkeypatch):
+        # the README Sech2 lists -1i, 1i and 2i below |Im k| a = 2.05; only
+        # the bound state -1i is a pole of t
+        calls = []
+        refine = oracle.refine_pole
+
+        def counting(spec, guess, c):
+            calls.append(guess)
+            return refine(spec, guess, c)
+
+        monkeypatch.setattr(oracle, "refine_pole", counting)
+        code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        assert "PASS low-lying QNFs vs ODE poles (1 modes): " in out
+        assert "SKIP" not in out
 
     def test_verify_pass_and_exit_codes(self, capsys):
         code, out = run_cli(

@@ -24,10 +24,12 @@ from qnf1d import (
     pole_condition,
     qnf_energy,
     refine_pole,
+    resonances,
     transcendental_qnfs,
     transmission_amplitude,
 )
 from qnf1d.errors import DomainError, UnsupportedPotentialError
+from qnf1d.potentials import normal_form
 from qnf1d.qnf import _scan_brackets, rect_barrier_k_series, rect_barrier_q_series
 
 C = PhysicalConstants()
@@ -102,6 +104,82 @@ class TestClosedForms:
     def test_barriers_are_transcendental_only(self):
         with pytest.raises(UnsupportedPotentialError):
             closed_form_qnfs(RectBarrier(1.0, 1.0), (0, 1), C)
+
+
+def _reflectionless(lam, a):
+    """Sech2 with V0 = -lam (lam + 1) hbar^2 / (2 m a^2)."""
+    return Sech2(-lam * (lam + 1) * C.h2_2m / (a * a), a)
+
+
+class TestCancelledMembers:
+    """Tower members where the denominator gammas of t cancel the numerator
+    pole are classified ``cancelled``."""
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_cancelled_members_are_no_poles(self, lam):
+        rng = np.random.default_rng(lam)
+        for a in rng.uniform(0.3, 3.0, size=3).tolist():
+            spec = _reflectionless(lam, a)
+            tower = closed_form_qnfs(spec, (0, 8), C)
+            t = transmission_amplitude(spec, np.array([r.k for r in tower]) * (1 + 1e-6), C).t
+            for r, tr in zip(tower, t):
+                if r.classification == "cancelled":
+                    assert np.isfinite(tr) and abs(tr) < 1e3, (lam, a, r)
+                elif r.k.imag != 0 and r.k_minus != 0:  # thresholds excepted
+                    assert abs(1 / tr) < 1e-4, (lam, a, r)
+            assert sum(r.classification == "bound_state" for r in tower) == lam
+
+    def test_thresholds_keep_their_class(self):
+        # k- = 0 is left to a fix of its own: there t vanishes like sqrt(k-)
+        # through Gamma(i k- a) at m = 0, which the cancellation count skips
+        for spec, ns in ((Eckart(0.0, 2.0, -1.0, 1.0), (0, 2)), (Tanh(0.0, 2.0, 1.0), (1, 1))):
+            at_threshold = [r for r in closed_form_qnfs(spec, ns, C) if r.k_minus == 0]
+            assert at_threshold
+            assert all(r.classification != "cancelled" for r in at_threshold)
+
+    def test_non_integer_couplings_cancel_nothing(self):
+        rng = np.random.default_rng(7)
+        specs = [Sech2(_reflectionless(lam, a).V0 * (1 + float(rng.uniform(1e-4, 1e-2))), a)
+                 for lam in range(1, 5) for a in rng.uniform(0.3, 3.0, size=3).tolist()]
+        specs += [Eckart(*rng.uniform([-3, -3, -5, 0.3], [3, 3, 5, 3]).tolist())
+                  for _ in range(10)]
+        specs += [Tanh(*rng.uniform([-3, -3, 0.3], [3, 3, 3]).tolist()) for _ in range(10)]
+        for spec in specs:
+            lo = 1 if isinstance(spec, Tanh) else 0
+            assert all(r.classification != "cancelled"
+                       for r in closed_form_qnfs(spec, (lo, 20), C)), spec
+
+    def test_every_damped_member_at_the_reflectionless_couplings(self):
+        for a in (0.7, 1.0, 2.5):
+            for entry in resonances(Sech2(-1.0, a), 5, C):
+                tower = closed_form_qnfs(Sech2(entry.parameter, a), (0, 12), C)
+                damped = [r for r in tower if r.k.imag > 0]
+                assert damped and all(r.classification == "cancelled" for r in damped)
+
+    def test_k_is_the_one_member_expression_bit_for_bit(self):
+        # verify seeds its ODE refines from r.k, so the tower's array pass
+        # must give the bits of i (+-p2 dv a / (2 d) + d / (2 a)) evaluated
+        # member by member, for real and for complex s
+        rng = np.random.default_rng(11)
+        specs = [Sech2(*rng.uniform([-8, 0.2], [9, 3]).tolist()) for _ in range(20)]
+        specs += [Eckart(*rng.uniform([-3, -3, -5, 0.2], [3, 3, 5, 3]).tolist())
+                  for _ in range(20)]
+        specs += [Tanh(*rng.uniform([-3, -3, 0.2], [3, 3, 3]).tolist()) for _ in range(10)]
+        for spec in specs:
+            form = normal_form(spec)
+            a, dv, two_s = form.a, form.v_plus - form.v_minus, 2.0 * form.s(C.p2)
+            if form.v0 == 0.0:
+                ds = {(n, "none"): 2 * n for n in range(1, 30)}
+            else:
+                ds = {(n, label): (2 * n + 1) + sgn * two_s for n in range(30)
+                      for sgn, label in ((1.0, "plus"), (-1.0, "minus"))}
+            tower = closed_form_qnfs(spec, (min(n for n, _ in ds), 29), C)
+            assert tower
+            for r in tower:
+                d = ds[r.branch, r.sign_choice]
+                kp = 1j * (0.5 * C.p2 * dv * a / d + d / (2.0 * a))
+                km = 1j * (-0.5 * C.p2 * dv * a / d + d / (2.0 * a))
+                assert (repr(r.k), repr(r.k_minus)) == (repr(kp), repr(km)), spec
 
 
 class TestThreshold:
