@@ -135,8 +135,8 @@ def _emit(args, spec, constants, columns, rows) -> str:
         "spec": None if spec is None else S.spec_to_dict(spec),
         "constants": None if constants is None else S.constants_to_dict(constants),
         "columns": list(columns),
-        "rows": [[(None if v is None else (v if isinstance(v, (str, int)) else
-                                           float(_fmt(v)))) for v in row]
+        # float(v) is the double that _fmt's 17 significant digits name
+        "rows": [[v if v is None or isinstance(v, (str, int)) else float(v) for v in row]
                  for row in rows],
     }
     return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
@@ -396,12 +396,14 @@ def _verify_checks(spec, constants, region, out):
         # a cancelled member is no pole of t: nothing to refine
         cancelled = sum(r.classification == "cancelled" for r in low)
         low = [r for r in low if r.classification != "cancelled"]
+        # one batched refinement: each Newton iteration is one integration
+        ks = np.array([r.k for r in low], dtype=complex)
         errors, rejections = [], []
-        for r in low:
-            try:
-                errors.append(abs(O.refine_pole(spec, r.k * (1 + 1e-3), constants)[0] - r.k))
-            except Qnf1dError as exc:
-                rejections.append(exc)
+        for k0, (k, _res, reason) in zip(ks, O.refine_pole(spec, ks * (1 + 1e-3), constants)):
+            if reason:
+                rejections.append(reason)
+            else:
+                errors.append(abs(k - k0))
         label = "low-lying QNFs vs ODE poles"
         note = f" ({cancelled} cancelled members not refined)" if cancelled else ""
         if errors:

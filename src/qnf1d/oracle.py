@@ -50,8 +50,12 @@ _TRIVIAL_ZERO_TOL = 1e-6
 _NEWTON_MAX_ITER = 60
 # boundary points per unit length of the argument-principle count
 _WINDING_SAMPLES_PER_UNIT = 40
-# terms of the exponential-tail series in the ODE boundary data
-_TAIL_ORDER = 4
+# terms of the exponential-tail series in the ODE boundary data: the exact
+# Jost solution of an Eckart reduction, whose terms fall like e^{-2 L / a}
+_TAIL_ORDER = 32
+# default half-width of the ODE domain, in units of a: the subdominant
+# coefficient loses a factor e^{2 |Im k| L} of precision
+_ODE_HALF_WIDTH = 1.5
 
 
 @dataclass(frozen=True)
@@ -178,41 +182,41 @@ def _tail_coefficients(red, c, side):
     """
     p2 = c.p2
     dv = red.v_plus - red.v_minus
-    return [p2 * (-1.0) ** (j - 1) * (4.0 * j * red.v0 - side * dv)
-            for j in range(1, _TAIL_ORDER + 1)]
+    j = np.arange(1, _TAIL_ORDER + 1)
+    return p2 * (-1.0) ** (j - 1) * (4.0 * j * red.v0 - side * dv)
 
 
 def _tail_eta(ws, k, a):
     """Correction coefficients of psi = e^{-i k u} (1 + sum eta_j e^{-2 j u / a}),
-    over an array of k.
+    over an array of k: shape k.shape + (len(ws),).
 
     Here u is the outward coordinate (+x on the right, -x on the left) and ws
     are the tail coefficients of W = p2 (V - V_inf) = sum_j ws_j e^{-2 j u/a}.
     Plugging the ansatz into psi'' + k^2 psi = W psi gives the recursion
     eta_l X_l = ws_l + sum_{j<l} ws_j eta_{l-j} with X_l = 4ikl/a + 4l^2/a^2.
+    Each eta_l is one contraction over the eta before it, summed along the
+    last axis, so a point's eta do not depend on the other points.
     """
-    etas = []
-    for ell in range(1, len(ws) + 1):
-        x_ell = 4.0j * k * ell / a + 4.0 * ell * ell / (a * a)
-        s = ws[ell - 1]
-        for j in range(1, ell):
-            s += ws[j - 1] * etas[ell - j - 1]
-        etas.append(s / x_ell)
+    n = ws.size
+    ell = np.arange(1, n + 1)
+    x = 4.0j * k[..., None] * ell / a + 4.0 * ell * ell / (a * a)
+    rev = ws[::-1]
+    etas = np.empty(x.shape, dtype=complex)
+    for i in range(n):
+        etas[..., i] = (ws[i] + (etas[..., :i] * rev[n - i:]).sum(-1)) / x[..., i]
     return etas
 
 
 def _tail_state(etas, k, a, x, side):
     """(psi, psi') of the outgoing tail-corrected solution at coordinate x,
-    over arrays of k and x."""
+    over an array of k."""
     # side > 0: psi = e^{-ikx} (1 + sum eta_j e^{-2jx/a}); side < 0 mirrored
     u = -x if side < 0 else x
     phase = np.exp(-1j * k * u)
-    f = 1.0 + 0j
-    fp = 0.0 + 0j  # derivative of the bracket w.r.t. u
-    for j, eta in enumerate(etas, start=1):
-        e = np.exp(-2.0 * j * u / a)
-        f += eta * e
-        fp += eta * e * (-2.0 * j / a)
+    j = np.arange(1, etas.shape[-1] + 1)
+    terms = np.exp(-2.0 * j * u / a)
+    f = 1.0 + (etas * terms).sum(-1)
+    fp = (etas * (-2.0 * j / a * terms)).sum(-1)  # derivative of the bracket w.r.t. u
     psi = phase * f
     dpsi_du = phase * (-1j * k * f + fp)
     return psi, (dpsi_du if side > 0 else -dpsi_du)
@@ -245,26 +249,13 @@ def _integrate(potential, p2, e, psi0, dpsi0, atol, L, rtol):
 
 def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
     """t and r of the Eckart reduction ``red`` over an array of k, with one
-    integration per group of points that share L; inf at a pole, nan at
-    k = 0 and where t is not representable."""
+    integration over [-L, L] (default 1.5 a); inf at a pole, nan at k = 0
+    and where t is not representable."""
     a, shift, p2 = red.a, red.shift, c.p2
     e = red.v_minus + k * k / p2
     k_p = _level_wavenumber(k, e, red.v_minus, red.v_plus, p2)
     im = np.maximum(np.abs(k.imag), np.abs(k_p.imag))
-    if L is None:
-        # balance: extracting the subdominant coefficient loses a factor
-        # exp(2 |Im k| L) of precision while the tail-series boundary error
-        # falls like exp(-2 (_TAIL_ORDER + 1) L / a).  L is snapped down to a
-        # multiple of a/16, so a Newton triple (z, z +- h) on an asymmetric
-        # spec, whose |Im k+| differ slightly, shares one L and one
-        # integration except at rare snap boundaries.  Down, because for |Im k| a <= 3 the tail
-        # error is below e^{-26} and the precision loss sets the noise (the
-        # snap saves up to a factor e^{0.27} of it at |Im k| a = 2.15); for
-        # larger |Im k| it raises the tail error by at most e^{0.625}
-        span = np.where(im * a <= 0.05, 14.0, np.clip(8.0 / (im * a), 2.0, 14.0))
-        L = a * np.floor(16.0 * span) / 16.0
-    else:
-        L = np.full(k.shape, float(L))
+    L = _ODE_HALF_WIDTH * a if L is None else float(L)
     bad = (k == 0) | (im * 2.0 * L > _EXP_GUARD)
 
     ws_p = _tail_coefficients(red, c, +1)
@@ -276,10 +267,9 @@ def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
     potential = replace(red, shift=0.0).evaluate
     psi = np.full(k.shape, complex("nan"))
     dpsi = psi.copy()
-    for length in np.unique(L[~bad]):
-        g = ~bad & (L == length)
-        psi[g], dpsi[g] = _integrate(potential, p2, e[g], psi0[g], dpsi0[g], atol[g],
-                                     length, rtol)
+    ok = ~bad
+    if ok.any():
+        psi[ok], dpsi[ok] = _integrate(potential, p2, e[ok], psi0[ok], dpsi0[ok], atol[ok], L, rtol)
 
     # tail-corrected left basis: reflected e^{+ikx} = e^{-ik|x|} is the
     # outward state, incident e^{-ikx} is its k -> -k partner
@@ -307,17 +297,16 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
 
     Piecewise-constant and delta potentials use exact transfer matrices;
     smooth potentials integrate the stationary equation over [-L, L] with
-    tail-corrected outgoing boundary data (a 4-term tail series) and
-    relative tolerance ``rtol``; the default L follows |Im k| (see
-    ``_ode_amplitudes``).  The transfer matrices ignore L and rtol.
+    outgoing boundary data from the N-term Jost tail series (N =
+    ``_TAIL_ORDER``) and relative tolerance ``rtol``; the default is
+    L = 1.5 a for every k.  The transfer matrices ignore L and rtol.
 
     An ndarray k gives arrays under the contract of
     ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
     is not representable); the transfer matrices are then one stacked
-    product, and the ODE is one integration of the stacked states per group
-    of points that share the domain half-width L.  A scalar k is the
-    one-element case: t is inf at a pole, and OverflowGuardError is raised
-    where the array would be nan.
+    product, and the ODE is one integration of the stacked states.  A
+    scalar k is the one-element case: t is inf at a pole, and
+    OverflowGuardError is raised where the array would be nan.
     """
     form = normal_form(spec)
     scalar = not isinstance(k, np.ndarray)
@@ -406,14 +395,14 @@ def _newton_polish(f, k0, on_axis=False):
     return 1j * best_z if on_axis else best_z
 
 
-def _rejections(f, k, inside):
+def _rejections(f, k, basin):
     """Why each k is not a certified pole of t (a zero of f = 1/t), or None;
-    and |f(k)| (nan outside the basin).  One call of f, on the points inside
-    the basin, which also probes that f is not flat around them (guards
-    against regions where 1/t merely underflows)."""
+    and |f(k)| (nan outside the basin).  ``basin`` marks the k inside their
+    search basin.  One call of f, on the points inside the basin, which also
+    probes that f is not flat around them (guards against regions where 1/t
+    merely underflows)."""
     res = np.full(k.shape, np.nan)
     flat = np.ones(k.shape, dtype=bool)
-    basin = np.array([inside(z) for z in k.tolist()], dtype=bool)
     if basin.any():
         kb = k[basin]
         probe = 1e-4 * (1.0 + np.abs(kb))
@@ -439,16 +428,18 @@ def _refine(f, guesses, near_axis, inside):
     """Newton-polish a zero of f from every guess in the array ``guesses``;
     returns one (k, |f(k)|, reason) triple per guess.
 
-    Rejected iterates of the guesses marked ``near_axis`` are retried with the
-    on-axis iteration, as a second pass.  ``reason`` is None for a certified
-    pole and otherwise names why the last iterate was rejected."""
+    ``inside(k, guesses)`` marks the iterates k that lie in the search basin
+    of their guesses.  Rejected iterates of the guesses marked ``near_axis``
+    are retried with the on-axis iteration, as a second pass.  ``reason`` is
+    None for a certified pole and otherwise names why the last iterate was
+    rejected."""
     k = _newton_polish(f, guesses)
-    reasons, res = _rejections(f, k, inside)
+    reasons, res = _rejections(f, k, inside(k, guesses))
     retry = [i for i, reason in enumerate(reasons) if reason and near_axis[i]]
     if retry:
         # poles on the imaginary axis sit on the channel-sqrt branch cuts
         k[retry] = _newton_polish(f, guesses[retry], on_axis=True)
-        reasons_ax, res[retry] = _rejections(f, k[retry], inside)
+        reasons_ax, res[retry] = _rejections(f, k[retry], inside(k[retry], guesses[retry]))
         for i, reason in zip(retry, reasons_ax):
             reasons[i] = reason
     return [(z, r, reason and f"no certified pole from guess {guess}: {reason}")
@@ -463,15 +454,24 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude
     |k - guess| <= (1 + |guess|) / 2, or its result fails the acceptance
     rule shared with find_poles (residual, trivial zero, flat 1/t).
     ``amplitude`` (default: the numeric engine) must accept an ndarray k.
+
+    An ndarray of guesses refines them all at once (each Newton iteration is
+    one amplitude call over every guess still iterating), each in its own
+    basin, and returns a list with one (k, residual, reason) triple per
+    guess instead of raising: ``reason`` is None for a certified pole and
+    otherwise the message the scalar call would raise.
     """
     if amplitude is None:
         amplitude = numeric_amplitude
-    guess = complex(guess)
+    scalar = not isinstance(guess, np.ndarray)
+    guesses = np.array([guess] if scalar else guess, dtype=complex).ravel()
     f = lambda k: _inv_t(spec, k, c, amplitude)
-    radius = 0.5 * (1.0 + abs(guess))
-    near_axis = abs(guess.real) < 1e-6 * max(1.0, abs(guess))
-    [(k, res, reason)] = _refine(f, np.array([guess]), [near_axis],
-                                 lambda k: abs(k - guess) <= radius)
+    near_axis = np.abs(guesses.real) < 1e-6 * np.maximum(1.0, np.abs(guesses))
+    refined = _refine(f, guesses, near_axis,
+                      lambda k, g: np.abs(k - g) <= 0.5 * (1.0 + np.abs(g)))
+    if not scalar:
+        return refined
+    [(k, res, reason)] = refined
     if reason:
         raise DomainError(reason)
     return k, res
@@ -533,9 +533,9 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     window = sliding_window_view(np.pad(mag, 1, constant_values=np.inf), (3, 3))
     seeds = grid[(mag < 1e6) & (mag <= window.min(axis=(-2, -1)))]
 
-    def inside(k):
-        return (region.re_min - 1e-9 <= k.real <= region.re_max + 1e-9
-                and region.im_min - 1e-9 <= k.imag <= region.im_max + 1e-9)
+    def inside(k, _guesses):
+        return ((region.re_min - 1e-9 <= k.real) & (k.real <= region.re_max + 1e-9)
+                & (region.im_min - 1e-9 <= k.imag) & (k.imag <= region.im_max + 1e-9))
 
     refined = _refine(f, seeds, np.abs(seeds.real) < 1.5 * cell, inside)
     poles, rejected = [], []

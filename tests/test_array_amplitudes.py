@@ -176,7 +176,7 @@ def test_ode_batch_is_one_integration(monkeypatch):
 
 def test_newton_iteration_is_one_integration(monkeypatch):
     # the asymmetric tietz cosh gives the triple (z, z +- h) three slightly
-    # different |Im k|; snapped, they share one L and one integration
+    # different |Im k|; on the one domain L = 1.5a they share one integration
     counter = CountingSolveIvp(monkeypatch)
     spec = Tietz(1.1, 0.3, 0.9, "cosh")
     mode = next(r for r in closed_form_qnfs(spec, (0, 2), C) if abs(r.k - 1.8618259j) < 1e-6)

@@ -1,11 +1,17 @@
+import argparse
+import csv
 import dataclasses
+import io
 import json
+import math
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qnf1d import Eckart, Hua, PhysicalConstants, Tietz, oracle
-from qnf1d.cli import _build_parser, _spec_from_args, main
+from qnf1d.cli import _build_parser, _emit, _spec_from_args, main
 from qnf1d.errors import DomainError
 from qnf1d.serialize import TYPE_NAMES, dict_to_spec, dumps, loads, spec_to_dict
 
@@ -206,8 +212,8 @@ class TestCommands:
         assert "FAIL" not in out
         assert "SKIP low-lying QNFs vs ODE poles: no closed-form QNF with |Im k| a <= 2.05" in out
 
-        def reject(spec, guess, c):
-            raise DomainError(f"no certified pole from guess {guess}")
+        def reject(spec, guesses, c):
+            return [(g, math.nan, f"no certified pole from guess {g}") for g in guesses.tolist()]
 
         # every refinement rejected, as for the tanh spec V- = 0, V+ = 2,
         # a = 1, whose verify takes seconds
@@ -225,9 +231,9 @@ class TestCommands:
         calls = []
         refine = oracle.refine_pole
 
-        def counting(spec, guess, c):
-            calls.append(guess)
-            return refine(spec, guess, c)
+        def counting(spec, guesses, c):
+            calls.extend(guesses.tolist())
+            return refine(spec, guesses, c)
 
         monkeypatch.setattr(oracle, "refine_pole", counting)
         code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
@@ -305,3 +311,30 @@ class TestDeterminism:
         out2 = tmp_path / "b.json"
         assert main(args[:-1] + [str(out2)]) == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    def test_json_floats_are_the_csv_doubles(self, capsys):
+        # a JSON float is bitwise the double that the CSV's 17 significant
+        # digits name, on a command's rows and on the values that need care
+        def doubles(csv_text, json_text):
+            want = list(csv.reader(io.StringIO(csv_text)))[1:]
+            got = json.loads(json_text)["rows"]
+            assert len(got) == len(want)
+            pairs = [(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr)
+                     if isinstance(g, float)]
+            assert pairs
+            for g, w in pairs:
+                assert struct.pack("<d", g) == struct.pack("<d", float(w)), (g, w)
+            return [g for g, _ in pairs]
+
+        argv = ["qnf", "--type", "tanh", "--V-minus", "0", "--V-plus", "2", "--a", "1",
+                "--n", "1..50"]
+        _, csv_text = run_cli(argv, capsys)
+        _, json_text = run_cli(argv + ["--format", "json"], capsys)
+        assert len(doubles(csv_text, json_text)) == 50 * 5
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 5e-324,
+                   np.float64(-2.5e300)]
+        texts = [_emit(argparse.Namespace(format=fmt, command="qnf"), None, None,
+                       ["n", "x"], [(i, v) for i, v in enumerate(special)])
+                 for fmt in ("csv", "json")]
+        got = doubles(*texts)
+        assert math.copysign(1.0, got[0]) == -1.0 and math.isnan(got[2])

@@ -33,7 +33,7 @@ from qnf1d import (
 )
 from qnf1d.errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
 from qnf1d.oracle import _NEWTON_MAX_ITER, _inv_t, transfer_matrix_det_error
-from qnf1d.potentials import length_scale
+from qnf1d.potentials import length_scale, normal_form
 
 C = PhysicalConstants()
 
@@ -86,6 +86,14 @@ def pointwise(amplitude):
                 pass
         return ScatteringAmplitudes(t, None, k, k)
     return amp
+
+
+def inverse_t_error(spec, k):
+    """max |1/t| error of the numeric engine against the closed form over the
+    reported-plane k, relative to max(1, |1/t|)."""
+    exact = _inv_t(spec, k, C, transmission_amplitude)
+    err = np.abs(_inv_t(spec, k, C, numeric_amplitude) - exact) / np.maximum(1.0, np.abs(exact))
+    return float(err.max())
 
 
 def scalar_grid(spec, region, amplitude):
@@ -185,6 +193,30 @@ class TestOdeEngine:
     def test_non_scattering_rejected(self):
         with pytest.raises(NotAScatteringPotential):
             numeric_amplitude(Hulthen(1.0, 1.0), 1.0, C)
+
+    @pytest.mark.parametrize("spec, pole", [
+        (Hua(1.2, -2.0, 1.0), 1.599435167939166j),
+        (Tietz(1.1, 0.3, 0.9, "cosh"), 1.8618259240647261j),
+        (Tanh(0.0, 2.0, 1.0), 2.15j),
+        (Eckart(0.0, 2.0, -1.0, 1.0), 2.5j),
+    ], ids=["Hua", "Tietz", "Tanh", "Eckart"])
+    def test_inverse_t_noise_near_poles(self, spec, pole):
+        # the pole acceptance residual is 1e-8, so the oracle's 1/t must be
+        # well below it where verify refines; measured <= 1.4e-11
+        rng = np.random.default_rng(11)
+        k = pole + 2e-3 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
+        assert inverse_t_error(spec, k) <= 1e-10
+
+    @pytest.mark.parametrize("spec", [Eckart(0.0, 2.0, -1.0, 1.0), Hua(1.2, -2.0, 1.0),
+                                      MorseFeshbach(0.8, 0.7, 1.1)],
+                             ids=lambda s: type(s).__name__)
+    def test_inverse_t_near_a_small_divisor(self, spec):
+        # the tail recursion divides by X_4 = 0 at k = 4i/a; measured <= 2.4e-10.
+        # Closer than 1e-6 the closed form's own gamma argument loses digits
+        rng = np.random.default_rng(12)
+        d = rng.uniform(1e-6, 1e-5, size=20)
+        k = 4j / normal_form(spec).a + d * np.exp(2j * np.pi * rng.uniform(size=20))
+        assert inverse_t_error(spec, k) <= 1e-9
 
 
 class TestFindPoles:
@@ -451,3 +483,29 @@ class TestRefinePole:
     def test_divergence_reported(self):
         with pytest.raises(DomainError):
             refine_pole(Delta(2.0), 100.0 + 0.5j, C)
+
+    def test_array_of_guesses_matches_scalar_calls(self):
+        # one batched refinement shares each Newton iteration's integration
+        # over every guess; measured <= 7.3e-13 from the scalar calls
+        spec = Tietz(1.1, 0.3, 0.9, "cosh")
+        ks = np.array([r.k for r in closed_form_qnfs(spec, (0, 2), C)
+                       if abs(r.k.imag) * spec.a <= 2.05])
+        guesses = np.append(ks * (1 + 1e-3), 30.0 + 0.5j)
+        batch = refine_pole(spec, guesses, C)
+        assert len(batch) == guesses.size
+        for guess, (k, res, reason) in zip(guesses[:-1], batch):
+            k1, _res1 = refine_pole(spec, complex(guess), C)
+            assert reason is None and res < 1e-8
+            assert abs(k - k1) <= 1e-10
+        with pytest.raises(DomainError) as exc:
+            refine_pole(spec, complex(guesses[-1]), C)
+        assert batch[-1][2] == str(exc.value)
+
+    def test_each_guess_keeps_its_own_basin(self):
+        # from -3 + 2i Newton lands on the pole 2i, which lies in the basin of
+        # the guess 1.9i but not in its own: it is rejected there
+        (k1, _res, reason1), (k2, _res2, reason2) = refine_pole(
+            Delta(2.0), np.array([1.9j, -3.0 + 2.0j]), C, amplitude=transmission_amplitude)
+        assert reason1 is None and abs(k1 - 2j) < 1e-12
+        assert abs(k2 - 2j) < 1e-6 and abs(k2 - 1.9j) <= 0.5 * (1.0 + 1.9)
+        assert reason2.endswith("the iteration left the search basin")
