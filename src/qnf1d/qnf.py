@@ -273,10 +273,9 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
     keep = np.abs(d) >= 1e-12  # else a degenerate member (d = 0)
     rows = [row for row, ok in zip(rows, keep) if ok]
     d = d[keep]
-    # k+- = i (+-p2 dv a / (2 d) + d / (2 a)), bit for bit as Python evaluates
-    # it on one member
-    half = _py_quot(d, 2.0 * a)
-    kp, km = (1j * (_py_quot(num, d) + half)
+    # k+- = i (+-p2 dv a / (2 d) + d / (2 a))
+    half = d / (2.0 * a)
+    kp, km = (1j * (num / d + half)
               for num in (0.5 * p2 * dv * a, -0.5 * p2 * dv * a))
     residual = _eckart_residual(form, kp, p2)
     # no pole of t where the denominator gammas Gamma(i k+- a) have at least
@@ -296,20 +295,6 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
                                  classification="cancelled" if gone else kind,
                                  branch=n, sign_choice=label, k_minus=k_m))
     return out
-
-
-def _py_quot(a, b):
-    """a / b over complex arrays in the steps of CPython's complex division
-    (Smith's algorithm), so the bits match scalar code."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    with np.errstate(all="ignore"):
-        by_re = np.abs(b.real) >= np.abs(b.imag)
-        ratio = np.where(by_re, b.imag / b.real, b.real / b.imag)
-        denom = np.where(by_re, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        q = np.empty(np.broadcast(a, b).shape, dtype=complex)
-        q.real = np.where(by_re, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
-        q.imag = np.where(by_re, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,28 @@ class TestCommands:
         assert "PASS low-lying QNFs vs ODE poles (1 modes): " in out
         assert "SKIP" not in out
 
+    def test_verify_convergence_sees_the_tail_series(self, capsys, monkeypatch):
+        # the check integrates the oracle's own domain, where a truncated
+        # Jost tail series moves t; no call integrates beyond twice that
+        # domain
+        lengths = []
+        amplitude = oracle.numeric_amplitude
+
+        def counting(spec, k, c, L=None, **options):
+            lengths.append(oracle._ODE_HALF_WIDTH * spec.a if L is None else L)
+            return amplitude(spec, k, c, L, **options)
+
+        monkeypatch.setattr(oracle, "numeric_amplitude", counting)
+        code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
+        assert code == 0
+        assert "PASS domain/step convergence: " in out
+        assert max(lengths) == 2.0 * oracle._ODE_HALF_WIDTH
+
+        monkeypatch.setattr(oracle, "_TAIL_ORDER", 4)
+        code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
+        assert code == 2
+        assert "FAIL domain/step convergence: " in out
+
     def test_verify_pass_and_exit_codes(self, capsys):
         code, out = run_cli(
             ["verify", "--type", "double-delta", "--alpha", "1", "--a", "1",
