@@ -163,14 +163,15 @@ def _cmd_eval(args, spec, constants):
 
 
 def _default_energy_window(spec):
-    v_minus, v_plus = P.scattering_limits(spec)
+    """E from 0.05 to 5 scales above the higher asymptote; the scale is the
+    largest of |V+ - V-| and the normal form's levels and couplings (v0 for
+    the Eckart family)."""
+    form = P.normal_form(spec)
+    sizes = ((form.v1, form.v2, form.v3, form.alpha_left, form.alpha_right)
+             if isinstance(form, P.Interfaces) else (form.v0,))
+    v_minus, v_plus = form.limits
+    scale = max(abs(v_plus - v_minus), *map(abs, sizes)) or 1.0
     base = max(v_minus, v_plus)
-    scale = abs(v_plus - v_minus)
-    for attr in ("V0", "V1", "V2", "V3", "alpha", "alpha_plus", "alpha_minus",
-                 "A", "B", "C"):
-        if hasattr(spec, attr):
-            scale = max(scale, abs(getattr(spec, attr)))
-    scale = scale or 1.0
     return base + 0.05 * scale, base + 5.0 * scale
 
 

@@ -13,13 +13,15 @@ side for the Eckart family (the incidence-side partner is kept as
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
-from .errors import AtPoleError, DomainError, UnsupportedPotentialError
+from .errors import DomainError, UnsupportedPotentialError
 from .potentials import (
     DEFAULT_CONSTANTS,
     EckartReduction,
@@ -111,48 +113,43 @@ def _gamma_pole_distance(z):
     return np.abs(z + np.maximum(0.0, np.round(-z.real)))
 
 
-def _eckart_residual(form: EckartReduction, k, p2: float):
-    """pole_condition over an array of k+ (the Eckart-family qnf_level);
-    inf where the gamma arguments are not representable."""
+def _residual(form, k, p2: float):
+    """pole_condition over an array of k in the form's qnf_level plane."""
     with np.errstate(all="ignore"):
-        # either root of the partner k- may be physical
-        km = np.sqrt(k * k + p2 * (form.v_plus - form.v_minus))
-        zbars = [1j * 0.5 * (k + km_c) * form.a for km_c in (km, -km)]
-        if form.v0 != 0.0:
-            s = form.s(p2)
-            zbars = [z + 0.5 + sgn * s for z in zbars for sgn in (1.0, -1.0)]
-        best = np.min([_gamma_pole_distance(z) for z in zbars], axis=0)
-    return np.where(np.isnan(best), np.inf, best)
+        if isinstance(form, EckartReduction):
+            # the nearest gamma argument's distance from a pole; either root
+            # of the partner k- may be physical
+            km = np.sqrt(k * k + p2 * (form.v_plus - form.v_minus))
+            zbars = [1j * 0.5 * (k + km_c) * form.a for km_c in (km, -km)]
+            if form.v0 != 0.0:
+                s = form.s(p2)
+                zbars = [z + 0.5 + sgn * s for z in zbars for sgn in (1.0, -1.0)]
+            res = np.min([_gamma_pole_distance(z) for z in zbars], axis=0)
+        elif form.flat:
+            # the delta pair's (k - i kp)(k - i km) + kp km exp(-4 i k a), relative
+            kp, km = _delta_k0s(form, p2)
+            val = (k - 1j * kp) * (k - 1j * km) + kp * km * np.exp(-4j * k * form.a)
+            scale = np.maximum(abs(kp * km), np.abs(k) ** 2)
+            res = np.where(scale != 0, np.abs(val) / scale, abs(kp + km))
+        else:
+            t = form.amplitudes(k, p2).t
+            res = np.where(k == 0, np.inf, np.where(np.isinf(t), 0.0, np.abs(1.0 / t)))
+    # nan: an overflowing exponential, an unrepresentable t or gamma argument
+    return np.where(np.isnan(res), np.inf, res)
 
 
 def pole_condition(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """|defining equation| at k, dimensionless; ~0 exactly at a QNF."""
-    try:
-        return _pole_condition(spec, k, c)
-    except (OverflowError, DomainError):  # t or an exponential not representable
-        return math.inf
+    """|defining equation| at k, dimensionless; ~0 exactly at a QNF: for the
+    Eckart family the distance of t's nearest gamma argument from a pole,
+    for delta couplings without steps |(k - i kp)(k - i km) + kp km
+    exp(-4 i k a)| / max(kp km, |k|^2), else |1/t| (inf at k = 0).  An exact
+    pole of t gives 0, an unrepresentable equation inf."""
+    return float(_residual(normal_form(spec), np.array([complex(k)]), c.p2)[0])
 
 
-def _pole_condition(spec, k, c) -> float:
-    k = complex(k)
-    form = normal_form(spec)
-    if isinstance(form, EckartReduction):
-        return float(_eckart_residual(form, np.array([k]), c.p2)[0])
-    if form.flat:
-        kp, km = _delta_k0s(form, c)
-        val = (k - 1j * kp) * (k - 1j * km) + kp * km * cmath.exp(-4j * k * form.a)
-        scale = max(abs(kp * km), abs(k) ** 2)
-        return abs(val) / scale if scale else abs(kp + km)
-    try:
-        amp = transmission_amplitude(spec, k, c)
-    except AtPoleError:
-        return 0.0
-    return abs(1.0 / amp.t)
-
-
-def _delta_k0s(form: Interfaces, c) -> tuple:
+def _delta_k0s(form: Interfaces, p2: float) -> tuple:
     """k0 = m alpha / hbar^2 of the left and the right delta coupling."""
-    return 0.5 * c.p2 * form.alpha_left, 0.5 * c.p2 * form.alpha_right
+    return 0.5 * p2 * form.alpha_left, 0.5 * p2 * form.alpha_right
 
 
 def _delta_pair(form) -> bool:
@@ -170,19 +167,33 @@ def _symmetric_barrier(form) -> bool:
     return _barrier(form) and form.v1 == form.v3
 
 
-def _result(spec, k, method, c, **kw) -> QnfResult:
-    return QnfResult(
-        k=k,
-        method=method,
-        residual=pole_condition(spec, k, c),
-        classification=classify(k, length_scale(spec)),
-        **kw,
-    )
+def _results(spec, ks, method, c, **columns) -> list[QnfResult]:
+    """One QnfResult per k of ks, with one residual call over all of them;
+    each keyword is a column of one value per k (a field after
+    classification; a missing one takes its default)."""
+    ks = np.asarray(ks, dtype=complex)
+    residual = _residual(normal_form(spec), ks, c.p2)
+    scale = length_scale(spec)
+    rows = zip(*(columns.get(f.name, [f.default] * len(ks))
+                 for f in dataclasses.fields(QnfResult)[4:]))
+    return [QnfResult(k, method, res, classify(k, scale), *row)
+            for k, res, row in zip(ks.tolist(), residual.tolist(), rows)]
 
 
 # ---------------------------------------------------------------------------
 # Closed-form towers
 # ---------------------------------------------------------------------------
+
+def _keep_first(ks, tol: float):
+    """Mask of the (finite) ks at least tol from every earlier kept k."""
+    keep = np.ones(len(ks), dtype=bool)
+    # every pair (i < j) within twice tol, so the tree's rounding cannot drop
+    # one closer than tol; sorted, keep[i] is final before it is read
+    for i, j in sorted(cKDTree(np.c_[ks.real, ks.imag]).query_pairs(2.0 * tol)):
+        if keep[i] and abs(ks[i] - ks[j]) < tol:
+            keep[j] = False
+    return keep
+
 
 def _norm_range(n_range) -> list:
     if isinstance(n_range, tuple) and len(n_range) == 2:
@@ -230,30 +241,26 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
             raise UnsupportedPotentialError(
                 f"{type(spec).__name__} has no closed-form QNFs; use transcendental_qnfs"
             )
-        kp, km = _delta_k0s(form, c)
+        kp, km = _delta_k0s(form, c.p2)
         if form.a == 0 or kp * km == 0:
             # one interface: t = 2 sqrt(k1 k3) / (k1 + k3 - 2 i k0)
             k0 = kp + km
             if k0 == 0 or form.v1 != form.v3:
                 return []
-            return [_result(spec, 1j * k0, "closed_form", c)]
+            return _results(spec, [1j * k0], "closed_form", c)
         k0, a = kp, form.a
         arg = 2.0 * k0 * a * math.exp(2.0 * k0 * a)
-        out: list[QnfResult] = []
-        for n in ns:
-            for sgn, label in ((1.0, "plus"), (-1.0, "minus")):
-                try:
-                    w = lambert_w(n, sgn * arg)
-                except DomainError:
-                    continue
-                k = 1j * (k0 - w / (2.0 * a))
-                if any(abs(k - r.k) < 1e-9 / a for r in out):
-                    continue
-                r = _result(spec, k, "closed_form", c, branch=n, sign_choice=label)
-                if r.classification == "trivial_zero":
-                    continue
-                out.append(r)
-        return out
+        # every (n, sign) pair, n by n with plus before minus
+        branch = np.repeat(ns, 2)
+        labels = np.array(["plus", "minus"] * len(ns), dtype=object)
+        w = lambert_w(branch, np.tile([arg, -arg], len(ns)))
+        # w's parts divided one by one: numpy's complex / real multiplies by
+        # 1 / (2a), which rounds unlike the one-member k = i (k0 - w / (2a))
+        k = 1j * (k0 - (w.real / (2.0 * a) + 1j * (w.imag / (2.0 * a))))
+        keep = np.isfinite(k) & ~(np.abs(k) < TRIVIAL_ZERO_TOL / a)
+        keep[keep] = _keep_first(k[keep], 1e-9 / a)
+        return _results(spec, k[keep], "closed_form", c,
+                        branch=branch[keep].tolist(), sign_choice=labels[keep].tolist())
 
     # a member sits where i kbar a = -d / 2, kbar = (k+ + k-) / 2, a gamma pole:
     # d = 2n for the double poles of pure tanh's Gamma(i kbar a)^2 (n > 0),
@@ -277,7 +284,6 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
     half = d / (2.0 * a)
     kp, km = (1j * (num / d + half)
               for num in (0.5 * p2 * dv * a, -0.5 * p2 * dv * a))
-    residual = _eckart_residual(form, kp, p2)
     # no pole of t where the denominator gammas Gamma(i k+- a) have at least
     # as many poles (i k+- a = -m) as the numerator gammas Gamma(i kbar a +
     # 1/2 +- s); the thresholds k- = 0 (m = 0) keep their class
@@ -285,16 +291,10 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
                     for sgn in (1.0, -1.0))
     den_poles = sum(_gamma_pole_distance(1j * side * a) < GAMMA_POLE_TOL for side in (kp, km))
     cancelled = (den_poles >= num_poles) & (np.abs(km) * a >= GAMMA_POLE_TOL)
-    scale = length_scale(spec)
-    out = []
-    for (n, label), k, k_m, res, gone in zip(rows, kp.tolist(), km.tolist(),
-                                             residual.tolist(), cancelled.tolist()):
-        kind = classify(k, scale)
-        if kind != "trivial_zero":
-            out.append(QnfResult(k=k, method="closed_form", residual=res,
-                                 classification="cancelled" if gone else kind,
-                                 branch=n, sign_choice=label, k_minus=k_m))
-    return out
+    out = _results(spec, kp, "closed_form", c, branch=[n for n, _ in rows],
+                   sign_choice=[label for _, label in rows], k_minus=km.tolist())
+    return [dataclasses.replace(r, classification="cancelled") if gone else r
+            for r, gone in zip(out, cancelled.tolist()) if r.classification != "trivial_zero"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,53 +310,51 @@ def _scan_brackets(f, xs):
     return list(zip(xs[:-1][change], xs[1:][change]))
 
 
+def _axis_roots(results, a: float) -> list[QnfResult]:
+    """The results that are no trivial zero, meet the pole condition to 1e-8
+    (so no tan/cot pole artifact) and lie at least 1e-9/a from every earlier
+    one kept, sorted by (Im k, Re k)."""
+    ok = [r for r in results if r.classification != "trivial_zero" and r.residual <= 1e-8]
+    keep = _keep_first(np.array([r.k for r in ok], dtype=complex), 1e-9 / a)
+    return sorted((r for r, kept in zip(ok, keep) if kept), key=lambda r: (r.k.imag, r.k.real))
+
+
 def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
     p2 = c.p2
     a = form.a
     v0 = form.v2 - form.v1
-    out = []
     if v0 > 0:
-        # damped modes: |q| a = k0 a cosh(|q| a), zero/one/two roots
+        # damped modes: |q| a = k0 a cosh(|q| a), zero/one/two roots, in
+        # increasing Im k = (|q| a) tanh(|q| a) / a
         k0 = math.sqrt(p2 * v0)
         ca = k0 * a
         f = lambda u: ca * np.cosh(u) - u
-        us = np.linspace(1e-9, 50.0, 4001)
-        for lo, hi in _scan_brackets(f, us):
-            u = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-            k = 1j * (u / a) * math.tanh(u)
-            out.append(_result(spec, k, "transcendental", c, aux=1j * u / a))
-    else:
-        # attractive: real-q poles, always with |q| <= |k0|
-        k0m = math.sqrt(-p2 * v0)
+        us = [brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+              for lo, hi in _scan_brackets(f, np.linspace(1e-9, 50.0, 4001))]
+        return _results(spec, [1j * (u / a) * math.tanh(u) for u in us], "transcendental", c,
+                        aux=[1j * u / a for u in us])
+    # attractive: real-q poles, always with |q| <= |k0|
+    k0m = math.sqrt(-p2 * v0)
 
-        def cond(q, even, sign):
-            # even: k = -i q tan(q a), odd: k = +i q cot(q a), each combined
-            # with k = i y, y = sign sqrt(|k0|^2 - q^2) from k^2 = q^2 - |k0|^2
-            y = sign * np.sqrt(np.maximum(k0m * k0m - q * q, 0.0))
-            return y + q * np.tan(q * a) if even else y - q / np.tan(q * a)
+    def cond(q, even, sign):
+        # even: k = -i q tan(q a), odd: k = +i q cot(q a), each combined
+        # with k = i y, y = sign sqrt(|k0|^2 - q^2) from k^2 = q^2 - |k0|^2
+        y = sign * np.sqrt(np.maximum(k0m * k0m - q * q, 0.0))
+        return y + q * np.tan(q * a) if even else y - q / np.tan(q * a)
 
-        qs = np.linspace(1e-9, k0m * (1 - 1e-12), 4001)
-        seen = []
-        for even, sign in ((True, -1.0), (True, 1.0), (False, -1.0), (False, 1.0)):
-            f = lambda q: cond(q, even, sign)
-            for lo, hi in _scan_brackets(f, qs):
-                q = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-                k = -1j * q * math.tan(q * a) if even else 1j * q / math.tan(q * a)
-                if abs(k) < TRIVIAL_ZERO_TOL / a:
-                    continue
-                if any(abs(k - s) < 1e-9 / a for s in seen):
-                    continue
-                # guard against tan/cot pole artifacts
-                if pole_condition(spec, k, c) > 1e-8:
-                    continue
-                seen.append(k)
-                out.append(_result(spec, k, "transcendental", c, aux=q + 0j))
-    out.sort(key=lambda r: (r.k.imag, r.k.real))
-    return out
+    grid = np.linspace(1e-9, k0m * (1 - 1e-12), 4001)
+    ks, qs = [], []
+    for even, sign in ((True, -1.0), (True, 1.0), (False, -1.0), (False, 1.0)):
+        f = lambda q: cond(q, even, sign)
+        for lo, hi in _scan_brackets(f, grid):
+            q = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            ks.append(-1j * q * math.tan(q * a) if even else 1j * q / math.tan(q * a))
+            qs.append(q + 0j)
+    return _axis_roots(_results(spec, ks, "transcendental", c, aux=qs), a)
 
 
 def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
-    kp, km = _delta_k0s(form, c)
+    kp, km = _delta_k0s(form, c.p2)
     a = form.a
 
     # pole condition on the imaginary axis k = i y:
@@ -366,19 +364,8 @@ def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
 
     ymax = max(50.0 / a, 4.0 * (abs(kp) + abs(km)))
     ys = np.concatenate([np.linspace(-ymax, -1e-7, 2001), np.linspace(1e-7, ymax, 2001)])
-    out = []
-    for lo, hi in _scan_brackets(f, ys):
-        y = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        k = 1j * y
-        if abs(k) < TRIVIAL_ZERO_TOL / a:
-            continue
-        if pole_condition(spec, k, c) > 1e-8:
-            continue
-        if any(abs(k - r.k) < 1e-9 / a for r in out):
-            continue
-        out.append(_result(spec, k, "transcendental", c))
-    out.sort(key=lambda r: (r.k.imag, r.k.real))
-    return out
+    ks = [1j * brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) for lo, hi in _scan_brackets(f, ys)]
+    return _axis_roots(_results(spec, ks, "transcendental", c), a)
 
 
 def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) -> list[QnfResult]:
@@ -392,7 +379,7 @@ def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) 
     if isinstance(search, _oracle.SearchRegion):
         # find_poles returns its poles sorted by (Im k, Re k)
         rep = _oracle.find_poles(spec, search, c, amplitude=transmission_amplitude)
-        return [_result(spec, k, "transcendental", c) for k, _res, _m in rep.poles]
+        return _results(spec, [k for k, _res, _m in rep.poles], "transcendental", c)
     if search != "imaginary_axis":
         raise DomainError(f"unknown search descriptor {search!r}")
     form = normal_form(spec)
@@ -446,27 +433,27 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
     if regime in ("near_symmetric_order0", "near_symmetric_order2", "small_separation"):
         if not _delta_pair(form):
             raise DomainError(f"{regime} requires a pair of delta couplings")
-        kp, km = _delta_k0s(form, c)
+        kp, km = _delta_k0s(form, c.p2)
         a = form.a
         if regime == "small_separation":
             # lowest QNF for small separation; the a^1 coefficient carries a
             # sign opposite to one display in the literature, fixed against
             # the exact pole condition
             k = 1j * (kp + km) + 4j * kp * km * a
-            return _result(spec, k, "perturbative", c, sign_choice="none")
+            return _results(spec, [k], "perturbative", c)[0]
         c0 = 2.0 * a * math.sqrt(kp * km) * math.exp((kp + km) * a)
         w = lambert_w(n, c0)
         k = 1j * (0.5 * (kp + km) - w / (2.0 * a))
         if regime == "near_symmetric_order2":
             k -= 1j * a * (kp - km) ** 2 / (4.0 * w * (1.0 + w))
-        return _result(spec, k, "perturbative", c, branch=n)
+        return _results(spec, [k], "perturbative", c, branch=[n])[0]
 
     if regime == "small_k0a_series":
         if not (_symmetric_barrier(form) and form.v2 > form.v1):
             raise DomainError("small_k0a_series requires a repulsive symmetric barrier")
         k0 = math.sqrt(c.p2 * (form.v2 - form.v1))
         k = rect_barrier_k_series(k0, form.a)
-        return _result(spec, k, "perturbative", c, aux=rect_barrier_q_series(k0, form.a))
+        return _results(spec, [k], "perturbative", c, aux=[rect_barrier_q_series(k0, form.a)])[0]
 
     # small_a_asym_rect
     if not _barrier(form):
@@ -483,10 +470,10 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
     )
     k1 = cmath.sqrt(complex(k2sq + P))
     # the series determines k2^2 only; pick the incidence-side root that the
-    # amplitude's pole actually sits on
-    if pole_condition(spec, -k1, c) < pole_condition(spec, k1, c):
-        k1 = -k1
-    return _result(spec, k1, "perturbative", c, aux=cmath.sqrt(complex(k2sq)))
+    # amplitude's pole actually sits on (k1 on a tie)
+    k2 = cmath.sqrt(complex(k2sq))
+    return min(_results(spec, [k1, -k1], "perturbative", c, aux=[k2, k2]),
+               key=lambda r: r.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +485,12 @@ def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
     """The large-|n| approximation for the requested tower member."""
     p2 = c.p2
     form = normal_form(spec)
+    sgn = 1.0 if sign == "plus" else -1.0
     if _delta_pair(form) and form.alpha_left == form.alpha_right:
-        k0, a = _delta_k0s(form, c)[0], form.a
-        sgn = 1.0 if sign == "plus" else -1.0
+        k0, a = _delta_k0s(form, p2)[0], form.a
         wc = lambert_w_comtet(n, sgn * 2.0 * k0 * a * math.exp(2.0 * k0 * a))
         k = 1j * (k0 - wc / (2.0 * a))
-        return _result(spec, k, "asymptotic", c, branch=n, sign_choice=sign)
+        return _results(spec, [k], "asymptotic", c, branch=[n], sign_choice=[sign])[0]
     if _symmetric_barrier(form):
         a, v0 = form.a, form.v2 - form.v1
         if v0 > 0:
@@ -512,20 +499,17 @@ def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
         else:
             k0m = math.sqrt(-p2 * v0)
             q = -1j * lambert_w(n, -1j * k0m * a / 2.0) / a
-        ksq = p2 * v0 + q * q
-        k = cmath.sqrt(ksq)
-        if pole_condition(spec, -k, c) < pole_condition(spec, k, c):
-            k = -k
-        return _result(spec, k, "asymptotic", c, branch=n, aux=q)
+        k = cmath.sqrt(p2 * v0 + q * q)
+        # the root of k^2 that the amplitude's pole sits on (k on a tie)
+        return min(_results(spec, [k, -k], "asymptotic", c, branch=[n, n], aux=[q, q]),
+                   key=lambda r: r.residual)
     if isinstance(form, EckartReduction):
         a = form.a
         if form.v0 == 0.0:
-            k = 1j * n / a
-            return _result(spec, k, "asymptotic", c, branch=n)
+            return _results(spec, [1j * n / a], "asymptotic", c, branch=[n])[0]
         two_s = 2.0 * form.s(p2)
-        sgn = 1.0 if sign == "plus" else -1.0
         k = 1j * (n / a + (1.0 + sgn * two_s) / (2.0 * a))
-        return _result(spec, k, "asymptotic", c, branch=n, sign_choice=sign)
+        return _results(spec, [k], "asymptotic", c, branch=[n], sign_choice=[sign])[0]
     raise UnsupportedPotentialError(
         f"no asymptotic QNF form for {type(spec).__name__}"
     )

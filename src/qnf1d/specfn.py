@@ -24,22 +24,30 @@ _INV_E = math.exp(-1.0)
 _TWO_PI = 2.0 * math.pi
 
 
-def lambert_w(branch: int, z: complex) -> complex:
+def lambert_w(branch, z):
     """W_n(z): solution w of w*exp(w) = z on branch ``branch``.
 
-    Residual contract: ``|w*exp(w) - z| <= 1e-12 * max(1, |z|)``.
+    Residual contract: ``|w*exp(w) - z| <= 1e-12 * max(1, |z|)``.  On the
+    real branches 0 and -1, z within 1e-15 of -1/e gives exactly -1, and a
+    real z gives a real W where Im W < 1e-12.  An ndarray branch or z gives
+    the broadcast array, nan where the scalar raises DomainError (z = 0 off
+    branch 0).
     """
-    z = complex(z)
-    if z == 0:
-        if branch == 0:
-            return 0j
-        raise DomainError(f"W_{branch}(0) is singular for branch != 0")
-    if branch in (0, -1) and abs(z + _INV_E) < 1e-15 and abs(z.imag) < 1e-15:
-        return complex(-1.0, 0.0)
-    w = complex(special.lambertw(z, branch))
-    if branch in (0, -1) and z.imag == 0.0 and w.imag != 0.0 and abs(w.imag) < 1e-12:
-        w = complex(w.real, 0.0)
-    return w
+    array = isinstance(branch, np.ndarray) or isinstance(z, np.ndarray)
+    n, z = np.asarray(branch), np.asarray(z, dtype=complex)
+    real_branch = (n == 0) | (n == -1)
+    w = special.lambertw(z, n)
+    at_branch_point = real_branch & (np.abs(z + _INV_E) < 1e-15) & (np.abs(z.imag) < 1e-15)
+    w = np.where(at_branch_point, -1.0 + 0j, w)
+    snap = real_branch & (z.imag == 0.0) & (w.imag != 0.0) & (np.abs(w.imag) < 1e-12)
+    w = np.where(snap, w.real + 0j, w)
+    singular = (z == 0) & (n != 0)
+    w = np.where(singular, complex("nan"), np.where(z == 0, 0j, w))
+    if array:
+        return w
+    if singular:
+        raise DomainError(f"W_{int(n)}(0) is singular for branch != 0")
+    return complex(w)
 
 
 def lambert_w_derivative(branch: int, z: complex) -> complex:

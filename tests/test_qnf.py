@@ -31,6 +31,7 @@ from qnf1d import (
 from qnf1d.errors import DomainError, UnsupportedPotentialError
 from qnf1d.potentials import normal_form
 from qnf1d.qnf import _scan_brackets, rect_barrier_k_series, rect_barrier_q_series
+from qnf1d.specfn import lambert_w
 
 C = PhysicalConstants()
 
@@ -513,6 +514,69 @@ class TestEckartLimits:
             for n in left:
                 if n in right:
                     assert abs(left[n] - right[n]) < 1e-9
+
+
+def member_by_member_tower(spec, ns):
+    """The double-delta tower one member at a time: k = i (k0 - W_n(+-arg) / (2a)),
+    without the trivial zero, each member kept unless it lies within 1e-9/a
+    of an earlier kept one."""
+    k0, a = 0.5 * C.p2 * spec.alpha, spec.a
+    arg = 2.0 * k0 * a * math.exp(2.0 * k0 * a)
+    out = []
+    for n in ns:
+        for sgn, label in ((1.0, "plus"), (-1.0, "minus")):
+            k = 1j * (k0 - lambert_w(n, sgn * arg) / (2.0 * a))
+            if abs(k) >= 1e-8 / a and all(abs(k - kept) >= 1e-9 / a for _, _, kept in out):
+                out.append((n, label, k))
+    return out
+
+
+class TestDoubleDeltaTower:
+    def test_array_tower_is_member_by_member(self):
+        # a != 1, where dividing w by 2a as a complex number would round
+        # differently from dividing each of its parts
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            a = rng.uniform(0.2, 3.0)
+            spec = DoubleDelta(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0) / a, a)
+            tower = closed_form_qnfs(spec, (-30, 120), C)
+            ref = member_by_member_tower(spec, range(-30, 121))
+            assert [(r.branch, r.sign_choice) for r in tower] == [(n, s) for n, s, _ in ref]
+            for r, (_, _, k) in zip(tower, ref):
+                assert r.k.real.hex() == k.real.hex() and r.k.imag.hex() == k.imag.hex()
+
+    def test_branch_point_duplicate_dropped_once(self):
+        # k0 a = -1/2 + 2e-8: +arg is within 1e-15 of -1/e, so W_0 and W_-1 are
+        # both -1 and the n = 0 plus member repeats the n = -1 plus member
+        # k = 2e-8 i / a, which is no trivial zero
+        a = 2.0
+        spec = DoubleDelta((-0.5 + 2e-8) / a, a)
+        tower = closed_form_qnfs(spec, (-1, 1), C)
+        rows = [(r.branch, r.sign_choice) for r in tower]
+        assert (-1, "plus") in rows and (0, "plus") not in rows
+        assert rows == [(n, s) for n, s, _ in member_by_member_tower(spec, range(-1, 2))]
+        assert sum(abs(r.k - 2e-8j / a) < 1e-9 / a for r in tower) == 1
+        # at k0 a = -1/2 itself both copies are the trivial zero k = 0
+        exact = closed_form_qnfs(DoubleDelta(-0.5 / a, a), (-1, 1), C)
+        assert all((r.branch, r.sign_choice) not in ((-1, "plus"), (0, "plus")) for r in exact)
+
+
+class TestPoleCondition:
+    def test_interfaces_with_steps(self):
+        # |1/t|: inf at k = 0 and where the exponentials overflow (t = 0)
+        for spec in (RectBarrier(1.0, 1.0), AsymRectBarrier(0.0, 1.0, 0.5, 1.0), Step(0.5)):
+            assert pole_condition(spec, 0.0, C) == math.inf
+        assert pole_condition(RectBarrier(1.0, 1.0), 100 + 200j, C) == math.inf
+
+    def test_delta_pair(self):
+        # an exact pole is an exact root; an overflowing exp(-4 i k a) is inf
+        assert pole_condition(Delta(1.0), 1j, C) == 0.0
+        assert pole_condition(DoubleDelta(1.0, 1.0), 1 + 300j, C) == math.inf
+
+    def test_eckart_family(self):
+        # the tanh member k = i n / a is a gamma pole, exactly
+        assert pole_condition(Tanh(0.0, 2.0, 1.0), 2j, C) == 0.0
+        assert pole_condition(Eckart(0.0, 2.0, -1.0, 1.0), complex("nan"), C) == math.inf
 
 
 class TestOracleAgreement:

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from qnf1d.errors import DomainError, GammaPoleError
@@ -75,6 +76,20 @@ class TestLambertW:
     def test_zero_on_nonprincipal_branch_raises(self):
         with pytest.raises(DomainError):
             lambert_w(1, 0.0)
+
+    @pytest.mark.parametrize("z", [-math.exp(-1.0), -0.25, 0.5, -5.0, 2.0 * math.e**2, 3.0 + 2.0j])
+    def test_array_branches_are_the_scalar_calls(self, z):
+        # the branch point -1/e, a real z in (-1/e, 0) on both real branches
+        branches = np.arange(-50, 201)
+        ws = lambert_w(branches, z)
+        ref = np.array([lambert_w(int(n), z) for n in branches])
+        assert ws.shape == branches.shape
+        assert np.array_equal(ws.real, ref.real) and np.array_equal(ws.imag, ref.imag)
+        assert np.array_equal(np.signbit(ws.imag), np.signbit(ref.imag))
+
+    def test_array_z_is_nan_where_the_scalar_raises(self):
+        ws = lambert_w(np.array([1, 0, 1]), np.array([0.0, 0.0, 1.0]))
+        assert np.isnan(ws[0]) and ws[1] == 0.0 and ws[2] == lambert_w(1, 1.0)
 
     def test_exact_inverse_of_x_exp_x(self):
         # W_0(x e^x) = x for x >= -1 (used by the trivial double-delta zero)
