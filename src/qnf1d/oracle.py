@@ -94,20 +94,12 @@ class PoleReport:
 # Transfer matrices (piecewise-constant + delta potentials)
 # ---------------------------------------------------------------------------
 
-def _wave_matrices(x, kappa):
-    """Columns are (psi, psi') of the basis exp(-i kappa x), exp(+i kappa x),
-    over an array of kappa: shape kappa.shape + (2, 2)."""
-    em = np.exp(-1j * kappa * x)
-    ep = np.exp(1j * kappa * x)
-    return np.stack([np.stack([em, ep], -1),
-                     np.stack([-1j * kappa * em, 1j * kappa * ep], -1)], -2)
-
-
 def _transfer_matrices(spec, k, c):
-    """M with (A_left, B_left) = M (A_right, B_right) over an array of k, as
-    one stack of (..., 2, 2) products; also returns k+ and the mask of the
+    """The entries (m00, m01, m10, m11) of M = W(-a, k)^-1 J_left P J_right
+    W(a, k+), with (A_left, B_left) = M (A_right, B_right), over an array of
+    k, each 2 x 2 product written out; also returns k+ and the mask of the
     points where M is not representable (k = 0, an exponential beyond the
-    guard, or a non-finite product)."""
+    guard, or a non-finite entry)."""
     form = normal_form(spec)
     if not isinstance(form, Interfaces):
         raise NotAScatteringPotential(f"{type(spec).__name__} is not piecewise-constant")
@@ -118,12 +110,17 @@ def _transfer_matrices(spec, k, c):
     bad = k == 0
     for kappa in (k, k_mid, k_p):
         bad |= np.abs(kappa.imag * a) > _EXP_GUARD
-    # psi' jumps by g psi at each face; bad points get a harmless stand-in
-    # and are masked by the caller
-    j_left, j_right = (np.array([[1.0, 0.0], [-c.p2 * alpha, 1.0]], dtype=complex)
-                       for alpha in (form.alpha_left, form.alpha_right))
-    left = np.linalg.inv(_wave_matrices(-a, np.where(bad, 1.0, k))) @ j_left
-    right = j_right @ _wave_matrices(a, k_p)
+    # W(x, kappa) has columns (psi, psi') of exp(-+i kappa x), det 2i kappa;
+    # psi' jumps by g psi at a face, J = [[1, 0], [g, 1]].  Bad points get a
+    # harmless stand-in for k in W(-a, k)^-1 and are masked by the caller
+    g_left, g_right = -c.p2 * form.alpha_left, -c.p2 * form.alpha_right
+    k_in = np.where(bad, 1.0, k)
+    em, ep = 0.5 * np.exp(-1j * k_in * a), 0.5 * np.exp(1j * k_in * a)
+    l01, l11 = -em / (1j * k_in), ep / (1j * k_in)  # left = W(-a, k)^-1 J_left
+    l00, l10 = em + l01 * g_left, ep + l11 * g_left
+    # right = J_right W(a, k+)
+    r00, r01 = np.exp(-1j * k_p * a), np.exp(1j * k_p * a)
+    r10, r11 = (g_right - 1j * k_p) * r00, (g_right + 1j * k_p) * r01
     # the middle region carries (psi, psi') from x = a to x = -a by
     # P = e I + sin(k_mid d) / k_mid u v^T, d = -2a, u = (1, w), v = (w, 1),
     # with e = exp(-w d) the decaying one of exp(+-i k_mid d): no cancellation
@@ -131,29 +128,31 @@ def _transfer_matrices(spec, k, c):
     # exponential basis degenerates (a = 0 makes P the identity)
     d = -2.0 * a
     w = np.where((k_mid * d).imag >= 0, -1j, 1j) * k_mid
-    lu = left[..., :, 0] + w[..., None] * left[..., :, 1]
-    vr = w[..., None] * right[..., 0, :] + right[..., 1, :]
-    m = np.exp(-w * d)[..., None, None] * (left @ right) \
-        + _sin_over(k_mid, d)[..., None, None] * lu[..., :, None] * vr[..., None, :]
+    ex, s = np.exp(-w * d), _sin_over(k_mid, d)
+    lu0, lu1 = s * (l00 + w * l01), s * (l10 + w * l11)  # s (left u)
+    vr0, vr1 = w * r00 + r10, w * r01 + r11  # v^T right
+    m = (ex * (l00 * r00 + l01 * r10) + lu0 * vr0, ex * (l00 * r01 + l01 * r11) + lu0 * vr1,
+         ex * (l10 * r00 + l11 * r10) + lu1 * vr0, ex * (l10 * r01 + l11 * r11) + lu1 * vr1)
     # each factor can scale the entries by exp(|Im kappa a|), so the product
     # overflows long before one exponential does
-    bad |= ~np.isfinite(m).all(axis=(-2, -1))
+    for entry in m:
+        bad |= ~np.isfinite(entry)
     return m, k_p, bad
 
 
 def _transfer_amplitudes(spec, k, c) -> ScatteringAmplitudes:
     """t and r over an array of k; inf at a pole, nan where M is not
     representable."""
-    m, k_p, bad = _transfer_matrices(spec, k, c)
-    m00 = m[..., 0, 0]
+    (m00, _, m10, _), k_p, bad = _transfer_matrices(spec, k, c)
     t = np.where(m00 == 0, complex("inf"), 1.0 / m00 * np.sqrt(k_p) / np.sqrt(k))
     nan = complex("nan")
-    return ScatteringAmplitudes(np.where(bad, nan, t), np.where(bad, nan, m[..., 1, 0] / m00),
+    return ScatteringAmplitudes(np.where(bad, nan, t), np.where(bad, nan, m10 / m00),
                                 k, k_p)
 
 
 def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS):
-    """|det M - k_+/k_-|: the flux-conservation surrogate (0 for exact matrices).
+    """|det M - k_+/k_-|: the flux-conservation surrogate (0 for exact matrices),
+    with det M = m00 m11 - m01 m10 from M's entries.
 
     An ndarray k gives an array of the same shape, nan where M is not
     representable; a scalar k gives a float and raises OverflowGuardError
@@ -161,8 +160,8 @@ def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS)
     scalar = not isinstance(k, np.ndarray)
     k = np.array([k] if scalar else k, dtype=complex)
     with np.errstate(all="ignore"):
-        m, k_p, bad = _transfer_matrices(spec, k, c)
-        err = np.where(bad, np.nan, np.abs(np.linalg.det(m) - k_p / k))
+        (m00, m01, m10, m11), k_p, bad = _transfer_matrices(spec, k, c)
+        err = np.where(bad, np.nan, np.abs(m00 * m11 - m01 * m10 - k_p / k))
     if not scalar:
         return err
     if bad[0]:
@@ -303,9 +302,9 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
 
     An ndarray k gives arrays under the contract of
     ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
-    is not representable); the transfer matrices are then one stacked
-    product, and the ODE is one integration of the stacked states.  A
-    scalar k is the one-element case: t is inf at a pole, and
+    is not representable); the transfer matrices are then written entry by
+    entry over the array, and the ODE is one integration of the stacked
+    states.  A scalar k is the one-element case: t is inf at a pole, and
     OverflowGuardError is raised where the array would be nan.
     """
     form = normal_form(spec)

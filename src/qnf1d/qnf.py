@@ -152,6 +152,19 @@ def _delta_k0s(form: Interfaces, p2: float) -> tuple:
     return 0.5 * p2 * form.alpha_left, 0.5 * p2 * form.alpha_right
 
 
+def _lambert_argument(scale: float, k0: float, a: float) -> float:
+    """scale e^{2 k0 a}, the Lambert-W argument of a delta pair (2 k0 a
+    e^{2 k0 a} for equal couplings k0); DomainError where it is not finite."""
+    try:
+        arg = scale * math.exp(2.0 * k0 * a)
+    except OverflowError:
+        arg = math.inf
+    if not math.isfinite(arg):
+        raise DomainError(f"delta coupling k0 = m alpha / hbar^2 = {k0:.6g} is too strong at "
+                          f"a = {a:.6g}: the Lambert-W argument 2 k0 a e^(2 k0 a) overflows")
+    return arg
+
+
 def _delta_pair(form) -> bool:
     """Two delta couplings a distance 2a apart, no steps."""
     return isinstance(form, Interfaces) and form.a > 0 and form.flat
@@ -249,7 +262,7 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
                 return []
             return _results(spec, [1j * k0], "closed_form", c)
         k0, a = kp, form.a
-        arg = 2.0 * k0 * a * math.exp(2.0 * k0 * a)
+        arg = _lambert_argument(2.0 * k0 * a, k0, a)
         # every (n, sign) pair, n by n with plus before minus
         branch = np.repeat(ns, 2)
         labels = np.array(["plus", "minus"] * len(ns), dtype=object)
@@ -441,7 +454,7 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
             # the exact pole condition
             k = 1j * (kp + km) + 4j * kp * km * a
             return _results(spec, [k], "perturbative", c)[0]
-        c0 = 2.0 * a * math.sqrt(kp * km) * math.exp((kp + km) * a)
+        c0 = _lambert_argument(2.0 * a * math.sqrt(kp * km), 0.5 * (kp + km), a)
         w = lambert_w(n, c0)
         k = 1j * (0.5 * (kp + km) - w / (2.0 * a))
         if regime == "near_symmetric_order2":
@@ -488,7 +501,7 @@ def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
     sgn = 1.0 if sign == "plus" else -1.0
     if _delta_pair(form) and form.alpha_left == form.alpha_right:
         k0, a = _delta_k0s(form, p2)[0], form.a
-        wc = lambert_w_comtet(n, sgn * 2.0 * k0 * a * math.exp(2.0 * k0 * a))
+        wc = lambert_w_comtet(n, sgn * _lambert_argument(2.0 * k0 * a, k0, a))
         k = 1j * (k0 - wc / (2.0 * a))
         return _results(spec, [k], "asymptotic", c, branch=[n], sign_choice=[sign])[0]
     if _symmetric_barrier(form):

@@ -199,7 +199,10 @@ class TestCommands:
         ["qnf", "--type", "sech2", "--V0", "-1", "--a", "1", "--n", "x..3"],
         ["eval", "--type", "sech2", "--V0", "-1", "--a", "1", "--points", "-1"],
         ["transmission", "--type", "sech2", "--V0", "-1", "--a", "1", "--points", "-1"],
-    ], ids=["inf-region", "nan-density", "text-region", "text-n", "eval-points", "points"])
+        ["qnf", "--type", "double-delta", "--alpha", "353", "--a", "1"],
+        ["qnf", "--type", "double-delta", "--alpha", "400", "--a", "1"],
+    ], ids=["inf-region", "nan-density", "text-region", "text-n", "eval-points", "points",
+            "coupling-353", "coupling-400"])
     def test_bad_input_is_an_error_message(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import energy_grid
 from qnf1d import (
@@ -32,8 +33,16 @@ from qnf1d import (
     transmission_amplitude,
 )
 from qnf1d.errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
-from qnf1d.oracle import _NEWTON_MAX_ITER, _ODE_HALF_WIDTH, _inv_t, transfer_matrix_det_error
-from qnf1d.potentials import length_scale, normal_form
+from qnf1d.oracle import (
+    _EXP_GUARD,
+    _NEWTON_MAX_ITER,
+    _ODE_HALF_WIDTH,
+    _inv_t,
+    _transfer_matrices,
+    transfer_matrix_det_error,
+)
+from qnf1d.potentials import _level_wavenumber, _sin_over, length_scale, normal_form
+from test_array_amplitudes import piecewise_specs, scaled_wavenumbers
 
 C = PhysicalConstants()
 
@@ -111,7 +120,88 @@ def scalar_grid(spec, region, amplitude):
     return mag
 
 
+def stacked_transfer_matrices(spec, k):
+    """M and its not-representable mask, built as one stack of (..., 2, 2)
+    products: np.linalg.inv of the wave matrices at -a, the jump matrices J
+    and the middle propagator, multiplied with @.  The engine writes the
+    same product out entry by entry; this is its reference."""
+    form = normal_form(spec)
+    a, e = form.a, k * k / C.p2 + form.v1
+    k_mid, k_p = (_level_wavenumber(k, e, form.v1, v, C.p2) for v in (form.v2, form.v3))
+    bad = k == 0
+    for kappa in (k, k_mid, k_p):
+        bad |= np.abs(kappa.imag * a) > _EXP_GUARD
+
+    def wave(x, kappa):
+        em, ep = np.exp(-1j * kappa * x), np.exp(1j * kappa * x)
+        return np.stack([np.stack([em, ep], -1),
+                         np.stack([-1j * kappa * em, 1j * kappa * ep], -1)], -2)
+
+    j_left, j_right = (np.array([[1.0, 0.0], [-C.p2 * alpha, 1.0]], dtype=complex)
+                       for alpha in (form.alpha_left, form.alpha_right))
+    left = np.linalg.inv(wave(-a, np.where(bad, 1.0, k))) @ j_left
+    right = j_right @ wave(a, k_p)
+    d = -2.0 * a
+    w = np.where((k_mid * d).imag >= 0, -1j, 1j) * k_mid
+    lu = left[..., :, 0] + w[..., None] * left[..., :, 1]
+    vr = w[..., None] * right[..., 0, :] + right[..., 1, :]
+    m = np.exp(-w * d)[..., None, None] * (left @ right) \
+        + _sin_over(k_mid, d)[..., None, None] * lu[..., :, None] * vr[..., None, :]
+    return m, bad | ~np.isfinite(m).all(axis=(-2, -1))
+
+
+def assert_matches_stacked_product(spec, k):
+    """The engine's entries of M against the stacked product: the same
+    not-representable points (where t and r are nan), and each entry within
+    1e-12 relative to max(1, |entry|).  m00 is 1/t up to the flux factor;
+    t itself would carry m00's rounding times |t| next to a pole, where an
+    exact pole may round to m00 = 0 in one product and not the other."""
+    k = np.asarray(k, dtype=complex)
+    with np.errstate(all="ignore"):
+        entries, _k_p, bad = _transfer_matrices(spec, k, C)
+        m_ref, bad_ref = stacked_transfer_matrices(spec, k)
+    assert (bad == bad_ref).all(), (spec, k[bad != bad_ref])
+    refs = (m_ref[..., 0, 0], m_ref[..., 0, 1], m_ref[..., 1, 0], m_ref[..., 1, 1])
+    ok = ~bad
+    for ij, got, ref in zip(("00", "01", "10", "11"), entries, refs):
+        err = np.abs(got[ok] - ref[ok]) / np.maximum(1.0, np.abs(ref[ok]))
+        assert (err <= 1e-12).all(), (spec, ij, k[ok][err > 1e-12], err.max())
+
+
 class TestTransferMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=piecewise_specs(), ks=scaled_wavenumbers)
+    def test_entries_match_stacked_product(self, spec, ks):
+        assert_matches_stacked_product(spec, np.array(ks, dtype=complex) / length_scale(spec))
+
+    @pytest.mark.parametrize("spec, k", [
+        # barrier tops, where k_mid = 0
+        (RectBarrier(2.0, 1.0), np.array([2.0, -2.0, 2.0 + 1e-9j])),
+        (AsymRectBarrier(0.0, 2.0, 0.5, 1.0), np.array([2.0, -2.0, 2.0 - 1e-9j])),
+        # a = 0: one interface at the origin
+        (Delta(1.3), np.array([0.4, 1.1j, -2.0 + 0.5j, 3.0 - 1.0j, 0.0])),
+        (Step(1.5), np.array([0.4, 1.7, 1.0j, -2.0 + 0.5j, 3.0 - 1.0j, 0.0])),
+        # beyond the exponent guard, and a product that overflows inside it
+        (DoubleDelta(0.5, 1.0), np.array([1e3j, 1.0 - 700j, 1.0 + 1.0j])),
+        (DoubleDelta(1.0, 1.0), np.array([1.0 + 200j, 1.0 + 400j, 1.0 + 100j])),
+        (AsymRectBarrier(0.3, 2.5, -0.4, 0.6), np.array([1.0 + 1100j, 2.0 - 999j, 0.5 + 2j])),
+    ], ids=["rect-top", "asym-rect-top", "delta", "step", "guard", "product-overflow",
+            "asym-rect-guard"])
+    def test_entries_match_stacked_product_at_edge_points(self, spec, k):
+        assert_matches_stacked_product(spec, k)
+
+    @pytest.mark.parametrize("spec", PIECEWISE, ids=lambda s: type(s).__name__)
+    def test_one_point_equals_its_batch(self, spec):
+        # each point's matrix is its own product, so a point's t and r do
+        # not depend on the batch around it, bit for bit
+        rng = np.random.default_rng(3)
+        k = (rng.uniform(-8.0, 8.0, 300) + 1j * rng.uniform(-2.0, 2.0, 300)) / length_scale(spec)
+        amp = numeric_amplitude(spec, k, C)
+        for i in range(k.size):
+            one = numeric_amplitude(spec, k[i:i + 1], C)
+            assert one.t.tobytes() == amp.t[i:i + 1].tobytes(), (k[i], one.t, amp.t[i])
+            assert one.r.tobytes() == amp.r[i:i + 1].tobytes(), (k[i], one.r, amp.r[i])
+
     @pytest.mark.parametrize("spec", PIECEWISE, ids=lambda s: type(s).__name__)
     def test_exactness_random_complex_k(self, spec):
         rng = random.Random(42)

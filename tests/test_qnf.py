@@ -74,6 +74,18 @@ class TestClosedForms:
         for r in res:
             assert min(abs(-r.k.conjugate() - q) for q in wide) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [353.0, 400.0])
+    def test_double_delta_too_strong_coupling_is_rejected(self, alpha):
+        # 2 k0 a e^{2 k0 a} is not finite: inf at k0 a = 353, an overflow of
+        # e^{2 k0 a} itself at 400
+        spec = DoubleDelta(alpha, 1.0)
+        with pytest.raises(DomainError, match="coupling"):
+            closed_form_qnfs(spec, (0, 2), C)
+        with pytest.raises(DomainError, match="coupling"):
+            asymptotic_qnfs(spec, 3, C)
+        with pytest.raises(DomainError, match="coupling"):
+            perturbative_qnfs(AsymDoubleDelta(alpha, alpha, 1.0), "near_symmetric_order0", 0, C)
+
     def test_tanh_example(self):
         res = closed_form_qnfs(Tanh(0.0, 2.0, 1.0), (1, 1), C)
         assert res[0].k == pytest.approx(2j)  # transmitted-side wavenumber
