@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NotAScatteringPotential, OverflowGuardError
@@ -528,9 +527,12 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     mag = np.abs(f(grid))
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
-    # seeds are the local minima of |1/t| over each point's 3 x 3 window
-    window = sliding_window_view(np.pad(mag, 1, constant_values=np.inf), (3, 3))
-    seeds = grid[(mag < 1e6) & (mag <= window.min(axis=(-2, -1)))]
+    # seeds are the local minima of |1/t| over each point's 3 x 3 window;
+    # scipy.ndimage is imported here, as it adds ~50 ms to importing qnf1d
+    from scipy.ndimage import minimum_filter
+
+    window_min = minimum_filter(mag, size=3, mode="constant", cval=np.inf)
+    seeds = grid[(mag < 1e6) & (mag <= window_min)]
 
     def inside(k, _guesses):
         return ((region.re_min - 1e-9 <= k.real) & (k.real <= region.re_max + 1e-9)

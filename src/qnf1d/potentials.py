@@ -13,6 +13,11 @@ Every scattering member of the catalog has one of two normal forms (see
 (``EckartReduction``).  Asymptotes, amplitudes and probabilities are
 computed from the normal form; each spec class keeps only its textbook
 formula, its normal form and its resonance family.
+
+Each class also names its squared-Moebius form (``_canonical``, which
+``qnf1d.canonical.canonicalize`` reads): the Eckart members complete the
+square of their reduction, Mobius2, Tietz, Hua, Morse and Manning-Rosen
+write theirs down, and the rest raise CanonicalizationError.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     AtPoleError,
+    CanonicalizationError,
     DomainError,
     NotAScatteringPotential,
     RegimeError,
@@ -339,6 +345,21 @@ def _mobius2_reduction(m: Mobius2) -> EckartReduction:
     return EckartReduction(mid - half_step, mid + half_step, v0, m.a, shift)
 
 
+def _mobius2_square(c0, c1, c2, a, sign) -> Mobius2:
+    """V = c0 + c1 w + c2 w^2 = (c0 - c2 h^2) + c2 (w + h)^2 with h = c1/(2 c2),
+    for w = (1 - sign u)/(1 + sign u): tanh(x/a) (sign = +1) or coth(x/a)
+    (sign = -1).  w + h = ((1 + h) - sign (1 - h) u)/(1 + sign u) is written
+    without cancellation."""
+    if c2 == 0:
+        raise CanonicalizationError(
+            "potential is affine in tanh/coth: no exact (Mobius)^2 form "
+            "(the square's leading coefficient vanishes)"
+        )
+    h = c1 / (2.0 * c2)
+    return Mobius2(A0=c0 - c2 * h * h, E1=1.0 + h, F1=-sign * (1.0 - h),
+                   E2=1.0, F2=sign, a=a, overall=c2)
+
+
 # ---------------------------------------------------------------------------
 # Spec types
 # ---------------------------------------------------------------------------
@@ -363,6 +384,20 @@ class _Spec(_Validated):
         raise NotAScatteringPotential(
             f"{type(self).__name__} has no transmission-resonance analysis"
         )
+
+    def _canonical(self):
+        """(Mobius2 form, shift, notes) with V(x) = form(x - shift); here the
+        completed square of the Eckart reduction."""
+        red = self._form if is_scattering(self) else None
+        if not isinstance(red, EckartReduction):
+            raise CanonicalizationError(
+                f"{type(self).__name__} is not in the Eckart/(Mobius)^2 family"
+            )
+        # V = mid + half tanh + v0 sech^2, with sech^2 = 1 - tanh^2
+        mid = 0.5 * (red.v_minus + red.v_plus)
+        half = 0.5 * (red.v_plus - red.v_minus)
+        form = _mobius2_square(mid + red.v0, half, -red.v0, red.a, 1.0)
+        return form, red.shift, f"origin shifted by {red.shift:.6g}" if red.shift else ""
 
 
 def _sech2_conditions(a: float, n_max: int, c: PhysicalConstants) -> list:
@@ -617,6 +652,9 @@ class Mobius2(_Spec):
     def mobius2(self) -> Mobius2:
         return self
 
+    def _canonical(self):
+        return self, 0.0, ""
+
     def _potential(self, x):
         u = np.exp(-2.0 * x / self.a)
         den = self.E2 + self.F2 * u
@@ -639,6 +677,13 @@ class Morse(_Spec):
     def _potential(self, x):
         return self.V0 * (1.0 - np.exp(-(x - self.x0) / self.a)) ** 2
 
+    def _canonical(self):
+        # V0 (1 - e^{x0/a} u)^2 with u = e^{-2x/(2a)}: F2 = 0, a limiting
+        # (confining) member that defines no scattering problem
+        form = Mobius2(A0=0.0, E1=1.0, F1=-math.exp(self.x0 / self.a),
+                       E2=1.0, F2=0.0, a=2.0 * self.a, overall=self.V0)
+        return form, 0.0, "Morse: F2 = 0 limit, confining on the left"
+
 
 @dataclass(frozen=True)
 class ManningRosen(_Spec):
@@ -654,6 +699,13 @@ class ManningRosen(_Spec):
         v = np.exp(-x / self.b)
         return self.A * v**2 / (1.0 - v) ** 2 + self.B * v / (1.0 - v)
 
+    def _canonical(self):
+        # in w = coth(x/(2b)): V = (A/4) w^2 + (B-A)/2 w + (A/4 - B/2); A = 0
+        # (Hulthen) is affine in w
+        form = _mobius2_square(0.25 * self.A - 0.5 * self.B, 0.5 * (self.B - self.A),
+                               0.25 * self.A, 2.0 * self.b, -1.0)
+        return form, 0.0, "half-line potential with a pole at x = 0"
+
 
 @dataclass(frozen=True)
 class Hulthen(_Spec):
@@ -667,6 +719,13 @@ class Hulthen(_Spec):
             raise DomainError("Hulthen is defined on x > 0")
         v = np.exp(-x / self.a)
         return self.V0 * v / (1.0 - v)
+
+    def _canonical(self):
+        raise CanonicalizationError(
+            "Hulthen is affine in coth(x/2a) with a simple pole at x = 0; "
+            "a (Mobius)^2 potential has only double poles, so no exact form "
+            "exists (it is the A -> 0 limit of Manning-Rosen)"
+        )
 
 
 @dataclass(frozen=True)
@@ -689,6 +748,11 @@ class Tietz(_Spec):
         scale = self.V0 * math.exp(-2.0 * self.x0 / self.a)
         e2, f2 = {"sinh": (1.0, -1.0), "cosh": (1.0, 1.0), "exp": (2.0, 0.0)}[self.kind]
         return Mobius2(A0=0.0, E1=1.0, F1=-c, E2=e2, F2=f2, a=self.a, overall=scale)
+
+    def _canonical(self):
+        notes = {"sinh": "sinh denominator: pole at x = 0", "cosh": "",
+                 "exp": "exp denominator: Morse-type F2 = 0 limit"}[self.kind]
+        return self.mobius2(), 0.0, notes
 
     def _potential(self, x):
         num = np.sinh((x - self.x0) / self.a)
@@ -718,6 +782,18 @@ class Hua(_Spec):
         """The exact squared-Moebius form; it scatters for q < 0."""
         return Mobius2(A0=0.0, E1=1.0, F1=-1.0, E2=1.0, F2=-self.q, a=self.a,
                        overall=self.V0)
+
+    def _canonical(self):
+        if self.q < 0:
+            # a cosh-type Tietz via tanh(theta) = (1+q)/(1-q)
+            theta = math.atanh((1.0 + self.q) / (1.0 - self.q))
+            notes = f"cosh-type Tietz with theta = {theta:.6g}"
+        elif self.q == 0.0:
+            notes = "q = 0: Morse limit, confining on the left"
+        else:
+            theta = math.atanh((1.0 - self.q) / (1.0 + self.q))
+            notes = f"sinh-type Tietz with theta = {theta:.6g}; pole at x = (a/2) ln q"
+        return self.mobius2(), 0.0, notes
 
     def _potential(self, x):
         u = np.exp(-2.0 * x / self.a)

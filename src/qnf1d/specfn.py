@@ -78,20 +78,21 @@ def lambert_w_comtet(branch: int, z: complex, terms: int = 2) -> complex:
     return l1 - cmath.log(l1 - cmath.log(l1))
 
 
-def log_gamma(z: complex) -> complex:
+def log_gamma(z):
     """Continuous (principal on the positive axis) log-gamma; exp of it is Gamma(z).
 
     Raises GammaPoleError at the poles z = 0, -1, -2, ... (for the potentials
     in this catalog those poles are exactly the quasi-normal wavenumbers, so
     they are detected rather than evaluated).  An ndarray z gives an array
-    that is nan at the poles instead.
+    that is nan at the poles instead; a scalar z is the one-element case.
     """
-    if isinstance(z, np.ndarray):
-        z = z.astype(complex)
-        pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-        with np.errstate(all="ignore"):
-            return np.where(pole, complex("nan"), special.loggamma(z))
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+    array = isinstance(z, np.ndarray)
+    z = np.asarray(z, dtype=complex)
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    with np.errstate(all="ignore"):
+        g = np.where(pole, complex("nan"), special.loggamma(z))
+    if array:
+        return g
+    if pole:
         raise GammaPoleError(f"log_gamma pole at z = {z.real:g}")
-    return complex(special.loggamma(z))
+    return complex(g)

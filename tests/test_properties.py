@@ -7,20 +7,27 @@ units of the length a."""
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from qnf1d import (
     Eckart,
+    Hua,
+    ManningRosen,
+    Morse,
     PhysicalConstants,
+    Tietz,
     canonicalize,
     evaluate,
+    is_scattering,
     numeric_amplitude,
     scattering_limits,
     transmission_amplitude,
     transmission_probability,
 )
 from qnf1d.potentials import length_scale, normal_form
-from test_array_amplitudes import piecewise_specs, scaled_wavenumbers, smooth_specs
+from test_array_amplitudes import (
+    length, level, piecewise_specs, scaled_wavenumbers, smooth_specs, unit,
+)
 
 C = PhysicalConstants()
 
@@ -111,27 +118,57 @@ def canonical_round_trip_error(spec):
     return float(np.max(diff)) / max(abs(red.v_minus), abs(red.v_plus), abs(red.v0))
 
 
-def near_degenerate(red):
-    """V0 within 1e-3 |V0| of (V- - V+)/4, where the square in the canonical
-    form loses its u^2 term and the canonical coefficients cancel."""
-    return abs(4.0 * red.v0 - (red.v_minus - red.v_plus)) < 4e-3 * abs(red.v0)
+@st.composite
+def degenerate_eckart(draw):
+    """Eckart(V-, V+, (V- - V+)/4, a), where the canonical square loses its
+    u^2 term: F1 = 0."""
+    a = draw(length)
+    v_minus, v_plus = draw(level) / a**2, draw(level) / a**2
+    assume(v_minus != v_plus)
+    return Eckart(v_minus, v_plus, (v_minus - v_plus) / 4.0, a)
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=smooth_specs().filter(lambda s: normal_form(s).v0 != 0.0
-                                  and not near_degenerate(normal_form(s))))
+@given(spec=smooth_specs().filter(lambda s: normal_form(s).v0 != 0.0) | degenerate_eckart())
 def test_canonicalize_round_trip(spec):
-    # the pure tanh (V0 = 0) has no squared-Moebius form; the near-degenerate
-    # members are the known failure below.  Measured <= 1e-11 over 23000
-    # examples
+    # the pure tanh (V0 = 0) has no squared-Moebius form.  Measured
+    # <= 1.1e-15 on the degenerate members over 3000 examples
     assert canonical_round_trip_error(spec) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "at V0 = (V- - V+)/4 the perfect square's u^2 coefficient is an "
-    "O(eps) remainder of a cancellation instead of 0, so canonicalize takes "
-    "the F1 = 1 branch with overall ~ 1e-16 and returns a constant"))
 @pytest.mark.parametrize("spec", [Eckart(0.7, 0.0, 0.175, 1.0), Eckart(0.9, 0.1, 0.2, 1.0)],
                          ids=str)
 def test_canonicalize_round_trip_near_degenerate(spec):
+    # V0 = (V- - V+)/4 up to rounding
     assert canonical_round_trip_error(spec) <= 1e-9
+
+
+@st.composite
+def moebius_type_specs(draw):
+    """(spec, x) for the members that write their squared-Moebius form down:
+    x spans |x| <= 6a where the spec scatters, 0.05a <= x <= 6a otherwise.
+    Manning-Rosen with B = 2A is the member whose square loses its u term."""
+    a = draw(length)
+    cls = draw(st.sampled_from([ManningRosen, Morse, Tietz, Hua]))
+    if cls is ManningRosen:
+        A = draw(unit) / a**2
+        spec = ManningRosen(A, 2.0 * A if draw(st.booleans()) else draw(level) / a**2, a)
+    elif cls is Hua:
+        spec = Hua(draw(unit) / a**2, draw(unit), a)
+    elif cls is Tietz:
+        spec = Tietz(draw(unit) / a**2, draw(st.floats(-1.0, 1.0)) * a, a,
+                     draw(st.sampled_from(["sinh", "cosh", "exp"])))
+    else:
+        spec = Morse(draw(unit) / a**2, draw(st.floats(-1.0, 1.0)) * a, a)
+    lo = -6.0 if is_scattering(spec) else 0.05
+    return spec, np.linspace(lo, 6.0, 121) * a
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_x=moebius_type_specs())
+def test_canonicalize_round_trip_moebius_type(spec_x):
+    # relative to max |V| over x; measured <= 6e-15 over 3000 examples
+    spec, x = spec_x
+    v = evaluate(spec, x)
+    diff = np.abs(v - canonicalize(spec).evaluate(x))
+    assert float(np.max(diff)) <= 1e-9 * float(np.max(np.abs(v)))

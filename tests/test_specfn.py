@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from qnf1d.errors import DomainError, GammaPoleError
 from qnf1d.specfn import lambert_w, lambert_w_comtet, lambert_w_derivative, log_gamma
@@ -196,6 +197,22 @@ class TestLogGamma:
         for z in (0.0, -1.0, -2.0, -17.0):
             with pytest.raises(GammaPoleError):
                 log_gamma(z)
+
+    def test_scalar_is_the_one_element_array(self):
+        # scipy's loggamma gives the same bits for a scalar and an array z,
+        # so the scalar call is the array path without a change of value
+        rng = np.random.default_rng(14)
+        z = rng.uniform(-30, 30, 20000) + 1j * rng.uniform(-40, 40, 20000)
+        poles = np.arange(-20.0, 1.0)
+        g = log_gamma(np.concatenate([z, poles]))
+        assert np.isnan(g[len(z):]).all()
+        for zi, gi in zip(z.tolist(), g.tolist()):
+            ref = complex(special.loggamma(zi))
+            assert log_gamma(zi) == gi == ref, zi
+            assert math.copysign(1.0, gi.imag) == math.copysign(1.0, ref.imag)
+        for p in poles.tolist():
+            with pytest.raises(GammaPoleError):
+                log_gamma(p)
 
     def test_matches_reference_everywhere(self):
         import random
