@@ -15,6 +15,7 @@ import argparse
 import cmath
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -63,6 +64,7 @@ def _parse_region(text: str, density: float) -> O.SearchRegion:
     return O.SearchRegion(re_min, re_max, im_min, im_max, density)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qnf1d",
@@ -121,25 +123,50 @@ def _spec_from_args(args):
     return spec, P.PhysicalConstants(args.hbar, args.mass, args.mode)
 
 
+def _csv_column(cells) -> list:
+    """One column's CSV fields: one formatter for the whole column where its
+    cells share a kind, else _fmt per cell; only strings can need quotes."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return list(map("{:.17g}".format, cells))
+    if kinds == {int}:
+        return list(map(str, cells))
+    if kinds == {str}:
+        return list(map(_csv_field, cells))
+    return [_csv_field(v) if isinstance(v, str) else _fmt(v) for v in cells]
+
+
+@functools.lru_cache(maxsize=256)
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it inside a row: quoted where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # the empty second field: ",\n"
+
+
+def _json_column(cells) -> list:
+    """One column's JSON values: float(v) is the double that the CSV's 17
+    significant digits name."""
+    if set(map(type, cells)) <= {float, str, int, type(None)}:
+        return list(cells)
+    return [v if v is None or isinstance(v, (str, int)) else float(v) for v in cells]
+
+
 def _emit(args, spec, constants, columns, rows) -> str:
+    """The command's output text, formatted column by column."""
+    cells = list(zip(*rows))
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-        return buf.getvalue()
+        lines = map(",".join, [map(_csv_field, columns), *zip(*map(_csv_column, cells))])
+        return "\n".join(lines) + "\n"
     envelope = {
         "version": __version__,
         "command": args.command,
         "spec": None if spec is None else S.spec_to_dict(spec),
         "constants": None if constants is None else S.constants_to_dict(constants),
         "columns": list(columns),
-        # float(v) is the double that _fmt's 17 significant digits name
-        "rows": [[v if v is None or isinstance(v, (str, int)) else float(v) for v in row]
-                 for row in rows],
+        "rows": list(zip(*map(_json_column, cells))),
     }
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _write(args, text: str):
@@ -158,8 +185,7 @@ def _write(args, text: str):
 
 def _cmd_eval(args, spec, constants):
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    rows = [(x, P.evaluate(spec, float(x))) for x in xs]
-    return ["x", "V"], rows
+    return ["x", "V"], list(zip(xs.tolist(), P.evaluate(spec, xs).tolist()))
 
 
 def _default_energy_window(spec):
@@ -196,22 +222,21 @@ def _cmd_transmission(args, spec, constants):
         (e, T, abs(t) ** 2, cmath.phase(t)) for e, T, t in zip(es, Ts, ts)]
 
 
-def _qnf_rows(results, spec, constants):
-    offset = P.normal_form(spec).qnf_level
-    rows = []
-    for r in results:
-        e = Q.qnf_energy(r.k, constants, offset)
-        rows.append((
-            "" if r.branch is None else r.branch,
-            r.sign_choice,
-            r.method,
-            r.k.real, r.k.imag,
-            r.residual,
-            r.classification,
-            complex(e).real, complex(e).imag,
-        ))
+def _qnf_rows(tower, spec, constants):
+    """The rows of a tower's columns (qnf._Tower)."""
+    e = Q.qnf_energy(tower.k, constants, P.normal_form(spec).qnf_level)
+    n = len(tower.k)
+    rows = zip(
+        [""] * n if tower.branch is None else tower.branch.tolist(),
+        tower.sign.tolist(),
+        [tower.method] * n,
+        tower.k.real.tolist(), tower.k.imag.tolist(),
+        tower.residual.tolist(),
+        tower.classification.tolist(),
+        e.real.tolist(), e.imag.tolist(),
+    )
     return ["n", "sign", "method", "k_re", "k_im", "residual",
-            "classification", "E_re", "E_im"], rows
+            "classification", "E_re", "E_im"], list(rows)
 
 
 def _cmd_qnf(args, spec, constants):
@@ -220,18 +245,17 @@ def _cmd_qnf(args, spec, constants):
     if method is None:
         method = "closed_form" if Q.has_closed_form(spec) else "transcendental"
     if method == "closed_form":
-        results = Q.closed_form_qnfs(spec, (lo, hi), constants)
-        results.sort(key=lambda r: (r.branch if r.branch is not None else 0,
-                                    r.sign_choice))
+        tower = Q._closed_form_tower(spec, (lo, hi), constants)
+        # rows by (n, sign), minus < none < plus; a member without n sorts as 0
+        n = np.zeros(len(tower.k), dtype=int) if tower.branch is None else tower.branch
+        tower = tower.take(np.lexsort((tower.sign, n)))
     elif method == "transcendental":
-        if args.region is not None:
-            region = _parse_region(args.region, args.grid_density)
-            results = Q.transcendental_qnfs(spec, region, constants)
-        else:
-            results = Q.transcendental_qnfs(spec, "imaginary_axis", constants)
+        search = ("imaginary_axis" if args.region is None
+                  else _parse_region(args.region, args.grid_density))
+        tower = Q._transcendental_tower(spec, search, constants)
     else:
-        results = [Q.asymptotic_qnfs(spec, n, constants) for n in range(lo, hi + 1)]
-    return _qnf_rows(results, spec, constants)
+        tower = Q._asymptotic_tower(spec, np.arange(lo, hi + 1), constants)
+    return _qnf_rows(tower, spec, constants)
 
 
 def _cmd_resonances(args, spec, constants):

@@ -96,12 +96,85 @@ def classify(k: complex, length_scale: float = 1.0) -> str:
 
     Reads k alone, so it never says cancelled: only ``closed_form_qnfs``,
     which knows the gamma functions behind a tower member, does."""
-    k = complex(k)
-    if abs(k) < TRIVIAL_ZERO_TOL / length_scale:
-        return "trivial_zero"
-    if abs(k.real) <= CLASSIFY_TOL * max(1.0, abs(k)):
-        return "damped_mode" if k.imag > 0 else "bound_state"
-    return "complex_qnf"
+    return str(_classify(np.array([complex(k)]), length_scale)[0])
+
+
+def _classify(k, length_scale: float):
+    """classify over an array of k."""
+    # hypot is abs(k) to the bit; numpy's complex abs rounds differently
+    size = np.hypot(k.real, k.imag)
+    return np.where(size < TRIVIAL_ZERO_TOL / length_scale, "trivial_zero",
+                    np.where(np.abs(k.real) <= CLASSIFY_TOL * np.fmax(1.0, size),
+                             np.where(k.imag > 0, "damped_mode", "bound_state"),
+                             "complex_qnf"))
+
+
+def _product(a, b):
+    """a * b over complex arrays in the steps of Python's complex product, so
+    each member has the bits of the one-member formula (numpy's complex
+    multiply may fuse into FMA and round differently); like Python, silent on
+    overflow."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    with np.errstate(all="ignore"):
+        return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _over(z, d: float):
+    """z / d for a real d > 0 in the steps of Python's complex division
+    (numpy multiplies by 1 / d, which rounds differently)."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        return _complex((z.real + z.imag * 0.0) / d, (z.imag - z.real * 0.0) / d)
+
+
+def _complex(re, im):
+    """The complex array with these parts, with no arithmetic on them."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+@dataclass(frozen=True)
+class _Tower:
+    """A QNF list as columns, one entry per member: what every builder
+    returns.  ``closed_form_qnfs`` and the other list functions make their
+    QnfResult objects from it (``results``); the CLI prints the columns.
+    branch, k_minus and aux are None where the list has no such column."""
+
+    k: np.ndarray  # complex
+    method: str
+    residual: np.ndarray
+    classification: np.ndarray  # str
+    sign: np.ndarray  # str: plus | minus | none
+    branch: np.ndarray | None = None  # int
+    k_minus: np.ndarray | None = None  # complex
+    aux: np.ndarray | None = None  # complex
+
+    def take(self, index) -> _Tower:
+        """The members at an index array or mask, in its order."""
+        pick = lambda v: None if v is None else v[index]  # noqa: E731
+        return _Tower(self.k[index], self.method, self.residual[index],
+                      self.classification[index], self.sign[index], pick(self.branch),
+                      pick(self.k_minus), pick(self.aux))
+
+    def results(self) -> list[QnfResult]:
+        n = len(self.k)
+        column = lambda v: [None] * n if v is None else v.tolist()  # noqa: E731
+        return list(map(QnfResult, self.k.tolist(), [self.method] * n,
+                        self.residual.tolist(), self.classification.tolist(),
+                        column(self.branch), self.sign.tolist(), column(self.k_minus),
+                        column(self.aux)))
+
+
+def _tower(spec, ks, method, c, sign=None, branch=None, k_minus=None, aux=None) -> _Tower:
+    """The columns of the members ks, with one residual call over all of
+    them; sign defaults to "none" throughout, the other columns to None."""
+    ks = np.asarray(ks, dtype=complex)
+    column = lambda v, dtype: None if v is None else np.asarray(v, dtype=dtype)  # noqa: E731
+    return _Tower(ks, method, _residual(normal_form(spec), ks, c.p2),
+                  _classify(ks, length_scale(spec)),
+                  np.full(len(ks), "none") if sign is None else np.asarray(sign, dtype=str),
+                  column(branch, int), column(k_minus, complex), column(aux, complex))
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +253,6 @@ def _symmetric_barrier(form) -> bool:
     return _barrier(form) and form.v1 == form.v3
 
 
-def _results(spec, ks, method, c, **columns) -> list[QnfResult]:
-    """One QnfResult per k of ks, with one residual call over all of them;
-    each keyword is a column of one value per k (a field after
-    classification; a missing one takes its default)."""
-    ks = np.asarray(ks, dtype=complex)
-    residual = _residual(normal_form(spec), ks, c.p2)
-    scale = length_scale(spec)
-    rows = zip(*(columns.get(f.name, [f.default] * len(ks))
-                 for f in dataclasses.fields(QnfResult)[4:]))
-    return [QnfResult(k, method, res, classify(k, scale), *row)
-            for k, res, row in zip(ks.tolist(), residual.tolist(), rows)]
-
-
 # ---------------------------------------------------------------------------
 # Closed-form towers
 # ---------------------------------------------------------------------------
@@ -208,11 +268,12 @@ def _keep_first(ks, tol: float):
     return keep
 
 
-def _norm_range(n_range) -> list:
+def _norm_range(n_range) -> np.ndarray:
+    """The sorted tower indices of a (lo, hi) pair or of an iterable."""
     if isinstance(n_range, tuple) and len(n_range) == 2:
         lo, hi = n_range
-        return list(range(lo, hi + 1))
-    return sorted(set(int(n) for n in n_range))
+        return np.arange(lo, hi + 1)
+    return np.array(sorted(set(int(n) for n in n_range)), dtype=int)
 
 
 def has_closed_form(spec) -> bool:
@@ -243,8 +304,13 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
     (n, sign) rows do not depend on the coupling.  Members with k- = 0 (a
     threshold) keep the class ``classify`` gives them.
     """
+    return _closed_form_tower(spec, n_range, c).results()
+
+
+def _closed_form_tower(spec, n_range, c: PhysicalConstants) -> _Tower:
+    """closed_form_qnfs as columns."""
     ns = _norm_range(n_range)
-    if not ns:
+    if not len(ns):
         raise DomainError("empty n_range")
     p2 = c.p2
     form = normal_form(spec)
@@ -258,41 +324,38 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
         if form.a == 0 or kp * km == 0:
             # one interface: t = 2 sqrt(k1 k3) / (k1 + k3 - 2 i k0)
             k0 = kp + km
-            if k0 == 0 or form.v1 != form.v3:
-                return []
-            return _results(spec, [1j * k0], "closed_form", c)
+            return _tower(spec, [] if k0 == 0 or form.v1 != form.v3 else [1j * k0],
+                          "closed_form", c)
         k0, a = kp, form.a
         arg = _lambert_argument(2.0 * k0 * a, k0, a)
         # every (n, sign) pair, n by n with plus before minus
         branch = np.repeat(ns, 2)
-        labels = np.array(["plus", "minus"] * len(ns), dtype=object)
+        labels = np.tile(["plus", "minus"], len(ns))
         w = lambert_w(branch, np.tile([arg, -arg], len(ns)))
         # w's parts divided one by one: numpy's complex / real multiplies by
         # 1 / (2a), which rounds unlike the one-member k = i (k0 - w / (2a))
         k = 1j * (k0 - (w.real / (2.0 * a) + 1j * (w.imag / (2.0 * a))))
         keep = np.isfinite(k) & ~(np.abs(k) < TRIVIAL_ZERO_TOL / a)
         keep[keep] = _keep_first(k[keep], 1e-9 / a)
-        return _results(spec, k[keep], "closed_form", c,
-                        branch=branch[keep].tolist(), sign_choice=labels[keep].tolist())
+        return _tower(spec, k[keep], "closed_form", c, sign=labels[keep], branch=branch[keep])
 
     # a member sits where i kbar a = -d / 2, kbar = (k+ + k-) / 2, a gamma pole:
     # d = 2n for the double poles of pure tanh's Gamma(i kbar a)^2 (n > 0),
     # d = 2n + 1 +- 2s for the sech^2 arguments 1/2 +- s; k+^2 - k-^2 = -p2 dv
     a, dv, s = form.a, form.v_plus - form.v_minus, form.s(p2)
     if form.v0 == 0.0:
-        if any(n <= 0 for n in ns):
+        if ns[0] <= 0:  # ns is sorted
             raise DomainError("tanh closed-form tower is defined for n > 0")
-        rows = [(n, "none") for n in ns]
-        d = 2.0 * np.array(ns, dtype=float) + 0j
-    elif any(n < 0 for n in ns):
+        branch, labels = ns, None
+        d = 2.0 * ns + 0j
+    elif ns[0] < 0:
         raise DomainError("sech^2 / Eckart towers are defined for n >= 0")
     else:
-        rows = [(n, label) for n in ns for label in ("plus", "minus")]
-        d = np.add.outer(2.0 * np.array(ns, dtype=float) + 1.0,
+        branch, labels = np.repeat(ns, 2), np.tile(["plus", "minus"], len(ns))
+        d = np.add.outer(2.0 * ns + 1.0,
                          [sgn * (2.0 * s) for sgn in (1.0, -1.0)]).ravel()
     keep = np.abs(d) >= 1e-12  # else a degenerate member (d = 0)
-    rows = [row for row, ok in zip(rows, keep) if ok]
-    d = d[keep]
+    branch, labels, d = branch[keep], None if labels is None else labels[keep], d[keep]
     # k+- = i (+-p2 dv a / (2 d) + d / (2 a))
     half = d / (2.0 * a)
     kp, km = (1j * (num / d + half)
@@ -304,10 +367,11 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
                     for sgn in (1.0, -1.0))
     den_poles = sum(_gamma_pole_distance(1j * side * a) < GAMMA_POLE_TOL for side in (kp, km))
     cancelled = (den_poles >= num_poles) & (np.abs(km) * a >= GAMMA_POLE_TOL)
-    out = _results(spec, kp, "closed_form", c, branch=[n for n, _ in rows],
-                   sign_choice=[label for _, label in rows], k_minus=km.tolist())
-    return [dataclasses.replace(r, classification="cancelled") if gone else r
-            for r, gone in zip(out, cancelled.tolist()) if r.classification != "trivial_zero"]
+    tower = _tower(spec, kp, "closed_form", c, sign=labels, branch=branch, k_minus=km)
+    live = tower.classification != "trivial_zero"
+    tower = dataclasses.replace(
+        tower, classification=np.where(cancelled, "cancelled", tower.classification))
+    return tower.take(live)
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +387,16 @@ def _scan_brackets(f, xs):
     return list(zip(xs[:-1][change], xs[1:][change]))
 
 
-def _axis_roots(results, a: float) -> list[QnfResult]:
-    """The results that are no trivial zero, meet the pole condition to 1e-8
+def _axis_roots(tower: _Tower, a: float) -> _Tower:
+    """The members that are no trivial zero, meet the pole condition to 1e-8
     (so no tan/cot pole artifact) and lie at least 1e-9/a from every earlier
     one kept, sorted by (Im k, Re k)."""
-    ok = [r for r in results if r.classification != "trivial_zero" and r.residual <= 1e-8]
-    keep = _keep_first(np.array([r.k for r in ok], dtype=complex), 1e-9 / a)
-    return sorted((r for r, kept in zip(ok, keep) if kept), key=lambda r: (r.k.imag, r.k.real))
+    ok = np.flatnonzero((tower.classification != "trivial_zero") & (tower.residual <= 1e-8))
+    ok = ok[_keep_first(tower.k[ok], 1e-9 / a)]
+    return tower.take(ok[np.lexsort((tower.k[ok].real, tower.k[ok].imag))])
 
 
-def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
+def _rect_imaginary_axis(spec, form: Interfaces, c) -> _Tower:
     p2 = c.p2
     a = form.a
     v0 = form.v2 - form.v1
@@ -344,8 +408,8 @@ def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
         f = lambda u: ca * np.cosh(u) - u
         us = [brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
               for lo, hi in _scan_brackets(f, np.linspace(1e-9, 50.0, 4001))]
-        return _results(spec, [1j * (u / a) * math.tanh(u) for u in us], "transcendental", c,
-                        aux=[1j * u / a for u in us])
+        return _tower(spec, [1j * (u / a) * math.tanh(u) for u in us], "transcendental", c,
+                      aux=[1j * u / a for u in us])
     # attractive: real-q poles, always with |q| <= |k0|
     k0m = math.sqrt(-p2 * v0)
 
@@ -363,10 +427,10 @@ def _rect_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
             q = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
             ks.append(-1j * q * math.tan(q * a) if even else 1j * q / math.tan(q * a))
             qs.append(q + 0j)
-    return _axis_roots(_results(spec, ks, "transcendental", c, aux=qs), a)
+    return _axis_roots(_tower(spec, ks, "transcendental", c, aux=qs), a)
 
 
-def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
+def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> _Tower:
     kp, km = _delta_k0s(form, c.p2)
     a = form.a
 
@@ -378,7 +442,7 @@ def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> list[QnfResult]:
     ymax = max(50.0 / a, 4.0 * (abs(kp) + abs(km)))
     ys = np.concatenate([np.linspace(-ymax, -1e-7, 2001), np.linspace(1e-7, ymax, 2001)])
     ks = [1j * brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) for lo, hi in _scan_brackets(f, ys)]
-    return _axis_roots(_results(spec, ks, "transcendental", c), a)
+    return _axis_roots(_tower(spec, ks, "transcendental", c), a)
 
 
 def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) -> list[QnfResult]:
@@ -389,10 +453,15 @@ def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) 
     amplitude.  An empty list is a valid outcome (e.g. a repulsive barrier
     with k0 a above the merge point).
     """
+    return _transcendental_tower(spec, search, c).results()
+
+
+def _transcendental_tower(spec, search, c: PhysicalConstants) -> _Tower:
+    """transcendental_qnfs as columns."""
     if isinstance(search, _oracle.SearchRegion):
         # find_poles returns its poles sorted by (Im k, Re k)
         rep = _oracle.find_poles(spec, search, c, amplitude=transmission_amplitude)
-        return _results(spec, [k for k, _res, _m in rep.poles], "transcendental", c)
+        return _tower(spec, [k for k, _res, _m in rep.poles], "transcendental", c)
     if search != "imaginary_axis":
         raise DomainError(f"unknown search descriptor {search!r}")
     form = normal_form(spec)
@@ -453,20 +522,21 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
             # sign opposite to one display in the literature, fixed against
             # the exact pole condition
             k = 1j * (kp + km) + 4j * kp * km * a
-            return _results(spec, [k], "perturbative", c)[0]
+            return _tower(spec, [k], "perturbative", c).results()[0]
         c0 = _lambert_argument(2.0 * a * math.sqrt(kp * km), 0.5 * (kp + km), a)
         w = lambert_w(n, c0)
         k = 1j * (0.5 * (kp + km) - w / (2.0 * a))
         if regime == "near_symmetric_order2":
             k -= 1j * a * (kp - km) ** 2 / (4.0 * w * (1.0 + w))
-        return _results(spec, [k], "perturbative", c, branch=[n])[0]
+        return _tower(spec, [k], "perturbative", c, branch=[n]).results()[0]
 
     if regime == "small_k0a_series":
         if not (_symmetric_barrier(form) and form.v2 > form.v1):
             raise DomainError("small_k0a_series requires a repulsive symmetric barrier")
         k0 = math.sqrt(c.p2 * (form.v2 - form.v1))
         k = rect_barrier_k_series(k0, form.a)
-        return _results(spec, [k], "perturbative", c, aux=[rect_barrier_q_series(k0, form.a)])[0]
+        return _tower(spec, [k], "perturbative", c,
+                      aux=[rect_barrier_q_series(k0, form.a)]).results()[0]
 
     # small_a_asym_rect
     if not _barrier(form):
@@ -485,7 +555,7 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
     # the series determines k2^2 only; pick the incidence-side root that the
     # amplitude's pole actually sits on (k1 on a tie)
     k2 = cmath.sqrt(complex(k2sq))
-    return min(_results(spec, [k1, -k1], "perturbative", c, aux=[k2, k2]),
+    return min(_tower(spec, [k1, -k1], "perturbative", c, aux=[k2, k2]).results(),
                key=lambda r: r.residual)
 
 
@@ -496,33 +566,40 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
 def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
                     sign: str = "plus") -> QnfResult:
     """The large-|n| approximation for the requested tower member."""
+    return _asymptotic_tower(spec, np.array([n]), c, sign).results()[0]
+
+
+def _asymptotic_tower(spec, ns, c: PhysicalConstants, sign: str = "plus") -> _Tower:
+    """asymptotic_qnfs over an int array of tower indices, as columns; each
+    member has the bits of its one-member call."""
     p2 = c.p2
     form = normal_form(spec)
     sgn = 1.0 if sign == "plus" else -1.0
+    signs = np.full(len(ns), sign)
     if _delta_pair(form) and form.alpha_left == form.alpha_right:
         k0, a = _delta_k0s(form, p2)[0], form.a
-        wc = lambert_w_comtet(n, sgn * _lambert_argument(2.0 * k0 * a, k0, a))
-        k = 1j * (k0 - wc / (2.0 * a))
-        return _results(spec, [k], "asymptotic", c, branch=[n], sign_choice=[sign])[0]
+        wc = lambert_w_comtet(ns, sgn * _lambert_argument(2.0 * k0 * a, k0, a))
+        k = _product(1j, k0 - _over(wc, 2.0 * a))
+        return _tower(spec, k, "asymptotic", c, sign=signs, branch=ns)
     if _symmetric_barrier(form):
         a, v0 = form.a, form.v2 - form.v1
         if v0 > 0:
             k0 = math.sqrt(p2 * v0)
-            q = -1j * lambert_w(n, k0 * a / 2.0) / a
+            q = _over(_product(-1j, lambert_w(ns, k0 * a / 2.0)), a)
         else:
             k0m = math.sqrt(-p2 * v0)
-            q = -1j * lambert_w(n, -1j * k0m * a / 2.0) / a
-        k = cmath.sqrt(p2 * v0 + q * q)
+            q = _over(_product(-1j, lambert_w(ns, -1j * k0m * a / 2.0)), a)
+        k = np.sqrt(p2 * v0 + _product(q, q))
         # the root of k^2 that the amplitude's pole sits on (k on a tie)
-        return min(_results(spec, [k, -k], "asymptotic", c, branch=[n, n], aux=[q, q]),
-                   key=lambda r: r.residual)
+        k = np.where(_residual(form, -k, p2) < _residual(form, k, p2), -k, k)
+        return _tower(spec, k, "asymptotic", c, branch=ns, aux=q)
     if isinstance(form, EckartReduction):
         a = form.a
         if form.v0 == 0.0:
-            return _results(spec, [1j * n / a], "asymptotic", c, branch=[n])[0]
+            return _tower(spec, _over(_product(1j, ns), a), "asymptotic", c, branch=ns)
         two_s = 2.0 * form.s(p2)
-        k = 1j * (n / a + (1.0 + sgn * two_s) / (2.0 * a))
-        return _results(spec, [k], "asymptotic", c, branch=[n], sign_choice=[sign])[0]
+        k = _product(1j, ns / a + (1.0 + sgn * two_s) / (2.0 * a))
+        return _tower(spec, k, "asymptotic", c, sign=signs, branch=ns)
     raise UnsupportedPotentialError(
         f"no asymptotic QNF form for {type(spec).__name__}"
     )
@@ -533,11 +610,12 @@ def asymptotic_qnfs(spec, n: int, c: PhysicalConstants = DEFAULT_CONSTANTS,
 # ---------------------------------------------------------------------------
 
 def qnf_energy(k, c: PhysicalConstants = DEFAULT_CONSTANTS, v_offset: float = 0.0):
-    """E = V_offset + hbar^2 k^2 / (2m); in relativistic mode returns omega = k."""
-    k = complex(k)
-    if c.mode == "relativistic":
-        return k
-    return v_offset + c.h2_2m * k * k
+    """E = V_offset + hbar^2 k^2 / (2m); in relativistic mode returns omega = k.
+    A number k gives a complex, an ndarray k the array of energies."""
+    e = np.asarray(k, dtype=complex)
+    if c.mode != "relativistic":
+        e = v_offset + _product(_product(c.h2_2m, e), e)
+    return e if isinstance(k, np.ndarray) else complex(e)
 
 
 def fit_offset_gap(tower: list[QnfResult], model: str = "linear") -> AsymptoticFit:

@@ -61,21 +61,28 @@ def lambert_w_derivative(branch: int, z: complex) -> complex:
     return w / (z * (1.0 + w))
 
 
-def lambert_w_comtet(branch: int, z: complex, terms: int = 2) -> complex:
+def lambert_w_comtet(branch, z: complex, terms: int = 2):
     """Asymptotic (Comtet) approximation to W_n(z) for large |ln z + 2*pi*i*n|.
 
     terms=1 gives L1 = ln z + 2*pi*i*n, terms=2 gives L1 - ln(L1), and
     terms=3 one further recursion L1 - ln(L1 - ln(L1)).  Accuracy improves
-    as |n| grows at fixed z; a practical guideline is |L1| > 5.
+    as |n| grows at fixed z; a practical guideline is |L1| > 5.  An ndarray
+    branch gives the array of the members' values; a scalar branch is the
+    one-element case.
     """
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
-    l1 = cmath.log(complex(z)) + 1j * _TWO_PI * branch
-    if terms == 1:
-        return l1
-    if terms == 2:
-        return l1 - cmath.log(l1)
-    return l1 - cmath.log(l1 - cmath.log(l1))
+    l1 = cmath.log(complex(z)) + 1j * _TWO_PI * np.asarray(branch)
+    w = l1
+    for _ in range(terms - 1):
+        w = l1 - _clog(w)
+    return w if isinstance(branch, np.ndarray) else complex(w)
+
+
+def _clog(z):
+    """cmath.log member by member over an array: numpy's complex log rounds
+    differently in the last bit."""
+    return np.array([cmath.log(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
 
 
 def log_gamma(z):

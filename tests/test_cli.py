@@ -10,10 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnf1d import Eckart, Hua, PhysicalConstants, Tietz, oracle
+from qnf1d import (
+    DoubleDelta, Eckart, Hua, PhysicalConstants, RectBarrier, Sech2, Tanh, Tietz,
+    asymptotic_qnfs, oracle, qnf_energy,
+)
 from qnf1d.cli import _build_parser, _emit, _spec_from_args, main
 from qnf1d.errors import DomainError
+from qnf1d.potentials import normal_form
 from qnf1d.serialize import TYPE_NAMES, dict_to_spec, dumps, loads, spec_to_dict
+
+C = PhysicalConstants()
 
 
 class TestSerialization:
@@ -173,6 +179,72 @@ class TestCommands:
         assert "hulthen" in out
         assert "simple pole" in out  # the honest no-exact-form remark
         assert "morse_feshbach" in out
+
+    def test_catalog_csv_quotes_as_csv_writer(self, capsys):
+        # the status strings with commas come out quoted, exactly as
+        # csv.writer writes the same cells
+        code, out = run_cli(["catalog"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert out == buf.getvalue()
+        hulthen = next(line for line in out.splitlines() if line.startswith("hulthen,"))
+        status = rows[[r[0] for r in rows].index("hulthen")][-1]
+        assert "," in status and hulthen == "hulthen" + "," * 10 + f'"{status}"'
+
+    @pytest.mark.parametrize("spec, flags", [
+        (DoubleDelta(1.0, 1.0), ["--type", "double-delta", "--alpha", "1", "--a", "1"]),
+        (RectBarrier(1.0, 1.0), ["--type", "rect-barrier", "--V0", "1", "--a", "1"]),
+        (RectBarrier(-1.0, 1.0), ["--type", "rect-barrier", "--V0", "-1", "--a", "1"]),
+        (Tanh(0.0, 2.0, 1.0), ["--type", "tanh", "--V-minus", "0", "--V-plus", "2",
+                               "--a", "1"]),
+        (Sech2(-2.5, 0.8), ["--type", "sech2", "--V0", "-2.5", "--a", "0.8"]),
+    ], ids=["double_delta", "barrier", "well", "tanh", "sech2"])
+    def test_asymptotic_rows_are_the_one_member_calls(self, spec, flags, capsys):
+        # the command builds all members in one library call; each row is
+        # bitwise the public one-member call
+        code, out = run_cli(["qnf", *flags, "--method", "asymptotic", "--n=-3..40",
+                             "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row[0] for row in rows] == list(range(-3, 41))
+        bits = lambda x: struct.pack("<d", x)  # noqa: E731
+        for n, sign, method, k_re, k_im, res, cls, e_re, e_im in rows:
+            r = asymptotic_qnfs(spec, n, C)
+            e = qnf_energy(r.k, C, normal_form(spec).qnf_level)
+            assert (sign, method, cls) == (r.sign_choice, "asymptotic", r.classification)
+            assert list(map(bits, (k_re, k_im, res, e_re, e_im))) == list(map(
+                bits, (r.k.real, r.k.imag, r.residual, e.real, e.imag)))
+
+    def test_main_keeps_no_state_between_calls(self, tmp_path: Path, capsys):
+        # the parser is built once per process; every call still starts from
+        # the defaults
+        assert _build_parser() is _build_parser()
+        argv = ["qnf", "--type", "sech2", "--V0", "-1", "--a", "1", "--n", "0..3"]
+        code, reference = run_cli(argv, capsys)
+        assert code == 0 and reference.startswith("n,sign,method,")
+        code, text = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and json.loads(text)["command"] == "qnf"
+        assert run_cli(argv, capsys) == (0, reference)
+        path = tmp_path / "out.csv"
+        assert run_cli(argv + ["--output", str(path)], capsys) == (0, "")
+        assert path.read_text() == reference
+        assert run_cli(argv, capsys) == (0, reference)
+        with pytest.raises(SystemExit):
+            main(argv + ["--format", "xml"])
+        capsys.readouterr()
+        assert main(["qnf", "--type", "sech2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run_cli(argv, capsys) == (0, reference)
+        code, text = run_cli(["eval", "--type", "sech2", "--V0", "-1", "--a", "1",
+                              "--points", "3"], capsys)
+        assert code == 0 and text.splitlines()[0] == "x,V" and len(text.splitlines()) == 4
+
+    def test_eval_half_line_error(self, capsys):
+        # one array evaluation: the grid's x <= 0 is the same error as before
+        assert main(["eval", "--type", "hulthen", "--V0", "1", "--a", "1"]) == 1
+        assert capsys.readouterr().err == "error: Hulthen is defined on x > 0\n"
 
     def test_config_file(self, tmp_path: Path, capsys):
         cfg = tmp_path / "spec.yaml"

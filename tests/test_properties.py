@@ -1,22 +1,28 @@
 """Invariants over random specs: T = |t|^2 from the closed forms, flux
 conservation from the transfer matrix and the ODE oracle, the reflection
-symmetry t(-k*) = t(k)* and the canonicalize round trip.
+symmetry t(-k*) = t(k)*, the canonicalize round trip and the closed-form
+tower's list view of its columns.
 
 Specs and wavenumbers come from the strategies of test_array_amplitudes, in
 units of the length a."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from qnf1d import (
+    DoubleDelta,
     Eckart,
     Hua,
     ManningRosen,
     Morse,
     PhysicalConstants,
+    Sech2,
     Tietz,
     canonicalize,
+    closed_form_qnfs,
     evaluate,
     is_scattering,
     numeric_amplitude,
@@ -24,7 +30,8 @@ from qnf1d import (
     transmission_amplitude,
     transmission_probability,
 )
-from qnf1d.potentials import length_scale, normal_form
+from qnf1d.potentials import EckartReduction, length_scale, normal_form
+from qnf1d.qnf import _closed_form_tower, has_closed_form
 from test_array_amplitudes import (
     length, level, piecewise_specs, scaled_wavenumbers, smooth_specs, unit,
 )
@@ -172,3 +179,36 @@ def test_canonicalize_round_trip_moebius_type(spec_x):
     v = evaluate(spec, x)
     diff = np.abs(v - canonicalize(spec).evaluate(x))
     assert float(np.max(diff)) <= 1e-9 * float(np.max(np.abs(v)))
+
+
+def _cell(v):
+    """A QnfResult field, floats by their bits."""
+    if isinstance(v, complex):
+        return struct.pack("<dd", v.real, v.imag)
+    return struct.pack("<d", v) if isinstance(v, float) else v
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=smooth_specs() | piecewise_specs().filter(has_closed_form),
+       lo=st.integers(-6, 8), width=st.integers(0, 30))
+@example(spec=Sech2(-1.0, 1.0), lo=0, width=6)  # reflectionless: cancelled members
+@example(spec=DoubleDelta(1.0, 1.0), lo=-5, width=10)  # Lambert W, trivial zero dropped
+def test_closed_form_list_is_the_columns(spec, lo, width):
+    # every field of every QnfResult is bitwise its row of the columns
+    form = normal_form(spec)
+    if isinstance(form, EckartReduction):  # gamma towers start at n = 0 (tanh: 1)
+        lo = max(lo, 1 if form.v0 == 0.0 else 0)
+    listed = closed_form_qnfs(spec, (lo, lo + width), C)
+    tower = _closed_form_tower(spec, (lo, lo + width), C)
+    n = len(tower.k)
+    column = lambda v, default: [default] * n if v is None else v.tolist()  # noqa: E731
+    rows = zip(tower.k.tolist(), [tower.method] * n, tower.residual.tolist(),
+               tower.classification.tolist(), column(tower.branch, None),
+               tower.sign.tolist(), column(tower.k_minus, None), column(tower.aux, None))
+    assert [tuple(map(_cell, row)) for row in rows] == [
+        tuple(map(_cell, (r.k, r.method, r.residual, r.classification, r.branch,
+                          r.sign_choice, r.k_minus, r.aux))) for r in listed]
+    if spec == Sech2(-1.0, 1.0):
+        # its one bound state is a pole; every damped member is cancelled
+        assert sorted(r.classification for r in listed)[:2] == ["bound_state", "cancelled"]
+        assert {r.classification for r in listed} == {"bound_state", "cancelled"}

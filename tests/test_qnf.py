@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -435,6 +436,68 @@ class TestAsymptotic:
         exact = next(r.k for r in closed_form_qnfs(Sech2(-1.0, 1.0), (7, 7), C)
                      if r.sign_choice == sign)
         assert abs(approx.k - exact) < 1e-12  # affine tower: exact at all n
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestScalarFormulaBits:
+    """The array builders keep the bits of the one-member formulas as Python
+    evaluates them on complex scalars."""
+
+    NS = list(range(-40, 41))
+
+    def check(self, spec, sign, formula):
+        got = [asymptotic_qnfs(spec, n, C, sign=sign).k for n in self.NS]
+        assert list(map(_bits, got)) == [_bits(formula(n)) for n in self.NS]
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_double_delta(self, sign):
+        alpha, a = 0.8, 1.3
+        k0 = 0.5 * C.p2 * alpha
+        z = (1.0 if sign == "plus" else -1.0) * (2.0 * k0 * a) * math.exp(2.0 * k0 * a)
+
+        def formula(n):
+            l1 = cmath.log(complex(z)) + 1j * (2.0 * math.pi) * n
+            return 1j * (k0 - (l1 - cmath.log(l1)) / (2.0 * a))
+        self.check(DoubleDelta(alpha, a), sign, formula)
+
+    @pytest.mark.parametrize("v0", [1.7, -0.6])
+    def test_rect_barrier(self, v0):
+        a = 0.9
+        spec = RectBarrier(v0, a)
+        arg = (math.sqrt(C.p2 * v0) * a / 2.0 if v0 > 0
+               else -1j * math.sqrt(-C.p2 * v0) * a / 2.0)
+
+        def formula(n):
+            q = -1j * lambert_w(n, arg) / a
+            k = cmath.sqrt(C.p2 * v0 + q * q)
+            return -k if pole_condition(spec, -k, C) < pole_condition(spec, k, C) else k
+        self.check(spec, "plus", formula)
+
+    def test_tanh(self):
+        a = 0.7
+        self.check(Tanh(0.0, 2.0, a), "plus", lambda n: 1j * n / a)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_sech2(self, sign):
+        spec = Sech2(-2.3, 0.8)
+        two_s, a = 2.0 * normal_form(spec).s(C.p2), 0.8
+        sgn = 1.0 if sign == "plus" else -1.0
+        self.check(spec, sign, lambda n: 1j * (n / a + (1.0 + sgn * two_s) / (2.0 * a)))
+
+    @pytest.mark.parametrize("c", [C, PhysicalConstants(1.7, 0.3)])
+    def test_energies(self, c):
+        rng = np.random.default_rng(5)
+        k = (rng.standard_normal(500) + 1j * rng.standard_normal(500)) * 10.0 ** rng.integers(
+            -3, 4, 500)
+        k = np.concatenate([k, [0.0, -0.0j, complex(-0.0, -0.0), 1e200 + 1e200j, 1e-200j]])
+        got = qnf_energy(k, c, -1.3)
+        assert list(map(_bits, got.tolist())) == [
+            _bits(-1.3 + c.h2_2m * z * z) for z in k.tolist()]
+        assert all(_bits(qnf_energy(z, c, -1.3)) == _bits(e)
+                   for z, e in zip(k.tolist(), got.tolist()))
 
 
 class TestEnergies:
