@@ -11,8 +11,9 @@ Every scattering member of the catalog has one of two normal forms (see
 ``normal_form``): steps at x = -a and x = +a carrying delta couplings
 (``Interfaces``), or the tanh + sech^2 Eckart reduction
 (``EckartReduction``).  Asymptotes, amplitudes and probabilities are
-computed from the normal form; each spec class keeps only its textbook
-formula, its normal form and its resonance family.
+computed from the normal form, and so are the transmission-resonance
+families; each spec class keeps only its textbook formula and its normal
+form.
 
 Each class also names its squared-Moebius form (``_canonical``, which
 ``qnf1d.canonical.canonicalize`` reads): the Eckart members complete the
@@ -144,8 +145,9 @@ class ResonanceEntry:
     """One member of a transmission-resonance family.
 
     kind is one of 'exact' (T = 1), 'approximate' (local maximum, T < 1),
-    'parameter_condition' (a critical coupling, stored in ``parameter``) or
-    'pseudo' (T = T_step for the asymmetric barrier).
+    'parameter_condition' (a critical coupling: ``parameter`` is the normal
+    form's sech^2 coupling v0 at which it is reflectionless) or 'pseudo'
+    (T = T_step for the asymmetric barrier).
     """
 
     index: int
@@ -257,6 +259,41 @@ class Interfaces:
         term = 4.0 * kp * km / k1**4 * (k1 * cth + kp * sth) * (k1 * cth + km * sth)
         return 1.0 / (1.0 + (kp - km) ** 2 / k1**2 + term)
 
+    def resonances(self, n_max: int, c: PhysicalConstants) -> list:
+        """The transmission resonances by the form's shape (see resonances)."""
+        if _delta_pair(self) and self.alpha_left == self.alpha_right:
+            # no root for k0 = 0 (a free form)
+            k0 = 0.5 * c.p2 * self.alpha_left
+            return [ResonanceEntry(n, "exact", k=k, E=self.v1 + c.h2_2m * k * k)
+                    for n, k in _double_delta_resonance_roots(k0, self.a, n_max)]
+        out = []
+        if _delta_pair(self):
+            for n in range(n_max):
+                k = (n + 0.5) * math.pi / (2.0 * self.a)
+                e = self.v1 + c.h2_2m * k * k
+                out.append(ResonanceEntry(n, "approximate", k=k, E=e,
+                                          T=self.probability(e, c.p2)))
+        elif _barrier(self):
+            for n in range(1, n_max + 1):
+                e = self.v2 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2
+                if not (e > self.v1 and e > self.v3):
+                    continue  # below the asymptotic continuum, not a scattering energy
+                T = None if self.v1 == self.v3 else _step_bound(self.limits, e, c.p2)
+                out.append(ResonanceEntry(n, "exact" if T is None else "pseudo",
+                                          k=math.sqrt(c.p2 * (e - self.v1)), E=e, T=T))
+        return out
+
+
+def _delta_pair(form) -> bool:
+    """Two delta couplings a distance 2a apart, no steps."""
+    return isinstance(form, Interfaces) and form.a > 0 and form.flat
+
+
+def _barrier(form) -> bool:
+    """Steps at x = -a and x = +a, no delta couplings."""
+    return (isinstance(form, Interfaces) and form.a > 0
+            and form.alpha_left == 0 and form.alpha_right == 0)
+
 
 @dataclass(frozen=True)
 class EckartReduction:
@@ -319,6 +356,15 @@ class EckartReduction:
         log_den += math.log1p(max(cos2, -0.999999999999) * math.exp(-log_den))
         return math.exp(ls - log_den)
 
+    def resonances(self, n_max: int, c: PhysicalConstants) -> list:
+        """The reflectionless couplings v0 = -n(n+1) hbar^2/(2 m a^2) of a
+        symmetric form; none where v_minus != v_plus."""
+        if self.v_minus != self.v_plus:
+            return []
+        return [ResonanceEntry(n, "parameter_condition",
+                               parameter=-n * (n + 1) * c.h2_2m / (self.a * self.a))
+                for n in range(1, n_max + 1)]
+
 
 def _log_sinh(x: float) -> float:
     """log(sinh(x)) for x > 0 without overflow."""
@@ -365,7 +411,7 @@ def _mobius2_square(c0, c1, c2, a, sign) -> Mobius2:
 # ---------------------------------------------------------------------------
 
 class _Spec(_Validated):
-    """A catalog member: its textbook V(x), normal form and resonances."""
+    """A catalog member: its textbook V(x) and its normal form."""
 
     def _potential(self, x):
         raise NotImplementedError
@@ -379,11 +425,6 @@ class _Spec(_Validated):
     def _form(self):
         # specs are frozen, so the normal form is built once per instance
         return self._normal_form()
-
-    def _resonances(self, n_max: int, c: PhysicalConstants) -> list:
-        raise NotAScatteringPotential(
-            f"{type(self).__name__} has no transmission-resonance analysis"
-        )
 
     def _canonical(self):
         """(Mobius2 form, shift, notes) with V(x) = form(x - shift); here the
@@ -400,12 +441,6 @@ class _Spec(_Validated):
         return form, red.shift, f"origin shifted by {red.shift:.6g}" if red.shift else ""
 
 
-def _sech2_conditions(a: float, n_max: int, c: PhysicalConstants) -> list:
-    """The reflectionless couplings V0 = -n(n+1) hbar^2/(2 m a^2)."""
-    return [ResonanceEntry(n, "parameter_condition", parameter=-n * (n + 1) * c.h2_2m / (a * a))
-            for n in range(1, n_max + 1)]
-
-
 @dataclass(frozen=True)
 class Delta(_Spec):
     """V(x) = alpha * delta(x)."""
@@ -417,9 +452,6 @@ class Delta(_Spec):
 
     def _normal_form(self):
         return Interfaces(0.0, 0.0, 0.0, self.alpha, 0.0, 0.0)
-
-    def _resonances(self, n_max, c):
-        return []
 
 
 @dataclass(frozen=True)
@@ -434,13 +466,6 @@ class DoubleDelta(_Spec):
 
     def _normal_form(self):
         return Interfaces(0.0, 0.0, 0.0, self.alpha, self.alpha, self.a)
-
-    def _resonances(self, n_max, c):
-        k0 = 0.5 * c.p2 * self.alpha
-        if k0 == 0:
-            return []
-        return [ResonanceEntry(n, "exact", k=k, E=c.h2_2m * k * k)
-                for n, k in _double_delta_resonance_roots(k0, self.a, n_max)]
 
 
 @dataclass(frozen=True)
@@ -457,15 +482,6 @@ class AsymDoubleDelta(_Spec):
     def _normal_form(self):
         return Interfaces(0.0, 0.0, 0.0, self.alpha_plus, self.alpha_minus, self.a)
 
-    def _resonances(self, n_max, c):
-        out = []
-        for n in range(n_max):
-            k = (n + 0.5) * math.pi / (2.0 * self.a)
-            e = c.h2_2m * k * k
-            out.append(ResonanceEntry(n, "approximate", k=k, E=e,
-                                      T=transmission_probability(self, e, c)))
-        return out
-
 
 @dataclass(frozen=True)
 class Step(_Spec):
@@ -478,9 +494,6 @@ class Step(_Spec):
 
     def _normal_form(self):
         return Interfaces(0.0, 0.0, self.V0, 0.0, 0.0, 0.0)
-
-    def _resonances(self, n_max, c):
-        return []
 
 
 @dataclass(frozen=True)
@@ -495,15 +508,6 @@ class RectBarrier(_Spec):
 
     def _normal_form(self):
         return Interfaces(0.0, self.V0, 0.0, 0.0, 0.0, self.a)
-
-    def _resonances(self, n_max, c):
-        out = []
-        for n in range(1, n_max + 1):
-            e = self.V0 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2
-            if e <= 0:
-                continue  # below the asymptotic continuum, not a scattering energy
-            out.append(ResonanceEntry(n, "exact", k=math.sqrt(c.p2 * e), E=e))
-        return out
 
 
 @dataclass(frozen=True)
@@ -520,16 +524,6 @@ class AsymRectBarrier(_Spec):
 
     def _normal_form(self):
         return Interfaces(self.V1, self.V2, self.V3, 0.0, 0.0, self.a)
-
-    def _resonances(self, n_max, c):
-        out = []
-        for n in range(1, n_max + 1):
-            e = self.V2 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2
-            if not (e > self.V1 and e > self.V3):
-                continue
-            k1 = math.sqrt(c.p2 * (e - self.V1))
-            out.append(ResonanceEntry(n, "pseudo", k=k1, E=e, T=step_bound(self, e, c)))
-        return out
 
 
 @dataclass(frozen=True)
@@ -548,9 +542,6 @@ class Tanh(_Spec):
     def _normal_form(self):
         return EckartReduction(self.V_minus, self.V_plus, 0.0, self.a)
 
-    def _resonances(self, n_max, c):
-        return []
-
 
 @dataclass(frozen=True)
 class Sech2(_Spec):
@@ -564,9 +555,6 @@ class Sech2(_Spec):
 
     def _normal_form(self):
         return EckartReduction(0.0, 0.0, self.V0, self.a)
-
-    def _resonances(self, n_max, c):
-        return _sech2_conditions(self.a, n_max, c)
 
 
 @dataclass(frozen=True)
@@ -590,9 +578,6 @@ class Eckart(_Spec):
 
     def _normal_form(self):
         return EckartReduction(self.V_minus, self.V_plus, self.V0, self.a)
-
-    def _resonances(self, n_max, c):
-        return _sech2_conditions(self.a, n_max, c)
 
 
 @dataclass(frozen=True)
@@ -829,8 +814,11 @@ def evaluate(spec: PotentialSpec, x):
         raise TypeError(f"unknown potential spec {type(spec).__name__}")
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    v = spec._potential(x)
-    return float(v) if scalar else v
+    # a scalar or 0-d x is the one-element case of the array path, so it has
+    # the bits of the same x inside an array (numpy's vector loops round
+    # tanh, cosh and exp unlike its scalar path); 0-d gives a numpy scalar
+    v = spec._potential(x.reshape(-1)).reshape(x.shape)
+    return float(v) if scalar else v[()]
 
 
 def normal_form(spec: PotentialSpec) -> Interfaces | EckartReduction:
@@ -932,9 +920,13 @@ def transmission_probability(spec: PotentialSpec, E: float, c: PhysicalConstants
 def step_bound(spec: PotentialSpec, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """T_step = 4 k1 k3 / (k1 + k3)^2, the step-barrier transmission bound."""
     e = float(E)
-    v_minus, v_plus = _check_regime(spec, e)
-    k1 = math.sqrt(c.p2 * (e - v_minus))
-    k3 = math.sqrt(c.p2 * (e - v_plus))
+    return _step_bound(_check_regime(spec, e), e, c.p2)
+
+
+def _step_bound(limits, e: float, p2: float) -> float:
+    """step_bound at an energy e above both limits (v_minus, v_plus)."""
+    k1 = math.sqrt(p2 * (e - limits[0]))
+    k3 = math.sqrt(p2 * (e - limits[1]))
     return 4.0 * k1 * k3 / (k1 + k3) ** 2
 
 
@@ -964,13 +956,20 @@ def _double_delta_resonance_roots(k0: float, a: float, n_max: int):
 
 
 def resonances(spec: PotentialSpec, n_max: int, c: PhysicalConstants = DEFAULT_CONSTANTS) -> list[ResonanceEntry]:
-    """The potential's transmission-resonance family up to n_max entries.
+    """The potential's transmission-resonance family up to n_max entries,
+    read from its normal form, so equal normal forms give equal families.
 
-    An empty list is a valid result (delta, step and tanh potentials have
-    no transmission resonances).
+    Interfaces: none for a = 0 (Delta, Step) or for a free form; for a pair
+    of equal delta couplings the exact roots of k = -k0 tan(2 k a); for an
+    unequal pair the approximate family 2 k a = (n + 1/2) pi with its T; for
+    a barrier E = v2 + hbar^2 (n pi / 2a)^2 / (2m) above both limits, exact
+    (T = 1) where v1 = v3 and pseudo (T = T_step) otherwise.
+    EckartReduction: where v_minus = v_plus, the couplings v0 that make it
+    reflectionless ('parameter_condition'); none for a step.
+
+    An empty list is a valid result.  Raises NotAScatteringPotential for a
+    spec with no normal form.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if not isinstance(spec, _Spec):
-        raise NotAScatteringPotential(f"{type(spec).__name__} is not a catalog potential")
-    return spec._resonances(n_max, c)
+    return normal_form(spec).resonances(n_max, c)

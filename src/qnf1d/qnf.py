@@ -27,6 +27,8 @@ from .potentials import (
     EckartReduction,
     Interfaces,
     PhysicalConstants,
+    _barrier,
+    _delta_pair,
     length_scale,
     normal_form,
     transmission_amplitude,
@@ -236,17 +238,6 @@ def _lambert_argument(scale: float, k0: float, a: float) -> float:
         raise DomainError(f"delta coupling k0 = m alpha / hbar^2 = {k0:.6g} is too strong at "
                           f"a = {a:.6g}: the Lambert-W argument 2 k0 a e^(2 k0 a) overflows")
     return arg
-
-
-def _delta_pair(form) -> bool:
-    """Two delta couplings a distance 2a apart, no steps."""
-    return isinstance(form, Interfaces) and form.a > 0 and form.flat
-
-
-def _barrier(form) -> bool:
-    """Steps at x = -a and x = +a, no delta couplings."""
-    return (isinstance(form, Interfaces) and form.a > 0
-            and form.alpha_left == 0 and form.alpha_right == 0)
 
 
 def _symmetric_barrier(form) -> bool:

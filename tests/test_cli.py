@@ -118,6 +118,21 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "n,kind,k,E,parameter,T"
 
+    def test_resonances_read_the_normal_form(self, capsys):
+        # Rosen-Morse with A = B = 0 is the sech^2 well, byte for byte
+        rosen = run_cli(["resonances", "--type", "rosen-morse", "--A", "0", "--B", "0",
+                         "--C", "-1", "--a", "1"], capsys)
+        sech2 = run_cli(["resonances", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
+        assert rosen[0] == 0
+        assert rosen == sech2
+        assert len(rosen[1].splitlines()) == 1 + 10
+
+    def test_resonances_asymmetric_eckart_header_only(self, capsys):
+        code, out = run_cli(["resonances", "--type", "eckart", "--V-minus", "0",
+                             "--V-plus", "2", "--V0", "-1", "--a", "1"], capsys)
+        assert code == 0
+        assert out == "n,kind,k,E,parameter,T\n"
+
     def test_rect_resonance_values(self, capsys):
         code, out = run_cli(
             ["resonances", "--type", "rect-barrier", "--V0", "1", "--a", "1",

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,13 +12,18 @@ from qnf1d import (
     Delta,
     DoubleDelta,
     Eckart,
+    Hua,
     Hulthen,
     ManningRosen,
+    Morse,
+    MorseFeshbach,
     PhysicalConstants,
     RectBarrier,
+    RosenMorse,
     Sech2,
     Step,
     Tanh,
+    Tietz,
     asymptotic_wavenumbers,
     evaluate,
     resonances,
@@ -27,6 +33,7 @@ from qnf1d import (
     transmission_probability,
 )
 from qnf1d.errors import DomainError, NotAScatteringPotential, RegimeError
+from qnf1d.potentials import normal_form
 
 C = PhysicalConstants()
 
@@ -71,6 +78,21 @@ class TestEvaluate:
         xs = np.linspace(-3, 3, 7)
         vals = evaluate(Sech2(-1.0, 1.0), xs)
         assert vals.shape == xs.shape
+
+    @pytest.mark.parametrize("spec", [
+        Eckart(0.0, 2.0, -1.0, 1.0), Sech2(-2.5, 0.8), MorseFeshbach(0.8, 0.7, 1.1),
+        Morse(1.0, 0.0, 1.0), Tietz(1.1, 0.3, 0.9, "cosh"), Hua(1.2, -2.0, 1.0),
+    ], ids=lambda spec: type(spec).__name__)
+    def test_scalar_is_the_array_member(self, spec):
+        # numpy's vector loops round tanh, cosh and exp unlike its scalar
+        # path; on this grid a separate scalar path differed at 6 to 24 points
+        xs = np.linspace(-6.0, 6.0, 20001)
+        grid = evaluate(spec, xs).tolist()
+        scalars = [evaluate(spec, x) for x in xs.tolist()]
+        assert [v.hex() for v in scalars] == [v.hex() for v in grid]
+        assert all(type(v) is float for v in scalars)
+        assert evaluate(spec, xs[7]).hex() == grid[7].hex()  # a numpy scalar
+        assert float(evaluate(spec, np.asarray(xs[9]))).hex() == grid[9].hex()  # 0-d
 
 
 class TestWavenumbers:
@@ -288,6 +310,45 @@ class TestResonances:
         assert [e.parameter for e in entries] == pytest.approx([-1.0, -3.0, -6.0])
         for e in entries:
             assert e.kind == "parameter_condition"
+
+    def test_asymmetric_eckart_has_no_parameter_family(self):
+        # the reflectionless couplings need V- = V+
+        assert resonances(Eckart(0.0, 2.0, -1.0, 1.0), 5, C) == []
+
+    def test_rosen_morse_lists_the_sech2_family(self):
+        assert resonances(RosenMorse(0.0, 0.0, -1.3, 0.8), 6, C) == resonances(
+            Sech2(-1.3, 0.8), 6, C)
+
+    @pytest.mark.parametrize("spec", [MorseFeshbach(0.8, 0.0, 1.1),
+                                      RosenMorse(0.4, 0.0, -1.3, 0.8)], ids=repr)
+    def test_parameter_is_the_normal_form_coupling(self, spec):
+        # the normal form with v0 = parameter is reflectionless
+        form = normal_form(spec)
+        entries = resonances(spec, 4, C)
+        assert len(entries) == 4
+        for entry in entries:
+            reflectionless = dataclasses.replace(form, v0=entry.parameter)
+            for e in form.v_plus + np.array([0.05, 0.7, 2.0, 9.0]):
+                assert reflectionless.probability(float(e), C.p2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_free_forms_have_no_family(self):
+        # no coupling and no step: T = 1 at every energy
+        for spec in (AsymDoubleDelta(0.0, 0.0, 1.2), DoubleDelta(0.0, 1.2), RectBarrier(0.0, 1.2)):
+            assert resonances(spec, 6, C) == []
+
+    def test_asym_rect_on_equal_asymptotes_is_exact(self):
+        spec = AsymRectBarrier(0.3, 2.0, 0.3, 0.6)
+        entries = resonances(spec, 5, C)
+        assert len(entries) == 5
+        for e in entries:
+            assert e.kind == "exact" and e.T is None
+            assert transmission_probability(spec, e.E, C) == pytest.approx(1.0, abs=1e-10)
+
+    def test_non_scattering_spec_raises(self):
+        with pytest.raises(NotAScatteringPotential):
+            resonances(Morse(1.0, 0.4, 0.9), 3, C)
+        with pytest.raises(NotAScatteringPotential):
+            resonances("sech2", 3, C)
 
 
 class TestRelativisticMode:

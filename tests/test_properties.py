@@ -1,11 +1,13 @@
 """Invariants over random specs: T = |t|^2 from the closed forms, flux
 conservation from the transfer matrix and the ODE oracle, the reflection
-symmetry t(-k*) = t(k)*, the canonicalize round trip and the closed-form
-tower's list view of its columns.
+symmetry t(-k*) = t(k)*, the canonicalize round trip, the closed-form
+tower's list view of its columns, and name invariance: specs with one
+normal form give one t, T, tower, resonance family and verify report.
 
 Specs and wavenumbers come from the strategies of test_array_amplitudes, in
 units of the length a."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -13,23 +15,31 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from qnf1d import (
+    AsymDoubleDelta,
+    AsymRectBarrier,
     DoubleDelta,
     Eckart,
     Hua,
     ManningRosen,
     Morse,
     PhysicalConstants,
+    PoschlTellerSech2,
+    RectBarrier,
+    RosenMorse,
     Sech2,
+    Tanh,
     Tietz,
     canonicalize,
     closed_form_qnfs,
     evaluate,
     is_scattering,
     numeric_amplitude,
+    resonances,
     scattering_limits,
     transmission_amplitude,
     transmission_probability,
 )
+from qnf1d.cli import _build_parser, _cmd_verify
 from qnf1d.potentials import EckartReduction, length_scale, normal_form
 from qnf1d.qnf import _closed_form_tower, has_closed_form
 from test_array_amplitudes import (
@@ -212,3 +222,70 @@ def test_closed_form_list_is_the_columns(spec, lo, width):
         # its one bound state is a pole; every damped member is cancelled
         assert sorted(r.classification for r in listed)[:2] == ["bound_state", "cancelled"]
         assert {r.classification for r in listed} == {"bound_state", "cancelled"}
+
+
+@st.composite
+def same_form_specs(draw):
+    """Specs of different classes with one normal form: the sech^2 names,
+    the tanh step, the delta pair and the barrier."""
+    a = draw(length)
+    family = draw(st.sampled_from(["sech2", "tanh", "delta_pair", "barrier"]))
+    if family == "sech2":
+        v0 = draw(level) / a**2
+        return (Sech2(v0, a), PoschlTellerSech2(v0, a), Eckart(0.0, 0.0, v0, a),
+                RosenMorse(0.0, 0.0, v0, a))
+    if family == "tanh":
+        v_minus, v_plus = draw(level) / a**2, draw(level) / a**2
+        return Tanh(v_minus, v_plus, a), Eckart(v_minus, v_plus, 0.0, a)
+    if family == "delta_pair":
+        alpha = draw(unit) / a
+        return DoubleDelta(alpha, a), AsymDoubleDelta(alpha, alpha, a)
+    v0 = draw(level) / a**2
+    return RectBarrier(v0, a), AsymRectBarrier(0.0, v0, 0.0, a)
+
+
+def _tower_cells(spec):
+    """The closed-form tower over n = 0..6 with every float by its bits, or
+    None where the spec has no closed form."""
+    if not has_closed_form(spec):
+        return None
+    form = normal_form(spec)  # the pure tanh tower starts at n = 1
+    lo = 1 if isinstance(form, EckartReduction) and form.v0 == 0.0 else 0
+    return [tuple(map(_cell, dataclasses.astuple(r)))
+            for r in closed_form_qnfs(spec, (lo, 6), C)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=same_form_specs(), ks=scaled_wavenumbers, scaled=scaled_energies)
+@example(group=(Sech2(-1.0, 1.0), RosenMorse(0.0, 0.0, -1.0, 1.0)), ks=[1.0], scaled=[1.0])
+@example(group=(Tanh(0.0, 2.0, 1.0), Eckart(0.0, 2.0, 0.0, 1.0)), ks=[1.0], scaled=[1.0])
+@example(group=(DoubleDelta(1.0, 1.0), AsymDoubleDelta(1.0, 1.0, 1.0)), ks=[1.0], scaled=[1.0])
+def test_equal_normal_forms_give_equal_outputs(group, ks, scaled):
+    # the outputs read the normal form, never the class name: equal bits
+    first, *others = group
+    k = np.array(ks, dtype=complex) / length_scale(first)
+    e, _k = energies_and_wavenumbers(first, scaled)
+    expected = (transmission_amplitude(first, k, C).t,
+                [transmission_probability(first, x, C) for x in e],
+                _tower_cells(first), resonances(first, 8, C))
+    for spec in others:
+        assert normal_form(spec) == normal_form(first)
+        got = (transmission_amplitude(spec, k, C).t,
+               [transmission_probability(spec, x, C) for x in e],
+               _tower_cells(spec), resonances(spec, 8, C))
+        np.testing.assert_array_equal(got[0], expected[0])
+        assert got[1:] == expected[1:], (first, spec)
+
+
+@pytest.mark.parametrize("pair", [
+    (Sech2(-1.0, 1.0), RosenMorse(0.0, 0.0, -1.0, 1.0)),
+    (Tanh(0.0, 0.6, 1.0), Eckart(0.0, 0.6, 0.0, 1.0)),  # a FAIL line, the same for both
+    (DoubleDelta(1.0, 1.0), AsymDoubleDelta(1.0, 1.0, 1.0)),
+    (RectBarrier(1.0, 1.0), AsymRectBarrier(0.0, 1.0, 0.0, 1.0)),
+], ids=lambda pair: type(pair[0]).__name__)
+def test_equal_normal_forms_give_equal_verify_reports(pair):
+    # fixed pairs: a smooth verify costs 0.1 to 0.2 s
+    args = _build_parser().parse_args(["verify"])
+    first, second = (_cmd_verify(args, spec, C) for spec in pair)
+    assert first == second
+    assert first[1].splitlines()
