@@ -42,10 +42,9 @@ def pseudo_resonances():
     asym = AsymRectBarrier(0.2, 2.5, -0.4, 0.7)
     print("asymmetric barrier: T never reaches 1; the ceiling is the step bound")
     es = np.linspace(2.6, 12.0, 300)
-    ts = [transmission_probability(asym, float(e), c) for e in es]
-    bounds = [step_bound(asym, float(e), c) for e in es]
-    print(f"  max T = {max(ts):.6f}, max T/T_step = "
-          f"{max(t / b for t, b in zip(ts, bounds)):.12f}")
+    ts = transmission_probability(asym, es, c)
+    bounds = step_bound(asym, es, c)
+    print(f"  max T = {ts.max():.6f}, max T/T_step = {(ts / bounds).max():.12f}")
     for r in resonances(asym, 3, c):
         print(f"  pseudo-resonance n={r.index}: E = {r.E:.6f}, T = T_step = {r.T:.6f}")
 

@@ -203,23 +203,26 @@ def _default_energy_window(spec):
 
 def _cmd_transmission(args, spec, constants):
     e_min, e_max = args.e_min, args.e_max
+    for flag, value in (("--e-min", e_min), ("--e-max", e_max)):
+        if value is not None and not math.isfinite(value):
+            raise Qnf1dError(f"{flag} must be a finite energy, got {value}")
     if e_min is None or e_max is None:
         d_min, d_max = _default_energy_window(spec)
         e_min = d_min if e_min is None else e_min
         e_max = d_max if e_max is None else e_max
     if not e_min < e_max:
         raise Qnf1dError("--e-min must be below --e-max")
-    es = np.linspace(e_min, e_max, args.points).tolist()
+    es = np.linspace(e_min, e_max, args.points)
     v_minus, _ = P.scattering_limits(spec)
     # T first: it rejects energies outside the scattering regime
-    Ts = [P.transmission_probability(spec, e, constants) for e in es]
-    ts = P.transmission_amplitude(spec, np.sqrt(constants.p2 * (np.array(es) - v_minus)),
-                                  constants).t.tolist()
-    bad = [e for e, t in zip(es, ts) if not cmath.isfinite(t)]
-    if bad:
-        raise Qnf1dError(f"transmission amplitude not representable at E = {bad[0]:g}")
+    Ts = P.transmission_probability(spec, es, constants)
+    ts = P.transmission_amplitude(spec, np.sqrt(constants.p2 * (es - v_minus)), constants).t
+    bad = ~np.isfinite(ts)
+    if bad.any():
+        raise Qnf1dError(f"transmission amplitude not representable at E = {es[bad][0]:g}")
     return ["E", "T", "abs_t_sq", "arg_t"], [
-        (e, T, abs(t) ** 2, cmath.phase(t)) for e, T, t in zip(es, Ts, ts)]
+        (e, T, abs(t) ** 2, cmath.phase(t))
+        for e, T, t in zip(es.tolist(), Ts.tolist(), ts.tolist())]
 
 
 def _qnf_rows(tower, spec, constants):
@@ -362,7 +365,7 @@ def _verify_checks(spec, constants, region, out):
     # 2. T vs |t|^2 on a real-energy grid
     base = max(v_minus, v_plus)
     es = np.linspace(base + 0.05, base + 5.0, 50)
-    Ts = np.array([P.transmission_probability(spec, float(e), constants) for e in es])
+    Ts = P.transmission_probability(spec, es, constants)
     t = P.transmission_amplitude(spec, np.sqrt(constants.p2 * (es - v_minus)), constants).t
     checks.append(("T = |t|^2 on energy grid", float(np.max(np.abs(Ts - np.abs(t) ** 2))), 1e-10))
 

@@ -76,6 +76,7 @@ __all__ = [
     "transmission_amplitude",
     "transmission_probability",
     "resonances",
+    "step_bound",
 ]
 
 # parameters that are lengths (or hbar and mass) and must be positive
@@ -144,10 +145,11 @@ class ScatteringAmplitudes:
 class ResonanceEntry:
     """One member of a transmission-resonance family.
 
-    kind is one of 'exact' (T = 1), 'approximate' (local maximum, T < 1),
-    'parameter_condition' (a critical coupling: ``parameter`` is the normal
-    form's sech^2 coupling v0 at which it is reflectionless) or 'pseudo'
-    (T = T_step for the asymmetric barrier).
+    kind is one of 'exact' (T = 1), 'approximate' (an unequal delta pair's
+    2ka = (n + 1/2) pi, the large-k limit of the equal-pair roots, with T
+    there), 'parameter_condition' (a critical coupling: ``parameter`` is the
+    normal form's sech^2 coupling v0 at which it is reflectionless) or
+    'pseudo' (T = T_step for the asymmetric barrier).
     """
 
     index: int
@@ -156,11 +158,6 @@ class ResonanceEntry:
     E: float | None = None
     parameter: float | None = None
     T: float | None = None
-
-
-def _csqrt(z) -> complex:
-    """Principal square root (cut on the negative real axis, +i side on the cut)."""
-    return cmath.sqrt(complex(z))
 
 
 def _level_wavenumber(k, e, v_in, v, p2):
@@ -240,23 +237,23 @@ class Interfaces:
         t = np.where(np.isfinite(sin_k2), t, complex("nan"))
         return ScatteringAmplitudes(t, None, k1, k3)
 
-    def probability(self, e: float, p2: float) -> float:
-        """T(E) for real E above both limits: the asymmetric-barrier closed
-        form for steps, the asymmetric double-delta one for couplings."""
-        k1 = math.sqrt(p2 * (e - self.v1))
+    def probability(self, e: np.ndarray, p2: float) -> np.ndarray:
+        """T(E) over an array of real E above both limits: the
+        asymmetric-barrier closed form for steps, the asymmetric double-delta
+        one for couplings."""
+        k1 = np.sqrt(p2 * (e - self.v1))
         if self.alpha_left == 0 and self.alpha_right == 0:
-            k3 = math.sqrt(p2 * (e - self.v3))
-            q = _csqrt(p2 * (e - self.v2))
-            # sin(2 q a) / q, which is 2a at the top of the barrier (q = 0)
-            s = cmath.sin(2.0 * q * self.a) / q if q else 2.0 * self.a
-            q2 = q * q
-            denom = (k1 + k3) ** 2 + (k1**2 * k3**2 + q2 * (q2 - k1**2 - k3**2)) * s * s
-            return float((4.0 * k1 * k3 / denom).real)
+            k3 = np.sqrt(p2 * (e - self.v3))
+            s = _sin_over(np.sqrt(p2 * (e - self.v2) + 0j), 2.0 * self.a).real
+            # (q^2 - k1^2)(q^2 - k3^2) for the middle wavenumber q, exactly
+            steps = p2 * p2 * (self.v2 - self.v1) * (self.v2 - self.v3)
+            return 4.0 * k1 * k3 / ((k1 + k3) ** 2 + steps * s * s)
         kp = 0.5 * p2 * self.alpha_left
         km = 0.5 * p2 * self.alpha_right
-        cth = math.cos(2 * k1 * self.a)
-        sth = math.sin(2 * k1 * self.a)
-        term = 4.0 * kp * km / k1**4 * (k1 * cth + kp * sth) * (k1 * cth + km * sth)
+        cth = np.cos(2 * k1 * self.a)
+        sth = np.sin(2 * k1 * self.a)
+        with np.errstate(over="ignore"):  # k1^4 is inf above E ~ 1e154, where T -> 1
+            term = 4.0 * kp * km / k1**4 * (k1 * cth + kp * sth) * (k1 * cth + km * sth)
         return 1.0 / (1.0 + (kp - km) ** 2 / k1**2 + term)
 
     def resonances(self, n_max: int, c: PhysicalConstants) -> list:
@@ -266,19 +263,19 @@ class Interfaces:
             k0 = 0.5 * c.p2 * self.alpha_left
             return [ResonanceEntry(n, "exact", k=k, E=self.v1 + c.h2_2m * k * k)
                     for n, k in _double_delta_resonance_roots(k0, self.a, n_max)]
-        out = []
         if _delta_pair(self):
-            for n in range(n_max):
-                k = (n + 0.5) * math.pi / (2.0 * self.a)
-                e = self.v1 + c.h2_2m * k * k
-                out.append(ResonanceEntry(n, "approximate", k=k, E=e,
-                                          T=self.probability(e, c.p2)))
-        elif _barrier(self):
+            # the large-k limit of the equal-pair roots, with T there
+            k = (np.arange(n_max) + 0.5) * math.pi / (2.0 * self.a)
+            e = self.v1 + c.h2_2m * k * k
+            return [ResonanceEntry(n, "approximate", k=k_n, E=e_n, T=T_n) for n, (k_n, e_n, T_n)
+                    in enumerate(zip(k.tolist(), e.tolist(), self.probability(e, c.p2).tolist()))]
+        out = []
+        if _barrier(self):
             for n in range(1, n_max + 1):
                 e = self.v2 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2
                 if not (e > self.v1 and e > self.v3):
                     continue  # below the asymptotic continuum, not a scattering energy
-                T = None if self.v1 == self.v3 else _step_bound(self.limits, e, c.p2)
+                T = None if self.v1 == self.v3 else float(_step_bound(self.limits, e, c.p2))
                 out.append(ResonanceEntry(n, "exact" if T is None else "pseudo",
                                           k=math.sqrt(c.p2 * (e - self.v1)), E=e, T=T))
         return out
@@ -316,7 +313,7 @@ class EckartReduction:
 
     def s(self, p2: float) -> complex:
         """s = sqrt(1/4 - p2 v0 a^2): the sech^2 gamma arguments are 1/2 +- s."""
-        return _csqrt(0.25 - p2 * self.v0 * self.a * self.a)
+        return cmath.sqrt(0.25 - p2 * self.v0 * self.a * self.a)
 
     def evaluate(self, x):
         """V on an array x."""
@@ -344,17 +341,16 @@ class EckartReduction:
         t = np.where(log_ratio.real > 700.0, complex("inf"), t)
         return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
 
-    def probability(self, e: float, p2: float) -> float:
-        """T(E) for real E above both limits, in overflow-safe logarithms."""
-        a = self.a
-        k_m = math.sqrt(p2 * (e - self.v_minus))
-        k_p = math.sqrt(p2 * (e - self.v_plus))
-        kbar = 0.5 * (k_m + k_p)
-        ls = _log_sinh(math.pi * k_m * a) + _log_sinh(math.pi * k_p * a)
+    def probability(self, e: np.ndarray, p2: float) -> np.ndarray:
+        """T(E) = sinh(x-) sinh(x+) / (sinh(xbar)^2 + cos(pi s)^2), x = pi k a,
+        over an array of real E above both limits.  Each sinh(x) is written
+        e^x g(x) / 2 with g(x) = 1 - e^{-2x}; since x- + x+ = 2 xbar the
+        exponentials cancel exactly, so nothing overflows or cancels."""
+        x_m, x_p = (math.pi * np.sqrt(p2 * (e - v)) * self.a for v in self.limits)
+        xbar = 0.5 * (x_m + x_p)
+        g_m, g_p, g_bar = (-np.expm1(-2.0 * x) for x in (x_m, x_p, xbar))
         cos2 = (cmath.cos(cmath.pi * self.s(p2)) ** 2).real
-        log_den = 2.0 * _log_sinh(math.pi * kbar * a)
-        log_den += math.log1p(max(cos2, -0.999999999999) * math.exp(-log_den))
-        return math.exp(ls - log_den)
+        return g_m * g_p / (g_bar * g_bar + 4.0 * cos2 * np.exp(-2.0 * xbar))
 
     def resonances(self, n_max: int, c: PhysicalConstants) -> list:
         """The reflectionless couplings v0 = -n(n+1) hbar^2/(2 m a^2) of a
@@ -364,11 +360,6 @@ class EckartReduction:
         return [ResonanceEntry(n, "parameter_condition",
                                parameter=-n * (n + 1) * c.h2_2m / (self.a * self.a))
                 for n in range(1, n_max + 1)]
-
-
-def _log_sinh(x: float) -> float:
-    """log(sinh(x)) for x > 0 without overflow."""
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
 
 
 def _mobius2_reduction(m: Mobius2) -> EckartReduction:
@@ -802,8 +793,20 @@ PotentialSpec = Union[
 # Pointwise evaluation and scattering structure
 # ---------------------------------------------------------------------------
 
+def _array_first(x, dtype, f):
+    """f over the 1-d array of x, in x's shape: an array gives an array, and
+    a number or a 0-d array is the one-element case, with the bits of the
+    same x inside an array (numpy's 0-d path rounds tanh, exp, products
+    unlike its vector loops); a number gives a Python number, 0-d a numpy
+    scalar."""
+    scalar = np.isscalar(x)
+    x = np.asarray(x, dtype=dtype)
+    out = f(x.reshape(-1)).reshape(x.shape)
+    return out.item() if scalar else out[()]
+
+
 def evaluate(spec: PotentialSpec, x):
-    """V(x); accepts scalars or numpy arrays.
+    """V(x); x is a number or an array (see _array_first).
 
     Delta-function potentials are distributional: evaluate returns their
     regular part (identically zero).  Potentials with a pole (Manning-Rosen,
@@ -812,13 +815,7 @@ def evaluate(spec: PotentialSpec, x):
     """
     if not isinstance(spec, _Spec):
         raise TypeError(f"unknown potential spec {type(spec).__name__}")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    # a scalar or 0-d x is the one-element case of the array path, so it has
-    # the bits of the same x inside an array (numpy's vector loops round
-    # tanh, cosh and exp unlike its scalar path); 0-d gives a numpy scalar
-    v = spec._potential(x.reshape(-1)).reshape(x.shape)
-    return float(v) if scalar else v[()]
+    return _array_first(x, float, spec._potential)
 
 
 def normal_form(spec: PotentialSpec) -> Interfaces | EckartReduction:
@@ -853,9 +850,10 @@ def is_scattering(spec: PotentialSpec) -> bool:
 
 
 def asymptotic_wavenumbers(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS):
-    """k_{-inf} and k_{+inf} at (possibly complex) energy E, principal roots."""
-    v_minus, v_plus = scattering_limits(spec)
-    return (_csqrt(c.p2 * (E - v_minus)), _csqrt(c.p2 * (E - v_plus)))
+    """k_{-inf} and k_{+inf} at (possibly complex) energy E, principal roots;
+    E is an ndarray or a number (see _array_first)."""
+    return tuple(_array_first(E, complex, lambda e: np.sqrt(c.p2 * (e - v)))
+                 for v in scattering_limits(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -897,36 +895,43 @@ def _first_point(amp: ScatteringAmplitudes) -> ScatteringAmplitudes:
                                 complex(amp.k_minus_inf[0]), complex(amp.k_plus_inf[0]))
 
 
-def _check_regime(spec, e):
-    v_minus, v_plus = scattering_limits(spec)
-    if not (e > v_minus and e > v_plus):
+def _above_limits(limits, e: np.ndarray) -> np.ndarray:
+    """The array e, once each energy in it is finite and above both limits;
+    else the first that is not raises DomainError (+inf) or RegimeError."""
+    bad = ~((e > limits[0]) & (e > limits[1]) & (e < math.inf))
+    if bad.any():
+        first = float(e[bad][0])
+        if first == math.inf:
+            raise DomainError("E = inf is not a finite energy")
         raise RegimeError(
-            f"E = {e} is not above both asymptotic limits ({v_minus}, {v_plus})"
-        )
-    return v_minus, v_plus
+            f"E = {first} is not above both asymptotic limits ({limits[0]}, {limits[1]})")
+    return e
 
 
-def transmission_probability(spec: PotentialSpec, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Closed-form T(E) for real E above both asymptotic limits."""
-    e = float(E)
-    _check_regime(spec, e)
-    return normal_form(spec).probability(e, c.p2)
+def transmission_probability(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Closed-form T(E) for real E above both asymptotic limits; E is an
+    ndarray or a number (see _array_first).  The first energy that is not
+    above both limits raises RegimeError (DomainError for E = +inf)."""
+    form = normal_form(spec)
+    return _array_first(E, float, lambda e: form.probability(_above_limits(form.limits, e), c.p2))
 
 
 # ---------------------------------------------------------------------------
 # Transmission resonances
 # ---------------------------------------------------------------------------
 
-def step_bound(spec: PotentialSpec, E: float, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """T_step = 4 k1 k3 / (k1 + k3)^2, the step-barrier transmission bound."""
-    e = float(E)
-    return _step_bound(_check_regime(spec, e), e, c.p2)
+def step_bound(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS):
+    """T_step = 4 k1 k3 / (k1 + k3)^2, the step-barrier transmission bound;
+    it takes E like transmission_probability."""
+    limits = scattering_limits(spec)
+    return _array_first(E, float, lambda e: _step_bound(limits, _above_limits(limits, e), c.p2))
 
 
-def _step_bound(limits, e: float, p2: float) -> float:
-    """step_bound at an energy e above both limits (v_minus, v_plus)."""
-    k1 = math.sqrt(p2 * (e - limits[0]))
-    k3 = math.sqrt(p2 * (e - limits[1]))
+def _step_bound(limits, e: np.ndarray, p2: float) -> np.ndarray:
+    """step_bound over energies e (an array or a float) above both limits
+    (v_minus, v_plus)."""
+    k1 = np.sqrt(p2 * (e - limits[0]))
+    k3 = np.sqrt(p2 * (e - limits[1]))
     return 4.0 * k1 * k3 / (k1 + k3) ** 2
 
 
@@ -961,9 +966,10 @@ def resonances(spec: PotentialSpec, n_max: int, c: PhysicalConstants = DEFAULT_C
 
     Interfaces: none for a = 0 (Delta, Step) or for a free form; for a pair
     of equal delta couplings the exact roots of k = -k0 tan(2 k a); for an
-    unequal pair the approximate family 2 k a = (n + 1/2) pi with its T; for
-    a barrier E = v2 + hbar^2 (n pi / 2a)^2 / (2m) above both limits, exact
-    (T = 1) where v1 = v3 and pseudo (T = T_step) otherwise.
+    unequal pair the approximate family 2 k a = (n + 1/2) pi, the large-k
+    limit of the equal-pair roots, with T there (no local maximum of T in
+    general); for a barrier E = v2 + hbar^2 (n pi / 2a)^2 / (2m) above both
+    limits, exact (T = 1) where v1 = v3 and pseudo (T = T_step) otherwise.
     EckartReduction: where v_minus = v_plus, the couplings v0 that make it
     reflectionless ('parameter_condition'); none for a step.
 

@@ -27,6 +27,7 @@ from .potentials import (
     EckartReduction,
     Interfaces,
     PhysicalConstants,
+    _array_first,
     _barrier,
     _delta_pair,
     length_scale,
@@ -111,22 +112,11 @@ def _classify(k, length_scale: float):
                              "complex_qnf"))
 
 
-def _product(a, b):
-    """a * b over complex arrays in the steps of Python's complex product, so
-    each member has the bits of the one-member formula (numpy's complex
-    multiply may fuse into FMA and round differently); like Python, silent on
-    overflow."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    with np.errstate(all="ignore"):
-        return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
 def _over(z, d: float):
-    """z / d for a real d > 0 in the steps of Python's complex division
-    (numpy multiplies by 1 / d, which rounds differently)."""
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(all="ignore"):
-        return _complex((z.real + z.imag * 0.0) / d, (z.imag - z.real * 0.0) / d)
+    """z / d for a real d > 0, each part divided once: numpy's complex / real
+    multiplies by 1 / d, a second rounding that the subtraction in the
+    double-delta k = i (k0 - w / (2a)) amplifies (about twice the residual)."""
+    return _complex(z.real / d, z.imag / d)
 
 
 def _complex(re, im):
@@ -323,9 +313,7 @@ def _closed_form_tower(spec, n_range, c: PhysicalConstants) -> _Tower:
         branch = np.repeat(ns, 2)
         labels = np.tile(["plus", "minus"], len(ns))
         w = lambert_w(branch, np.tile([arg, -arg], len(ns)))
-        # w's parts divided one by one: numpy's complex / real multiplies by
-        # 1 / (2a), which rounds unlike the one-member k = i (k0 - w / (2a))
-        k = 1j * (k0 - (w.real / (2.0 * a) + 1j * (w.imag / (2.0 * a))))
+        k = 1j * (k0 - _over(w, 2.0 * a))
         keep = np.isfinite(k) & ~(np.abs(k) < TRIVIAL_ZERO_TOL / a)
         keep[keep] = _keep_first(k[keep], 1e-9 / a)
         return _tower(spec, k[keep], "closed_form", c, sign=labels[keep], branch=branch[keep])
@@ -570,26 +558,23 @@ def _asymptotic_tower(spec, ns, c: PhysicalConstants, sign: str = "plus") -> _To
     if _delta_pair(form) and form.alpha_left == form.alpha_right:
         k0, a = _delta_k0s(form, p2)[0], form.a
         wc = lambert_w_comtet(ns, sgn * _lambert_argument(2.0 * k0 * a, k0, a))
-        k = _product(1j, k0 - _over(wc, 2.0 * a))
+        k = 1j * (k0 - _over(wc, 2.0 * a))
         return _tower(spec, k, "asymptotic", c, sign=signs, branch=ns)
     if _symmetric_barrier(form):
         a, v0 = form.a, form.v2 - form.v1
-        if v0 > 0:
-            k0 = math.sqrt(p2 * v0)
-            q = _over(_product(-1j, lambert_w(ns, k0 * a / 2.0)), a)
-        else:
-            k0m = math.sqrt(-p2 * v0)
-            q = _over(_product(-1j, lambert_w(ns, -1j * k0m * a / 2.0)), a)
-        k = np.sqrt(p2 * v0 + _product(q, q))
+        # W's argument is k0 a / 2 over a barrier, -i |k0| a / 2 over a well
+        arg = math.sqrt(p2 * v0) * a / 2.0 if v0 > 0 else -1j * math.sqrt(-p2 * v0) * a / 2.0
+        q = _over(-1j * lambert_w(ns, arg), a)
+        k = np.sqrt(p2 * v0 + q * q)
         # the root of k^2 that the amplitude's pole sits on (k on a tie)
         k = np.where(_residual(form, -k, p2) < _residual(form, k, p2), -k, k)
         return _tower(spec, k, "asymptotic", c, branch=ns, aux=q)
     if isinstance(form, EckartReduction):
         a = form.a
         if form.v0 == 0.0:
-            return _tower(spec, _over(_product(1j, ns), a), "asymptotic", c, branch=ns)
+            return _tower(spec, _over(1j * ns, a), "asymptotic", c, branch=ns)
         two_s = 2.0 * form.s(p2)
-        k = _product(1j, ns / a + (1.0 + sgn * two_s) / (2.0 * a))
+        k = 1j * (ns / a + (1.0 + sgn * two_s) / (2.0 * a))
         return _tower(spec, k, "asymptotic", c, sign=signs, branch=ns)
     raise UnsupportedPotentialError(
         f"no asymptotic QNF form for {type(spec).__name__}"
@@ -603,10 +588,10 @@ def _asymptotic_tower(spec, ns, c: PhysicalConstants, sign: str = "plus") -> _To
 def qnf_energy(k, c: PhysicalConstants = DEFAULT_CONSTANTS, v_offset: float = 0.0):
     """E = V_offset + hbar^2 k^2 / (2m); in relativistic mode returns omega = k.
     A number k gives a complex, an ndarray k the array of energies."""
-    e = np.asarray(k, dtype=complex)
-    if c.mode != "relativistic":
-        e = v_offset + _product(_product(c.h2_2m, e), e)
-    return e if isinstance(k, np.ndarray) else complex(e)
+    relativistic = c.mode == "relativistic"
+    with np.errstate(all="ignore"):  # silent on overflow, like Python's complex product
+        return _array_first(k, complex,
+                            lambda z: z if relativistic else v_offset + c.h2_2m * z * z)
 
 
 def fit_offset_gap(tower: list[QnfResult], model: str = "linear") -> AsymptoticFit:

@@ -72,17 +72,14 @@ def lambert_w_comtet(branch, z: complex, terms: int = 2):
     """
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
-    l1 = cmath.log(complex(z)) + 1j * _TWO_PI * np.asarray(branch)
+    n = np.asarray(branch)
+    l1 = cmath.log(complex(z)) + 1j * _TWO_PI * n.reshape(-1)
+    if terms > 1 and not np.all(l1):
+        raise DomainError("ln(L1) is singular at L1 = ln z + 2 pi i n = 0")
     w = l1
     for _ in range(terms - 1):
-        w = l1 - _clog(w)
-    return w if isinstance(branch, np.ndarray) else complex(w)
-
-
-def _clog(z):
-    """cmath.log member by member over an array: numpy's complex log rounds
-    differently in the last bit."""
-    return np.array([cmath.log(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
+        w = l1 - np.log(w)
+    return w.reshape(n.shape) if isinstance(branch, np.ndarray) else complex(w[0])
 
 
 def log_gamma(z):

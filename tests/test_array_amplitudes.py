@@ -1,8 +1,12 @@
 """Array-valued amplitude engines: an ndarray k gives t point by point, with
 poles as inf and unrepresentable points as nan; a scalar k is the
-one-element case, with a library error in place of nan."""
+one-element case, with a library error in place of nan.  The energy-side
+functions (T, T_step, the asymptotic wavenumbers) take arrays of E the same
+way."""
 
 import cmath
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,14 +25,17 @@ from qnf1d import (
     Sech2,
     Step,
     Tietz,
+    asymptotic_wavenumbers,
     closed_form_qnfs,
     numeric_amplitude,
     refine_pole,
     scattering_limits,
+    step_bound,
     transmission_amplitude,
+    transmission_probability,
 )
 from qnf1d import oracle
-from qnf1d.errors import AtPoleError, DomainError, OverflowGuardError
+from qnf1d.errors import AtPoleError, DomainError, OverflowGuardError, Qnf1dError
 from qnf1d.oracle import _inv_t
 from qnf1d.potentials import length_scale
 
@@ -282,3 +289,71 @@ def test_shapes_are_kept():
             amp = amplitude(spec, ks, C)
             assert amp.t.shape == (3, 4)
             assert amp.t[1, 2] == pytest.approx(amplitude(spec, ks[1, 2], C).t, rel=rel)
+
+
+# ---------------------------------------------------------------------------
+# Energy-side functions
+# ---------------------------------------------------------------------------
+
+def _bits(z):
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# E a^2 above the higher limit, from near threshold to far above it
+scaled_energies = st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=40)
+
+
+def assert_array_is_the_one_element_case(f, spec, e):
+    """f over e, over each one-element slice of e and at each number agree
+    bit for bit; a 2-d e gives a 2-d result and a 0-d e its member's bits."""
+    got = f(spec, e, C)
+    assert got.shape == e.shape
+    one = [f(spec, e[i:i + 1], C)[0] for i in range(len(e))]
+    number = [f(spec, x, C) for x in e.tolist()]
+    assert all(type(v) is float for v in number)
+    assert list(map(_bits, got)) == list(map(_bits, one)) == list(map(_bits, number))
+    column = f(spec, e.reshape(-1, 1), C)
+    assert column.shape == (len(e), 1)
+    assert list(map(_bits, column.ravel())) == list(map(_bits, got))
+    assert _bits(f(spec, e[0:1].reshape(()), C)) == _bits(got[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=piecewise_specs() | smooth_specs(), offsets=scaled_energies)
+def test_probability_array_is_the_one_element_case(spec, offsets):
+    e = max(scattering_limits(spec)) + np.array(offsets) / length_scale(spec) ** 2
+    assert_array_is_the_one_element_case(transmission_probability, spec, e)
+    assert_array_is_the_one_element_case(step_bound, spec, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=piecewise_specs() | smooth_specs(),
+       energies=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                            allow_infinity=False), min_size=1, max_size=20))
+def test_wavenumbers_array_is_the_one_element_case(spec, energies):
+    e = np.array(energies, dtype=complex)
+    km, kp = asymptotic_wavenumbers(spec, e, C)
+    assert km.shape == kp.shape == e.shape
+    for i, x in enumerate(energies):
+        one = asymptotic_wavenumbers(spec, e[i:i + 1], C)
+        number = asymptotic_wavenumbers(spec, x, C)
+        assert all(type(k) is complex for k in number)
+        assert [_bits(k) for k in (km[i], kp[i])] == [_bits(k[0]) for k in one] \
+            == list(map(_bits, number))
+
+
+@pytest.mark.parametrize("spec", [DoubleDelta(0.8, 1.2), RectBarrier(1.5, 0.7),
+                                  AsymRectBarrier(0.2, 2.0, -0.3, 0.6),
+                                  Eckart(0.0, 2.0, -1.0, 1.0)], ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("bad", ["limit", "below", "nan", "-inf", "inf"])
+def test_array_raises_what_its_first_bad_energy_raises(spec, bad):
+    top = max(scattering_limits(spec))
+    e_bad = {"limit": top, "below": top - 1.0, "nan": math.nan, "-inf": -math.inf,
+             "inf": math.inf}[bad]
+    for f in (transmission_probability, step_bound):
+        with pytest.raises(Qnf1dError) as scalar:
+            f(spec, e_bad, C)
+        with pytest.raises(Qnf1dError) as array:
+            f(spec, np.array([top + 1.0, e_bad, top - 2.0, math.inf]), C)
+        assert (type(array.value), str(array.value)) == (type(scalar.value), str(scalar.value))

@@ -12,7 +12,7 @@ import pytest
 
 from qnf1d import (
     DoubleDelta, Eckart, Hua, PhysicalConstants, RectBarrier, Sech2, Tanh, Tietz,
-    asymptotic_qnfs, oracle, qnf_energy,
+    asymptotic_qnfs, oracle, potentials, qnf_energy,
 )
 from qnf1d.cli import _build_parser, _emit, _spec_from_args, main
 from qnf1d.errors import DomainError
@@ -293,6 +293,34 @@ class TestCommands:
     def test_bad_input_is_an_error_message(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--e-min", "--e-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_energy_flag_is_one_error_line(self, flag, value, capsys):
+        argv = ["transmission", "--type", "eckart", "--V-minus", "0", "--V-plus", "2",
+                "--V0", "-1", "--a", "1", f"{flag}={value}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["transmission", "--type", "double-delta", "--alpha", "1", "--a", "1",
+         "--points", "200"],
+        ["verify", "--type", "double-delta", "--alpha", "1", "--a", "1",
+         "--region=-16,16,0.01,2.5", "--grid-density", "6"],
+    ], ids=["transmission", "verify"])
+    def test_one_probability_call_per_command(self, argv, capsys, monkeypatch):
+        calls = []
+        probability = potentials.transmission_probability
+
+        def counting(spec, E, c):
+            calls.append(E)
+            return probability(spec, E, c)
+
+        monkeypatch.setattr(potentials, "transmission_probability", counting)
+        code, _out = run_cli(argv, capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_verify_skip_lines(self, capsys, monkeypatch):
         # a check that tests no mode says so and why, and is not a failure

@@ -1,7 +1,9 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from qnf1d import (
     Hulthen,
     ManningRosen,
     Morse,
+    Mobius2,
     MorseFeshbach,
     PhysicalConstants,
+    PoschlTellerSech2,
     RectBarrier,
     RosenMorse,
     Sech2,
@@ -47,6 +51,15 @@ NINE_SCATTERING = [
     Tanh(0.0, 2.0, 1.0),
     Sech2(-1.0, 1.0),
     Eckart(0.0, 2.0, -1.0, 1.0),
+]
+
+EVERY_SCATTERING_CLASS = NINE_SCATTERING + [
+    PoschlTellerSech2(-1.0, 1.0),
+    RosenMorse(1.0, 1.0, -1.0, 1.0),
+    MorseFeshbach(0.8, 0.7, 1.1),
+    Mobius2(0.0, 1.0, -1.0, 1.0, 2.0, 1.0),
+    Tietz(1.1, 0.3, 0.9, "cosh"),
+    Hua(1.2, -2.0, 1.0),
 ]
 
 
@@ -164,6 +177,48 @@ class TestAmplitudes:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             transmission_probability(Step(2.0), 1.0, C)
+
+    @pytest.mark.parametrize("spec", [
+        RectBarrier(1.5, 0.7), AsymRectBarrier(0.2, 2.0, -0.3, 0.6), Tanh(0.0, 2.0, 1.0),
+        Sech2(-2.5, 0.8), Eckart(0.3, -0.4, 1.2, 0.7), MorseFeshbach(0.8, 0.7, 1.1),
+        Hua(1.2, -2.0, 1.0),
+    ], ids=lambda s: type(s).__name__)
+    def test_probability_against_mpmath(self, spec):
+        # from 1e-14 to 1e12 above the higher limit: no digits lost next to
+        # the threshold, where 1 - e^{-2x} is small, nor far above it
+        form = normal_form(spec)
+        e = max(form.limits) + np.geomspace(1e-14, 1e12, 60)
+        got = transmission_probability(spec, e, C)
+        with mpmath.workdps(40):
+            for x, T in zip(e.tolist(), got.tolist()):
+                k = [mpmath.sqrt(C.p2 * (mpmath.mpf(x) - v)) for v in form.limits]
+                a = mpmath.mpf(form.a)
+                if hasattr(form, "v0"):
+                    s = mpmath.sqrt(0.25 - C.p2 * mpmath.mpf(form.v0) * a * a)
+                    ref = mpmath.sinh(mpmath.pi * k[0] * a) * mpmath.sinh(mpmath.pi * k[1] * a) / (
+                        mpmath.sinh(mpmath.pi * (k[0] + k[1]) * a / 2) ** 2
+                        + mpmath.re(mpmath.cos(mpmath.pi * s) ** 2))
+                else:
+                    q = mpmath.sqrt(mpmath.mpc(C.p2 * (mpmath.mpf(x) - form.v2)))
+                    sq = mpmath.sin(2 * q * a) / q if q else 2 * a
+                    ref = 4 * k[0] * k[1] / mpmath.re((k[0] + k[1]) ** 2 + (q * q - k[0] ** 2)
+                                                       * (q * q - k[1] ** 2) * sq * sq)
+                assert abs(T - ref) <= 4e-15 * ref, (x, T, ref)
+
+    @pytest.mark.parametrize("spec", EVERY_SCATTERING_CLASS, ids=lambda s: type(s).__name__)
+    def test_infinite_and_huge_energies(self, spec):
+        # +inf is no energy; nan and -inf are below the limits
+        for f in (transmission_probability, step_bound):
+            with pytest.raises(DomainError, match="E = inf"):
+                f(spec, math.inf, C)
+            for e in (math.nan, -math.inf):
+                with pytest.raises(RegimeError):
+                    f(spec, e, C)
+        # far above every scale, with no overflow along the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T = transmission_probability(spec, 1e300, C)
+        assert math.isfinite(T) and 0.0 <= T <= 1.0
 
     def test_asym_dd_two_displayed_forms_agree(self):
         # the compact form against the expanded cos(4ka)/sin(4ka) display

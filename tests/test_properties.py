@@ -76,7 +76,7 @@ def conjugation_error(spec, k):
 def test_probability_is_amplitude_squared(spec, scaled):
     # measured <= 2e-14 over 3000 examples
     e, k = energies_and_wavenumbers(spec, scaled)
-    T = np.array([transmission_probability(spec, x, C) for x in e])
+    T = transmission_probability(spec, e, C)
     t = transmission_amplitude(spec, k, C).t
     assert np.max(np.abs(T - np.abs(t) ** 2)) <= 1e-10, (e, T, t)
 
@@ -266,12 +266,12 @@ def test_equal_normal_forms_give_equal_outputs(group, ks, scaled):
     k = np.array(ks, dtype=complex) / length_scale(first)
     e, _k = energies_and_wavenumbers(first, scaled)
     expected = (transmission_amplitude(first, k, C).t,
-                [transmission_probability(first, x, C) for x in e],
+                transmission_probability(first, e, C).tolist(),
                 _tower_cells(first), resonances(first, 8, C))
     for spec in others:
         assert normal_form(spec) == normal_form(first)
         got = (transmission_amplitude(spec, k, C).t,
-               [transmission_probability(spec, x, C) for x in e],
+               transmission_probability(spec, e, C).tolist(),
                _tower_cells(spec), resonances(spec, 8, C))
         np.testing.assert_array_equal(got[0], expected[0])
         assert got[1:] == expected[1:], (first, spec)

@@ -442,15 +442,29 @@ def _bits(z):
     return struct.pack("<dd", z.real, z.imag)
 
 
+def _within_ulps(got, ref, ulps=4):
+    """|got - ref| within ulps units in the last place of |ref|; got not
+    finite where ref is not (an overflowing product may give inf or nan)."""
+    if not cmath.isfinite(ref):
+        return not cmath.isfinite(got)
+    return abs(got - ref) <= ulps * math.ulp(abs(ref))
+
+
 class TestScalarFormulaBits:
-    """The array builders keep the bits of the one-member formulas as Python
-    evaluates them on complex scalars."""
+    """The array builders give the one-member formulas as Python evaluates
+    them on complex scalars: bit for bit where only exact products by +-i
+    and one division per part enter, else within 4 ulps (numpy's complex
+    product may fuse into FMA and round unlike Python's)."""
 
     NS = list(range(-40, 41))
 
     def check(self, spec, sign, formula):
         got = [asymptotic_qnfs(spec, n, C, sign=sign).k for n in self.NS]
         assert list(map(_bits, got)) == [_bits(formula(n)) for n in self.NS]
+
+    def check_ulps(self, spec, sign, formula):
+        got = [asymptotic_qnfs(spec, n, C, sign=sign).k for n in self.NS]
+        assert all(_within_ulps(z, formula(n)) for z, n in zip(got, self.NS))
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_double_delta(self, sign):
@@ -474,7 +488,7 @@ class TestScalarFormulaBits:
             q = -1j * lambert_w(n, arg) / a
             k = cmath.sqrt(C.p2 * v0 + q * q)
             return -k if pole_condition(spec, -k, C) < pole_condition(spec, k, C) else k
-        self.check(spec, "plus", formula)
+        self.check_ulps(spec, "plus", formula)
 
     def test_tanh(self):
         a = 0.7
@@ -494,8 +508,8 @@ class TestScalarFormulaBits:
             -3, 4, 500)
         k = np.concatenate([k, [0.0, -0.0j, complex(-0.0, -0.0), 1e200 + 1e200j, 1e-200j]])
         got = qnf_energy(k, c, -1.3)
-        assert list(map(_bits, got.tolist())) == [
-            _bits(-1.3 + c.h2_2m * z * z) for z in k.tolist()]
+        assert all(_within_ulps(e, -1.3 + c.h2_2m * z * z)
+                   for z, e in zip(k.tolist(), got.tolist()))
         assert all(_bits(qnf_energy(z, c, -1.3)) == _bits(e)
                    for z, e in zip(k.tolist(), got.tolist()))
 

@@ -148,6 +148,13 @@ class TestComtet:
         with pytest.raises(DomainError):
             lambert_w_comtet(0, 1.0, 4)
 
+    def test_zero_leading_term(self):
+        # L1 = ln 1 + 0 = 0, where ln(L1) has no value
+        assert lambert_w_comtet(0, 1.0, 1) == 0
+        for branch in (0, np.array([3, 0])):
+            with pytest.raises(DomainError):
+                lambert_w_comtet(branch, 1.0, 2)
+
 
 class TestLogGamma:
     def test_known_values(self):
