@@ -10,11 +10,15 @@ by a grid scan plus Newton refinement of g(k) = 1/t(k).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import numpy.polynomial.chebyshev as cheb
+from scipy.integrate import (
+    solve_ivp,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
+)
 
 from .errors import DomainError, NotAScatteringPotential, OverflowGuardError
 from .potentials import (
@@ -55,6 +59,17 @@ _TAIL_ORDER = 32
 # default half-width of the ODE domain, in units of a: the subdominant
 # coefficient loses a factor e^{2 |Im k| L} of precision
 _ODE_HALF_WIDTH = 1.5
+# Chebyshev points per panel of the ODE propagators
+_PANEL_DEGREE = 16
+# widest panel at the first pass, in units of a: tanh and sech^2 have
+# poles pi a / 2 off the real axis, which bound a panel's resolution
+_PANEL_WIDTH = 1.0 / 3.0
+# bound on panel width times the largest local wavenumber at the first pass
+_PANEL_REACH = 2.0
+# most panels on [-L, L]; a point still unresolved on that many is nan
+_PANEL_CAP = 4096
+# panel matrices per linear solve, which bounds the memory of a large grid
+_PANEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -173,7 +188,9 @@ def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS)
 # ---------------------------------------------------------------------------
 
 def _tail_coefficients(red, c, side):
-    """W_j of V - V_inf = sum_j W_j exp(-2 j |x| / a) in units of 1/length^2.
+    """W_j of V - V_inf = sum_j W_j exp(-2 j |x| / a) in units of 1/length^2,
+    on the right (side = +1) or the left (side = -1); an array of sides
+    (shape (..., 1)) gives one row of W_j per side.
 
     Uses tanh(u) -/+ 1 = -/+ 2 sum (-1)^(j-1) exp(-/+ 2ju) and
     sech^2(u) = 4 sum (-1)^(j-1) j exp(-/+ 2ju).
@@ -186,69 +203,119 @@ def _tail_coefficients(red, c, side):
 
 def _tail_eta(ws, k, a):
     """Correction coefficients of psi = e^{-i k u} (1 + sum eta_j e^{-2 j u / a}),
-    over an array of k: shape k.shape + (len(ws),).
+    over an array of k: shape k.shape + (n,), for tail coefficients ws of
+    shape k.shape[:-1] + (n,) (one row of ws per row of k).
 
     Here u is the outward coordinate (+x on the right, -x on the left) and ws
     are the tail coefficients of W = p2 (V - V_inf) = sum_j ws_j e^{-2 j u/a}.
     Plugging the ansatz into psi'' + k^2 psi = W psi gives the recursion
     eta_l X_l = ws_l + sum_{j<l} ws_j eta_{l-j} with X_l = 4ikl/a + 4l^2/a^2.
-    Each eta_l is one contraction over the eta before it, summed along the
-    last axis, so a point's eta do not depend on the other points.
+    Each eta_l is one contraction over the eta before it, so a point's eta
+    do not depend on the other points.
     """
-    n = ws.size
+    n = ws.shape[-1]
     ell = np.arange(1, n + 1)
     x = 4.0j * k[..., None] * ell / a + 4.0 * ell * ell / (a * a)
-    rev = ws[::-1]
+    rev = ws[..., ::-1, None]
     etas = np.empty(x.shape, dtype=complex)
     for i in range(n):
-        etas[..., i] = (ws[i] + (etas[..., :i] * rev[n - i:]).sum(-1)) / x[..., i]
+        conv = (etas[..., :i] @ rev[..., n - i:, :])[..., 0]
+        etas[..., i] = (ws[..., i, None] + conv) / x[..., i]
     return etas
 
 
-def _tail_state(etas, k, a, x, side):
-    """(psi, psi') of the outgoing tail-corrected solution at coordinate x,
-    over an array of k."""
-    # side > 0: psi = e^{-ikx} (1 + sum eta_j e^{-2jx/a}); side < 0 mirrored
-    u = -x if side < 0 else x
+def _tail_state(etas, k, a, u):
+    """(psi, dpsi/du) of the outgoing tail-corrected solution at outward
+    distance u, over an array of k."""
     phase = np.exp(-1j * k * u)
     j = np.arange(1, etas.shape[-1] + 1)
     terms = np.exp(-2.0 * j * u / a)
-    f = 1.0 + (etas * terms).sum(-1)
-    fp = (etas * (-2.0 * j / a * terms)).sum(-1)  # derivative of the bracket w.r.t. u
-    psi = phase * f
-    dpsi_du = phase * (-1j * k * f + fp)
-    return psi, (dpsi_du if side > 0 else -dpsi_du)
+    f = 1.0 + etas @ terms
+    fp = etas @ (-2.0 * j / a * terms)  # derivative of the bracket w.r.t. u
+    return phase * f, phase * (-1j * k * f + fp)
 
 
-def _integrate(potential, p2, e, psi0, dpsi0, atol, L, rtol):
-    """(psi, psi') at x = -L of the solutions started at x = L, one per energy
-    in the array e, as one integration of the stacked complex state
-    (psi_1..psi_N, psi'_1..psi'_N); V(x) is evaluated once per stage for all
-    of them.  The step control reads the RMS error over all components, so
-    the result is not bitwise that of one-point integrations.  Only the end
-    state is kept.  A failed integration is split in halves and retried, so
-    only a point that fails on its own is nan."""
-    n = e.size
-    p2e = p2 * e
+@functools.lru_cache(maxsize=None)
+def _chebyshev_panel(n):
+    """The n Chebyshev points t of the first kind on [-1, 1]; the matrices
+    taking Chebyshev coefficients to values there and to the values of the
+    double integral from t = -1; and the rows taking coefficients to the
+    single and double integrals over [-1, 1]."""
+    t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    once = cheb.chebint(np.eye(n), lbnd=-1, axis=0)
+    twice = cheb.chebint(np.eye(n), m=2, lbnd=-1, axis=0)
+    # T_j(1) = 1, so a coefficient array's value at t = 1 is its sum
+    return (t, cheb.chebvander(t, n - 1), cheb.chebvander(t, n + 1) @ twice,
+            once.sum(0), twice.sum(0))
 
-    def rhs(x, y):
-        return np.concatenate((y[n:], (p2 * potential(x) - p2e) * y[:n]))
 
-    sol = solve_ivp(rhs, (L, -L), np.concatenate([psi0, dpsi0]), method="DOP853",
-                    rtol=rtol, atol=np.concatenate([atol, atol]), t_eval=[-L])
-    if sol.success:
-        return sol.y[:n, -1], sol.y[n:, -1]
-    if n == 1:
-        return np.full(1, complex("nan")), np.full(1, complex("nan"))
-    halves = [_integrate(potential, p2, e[s], psi0[s], dpsi0[s], atol[s], L, rtol)
-              for s in (slice(None, n // 2), slice(n // 2, None))]
-    return tuple(np.concatenate(parts) for parts in zip(*halves))
+def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
+    """One propagator pass: (psi, psi') at x = -L of the solutions started
+    at x = L, one per energy in the array e, over ``panels`` equal panels,
+    and the mask of the points whose every panel is resolved to ``rtol``.
+
+    On a panel from x0, psi'' = q psi (q = p2 (V - E)) is the integral
+    equation sigma = q (psi(x0) + psi'(x0) (x - x0) + J^2 sigma) for
+    sigma = psi''.  The Chebyshev coefficients of sigma for the two
+    fundamental solutions are one linear solve with two right-hand sides,
+    and their end values are the panel's 2 x 2 propagator.  A point is
+    resolved when the three trailing coefficients of its sigma stay below
+    rtol times its largest one."""
+    t, vander, j2, end1, end2 = _chebyshev_panel(_PANEL_DEGREE)
+    d = -2.0 * L / panels
+    h = 0.5 * d  # dx / dt on a panel
+    j2 = -h * h * j2  # J^2 in x, with its sign in the integral equation
+    v = red.evaluate(L + d * (np.arange(panels)[:, None] + 0.5 * (t + 1.0)))
+    basis = np.stack([np.ones_like(t), h * (t + 1.0)], axis=-1)  # 1 and x - x0
+    psi, dpsi = np.empty_like(psi0), np.empty_like(dpsi0)
+    resolved = np.empty(e.shape, dtype=bool)
+    # points per block, so that a large grid does not grow the matrices
+    block = max(1, _PANEL_BLOCK // panels)
+    for lo in range(0, e.size, block):
+        sl = slice(lo, lo + block)
+        q = p2 * (v - e[sl, None, None])
+        mat = q[..., None] * j2
+        mat += vander
+        coef = np.linalg.solve(mat, q[..., None] * basis)
+        size = np.abs(coef).max(axis=-1)
+        resolved[sl] = size[..., -3:].max(axis=(1, 2)) <= rtol * size.max(axis=(1, 2))
+        # J^2 sigma and J sigma at each panel's end, for both solutions
+        (u1, u2), (du1, du2) = (h * h * (end2 @ coef)).T, (h * (end1 @ coef)).T
+        y, dy = psi0[sl], dpsi0[sl]
+        for s in range(panels):
+            y, dy = (1.0 + u1[s]) * y + (d + u2[s]) * dy, du1[s] * y + (1.0 + du2[s]) * dy
+        psi[sl], dpsi[sl] = y, dy
+    return psi, dpsi, resolved & np.isfinite(psi) & np.isfinite(dpsi)
+
+
+def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
+    """(psi, psi') at x = -L of the solutions of psi'' = p2 (V - E) psi started
+    at x = L, one per energy in the array e, by Chebyshev panel propagators.
+
+    The panels start at most a/3 wide (``_PANEL_WIDTH``) and narrow enough
+    for the largest local wavenumber of the batch; the points not resolved
+    to ``rtol`` (see _propagate) are solved again on twice as many panels,
+    up to ``_PANEL_CAP``, and a point still unresolved there is nan."""
+    mid, slope = 0.5 * (red.v_minus + red.v_plus), 0.5 * abs(red.v_plus - red.v_minus)
+    # sup |V - E| over real x bounds the local wavenumber
+    kappa = math.sqrt(p2 * (np.abs(e - mid).max(initial=0.0) + slope + abs(red.v0)))
+    per_length = max(1.0 / (_PANEL_WIDTH * red.a), kappa / _PANEL_REACH)
+    panels = math.ceil(min(_PANEL_CAP, 2.0 * L * per_length))  # per_length may be inf
+    psi = np.full(e.shape, complex("nan"))
+    dpsi = psi.copy()
+    todo = np.arange(e.size)
+    while todo.size and panels <= _PANEL_CAP:
+        p, dp, ok = _propagate(red, p2, e[todo], psi0[todo], dpsi0[todo], L, panels, rtol)
+        psi[todo[ok]], dpsi[todo[ok]] = p[ok], dp[ok]
+        todo = todo[~ok]
+        panels *= 2
+    return psi, dpsi
 
 
 def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
     """t and r of the Eckart reduction ``red`` over an array of k, with one
     integration over [-L, L] (default 1.5 a); inf at a pole, nan at k = 0
-    and where t is not representable."""
+    and where t is not representable or the propagators do not resolve."""
     a, shift, p2 = red.a, red.shift, c.p2
     e = red.v_minus + k * k / p2
     k_p = _level_wavenumber(k, e, red.v_minus, red.v_plus, p2)
@@ -256,23 +323,24 @@ def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
     L = _ODE_HALF_WIDTH * a if L is None else float(L)
     bad = (k == 0) | (im * 2.0 * L > _EXP_GUARD)
 
-    ws_p = _tail_coefficients(red, c, +1)
-    ws_m = _tail_coefficients(red, c, -1)
-    psi0, dpsi0 = _tail_state(_tail_eta(ws_p, k_p, a), k_p, a, L, +1)
-    atol = 1e-14 * np.maximum(1.0, np.abs(psi0))
+    # tail-corrected boundary states at |x| = L, in one recursion: the
+    # outgoing transmitted state on the right; on the left the reflected
+    # e^{+ikx} = e^{-ik|x|} is the outward state, the incident e^{-ikx} its
+    # k -> -k partner.  dpsi/dx is -dpsi/du on the left
+    sides = np.array([[1.0], [-1.0], [-1.0]])
+    kk = np.stack([k_p, k, -k]).reshape(3, -1)
+    psi_u, dpsi_u = _tail_state(_tail_eta(_tail_coefficients(red, c, sides), kk, a), kk, a, L)
+    (psi0, p_ref, p_inc), (dpsi0, dp_ref, dp_inc) = (
+        z.reshape((3,) + k.shape) for z in (psi_u, sides * dpsi_u))
 
     # integrate the unshifted reduction; the shift becomes a phase below
-    potential = replace(red, shift=0.0).evaluate
     psi = np.full(k.shape, complex("nan"))
     dpsi = psi.copy()
     ok = ~bad
     if ok.any():
-        psi[ok], dpsi[ok] = _integrate(potential, p2, e[ok], psi0[ok], dpsi0[ok], atol[ok], L, rtol)
+        psi[ok], dpsi[ok] = _integrate(replace(red, shift=0.0), p2, e[ok], psi0[ok], dpsi0[ok],
+                                       L, rtol)
 
-    # tail-corrected left basis: reflected e^{+ikx} = e^{-ik|x|} is the
-    # outward state, incident e^{-ikx} is its k -> -k partner
-    p_ref, dp_ref = _tail_state(_tail_eta(ws_m, k, a), k, a, -L, -1)
-    p_inc, dp_inc = _tail_state(_tail_eta(ws_m, -k, a), -k, a, -L, -1)
     det = p_inc * dp_ref - p_ref * dp_inc
     a_coef = (psi * dp_ref - p_ref * dpsi) / det
     b_coef = (p_inc * dpsi - psi * dp_inc) / det
@@ -296,14 +364,18 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
     Piecewise-constant and delta potentials use exact transfer matrices;
     smooth potentials integrate the stationary equation over [-L, L] with
     outgoing boundary data from the N-term Jost tail series (N =
-    ``_TAIL_ORDER``) and relative tolerance ``rtol``; the default is
-    L = 1.5 a for every k.  The transfer matrices ignore L and rtol.
+    ``_TAIL_ORDER``); the default is L = 1.5 a for every k.  The ODE is
+    solved by Chebyshev panel propagators (see _integrate), and ``rtol``
+    bounds the three trailing Chebyshev coefficients of each point's psi''
+    on every panel, relative to its largest one.  The transfer matrices
+    ignore L and rtol.
 
     An ndarray k gives arrays under the contract of
     ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
     is not representable); the transfer matrices are then written entry by
-    entry over the array, and the ODE is one integration of the stacked
-    states.  A scalar k is the one-element case: t is inf at a pole, and
+    entry over the array, and the ODE is one linear solve over every point
+    and panel, repeated on more panels for the points it does not resolve.
+    A scalar k is the one-element case: t is inf at a pole, and
     OverflowGuardError is raised where the array would be nan.
     """
     form = normal_form(spec)
@@ -321,7 +393,7 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
     amp = _first_point(amp)
     if cmath.isnan(amp.t):
         raise OverflowGuardError(f"numeric amplitude not representable at k={amp.k_minus_inf} "
-                                 "(an overflow guard or a failed integration)")
+                                 "(an overflow guard or an unresolved integration)")
     return amp
 
 

@@ -247,14 +247,19 @@ class Interfaces:
             s = _sin_over(np.sqrt(p2 * (e - self.v2) + 0j), 2.0 * self.a).real
             # (q^2 - k1^2)(q^2 - k3^2) for the middle wavenumber q, exactly
             steps = p2 * p2 * (self.v2 - self.v1) * (self.v2 - self.v3)
-            return 4.0 * k1 * k3 / ((k1 + k3) ** 2 + steps * s * s)
+            # 4 k1 k3 / ((k1 + k3)^2 + steps s^2) over the larger k squared,
+            # which overflows near the top of the float range; next to the
+            # threshold (s / k)^2 may overflow instead, where T -> 0
+            k_hi = np.maximum(k1, k3)
+            r = np.minimum(k1, k3) / k_hi
+            with np.errstate(over="ignore"):
+                return 4.0 * r / ((1.0 + r) ** 2 + (steps * s / k_hi) * (s / k_hi))
         kp = 0.5 * p2 * self.alpha_left
         km = 0.5 * p2 * self.alpha_right
-        cth = np.cos(2 * k1 * self.a)
-        sth = np.sin(2 * k1 * self.a)
-        with np.errstate(over="ignore"):  # k1^4 is inf above E ~ 1e154, where T -> 1
-            term = 4.0 * kp * km / k1**4 * (k1 * cth + kp * sth) * (k1 * cth + km * sth)
-        return 1.0 / (1.0 + (kp - km) ** 2 / k1**2 + term)
+        # 1 / T times k1^2, with sin(2 k1 a) / k1 finite as k1 -> 0
+        cth, sth_k = np.cos(2 * k1 * self.a), _sin_over(k1, 2.0 * self.a)
+        term = 4.0 * kp * km * (cth + kp * sth_k) * (cth + km * sth_k)
+        return k1 * k1 / (k1 * k1 + (kp - km) ** 2 + term)
 
     def resonances(self, n_max: int, c: PhysicalConstants) -> list:
         """The transmission resonances by the form's shape (see resonances)."""
@@ -349,7 +354,10 @@ class EckartReduction:
         x_m, x_p = (math.pi * np.sqrt(p2 * (e - v)) * self.a for v in self.limits)
         xbar = 0.5 * (x_m + x_p)
         g_m, g_p, g_bar = (-np.expm1(-2.0 * x) for x in (x_m, x_p, xbar))
-        cos2 = (cmath.cos(cmath.pi * self.s(p2)) ** 2).real
+        # cos(pi s) = -+ sin(pi (s - m - 1/2)) about the nearest half-integer
+        # m + 1/2, exactly 0 at the reflectionless couplings
+        s = self.s(p2)
+        cos2 = (cmath.sin(cmath.pi * (s - round(s.real - 0.5) - 0.5)) ** 2).real
         return g_m * g_p / (g_bar * g_bar + 4.0 * cos2 * np.exp(-2.0 * xbar))
 
     def resonances(self, n_max: int, c: PhysicalConstants) -> list:
@@ -895,14 +903,21 @@ def _first_point(amp: ScatteringAmplitudes) -> ScatteringAmplitudes:
                                 complex(amp.k_minus_inf[0]), complex(amp.k_plus_inf[0]))
 
 
-def _above_limits(limits, e: np.ndarray) -> np.ndarray:
-    """The array e, once each energy in it is finite and above both limits;
-    else the first that is not raises DomainError (+inf) or RegimeError."""
-    bad = ~((e > limits[0]) & (e > limits[1]) & (e < math.inf))
+def _above_limits(limits, e: np.ndarray, p2: float) -> np.ndarray:
+    """The array e, once each energy in it gives both squared wavenumbers
+    p2 (e - limit) positive and finite; else the first that does not raises
+    DomainError (+inf, or a squared wavenumber beyond the float range) or
+    RegimeError (at or below a limit)."""
+    with np.errstate(over="ignore"):
+        k2_min, k2_max = p2 * (e - max(limits)), p2 * (e - min(limits))
+    bad = ~((k2_min > 0) & (k2_max < math.inf))
     if bad.any():
-        first = float(e[bad][0])
+        i = np.argmax(bad)
+        first = float(e[i])
         if first == math.inf:
             raise DomainError("E = inf is not a finite energy")
+        if k2_max[i] == math.inf:
+            raise DomainError(f"E = {first} gives a squared wavenumber beyond the float range")
         raise RegimeError(
             f"E = {first} is not above both asymptotic limits ({limits[0]}, {limits[1]})")
     return e
@@ -911,9 +926,11 @@ def _above_limits(limits, e: np.ndarray) -> np.ndarray:
 def transmission_probability(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS):
     """Closed-form T(E) for real E above both asymptotic limits; E is an
     ndarray or a number (see _array_first).  The first energy that is not
-    above both limits raises RegimeError (DomainError for E = +inf)."""
+    above both limits raises RegimeError (DomainError for E = +inf and where
+    p2 (E - limit) overflows)."""
     form = normal_form(spec)
-    return _array_first(E, float, lambda e: form.probability(_above_limits(form.limits, e), c.p2))
+    return _array_first(E, float,
+                        lambda e: form.probability(_above_limits(form.limits, e, c.p2), c.p2))
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +941,8 @@ def step_bound(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS)
     """T_step = 4 k1 k3 / (k1 + k3)^2, the step-barrier transmission bound;
     it takes E like transmission_probability."""
     limits = scattering_limits(spec)
-    return _array_first(E, float, lambda e: _step_bound(limits, _above_limits(limits, e), c.p2))
+    return _array_first(E, float,
+                        lambda e: _step_bound(limits, _above_limits(limits, e, c.p2), c.p2))
 
 
 def _step_bound(limits, e: np.ndarray, p2: float) -> np.ndarray:
@@ -932,7 +950,10 @@ def _step_bound(limits, e: np.ndarray, p2: float) -> np.ndarray:
     (v_minus, v_plus)."""
     k1 = np.sqrt(p2 * (e - limits[0]))
     k3 = np.sqrt(p2 * (e - limits[1]))
-    return 4.0 * k1 * k3 / (k1 + k3) ** 2
+    # over the larger k squared, as (k1 + k3)^2 overflows near the top of
+    # the float range
+    r = np.minimum(k1, k3) / np.maximum(k1, k3)
+    return 4.0 * r / (1.0 + r) ** 2
 
 
 def _double_delta_resonance_roots(k0: float, a: float, n_max: int):

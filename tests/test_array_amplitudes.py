@@ -11,7 +11,6 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
 
 from qnf1d import (
     AsymDoubleDelta,
@@ -143,25 +142,25 @@ def test_closed_form_matches_transfer_matrix(spec, ks):
 ODE_SPECS = [Sech2(-1.0, 1.0), MorseFeshbach(0.8, 0.7, 1.1), Tietz(1.1, 0.3, 0.9, "cosh")]
 
 
-class CountingSolveIvp:
-    """Stands in for qnf1d.oracle.solve_ivp and counts its calls."""
+class CountingPasses:
+    """Stands in for qnf1d.oracle._propagate and counts its calls, one per
+    propagator pass."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        self.solve_ivp = oracle.solve_ivp
-        monkeypatch.setattr(oracle, "solve_ivp", self)
+        self.propagate = oracle._propagate
+        monkeypatch.setattr(oracle, "_propagate", self)
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.solve_ivp(*args, **kwargs)
+        return self.propagate(*args, **kwargs)
 
 
 @pytest.mark.parametrize("spec", ODE_SPECS, ids=lambda s: type(s).__name__)
 def test_ode_batch_matches_one_point_calls(spec):
-    # a batch shares one step sequence, whose error norm is the RMS over all
-    # of its points, so it is not bitwise equal to one-point integrations;
-    # measured worst case 2.8e-10 relative (Morse-Feshbach at |t| = 0.007,
-    # next to the k+ = 0 threshold), 1.3e-11 elsewhere
+    # a batch shares one panel count, set by its largest local wavenumber,
+    # so it is not bitwise equal to one-point integrations; measured worst
+    # case 6.9e-14 relative (Morse-Feshbach), 3.3e-16 elsewhere
     a = length_scale(spec)
     k = np.concatenate([np.linspace(0.3, 3.0, 10),
                         [0.7 + 0.1j, 1.3 - 0.2j, 0.4 + 0.9j, 2.0 + 1.5j, -1.1 + 0.6j,
@@ -174,7 +173,7 @@ def test_ode_batch_matches_one_point_calls(spec):
 
 
 def test_ode_batch_is_one_integration(monkeypatch):
-    counter = CountingSolveIvp(monkeypatch)
+    counter = CountingPasses(monkeypatch)
     k = np.sqrt(2.0 * np.linspace(0.2, 6.0, 25))
     t = numeric_amplitude(Sech2(-1.0, 1.0), k, C).t
     assert counter.calls == 1
@@ -183,8 +182,8 @@ def test_ode_batch_is_one_integration(monkeypatch):
 
 def test_newton_iteration_is_one_integration(monkeypatch):
     # the asymmetric tietz cosh gives the triple (z, z +- h) three slightly
-    # different |Im k|; on the one domain L = 1.5a they share one integration
-    counter = CountingSolveIvp(monkeypatch)
+    # different |Im k|; on the one domain L = 1.5a they share one pass
+    counter = CountingPasses(monkeypatch)
     spec = Tietz(1.1, 0.3, 0.9, "cosh")
     mode = next(r for r in closed_form_qnfs(spec, (0, 2), C) if abs(r.k - 1.8618259j) < 1e-6)
     per_call = []
@@ -197,47 +196,42 @@ def test_newton_iteration_is_one_integration(monkeypatch):
 
     k, _res = refine_pole(spec, mode.k * (1 + 1e-3), C, amplitude=amplitude)
     assert abs(k - mode.k) < 1e-8
-    # the first call is the first Newton iteration's triple
+    # every call is one pass; the first is the first Newton iteration's triple
     assert per_call[0] == (3, 1)
+    assert all(passes == 1 for _size, passes in per_call)
 
 
-def test_failed_integration_is_split(monkeypatch):
-    # an integration that fails is retried in halves: only the point that
-    # fails on its own is nan
+def test_unresolved_point_is_nan_alone(monkeypatch):
+    # a point that no pass resolves is solved again on ever more panels, up
+    # to the cap, and is then nan on its own
     spec = Sech2(-1.0, 1.0)
-    k = np.array([0.5, 0.9, 1.3, 1.7, 2.1])
-    starts = []
+    k = np.array([0.5, 0.9, 1.3, 1.7, 2.1], dtype=complex)
+    marked = scattering_limits(spec)[0] + k[2] * k[2] / C.p2
+    propagate, sizes = oracle._propagate, []
 
-    def recording(fun, t_span, y0, **kwargs):
-        starts.append(y0[0])
-        return solve_ivp(fun, t_span, y0, **kwargs)
+    def unresolving(red, p2, e, *args):
+        psi, dpsi, resolved = propagate(red, p2, e, *args)
+        sizes.append(e.size)
+        return psi, dpsi, resolved & (np.abs(e - marked) > 1e-12)
 
-    # the starting psi of k = 1.3 marks every integration that carries it
-    monkeypatch.setattr(oracle, "solve_ivp", recording)
-    numeric_amplitude(spec, k[2:3], C)
-    [marked] = starts
-
-    def failing(fun, t_span, y0, **kwargs):
-        sol = solve_ivp(fun, t_span, y0, **kwargs)
-        if marked in y0[: y0.size // 2]:
-            sol.success, sol.message = False, "forced failure"
-        return sol
-
-    monkeypatch.setattr(oracle, "solve_ivp", failing)
+    monkeypatch.setattr(oracle, "_propagate", unresolving)
     t = numeric_amplitude(spec, k, C).t
     assert cmath.isnan(t[2])
     ta = transmission_amplitude(spec, k, C).t
     good = np.arange(k.size) != 2
     assert (np.abs(t[good] - ta[good]) < 1e-8 * np.abs(ta[good])).all()
+    # after the first pass only the marked point is solved again
+    assert sizes[0] == k.size and len(sizes) > 1 and set(sizes[1:]) == {1}
     with pytest.raises(OverflowGuardError):
         numeric_amplitude(spec, k[2], C)
 
 
 def test_ode_contract_guard_row():
-    # |Im k| L beyond the guard is nan in a batch and does not spoil the rest
+    # |Im k| L beyond the guard, and a real k whose energy overflows, are
+    # nan in a batch and do not spoil the rest
     spec = Sech2(-1.0, 1.0)
-    t = numeric_amplitude(spec, np.array([0.8, 500j, 1.2 + 0.3j]), C).t
-    assert cmath.isnan(t[1])
+    t = numeric_amplitude(spec, np.array([0.8, 500j, 1.2 + 0.3j, 1e200]), C).t
+    assert cmath.isnan(t[1]) and cmath.isnan(t[3])
     assert np.isfinite(t[[0, 2]]).all()
     assert t[0] == pytest.approx(transmission_amplitude(spec, 0.8, C).t, rel=1e-8)
 

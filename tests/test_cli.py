@@ -382,6 +382,19 @@ class TestCommands:
         assert code == 2
         assert "FAIL domain/step convergence: " in out
 
+    @pytest.mark.parametrize("order, status, low, high",
+                             [(4, "FAIL", 1e-6, 1e-4), (32, "PASS", 0.0, 1e-12)])
+    def test_verify_convergence_reads_the_tail_order(self, capsys, monkeypatch, order, status,
+                                                     low, high):
+        # the propagators resolve t far below the check's 1e-8, so on the
+        # README Sech2 the check reads the truncation of the Jost tail
+        # series: 5.6e-6 with 4 terms, rounding with the default 32
+        monkeypatch.setattr(oracle, "_TAIL_ORDER", order)
+        _code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
+        [line] = [ln for ln in out.splitlines() if "domain/step convergence" in ln]
+        assert line.startswith(f"{status} domain/step convergence: ")
+        assert low <= float(line.split(": ")[1].split()[0]) < high
+
     def test_verify_pass_and_exit_codes(self, capsys):
         code, out = run_cli(
             ["verify", "--type", "double-delta", "--alpha", "1", "--a", "1",

@@ -220,6 +220,32 @@ class TestAmplitudes:
             T = transmission_probability(spec, 1e300, C)
         assert math.isfinite(T) and 0.0 <= T <= 1.0
 
+    @pytest.mark.parametrize("c", [C, PhysicalConstants(mode="relativistic")],
+                             ids=lambda c: f"p2={c.p2:g}")
+    @pytest.mark.parametrize("spec", EVERY_SCATTERING_CLASS, ids=lambda s: type(s).__name__)
+    def test_ends_of_the_float_range(self, spec, c):
+        # every E the limits accept gives T and T_step in [0, 1] with no
+        # overflow or underflow, from the next float above the higher limit
+        # up; an E whose squared wavenumber p2 (E - V) is beyond the float
+        # range (1.7e308 at p2 = 2) is a DomainError
+        top = max(scattering_limits(spec))
+        for e in (np.nextafter(top, math.inf), 1e306, 5e307, 1.7e308):
+            for f in (transmission_probability, step_bound):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if c.p2 * (e - min(scattering_limits(spec))) == math.inf:
+                        with pytest.raises(DomainError, match="float range"):
+                            f(spec, e, c)
+                    else:
+                        assert 0.0 <= f(spec, e, c) <= 1.0, (e, f)
+
+    @pytest.mark.parametrize("spec", [Sech2(-1.0, 1.0), Sech2(-3.0, 1.0)], ids=str)
+    def test_reflectionless_next_to_the_threshold(self, spec):
+        # cos(pi s) is exactly 0 at the reflectionless couplings, so T = 1
+        # even where sinh(pi k a)^2 is far below the rounding of cos(pi s)^2
+        for de in (1e-40, 1e-20):
+            assert transmission_probability(spec, max(scattering_limits(spec)) + de, C) == 1.0
+
     def test_asym_dd_two_displayed_forms_agree(self):
         # the compact form against the expanded cos(4ka)/sin(4ka) display
         spec = AsymDoubleDelta(0.6, 1.1, 0.8)
