@@ -421,8 +421,13 @@ def _verify_checks(spec, constants, region, out):
             if d < 1e-8:
                 matched += 1
         extra = len(rep.poles) - matched
-        checks.append((f"QNF/pole bijection ({matched}/{len(inside)} matched, "
-                       f"{extra} unmatched poles)", worst + (math.inf if extra else 0.0), 1e-8))
+        if inside or rep.poles:
+            checks.append((f"QNF/pole bijection ({matched}/{len(inside)} matched, "
+                           f"{extra} unmatched poles)", worst + (math.inf if extra else 0.0),
+                           1e-8))
+        else:
+            skips.append("QNF/pole bijection: no closed-form QNF and no oracle pole "
+                         "in the search region")
     else:
         low = [r for r in analytic if abs(r.k.imag) * a_scale <= 2.05]
         # a cancelled member is no pole of t: nothing to refine

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import numpy.polynomial.chebyshev as cheb
-from scipy.integrate import (
-    solve_ivp,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
-)
 
 from .errors import DomainError, NotAScatteringPotential, OverflowGuardError
 from .potentials import (
@@ -397,6 +394,16 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
     return amp
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported when called.  Nothing here calls it
+    since the panel propagators; it stays bound at import time only because
+    perfbench/tests/test_perfbench.py asserts that the tracer wraps
+    ``oracle.solve_ivp``.  ROADMAP item 1 deletes it with that assertion."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Pole search
 # ---------------------------------------------------------------------------
@@ -573,6 +580,14 @@ def _winding_count(f, region):
     return round(float(dphi.sum()) / (2.0 * math.pi))
 
 
+def _window_min(mag):
+    """The minimum of mag over each point's 3 x 3 window, with inf beyond the
+    edges: separable, one pass along each axis (a minimum does not round)."""
+    pad = np.pad(mag, 1, constant_values=np.inf)
+    cols = np.minimum(np.minimum(pad[:, :-2], pad[:, 1:-1]), pad[:, 2:])
+    return np.minimum(np.minimum(cols[:-2], cols[1:-1]), cols[2:])
+
+
 def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTANTS,
                amplitude=None, count_zeros=False) -> PoleReport:
     """Grid-scan g(k) = 1/t over the region, refine local minima of |g|.
@@ -599,12 +614,8 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     mag = np.abs(f(grid))
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
-    # seeds are the local minima of |1/t| over each point's 3 x 3 window;
-    # scipy.ndimage is imported here, as it adds ~50 ms to importing qnf1d
-    from scipy.ndimage import minimum_filter
-
-    window_min = minimum_filter(mag, size=3, mode="constant", cval=np.inf)
-    seeds = grid[(mag < 1e6) & (mag <= window_min)]
+    # seeds are the local minima of |1/t| over each point's 3 x 3 window
+    seeds = grid[(mag < 1e6) & (mag <= _window_min(mag))]
 
     def inside(k, _guesses):
         return ((region.re_min - 1e-9 <= k.real) & (k.real <= region.re_max + 1e-9)

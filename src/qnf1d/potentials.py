@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AtPoleError,
@@ -956,6 +955,15 @@ def _step_bound(limits, e: np.ndarray, p2: float) -> np.ndarray:
     return 4.0 * r / (1.0 + r) ** 2
 
 
+def _brentq(f, lo: float, hi: float) -> float:
+    """The root of f in a sign-changing bracket [lo, hi], to full double
+    precision.  scipy.optimize imports most of scipy, so it loads here, on
+    the first call, and not with this module."""
+    from scipy.optimize import brentq
+
+    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
 def _double_delta_resonance_roots(k0: float, a: float, n_max: int):
     """Real-k roots of k = -k0 tan(2 k a), one per half-period window."""
     roots = []
@@ -974,7 +982,7 @@ def _double_delta_resonance_roots(k0: float, a: float, n_max: int):
             continue
         if flo * fhi > 0:
             continue  # no resonance in this window (small-k exceptions)
-        th = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        th = _brentq(f, lo, hi)
         k = th / (2.0 * a)
         if k > 1e-12:
             roots.append((n, k))

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, UnsupportedPotentialError
 from .potentials import (
@@ -29,6 +27,7 @@ from .potentials import (
     PhysicalConstants,
     _array_first,
     _barrier,
+    _brentq,
     _delta_pair,
     length_scale,
     normal_form,
@@ -240,6 +239,8 @@ def _symmetric_barrier(form) -> bool:
 
 def _keep_first(ks, tol: float):
     """Mask of the (finite) ks at least tol from every earlier kept k."""
+    from scipy.spatial import cKDTree
+
     keep = np.ones(len(ks), dtype=bool)
     # every pair (i < j) within twice tol, so the tree's rounding cannot drop
     # one closer than tol; sorted, keep[i] is final before it is read
@@ -385,8 +386,7 @@ def _rect_imaginary_axis(spec, form: Interfaces, c) -> _Tower:
         k0 = math.sqrt(p2 * v0)
         ca = k0 * a
         f = lambda u: ca * np.cosh(u) - u
-        us = [brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-              for lo, hi in _scan_brackets(f, np.linspace(1e-9, 50.0, 4001))]
+        us = [_brentq(f, lo, hi) for lo, hi in _scan_brackets(f, np.linspace(1e-9, 50.0, 4001))]
         return _tower(spec, [1j * (u / a) * math.tanh(u) for u in us], "transcendental", c,
                       aux=[1j * u / a for u in us])
     # attractive: real-q poles, always with |q| <= |k0|
@@ -403,7 +403,7 @@ def _rect_imaginary_axis(spec, form: Interfaces, c) -> _Tower:
     for even, sign in ((True, -1.0), (True, 1.0), (False, -1.0), (False, 1.0)):
         f = lambda q: cond(q, even, sign)
         for lo, hi in _scan_brackets(f, grid):
-            q = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+            q = _brentq(f, lo, hi)
             ks.append(-1j * q * math.tan(q * a) if even else 1j * q / math.tan(q * a))
             qs.append(q + 0j)
     return _axis_roots(_tower(spec, ks, "transcendental", c, aux=qs), a)
@@ -420,7 +420,7 @@ def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> _Tower:
 
     ymax = max(50.0 / a, 4.0 * (abs(kp) + abs(km)))
     ys = np.concatenate([np.linspace(-ymax, -1e-7, 2001), np.linspace(1e-7, ymax, 2001)])
-    ks = [1j * brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) for lo, hi in _scan_brackets(f, ys)]
+    ks = [1j * _brentq(f, lo, hi) for lo, hi in _scan_brackets(f, ys)]
     return _axis_roots(_tower(spec, ks, "transcendental", c), a)
 
 

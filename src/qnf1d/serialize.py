@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import yaml
-
 from .errors import DomainError
 from . import potentials as P
 
@@ -112,6 +110,8 @@ def dict_to_constants(doc) -> P.PhysicalConstants:
 
 def loads(text: str):
     """Parse a config document -> (spec, constants)."""
+    import yaml  # on first use: most commands read no config
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -129,6 +129,8 @@ def load_file(path):
 
 
 def dumps(spec, constants: P.PhysicalConstants | None = None) -> str:
+    import yaml
+
     doc = spec_to_dict(spec)
     if constants is not None:
         doc["constants"] = constants_to_dict(constants)

@@ -1,11 +1,12 @@
 """Complex special functions: multi-branch Lambert W and complex log-gamma.
 
 Both are thin wrappers over ``scipy.special`` that add this library's error
-contract.  The Lambert W function is the multi-valued inverse of
-w -> w*exp(w); branches follow the standard counter-clockwise-continuous
-convention (principal logarithm cut along the negative real axis), so
-``lambert_w(0, x)`` and ``lambert_w(-1, x)`` are the two real branches on
-(-1/e, 0).
+contract.  ``scipy.special`` loads on the first call, not with this module,
+whose import costs numpy only.  The Lambert W function is the multi-valued
+inverse of w -> w*exp(w); branches follow the standard
+counter-clockwise-continuous convention (principal logarithm cut along the
+negative real axis), so ``lambert_w(0, x)`` and ``lambert_w(-1, x)`` are
+the two real branches on (-1/e, 0).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, GammaPoleError
 
@@ -33,10 +33,12 @@ def lambert_w(branch, z):
     the broadcast array, nan where the scalar raises DomainError (z = 0 off
     branch 0).
     """
+    from scipy.special import lambertw
+
     array = isinstance(branch, np.ndarray) or isinstance(z, np.ndarray)
     n, z = np.asarray(branch), np.asarray(z, dtype=complex)
     real_branch = (n == 0) | (n == -1)
-    w = special.lambertw(z, n)
+    w = lambertw(z, n)
     at_branch_point = real_branch & (np.abs(z + _INV_E) < 1e-15) & (np.abs(z.imag) < 1e-15)
     w = np.where(at_branch_point, -1.0 + 0j, w)
     snap = real_branch & (z.imag == 0.0) & (w.imag != 0.0) & (np.abs(w.imag) < 1e-12)
@@ -90,11 +92,13 @@ def log_gamma(z):
     they are detected rather than evaluated).  An ndarray z gives an array
     that is nan at the poles instead; a scalar z is the one-element case.
     """
+    from scipy.special import loggamma
+
     array = isinstance(z, np.ndarray)
     z = np.asarray(z, dtype=complex)
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
     with np.errstate(all="ignore"):
-        g = np.where(pole, complex("nan"), special.loggamma(z))
+        g = np.where(pole, complex("nan"), loggamma(z))
     if array:
         return g
     if pole:

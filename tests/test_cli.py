@@ -343,6 +343,17 @@ class TestCommands:
                 "oracle; first rejection: no certified pole from guess") in out
         assert out.rstrip().endswith("(2 cancelled members not refined)")
 
+    @pytest.mark.parametrize("argv", [["--type", "delta", "--alpha", "50"],
+                                      ["--type", "step", "--V0", "1"]], ids=["delta", "step"])
+    def test_verify_skips_an_empty_bijection(self, capsys, argv):
+        # Delta(50)'s one pole, 50i, lies above the region's Im k <= 3, and a
+        # step has none: the bijection tests nothing, and says so
+        code, out = run_cli(["verify", *argv], capsys)
+        assert code == 0
+        assert "FAIL" not in out and "QNF/pole bijection (" not in out
+        assert out.splitlines()[-1] == ("SKIP QNF/pole bijection: no closed-form QNF and no "
+                                        "oracle pole in the search region")
+
     def test_verify_refines_no_cancelled_member(self, capsys, monkeypatch):
         # the README Sech2 lists -1i, 1i and 2i below |Im k| a = 2.05; only
         # the bound state -1i is a pole of t

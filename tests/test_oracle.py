@@ -39,6 +39,7 @@ from qnf1d.oracle import (
     _ODE_HALF_WIDTH,
     _inv_t,
     _transfer_matrices,
+    _window_min,
     transfer_matrix_det_error,
 )
 from qnf1d.potentials import _level_wavenumber, _sin_over, length_scale, normal_form
@@ -417,6 +418,19 @@ class TestFindPoles:
         fine = find_poles(spec, SearchRegion(0.5, 8.0, 0.05, 2.0, 8.0), C,
                           amplitude=transmission_amplitude)
         assert fine.warnings == []
+
+    @pytest.mark.parametrize("shape", [(20, 256), (7, 5), (3, 1), (1, 4), (1, 1)])
+    def test_window_min_is_scipy_minimum_filter(self, shape):
+        # the seeds' 3 x 3 window minimum, against scipy's filter with inf
+        # beyond the edges; a minimum does not round, so they are equal
+        from scipy.ndimage import minimum_filter
+
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            mag = rng.exponential(size=shape)
+            mag[rng.random(shape) < 0.2] = np.inf
+            expected = minimum_filter(mag, size=3, mode="constant", cval=np.inf)
+            assert np.array_equal(_window_min(mag), expected)
 
 
 class TestArrayGrid:
