@@ -5,8 +5,10 @@
 Commands: eval, transmission, qnf, resonances, verify, fit, catalog.
 Potentials come from --config FILE (YAML/JSON key-value schema) or from
 --type plus parameter flags.  Output is CSV (default) or JSON with a fixed
-column schema per command; floats are printed with 17 significant digits so
-identical runs produce byte-identical artifacts.
+column schema per command.  CSV floats are printed with 17 significant
+digits; JSON floats are Python's round-trip repr, with NaN and Infinity as
+json writes them; a missing cell is empty in CSV and null in JSON.
+Identical runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -36,16 +38,6 @@ from . import serialize as S
 _PARAM_FLAGS = list(dict.fromkeys(
     f.name for cls in S.TYPE_NAMES.values() for f in dataclasses.fields(cls)
     if f.name != "kind"))
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    return f"{float(x):.17g}"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -123,17 +115,63 @@ def _spec_from_args(args):
     return spec, P.PhysicalConstants(args.hbar, args.mass, args.mode)
 
 
-def _csv_column(cells) -> list:
-    """One column's CSV fields: one formatter for the whole column where its
-    cells share a kind, else _fmt per cell; only strings can need quotes."""
-    kinds = set(map(type, cells))
-    if kinds == {float}:
-        return list(map("{:.17g}".format, cells))
-    if kinds == {int}:
-        return list(map(str, cells))
-    if kinds == {str}:
-        return list(map(_csv_field, cells))
-    return [_csv_field(v) if isinstance(v, str) else _fmt(v) for v in cells]
+def _csv_fields(column) -> list:
+    """One column's CSV fields.  An array formats each distinct value once;
+    a list (the short mixed columns) goes cell by cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return _number_fields(column, "{:.17g}".format)
+        if column.dtype == np.int64:
+            return _number_fields(column, str)
+        if column.dtype.kind == "U":
+            return _label_fields(column)
+        column = column.tolist()
+    return list(map(_csv_cell, column))
+
+
+def _number_fields(x, fmt) -> list:
+    """fmt of each value of a float64 or int64 array.  Where at most three
+    quarters of the cells are distinct (an imaginary-axis tower's k_re,
+    residual and E_im hold one or two values, its n, k_im and E_re about one
+    in two), each distinct bit pattern is formatted once, so -0.0, 0.0 and
+    nan stay apart.  A column of distinct values pays one sort for the
+    count, and one of fewer than 64 cells skips it: it costs about as much
+    as formatting a dozen cells."""
+    if len(x) >= 64:
+        bits = np.sort(x.view(np.int64))
+        new = bits[1:] != bits[:-1]
+        if 4 * np.count_nonzero(new) < 3 * len(x):
+            distinct = bits[np.concatenate(([True], new))]
+            text = np.array(list(map(fmt, distinct.view(x.dtype).tolist())), dtype=object)
+            return text[np.searchsorted(distinct, x.view(np.int64))].tolist()
+    return list(map(fmt, x.tolist()))
+
+
+def _label_fields(labels) -> list:
+    """The CSV field of each cell of a text array, one mask per distinct
+    value: the text columns (sign, method, classification) hold a few."""
+    fields = np.empty(len(labels), dtype=object)
+    todo = np.ones(len(labels), dtype=bool)
+    while todo.any():
+        label = labels[todo.argmax()]
+        same = labels == label
+        fields[same] = _csv_field(str(label))
+        todo &= ~same
+    return fields.tolist()
+
+
+def _csv_cell(v) -> str:
+    """One field of a mixed column: None is empty, an int prints as an int,
+    another number with 17 significant digits."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, str):
+        return _csv_field(v)
+    if v is None:
+        return ""
+    if isinstance(v, int):
+        return str(v)
+    return f"{float(v):.17g}"
 
 
 @functools.lru_cache(maxsize=256)
@@ -144,27 +182,29 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]  # the empty second field: ",\n"
 
 
-def _json_column(cells) -> list:
+def _json_cells(column) -> list:
     """One column's JSON values: float(v) is the double that the CSV's 17
-    significant digits name."""
-    if set(map(type, cells)) <= {float, str, int, type(None)}:
-        return list(cells)
-    return [v if v is None or isinstance(v, (str, int)) else float(v) for v in cells]
+    significant digits name, and None is null."""
+    if isinstance(column, np.ndarray):
+        if column.dtype != object:
+            return column.tolist()
+        column = column.tolist()
+    return [v if v is None or isinstance(v, (str, int)) else float(v) for v in column]
 
 
-def _emit(args, spec, constants, columns, rows) -> str:
-    """The command's output text, formatted column by column."""
-    cells = list(zip(*rows))
+def _emit(args, spec, constants, names, columns) -> str:
+    """The command's output text from its named columns, arrays or lists of
+    equal length."""
     if args.format == "csv":
-        lines = map(",".join, [map(_csv_field, columns), *zip(*map(_csv_column, cells))])
+        lines = map(",".join, [map(_csv_field, names), *zip(*map(_csv_fields, columns))])
         return "\n".join(lines) + "\n"
     envelope = {
         "version": __version__,
         "command": args.command,
         "spec": None if spec is None else S.spec_to_dict(spec),
         "constants": None if constants is None else S.constants_to_dict(constants),
-        "columns": list(columns),
-        "rows": list(zip(*map(_json_column, cells))),
+        "columns": list(names),
+        "rows": list(zip(*map(_json_cells, columns))),
     }
     return json.dumps(envelope, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
@@ -185,7 +225,7 @@ def _write(args, text: str):
 
 def _cmd_eval(args, spec, constants):
     xs = np.linspace(args.x_min, args.x_max, args.points)
-    return ["x", "V"], list(zip(xs.tolist(), P.evaluate(spec, xs).tolist()))
+    return ["x", "V"], [xs, P.evaluate(spec, xs)]
 
 
 def _default_energy_window(spec):
@@ -220,26 +260,24 @@ def _cmd_transmission(args, spec, constants):
     bad = ~np.isfinite(ts)
     if bad.any():
         raise Qnf1dError(f"transmission amplitude not representable at E = {es[bad][0]:g}")
+    # per element: numpy's hypot and arctan2 differ from abs(t) and
+    # cmath.phase(t) in the last bit
+    ts = ts.tolist()
     return ["E", "T", "abs_t_sq", "arg_t"], [
-        (e, T, abs(t) ** 2, cmath.phase(t))
-        for e, T, t in zip(es.tolist(), Ts.tolist(), ts.tolist())]
+        es, Ts, np.array([abs(t) ** 2 for t in ts]), np.array(list(map(cmath.phase, ts)))]
 
 
-def _qnf_rows(tower, spec, constants):
-    """The rows of a tower's columns (qnf._Tower)."""
+def _qnf_columns(tower, spec, constants):
+    """A tower's (qnf._Tower) output columns; n is missing (empty, or null
+    in JSON) for members without a tower index."""
     e = Q.qnf_energy(tower.k, constants, P.normal_form(spec).qnf_level)
     n = len(tower.k)
-    rows = zip(
-        [""] * n if tower.branch is None else tower.branch.tolist(),
-        tower.sign.tolist(),
-        [tower.method] * n,
-        tower.k.real.tolist(), tower.k.imag.tolist(),
-        tower.residual.tolist(),
-        tower.classification.tolist(),
-        e.real.tolist(), e.imag.tolist(),
-    )
     return ["n", "sign", "method", "k_re", "k_im", "residual",
-            "classification", "E_re", "E_im"], list(rows)
+            "classification", "E_re", "E_im"], [
+        [None] * n if tower.branch is None else tower.branch,
+        tower.sign, np.full(n, tower.method),
+        tower.k.real, tower.k.imag, tower.residual,
+        tower.classification, e.real, e.imag]
 
 
 def _cmd_qnf(args, spec, constants):
@@ -258,13 +296,13 @@ def _cmd_qnf(args, spec, constants):
         tower = Q._transcendental_tower(spec, search, constants)
     else:
         tower = Q._asymptotic_tower(spec, np.arange(lo, hi + 1), constants)
-    return _qnf_rows(tower, spec, constants)
+    return _qnf_columns(tower, spec, constants)
 
 
 def _cmd_resonances(args, spec, constants):
     entries = P.resonances(spec, args.n_max, constants)
     rows = [(e.index, e.kind, e.k, e.E, e.parameter, e.T) for e in entries]
-    return ["n", "kind", "k", "E", "parameter", "T"], rows
+    return ["n", "kind", "k", "E", "parameter", "T"], list(zip(*rows))
 
 
 def _cmd_fit(args, spec, constants):
@@ -272,7 +310,7 @@ def _cmd_fit(args, spec, constants):
     tower = Q.closed_form_qnfs(spec, (lo, hi), constants)
     plus = [r for r in tower if r.sign_choice in ("plus", "none")]
     fit = Q.fit_offset_gap(plus, args.model)
-    rows = [(
+    row = (
         fit.model,
         fit.offset.real, fit.offset.imag,
         fit.gap.real, fit.gap.imag,
@@ -280,9 +318,9 @@ def _cmd_fit(args, spec, constants):
         None if fit.log_coeff is None else fit.log_coeff.imag,
         max(fit.residuals),
         fit.verdict,
-    )]
+    )
     return ["model", "offset_re", "offset_im", "gap_re", "gap_im",
-            "log_re", "log_im", "max_residual", "verdict"], rows
+            "log_re", "log_im", "max_residual", "verdict"], [[v] for v in row]
 
 
 # (name, spec, defined on the half line x > 0 only)
@@ -319,7 +357,7 @@ def _cmd_catalog(args, spec, constants):
                      + ("; degenerate" if cf.degenerate else "")
                      + (f"; {cf.notes}" if cf.notes else "")))
     return ["name", "A0", "E1", "F1", "E2", "F2", "overall", "a", "shift",
-            "max_dev", "status"], rows
+            "max_dev", "status"], list(zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +518,8 @@ def main(argv=None) -> int:
         if args.points < 1:
             raise Qnf1dError(f"--points must be at least 1, got {args.points}")
         if args.command == "catalog":
-            columns, rows = _cmd_catalog(args, None, None)
-            _write(args, _emit(args, None, None, columns, rows))
+            names, columns = _cmd_catalog(args, None, None)
+            _write(args, _emit(args, None, None, names, columns))
             return 0
         spec, constants = _spec_from_args(args)
         if args.command == "verify":
@@ -495,8 +533,8 @@ def main(argv=None) -> int:
             "resonances": _cmd_resonances,
             "fit": _cmd_fit,
         }[args.command]
-        columns, rows = handler(args, spec, constants)
-        _write(args, _emit(args, spec, constants, columns, rows))
+        names, columns = handler(args, spec, constants)
+        _write(args, _emit(args, spec, constants, names, columns))
         return 0
     except Qnf1dError as exc:
         sys.stderr.write(f"error: {exc}\n")

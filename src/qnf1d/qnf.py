@@ -239,13 +239,25 @@ def _symmetric_barrier(form) -> bool:
 
 def _keep_first(ks, tol: float):
     """Mask of the (finite) ks at least tol from every earlier kept k."""
-    from scipy.spatial import cKDTree
-
     keep = np.ones(len(ks), dtype=bool)
-    # every pair (i < j) within twice tol, so the tree's rounding cannot drop
-    # one closer than tol; sorted, keep[i] is final before it is read
-    for i, j in sorted(cKDTree(np.c_[ks.real, ks.imag]).query_pairs(2.0 * tol)):
-        if keep[i] and abs(ks[i] - ks[j]) < tol:
+    if len(ks) < 2:
+        return keep
+    # candidate pairs lie within 2 tol along the part of k with the wider
+    # spread (Re k for the delta-pair towers, Im k for the imaginary-axis
+    # roots), a margin that rounding cannot cross
+    x = ks.real if np.ptp(ks.real) >= np.ptp(ks.imag) else ks.imag
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # sorted position p pairs with the `after[p]` positions after it
+    after = np.searchsorted(xs, xs + 2.0 * tol, side="right") - np.arange(1, len(xs) + 1)
+    p = np.repeat(np.arange(len(xs)), after)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(after) - after, after)
+    first, second = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
+    d = ks[first] - ks[second]
+    close = np.hypot(d.real, d.imag) < tol  # abs(ks[i] - ks[j]) to the bit
+    # in (i, j) order, keep[i] is final before it is read
+    for i, j in sorted(zip(first[close].tolist(), second[close].tolist())):
+        if keep[i]:
             keep[j] = False
     return keep
 

@@ -14,10 +14,13 @@ from qnf1d import (
     DoubleDelta, Eckart, Hua, PhysicalConstants, RectBarrier, Sech2, Tanh, Tietz,
     asymptotic_qnfs, oracle, potentials, qnf_energy,
 )
+from qnf1d import __version__, cli
 from qnf1d.cli import _build_parser, _emit, _spec_from_args, main
 from qnf1d.errors import DomainError
 from qnf1d.potentials import normal_form
-from qnf1d.serialize import TYPE_NAMES, dict_to_spec, dumps, loads, spec_to_dict
+from qnf1d.serialize import (
+    TYPE_NAMES, constants_to_dict, dict_to_spec, dumps, loads, spec_to_dict,
+)
 
 C = PhysicalConstants()
 
@@ -498,7 +501,135 @@ class TestDeterminism:
         special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 5e-324,
                    np.float64(-2.5e300)]
         texts = [_emit(argparse.Namespace(format=fmt, command="qnf"), None, None,
-                       ["n", "x"], [(i, v) for i, v in enumerate(special)])
+                       ["n", "x"], [list(range(len(special))), special])
                  for fmt in ("csv", "json")]
         got = doubles(*texts)
         assert math.copysign(1.0, got[0]) == -1.0 and math.isnan(got[2])
+
+
+def reference_output(fmt, command, spec, constants, names, columns) -> str:
+    """The output text formatted cell by cell: each row through csv.writer,
+    None as an empty field, an int with str, any other number as
+    '{:.17g}' of its double; JSON from json.dumps of the row lists."""
+    rows = list(zip(*[c.tolist() if isinstance(c, np.ndarray) else list(c)
+                      for c in columns]))
+
+    def csv_cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        return str(v) if isinstance(v, int) else "{:.17g}".format(float(v))
+
+    def json_cell(v):
+        return v if v is None or isinstance(v, (str, int)) else float(v)
+
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([list(map(csv_cell, row)) for row in rows])
+        return buf.getvalue()
+    envelope = {
+        "version": __version__, "command": command,
+        "spec": None if spec is None else spec_to_dict(spec),
+        "constants": None if constants is None else constants_to_dict(constants),
+        "columns": list(names), "rows": [list(map(json_cell, row)) for row in rows],
+    }
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+SECH2_FLAGS = ["--type", "sech2", "--V0", "-1", "--a", "1"]
+ECKART_FLAGS = ["--type", "eckart", "--V-minus", "0", "--V-plus", "2", "--V0", "-1", "--a", "1"]
+TANH_FLAGS = ["--type", "tanh", "--V-minus", "0", "--V-plus", "2", "--a", "1"]
+DD_FLAGS = ["--type", "double-delta", "--alpha", "1", "--a", "1"]
+DELTA_FLAGS = ["--type", "delta", "--alpha", "1"]
+RB_FLAGS = ["--type", "rect-barrier", "--V0", "1", "--a", "1"]
+WELL_FLAGS = ["--type", "rect-barrier", "--V0", "-1", "--a", "1"]
+REGION = "--region=-6,6,-3,3"
+
+EMIT_CASES = {
+    "qnf:sech2": ["qnf", *SECH2_FLAGS, "--n", "0..200"],
+    "qnf:sech2:region": ["qnf", *SECH2_FLAGS, "--method", "transcendental", REGION],
+    "qnf:sech2:asymptotic": ["qnf", *SECH2_FLAGS, "--method", "asymptotic", "--n", "0..40"],
+    "qnf:eckart": ["qnf", *ECKART_FLAGS, "--n", "0..200"],
+    "qnf:eckart:region": ["qnf", *ECKART_FLAGS, "--method", "transcendental", REGION],
+    "qnf:eckart:asymptotic": ["qnf", *ECKART_FLAGS, "--method", "asymptotic", "--n", "0..40"],
+    "qnf:tanh": ["qnf", *TANH_FLAGS, "--n", "1..200"],
+    "qnf:tanh:region": ["qnf", *TANH_FLAGS, "--method", "transcendental", REGION],
+    "qnf:tanh:asymptotic": ["qnf", *TANH_FLAGS, "--method", "asymptotic", "--n", "0..40"],
+    "qnf:double_delta": ["qnf", *DD_FLAGS, "--n", "0..60"],
+    "qnf:double_delta:region": ["qnf", *DD_FLAGS, "--method", "transcendental", REGION],
+    "qnf:double_delta:asymptotic": ["qnf", *DD_FLAGS, "--method", "asymptotic",
+                                    "--n=-5..40"],
+    "qnf:delta": ["qnf", *DELTA_FLAGS],
+    "qnf:delta:region": ["qnf", *DELTA_FLAGS, "--method", "transcendental", REGION],
+    "qnf:rect_barrier": ["qnf", *RB_FLAGS],
+    "qnf:rect_barrier:region": ["qnf", *RB_FLAGS, "--method", "transcendental", REGION],
+    "qnf:rect_barrier:asymptotic": ["qnf", *RB_FLAGS, "--method", "asymptotic",
+                                    "--n", "0..40"],
+    "qnf:rect_well": ["qnf", *WELL_FLAGS],
+    "transmission:eckart": ["transmission", *ECKART_FLAGS],
+    "transmission:double_delta": ["transmission", *DD_FLAGS, "--points", "200"],
+    "transmission:rect_barrier": ["transmission", *RB_FLAGS],
+    "transmission:sech2": ["transmission", *SECH2_FLAGS],
+    "eval:eckart": ["eval", *ECKART_FLAGS, "--points", "101"],
+    "eval:rect_barrier": ["eval", *RB_FLAGS, "--points", "101"],
+    "eval:hua": ["eval", "--type", "hua", "--V0", "1.2", "--q", "-2", "--a", "1"],
+    "resonances:rect_barrier": ["resonances", *RB_FLAGS, "--n-max", "10"],
+    "resonances:double_delta": ["resonances", *DD_FLAGS, "--n-max", "50"],
+    "resonances:sech2": ["resonances", *SECH2_FLAGS, "--n-max", "10"],
+    "fit:double_delta": ["fit", "--type", "double-delta", "--alpha", "0.5", "--a", "1",
+                         "--n", "5..15", "--model", "linear_plus_log"],
+    "fit:sech2": ["fit", *SECH2_FLAGS, "--n", "5..15"],
+    "catalog": ["catalog"],
+}
+
+
+class TestColumnarOutput:
+    """The columnar output path against the per-cell reference above."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", list(EMIT_CASES.values()), ids=list(EMIT_CASES))
+    def test_output_is_the_per_cell_reference(self, argv, fmt, capsys):
+        argv = [*argv, "--format", fmt]
+        args = _build_parser().parse_args(argv)
+        spec, constants = (None, None) if args.command == "catalog" else _spec_from_args(args)
+        names, columns = getattr(cli, f"_cmd_{args.command}")(args, spec, constants)
+        want = reference_output(fmt, args.command, spec, constants, names, columns)
+        assert _emit(args, spec, constants, names, columns) == want
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and out == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_special_values(self, fmt):
+        # 72 cells holding 9 values, so the distinct-value path formats them;
+        # -0.0 and 0.0, and two nan payloads, are distinct bit patterns
+        other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
+        special = [-0.0, 0.0, math.nan, other_nan, math.inf, -math.inf, 5e-324, 0.1,
+                   np.float64(-2.5e300)]
+        floats = np.array(special * 8)
+        ints = np.repeat(np.arange(-4, 5), 8)
+        labels = np.array(["a,b", "plain", 'quo"te'] * 24)
+        cells = [None, "x", 7, np.float64(1.5), -0.0, math.nan] * 11 + [None, 2, 3.0] * 2
+        names, columns = ["f", "reversed", "i", "label", "mixed"], [
+            floats, floats[::-1], ints, labels, cells]
+        args = argparse.Namespace(format=fmt, command="qnf")
+        got = _emit(args, None, None, names, columns)
+        assert got == reference_output(fmt, "qnf", None, None, names, columns)
+        if fmt == "csv":
+            fields = [row[0] for row in csv.reader(io.StringIO(got))][1:]
+            assert fields[:9] == ["-0", "0", "nan", "nan", "inf", "-inf", "4.9406564584124654e-324",
+                                  "0.10000000000000001", "-2.5000000000000001e+300"]
+
+    def test_members_without_a_tower_index(self, capsys):
+        # the single delta pole has no n: an empty CSV field, null in JSON
+        code, out = run_cli(["qnf", *DELTA_FLAGS], capsys)
+        assert code == 0 and out.splitlines()[1].startswith(",none,closed_form,")
+        code, out = run_cli(["qnf", *DELTA_FLAGS, "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 1 and rows[0][0] is None
+        code, out = run_cli(["qnf", *WELL_FLAGS, "--format", "json"], capsys)
+        rows = json.loads(out)["rows"]
+        assert code == 0 and rows and all(row[0] is None for row in rows)

@@ -41,11 +41,28 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert not [m for m in loaded_after(code) if m.startswith("scipy")]
 
 
+def test_qnf_on_sech2_loads_no_scipy():
+    code = """
+import contextlib, io
+from qnf1d import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for fmt in ("csv", "json"):
+        assert cli.main(["qnf", "--type", "sech2", "--V0", "-1", "--a", "1",
+                         "--n", "0..50", "--format", fmt]) == 0
+"""
+    assert not [m for m in loaded_after(code) if m.startswith("scipy")]
+
+
 def test_a_lambert_w_tower_loads_scipy_special_on_first_use():
-    # the check above is not vacuous: the probe sees a submodule once a
-    # command needs one
+    # the checks above are not vacuous: the probe sees a submodule once a
+    # command needs one; the duplicate filter of the tower needs no
+    # scipy.spatial (which would load linalg and sparse as well)
     code = """
 from qnf1d import DoubleDelta, closed_form_qnfs
 closed_form_qnfs(DoubleDelta(1.0, 1.0), (0, 3))
 """
-    assert "scipy.special" in loaded_after(code)
+    loaded = loaded_after(code)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded
+                if m.split(".")[:2] in (["scipy", "spatial"], ["scipy", "linalg"],
+                                        ["scipy", "sparse"])]

@@ -31,7 +31,9 @@ from qnf1d import (
 )
 from qnf1d.errors import DomainError, UnsupportedPotentialError
 from qnf1d.potentials import normal_form
-from qnf1d.qnf import _scan_brackets, rect_barrier_k_series, rect_barrier_q_series
+from qnf1d.qnf import (
+    _keep_first, _scan_brackets, rect_barrier_k_series, rect_barrier_q_series,
+)
 from qnf1d.specfn import lambert_w
 
 C = PhysicalConstants()
@@ -648,6 +650,41 @@ class TestDoubleDeltaTower:
         # at k0 a = -1/2 itself both copies are the trivial zero k = 0
         exact = closed_form_qnfs(DoubleDelta(-0.5 / a, a), (-1, 1), C)
         assert all((r.branch, r.sign_choice) not in ((-1, "plus"), (0, "plus")) for r in exact)
+
+
+    def test_duplicate_filter_is_the_quadratic_rule(self):
+        # the sorted-window filter keeps exactly the members the O(n^2) rule
+        # keeps, on raw towers (the first spec has the branch-point duplicate)
+        # and on point clouds with pairs a hair inside and outside tol
+        def reference(ks, tol):
+            keep = []
+            for j, k in enumerate(ks.tolist()):
+                keep.append(not any(keep[i] and abs(ks[i] - k) < tol for i in range(j)))
+            return np.array(keep, dtype=bool)
+
+        rng = np.random.default_rng(7)
+        specs = [DoubleDelta((-0.5 + 2e-8) / 2.0, 2.0)] + [
+            DoubleDelta(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0) / a, a)
+            for a in rng.uniform(0.2, 3.0, size=6)]
+        for spec in specs:
+            k0, a = 0.5 * C.p2 * spec.alpha, spec.a
+            arg = 2.0 * k0 * a * math.exp(2.0 * k0 * a)
+            ks = np.array([1j * (k0 - lambert_w(n, sgn * arg) / (2.0 * a))
+                           for n in range(-30, 61) for sgn in (1.0, -1.0)])
+            assert np.array_equal(_keep_first(ks, 1e-9 / a), reference(ks, 1e-9 / a))
+        tol = 1e-3
+        for trial in range(60):
+            centers = rng.uniform(-1.0, 1.0, size=(6, 2)) @ [1.0, 1j]
+            if trial % 3 == 1:
+                centers = 1j * centers.imag  # on the imaginary axis
+            elif trial % 3 == 2:
+                centers = centers.real + 0j
+            offsets = (tol * rng.choice([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0], size=40)
+                       * np.exp(2j * np.pi * rng.choice([0.0, 0.25, rng.uniform()], size=40)))
+            ks = rng.choice(centers, size=40) + offsets * (rng.uniform(size=40) < 0.8)
+            assert np.array_equal(_keep_first(ks, tol), reference(ks, tol)), trial
+        for ks in (np.array([], dtype=complex), np.array([1j]), np.array([-0.0 + 1j, 1j])):
+            assert np.array_equal(_keep_first(ks, tol), reference(ks, tol))
 
 
 class TestPoleCondition:
