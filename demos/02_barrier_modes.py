@@ -1,5 +1,6 @@
-"""Rectangular barriers: transmission resonances, damped modes and the
-merge point where the two imaginary-axis QNFs annihilate.
+"""Rectangular barriers: transmission resonances, damped modes, the merge
+point where the two imaginary-axis QNFs annihilate, and a shallow well's
+bound state and damped mode.
 """
 
 import numpy as np
@@ -37,6 +38,15 @@ def damped_mode_merge():
     print("  the pair merges near k0 a = 0.6627 (at qa = 1.1997) and is gone above")
 
 
+def well_modes():
+    print()
+    spec = RectBarrier(-1.0, 0.5)
+    print("imaginary-axis QNFs of the well V0 = -1, a = 0.5 (k0 a = 0.707 < 1):")
+    for r in transcendental_qnfs(spec, "imaginary_axis", c):
+        print(f"  {r.classification}: k = {r.k.imag:.6f}i, inner q = {r.aux:.6f}")
+    print("  the damped mode lies above k0: its q is imaginary, y = |q| coth(|q| a)")
+
+
 def pseudo_resonances():
     print()
     asym = AsymRectBarrier(0.2, 2.5, -0.4, 0.7)
@@ -52,4 +62,5 @@ def pseudo_resonances():
 if __name__ == "__main__":
     resonance_comb()
     damped_mode_merge()
+    well_modes()
     pseudo_resonances()

@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--e-min", type=float, default=None)
     ap.add_argument("--e-max", type=float, default=None)
     ap.add_argument("--points", type=int, default=50)
-    ap.add_argument("--n", default="0..5", help="tower index range, e.g. 0..5")
+    ap.add_argument("--n", default="0..5", help="tower index range, e.g. 0..5; --n -2..2 is --n=-2..2")
     ap.add_argument("--n-max", type=int, default=10)
     ap.add_argument("--method", choices=["closed_form", "transcendental", "asymptotic"],
                     default=None)
@@ -513,6 +514,11 @@ def _cmd_verify(args, spec, constants):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse reads a range like -2..2 as an option: attach it to --n
+        if argv[i - 1] == "--n" and re.fullmatch(r"-\d+\.\.-?\d+", argv[i]):
+            argv[i - 1:i + 1] = [f"--n={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         if args.points < 1:

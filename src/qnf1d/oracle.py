@@ -89,7 +89,8 @@ class SearchRegion:
 
 @dataclass
 class PoleReport:
-    """Poles found in a region: (k, residual |1/t|, multiplicity hint) triples.
+    """Poles found in a region: (k, residual |1/t|, seeds) triples, seeds
+    being the number of grid seeds that refined onto k (not a pole order).
 
     ``rejected`` holds a (seed, reason) pair for every grid seed whose
     refinement failed the acceptance rule."""

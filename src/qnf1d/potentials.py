@@ -166,6 +166,17 @@ def _level_wavenumber(k, e, v_in, v, p2):
     return k if v == v_in else np.sqrt(p2 * (e - v))
 
 
+def _gap(k, q, dv):
+    """k - q over arrays where k^2 - q^2 = dv, as dv / (k + q) where that sum
+    is the larger: no cancellation as q -> k."""
+    diff = k - q
+    if dv == 0:
+        return diff
+    total = k + q
+    near = np.abs(diff) < np.abs(total)
+    return np.where(near, dv / np.where(near, total, 1.0), diff)
+
+
 def _sin_over(q, w):
     """sin(q w) / q over an array of complex q, with its limit w at q = 0."""
     zero = q == 0
@@ -209,32 +220,37 @@ class Interfaces:
         """The regular (step) part of V on an array x."""
         return np.where(x < -self.a, self.v1, np.where(x > self.a, self.v3, self.v2))
 
-    def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
-        """t of the two-interface problem with couplings g = p2 * alpha, over
-        an array of k (see transmission_amplitude)."""
+    def denominator(self, k: np.ndarray, p2: float) -> tuple:
+        """(den / k2, k2, k3) over an array of incidence k, where t = 4 k2
+        sqrt(k k3) e^{i (k + k3) a} / den; den / k2 is even in k2, nan where
+        sin(2 k2 a) overflows."""
         g1, g2 = p2 * self.alpha_left, p2 * self.alpha_right
         e = self.v1 + k * k / p2
-        k1 = k
         k2 = _level_wavenumber(k, e, self.v1, self.v2, p2)
         k3 = _level_wavenumber(k, e, self.v1, self.v3, p2)
-        a = self.a
-        # t = 4 k2 sqrt(k1 k3) e^{i (k1 + k3) a} / den, where
         # den = (w1 + k2)(w3 + k2) e^{iz} - (w1 - k2)(w3 - k2) e^{-iz}, z = 2 k2 a,
         # is summed as 2 k2 (w1 + w3) e^{+-iz} + 2i (w1 -+ k2)(w3 -+ k2) sin z with
         # the decaying exponential: no cancellation where one exponential
-        # dominates, nor as k2 -> 0 (den / k2 is finite at a barrier top)
-        w1, w3 = k1 - 1j * g1, k3 - 1j * g2
+        # dominates, nor as k2 -> 0 (den / k2 is finite at a barrier top) or +-k
+        w1, w3 = k - 1j * g1, k3 - 1j * g2
         sgn = np.where(k2.imag >= 0, 1.0, -1.0)
-        sin_k2 = _sin_over(k2, 2.0 * a)
-        den_k2 = 2.0 * (w1 + w3) * np.exp(2j * sgn * k2 * a) \
-            + 2j * (w1 - sgn * k2) * (w3 - sgn * k2) * sin_k2
-        phase = np.exp(1j * (k1 + k3) * a)
-        t = 4.0 * np.sqrt(k1) * np.sqrt(k3) * phase / den_k2
+        sin_k2 = _sin_over(k2, 2.0 * self.a)
+        gap1 = _gap(k, sgn * k2, p2 * (self.v2 - self.v1))
+        gap3 = gap1 if self.v3 == self.v1 else _gap(k3, sgn * k2, p2 * (self.v2 - self.v3))
+        den_k2 = 2.0 * (w1 + w3) * np.exp(2j * sgn * k2 * self.a) \
+            + 2j * (gap1 - 1j * g1) * (gap3 - 1j * g2) * sin_k2
+        return np.where(np.isfinite(sin_k2), den_k2, complex("nan")), k2, k3
+
+    def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
+        """t of the two-interface problem with couplings g = p2 * alpha, over
+        an array of k (see transmission_amplitude)."""
+        den_k2, _, k3 = self.denominator(k, p2)
+        phase = np.exp(1j * (k + k3) * self.a)
+        t = 4.0 * np.sqrt(k) * np.sqrt(k3) * phase / den_k2
         # a pole (den = 0) is inf, an overflowing exponential nan
         t = np.where(np.isfinite(phase), t, complex("nan"))
         t = np.where(den_k2 == 0, complex("inf"), t)
-        t = np.where(np.isfinite(sin_k2), t, complex("nan"))
-        return ScatteringAmplitudes(t, None, k1, k3)
+        return ScatteringAmplitudes(t, None, k, k3)
 
     def probability(self, e: np.ndarray, p2: float) -> np.ndarray:
         """T(E) over an array of real E above both limits: the
@@ -957,11 +973,12 @@ def _step_bound(limits, e: np.ndarray, p2: float) -> np.ndarray:
 
 def _brentq(f, lo: float, hi: float) -> float:
     """The root of f in a sign-changing bracket [lo, hi], to full double
-    precision.  scipy.optimize imports most of scipy, so it loads here, on
-    the first call, and not with this module."""
+    precision, also for a root near 0 (a barrier's lower damped mode at y =
+    k0^2 a).  scipy.optimize imports most of scipy, so it loads here, on the
+    first call, and not with this module."""
     from scipy.optimize import brentq
 
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def _double_delta_resonance_roots(k0: float, a: float, n_max: int):

@@ -233,6 +233,12 @@ def _symmetric_barrier(form) -> bool:
     return _barrier(form) and form.v1 == form.v3
 
 
+def _pole_root(form, k, p2: float):
+    """Of the roots k and -k of k^2 over an array, the one that the pole of t
+    sits on: the smaller residual, k on a tie."""
+    return np.where(_residual(form, -k, p2) < _residual(form, k, p2), -k, k)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form towers
 # ---------------------------------------------------------------------------
@@ -380,60 +386,47 @@ def _scan_brackets(f, xs):
 
 
 def _axis_roots(tower: _Tower, a: float) -> _Tower:
-    """The members that are no trivial zero, meet the pole condition to 1e-8
-    (so no tan/cot pole artifact) and lie at least 1e-9/a from every earlier
-    one kept, sorted by (Im k, Re k)."""
-    ok = np.flatnonzero((tower.classification != "trivial_zero") & (tower.residual <= 1e-8))
+    """The members that meet the pole condition to 1e-8 (the pole finder's
+    acceptance residual) and lie at least 1e-9/a from every earlier one
+    kept, sorted by (Im k, Re k); a trivial_zero is a pole too (a barrier's
+    lower damped mode, y = k0^2 a, below 1e-8/a)."""
+    ok = np.flatnonzero(tower.residual <= 1e-8)
     ok = ok[_keep_first(tower.k[ok], 1e-9 / a)]
     return tower.take(ok[np.lexsort((tower.k[ok].real, tower.k[ok].imag))])
 
 
-def _rect_imaginary_axis(spec, form: Interfaces, c) -> _Tower:
-    p2 = c.p2
-    a = form.a
-    v0 = form.v2 - form.v1
-    if v0 > 0:
-        # damped modes: |q| a = k0 a cosh(|q| a), zero/one/two roots, in
-        # increasing Im k = (|q| a) tanh(|q| a) / a
-        k0 = math.sqrt(p2 * v0)
-        ca = k0 * a
-        f = lambda u: ca * np.cosh(u) - u
-        us = [_brentq(f, lo, hi) for lo, hi in _scan_brackets(f, np.linspace(1e-9, 50.0, 4001))]
-        return _tower(spec, [1j * (u / a) * math.tanh(u) for u in us], "transcendental", c,
-                      aux=[1j * u / a for u in us])
-    # attractive: real-q poles, always with |q| <= |k0|
-    k0m = math.sqrt(-p2 * v0)
+def _imaginary_axis_tower(spec, form: Interfaces, c) -> _Tower:
+    """The poles k = i y of a two-interface form with v1 == v3, where den /
+    k2 of t is i times a real function of y: brentq refines its sign changes
+    on a grid uniform in y out to 50/a (a barrier's upper damped mode for k0
+    a above 1e-19) or past the couplings, uniform in a well's real inner q
+    (roots crowd towards |y| = k0), and geometric towards each |k0| (as do
+    delta-pair roots); below the axis only for a form that can bind."""
+    p2, a = c.p2, form.a
 
-    def cond(q, even, sign):
-        # even: k = -i q tan(q a), odd: k = +i q cot(q a), each combined
-        # with k = i y, y = sign sqrt(|k0|^2 - q^2) from k^2 = q^2 - |k0|^2
-        y = sign * np.sqrt(np.maximum(k0m * k0m - q * q, 0.0))
-        return y + q * np.tan(q * a) if even else y - q / np.tan(q * a)
-
-    grid = np.linspace(1e-9, k0m * (1 - 1e-12), 4001)
-    ks, qs = [], []
-    for even, sign in ((True, -1.0), (True, 1.0), (False, -1.0), (False, 1.0)):
-        f = lambda q: cond(q, even, sign)
-        for lo, hi in _scan_brackets(f, grid):
-            q = _brentq(f, lo, hi)
-            ks.append(-1j * q * math.tan(q * a) if even else 1j * q / math.tan(q * a))
-            qs.append(q + 0j)
-    return _axis_roots(_tower(spec, ks, "transcendental", c, aux=qs), a)
-
-
-def _asym_dd_imaginary_axis(spec, form: Interfaces, c) -> _Tower:
-    kp, km = _delta_k0s(form, c.p2)
-    a = form.a
-
-    # pole condition on the imaginary axis k = i y:
-    # (y - kp)(y - km) = kp km exp(+4 y a)   [sign fixed by the amplitude]
     def f(y):
-        return (y - kp) * (y - km) - kp * km * np.exp(4.0 * y * a)
+        return form.denominator(_complex(0.0, y), p2)[0].imag
 
-    ymax = max(50.0 / a, 4.0 * (abs(kp) + abs(km)))
-    ys = np.concatenate([np.linspace(-ymax, -1e-7, 2001), np.linspace(1e-7, ymax, 2001)])
-    ks = [1j * _brentq(f, lo, hi) for lo, hi in _scan_brackets(f, ys)]
-    return _axis_roots(_tower(spec, ks, "transcendental", c), a)
+    k0s = [abs(k0) for k0 in _delta_k0s(form, p2)] + [math.sqrt(p2 * abs(form.v2 - form.v1))]
+    ymax = max(50.0 / a, 4.0 * (k0s[0] + k0s[1]), k0s[2])
+    half = [np.linspace(0.0, ymax, 1001)]
+    if form.v2 < form.v1:
+        # a q step of at most pi / (8a), a quarter of the roots' spacing in q
+        q = np.linspace(0.0, k0s[2], int(8.0 * k0s[2] * a / math.pi) + 32)
+        half.append(np.sqrt(k0s[2] ** 2 - q * q))
+    near = np.geomspace(1e-14, 1.0, 48)
+    half += [k0 * side for k0 in k0s if k0 > 0 for side in (1.0 + near, 1.0 - near)]
+    half = np.concatenate(half)
+    if form.v2 < form.v1 or form.alpha_left < 0 or form.alpha_right < 0:
+        half = np.concatenate([-half, half])
+    ys = np.array([_brentq(f, lo, hi) for lo, hi in _scan_brackets(f, np.sort(half))],
+                  dtype=float)
+    # 1/t = den e^{2ya} / (4 i y k2) magnifies each ulp of a damped mode:
+    # keep the double within 8 ulps of brentq's root with the least residual
+    ks = _complex(0.0, ys[:, None] + np.arange(-8, 9) * np.spacing(ys)[:, None])
+    ks = ks[np.arange(len(ys)), np.argmin(_residual(form, ks, p2), axis=1)]
+    aux = None if form.v2 == form.v1 else form.denominator(ks, p2)[1]
+    return _axis_roots(_tower(spec, ks, "transcendental", c, aux=aux), a)
 
 
 def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) -> list[QnfResult]:
@@ -441,7 +434,9 @@ def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) 
 
     ``search`` is the string "imaginary_axis" or an oracle.SearchRegion; the
     region mode delegates to the pole finder running on the closed-form
-    amplitude.  An empty list is a valid outcome (e.g. a repulsive barrier
+    amplitude.  The axis mode solves t's own denominator along k = i y (no
+    artifact of a rewritten equation) for symmetric barriers, wells and
+    delta pairs.  An empty list is a valid outcome (e.g. a repulsive barrier
     with k0 a above the merge point).
     """
     return _transcendental_tower(spec, search, c).results()
@@ -456,10 +451,8 @@ def _transcendental_tower(spec, search, c: PhysicalConstants) -> _Tower:
     if search != "imaginary_axis":
         raise DomainError(f"unknown search descriptor {search!r}")
     form = normal_form(spec)
-    if _symmetric_barrier(form):
-        return _rect_imaginary_axis(spec, form, c)
-    if _delta_pair(form):
-        return _asym_dd_imaginary_axis(spec, form, c)
+    if isinstance(form, Interfaces) and form.a > 0 and form.v1 == form.v3:
+        return _imaginary_axis_tower(spec, form, c)
     raise UnsupportedPotentialError(
         f"imaginary-axis search not implemented for {type(spec).__name__}"
     )
@@ -542,12 +535,9 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
         - 2.0 * P * Q / (P + Q)
         - P * Q * a * a
     )
-    k1 = cmath.sqrt(complex(k2sq + P))
-    # the series determines k2^2 only; pick the incidence-side root that the
-    # amplitude's pole actually sits on (k1 on a tie)
-    k2 = cmath.sqrt(complex(k2sq))
-    return min(_tower(spec, [k1, -k1], "perturbative", c, aux=[k2, k2]).results(),
-               key=lambda r: r.residual)
+    # the series determines k2^2 only
+    k1 = _pole_root(form, np.array([cmath.sqrt(complex(k2sq + P))]), p2)
+    return _tower(spec, k1, "perturbative", c, aux=[cmath.sqrt(complex(k2sq))]).results()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +567,7 @@ def _asymptotic_tower(spec, ns, c: PhysicalConstants, sign: str = "plus") -> _To
         # W's argument is k0 a / 2 over a barrier, -i |k0| a / 2 over a well
         arg = math.sqrt(p2 * v0) * a / 2.0 if v0 > 0 else -1j * math.sqrt(-p2 * v0) * a / 2.0
         q = _over(-1j * lambert_w(ns, arg), a)
-        k = np.sqrt(p2 * v0 + q * q)
-        # the root of k^2 that the amplitude's pole sits on (k on a tie)
-        k = np.where(_residual(form, -k, p2) < _residual(form, k, p2), -k, k)
+        k = _pole_root(form, np.sqrt(p2 * v0 + q * q), p2)
         return _tower(spec, k, "asymptotic", c, branch=ns, aux=q)
     if isinstance(form, EckartReduction):
         a = form.a

@@ -235,6 +235,18 @@ class TestCommands:
             assert list(map(bits, (k_re, k_im, res, e_re, e_im))) == list(map(
                 bits, (r.k.real, r.k.imag, r.residual, e.real, e.imag)))
 
+    def test_negative_range_after_n(self, capsys):
+        # argparse reads a word like -2..2 as an option; both spellings give
+        # the same double-delta rows
+        flags = ["qnf", "--type", "double-delta", "--alpha", "1", "--a", "1"]
+        code, spaced = run_cli([*flags, "--n", "-2..2"], capsys)
+        assert code == 0
+        assert run_cli([*flags, "--n=-2..2"], capsys) == (0, spaced)
+        rows = list(csv.reader(io.StringIO(spaced)))[1:]
+        assert sorted({int(row[0]) for row in rows}) == [-2, -1, 0, 1, 2]
+        assert run_cli([*flags, "--n", "-1..-1"], capsys) == run_cli([*flags, "--n=-1"], capsys)
+        assert "--n=-2..2" in _build_parser().format_help()
+
     def test_main_keeps_no_state_between_calls(self, tmp_path: Path, capsys):
         # the parser is built once per process; every call still starts from
         # the defaults

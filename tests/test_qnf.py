@@ -2,6 +2,7 @@ import cmath
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -258,8 +259,103 @@ class TestTranscendental:
         k0_mag = math.sqrt(C.p2 * 2.0)
         for r in roots:
             assert r.classification == "bound_state"
-            assert abs(r.aux) <= k0_mag + 1e-12  # always |q| <= |k0|
+            assert abs(r.aux) <= k0_mag + 1e-12  # a real q, |q| <= |k0|
             assert r.residual < 1e-10
+
+    @staticmethod
+    def certified(spec, roots):
+        """Whether the transfer-matrix refine_pole keeps each root to 1e-8."""
+        ks = np.array([r.k for r in roots])
+        return all(reason is None and abs(k - g) <= 1e-8
+                   for g, (k, _res, reason) in zip(ks, refine_pole(spec, ks, C)))
+
+    def test_shallow_well_damped_mode_above_k0(self):
+        # k0 a = 0.707 < 1: besides its bound state the well has a damped
+        # mode with imaginary inner wavenumber, y = kappa coth(kappa a)
+        spec = RectBarrier(-1.0, 0.5)
+        roots = transcendental_qnfs(spec, "imaginary_axis", C)
+        assert [r.classification for r in roots] == ["bound_state", "damped_mode"]
+        assert abs(roots[0].k - (-0.78476j)) < 1e-5
+        assert abs(roots[1].k - 3.30114j) < 1e-5
+        assert roots[1].aux.real == 0 and roots[1].aux.imag > math.sqrt(C.p2)
+        assert self.certified(spec, roots)
+
+    def test_deep_well_real_q_damped_mode(self):
+        spec = RectBarrier(-50.0, 1.0)
+        roots = transcendental_qnfs(spec, "imaginary_axis", C)
+        assert any(abs(r.k - 7.07396j) < 1e-5 for r in roots)
+        assert sum(r.classification == "bound_state" for r in roots) == math.ceil(20 / math.pi)
+        assert self.certified(spec, roots)
+
+    def test_axis_roots_print_no_negative_zero(self):
+        roots = transcendental_qnfs(AsymDoubleDelta(-1.0, -0.7, 1.0), "imaginary_axis", C)
+        assert roots and all(math.copysign(1.0, r.k.real) == 1.0 for r in roots)
+
+    def test_census(self):
+        # a fixed draw of barriers, wells and delta pairs where the transfer
+        # matrix keeps its digits (k0 a <= 6.3, |alpha| <= 3)
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            a = 10 ** rng.uniform(-1.0, 0.5)
+            k0a = 10 ** rng.uniform(-1.5, 0.8)
+            for spec in (RectBarrier(rng.choice([-0.5, 0.5]) * (k0a / a) ** 2, a),
+                         AsymDoubleDelta(*rng.uniform(-3.0, 3.0, 2), a),
+                         DoubleDelta(rng.uniform(-3.0, 3.0), a)):
+                roots = transcendental_qnfs(spec, "imaginary_axis", C)
+                assert self.certified(spec, roots), spec
+                if isinstance(spec, RectBarrier) and spec.V0 < 0:
+                    bound = sum(r.classification == "bound_state" for r in roots)
+                    assert bound == math.ceil(2.0 * k0a / math.pi), spec
+                if isinstance(spec, DoubleDelta):
+                    axis = {r.k for r in closed_form_qnfs(spec, (-1, 0), C)
+                            if r.classification in ("damped_mode", "bound_state")}
+                    assert len(roots) == len(axis), spec
+                    for r in roots:
+                        assert min(abs(r.k - k) for k in axis) <= 1e-10 * abs(r.k), spec
+
+    def test_small_k0a_barrier_keeps_both_roots(self):
+        # both roots of u = k0a cosh u, k = i (u / a) tanh u: the lower one
+        # below 1e-8 / a (classified trivial_zero) from k0 a = 1e-4, the upper
+        # one at y a up to 22, where t's denominator keeps k - k2 ~ k0^2 / 2y
+        for k0a in 10.0 ** -np.arange(3, 9):
+            for a in (0.3, 1.0, 3.0):
+                lo, hi = k0a, 50.0
+                for _ in range(60):
+                    lo, hi = k0a * math.cosh(lo), math.acosh(hi / k0a)
+                roots = transcendental_qnfs(RectBarrier((k0a / a) ** 2 / C.p2, a),
+                                            "imaginary_axis", C)
+                assert len(roots) == 2, (k0a, a)
+                for r, u in zip(roots, (lo, hi)):
+                    assert abs(r.k - 1j * u * math.tanh(u) / a) <= 1e-12 * abs(r.k), (k0a, a)
+                    assert abs(r.aux - 1j * u / a) <= 1e-12 * abs(r.aux), (k0a, a)
+                    assert r.residual <= 1e-8
+
+    def test_census_small_k0a(self):
+        # barriers and wells with k0 a = 1e-9 .. 10^-1.5, where the transfer
+        # matrix loses the roots' digits: each lists two roots (a barrier's
+        # damped modes, a well's bound state and damped mode), and 50-digit
+        # secant steps on the denominator of t stay on each
+        rng = np.random.default_rng(29)
+        with mpmath.workdps(50):
+            for _ in range(15):
+                a = 10 ** rng.uniform(-1.0, 0.5)
+                k0a = 10 ** rng.uniform(-9.0, -1.5)
+                for sign in (1.0, -1.0):
+                    spec = RectBarrier(sign * (k0a / a) ** 2 / C.p2, a)
+                    roots = transcendental_qnfs(spec, "imaginary_axis", C)
+                    assert len(roots) == 2, spec
+
+                    def den(y):
+                        # den / q of t at k = i y, i times a real function
+                        k = mpmath.mpc(0, y)
+                        q = mpmath.sqrt(k * k - C.p2 * spec.V0)
+                        z = 2j * q * spec.a
+                        return (((k + q) ** 2 * mpmath.exp(z)
+                                 - (k - q) ** 2 * mpmath.exp(-z)) / q).imag
+
+                    for r in roots:
+                        y = mpmath.findroot(den, (r.k.imag, r.k.imag * (1 + 1e-10)))
+                        assert abs(y - r.k.imag) <= 1e-12 * abs(r.k.imag), spec
 
     def test_asym_dd_imaginary_root_exceeds_couplings(self):
         spec = AsymDoubleDelta(0.05, 0.08, 1.0)
