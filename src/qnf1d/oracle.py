@@ -130,8 +130,10 @@ def _transfer_matrices(spec, k, c):
     em, ep = 0.5 * np.exp(-1j * k_in * a), 0.5 * np.exp(1j * k_in * a)
     l01, l11 = -em / (1j * k_in), ep / (1j * k_in)  # left = W(-a, k)^-1 J_left
     l00, l10 = em + l01 * g_left, ep + l11 * g_left
-    # right = J_right W(a, k+)
-    r00, r01 = np.exp(-1j * k_p * a), np.exp(1j * k_p * a)
+    # right = J_right W(a, k+); with equal limits k+ is k, whose exponentials
+    # are em and ep wherever M is representable
+    r00, r01 = (2.0 * em, 2.0 * ep) if k_p is k else (np.exp(-1j * k_p * a),
+                                                       np.exp(1j * k_p * a))
     r10, r11 = (g_right - 1j * k_p) * r00, (g_right + 1j * k_p) * r01
     # the middle region carries (psi, psi') from x = a to x = -a by
     # P = e I + sin(k_mid d) / k_mid u v^T, d = -2a, u = (1, w), v = (w, 1),
@@ -589,6 +591,22 @@ def _window_min(mag):
     return np.minimum(np.minimum(cols[:-2], cols[1:-1]), cols[2:])
 
 
+def _grid_columns(lo, hi, n):
+    """n equally spaced points from lo to hi, each mid + half m / (n - 1)
+    with the integer m = 2j - (n - 1): for lo = -hi the points are exactly
+    mirrored about 0, which those of np.linspace are not."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * (2.0 * np.arange(n) - (n - 1)) / (n - 1)
+
+
+def _grid(res, ims):
+    """The (ims.size, res.size) grid of k = x + i y over the columns x in res
+    and the rows y in ims."""
+    grid = np.empty((ims.size, res.size), dtype=complex)
+    grid.real, grid.imag = res[None, :], ims[:, None]
+    return grid
+
+
 def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTANTS,
                amplitude=None, count_zeros=False) -> PoleReport:
     """Grid-scan g(k) = 1/t over the region, refine local minima of |g|.
@@ -599,6 +617,13 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     must accept an ndarray k: the grid, each Newton iteration over all seeds
     and the ``count_zeros`` boundary are one call each.
     The region lies in the plane QNFs are reported in (``qnf_level``).
+
+    Where the two limits of the spec are equal, a real potential gives
+    t(-k*) = t(k)*, so the grid is evaluated once per distinct |Re k| and a
+    column with Re k < 0 takes |1/t| from its mirror: an ``amplitude``
+    passed for such a spec must satisfy that identity, as any t of the spec
+    does.  With unequal limits the identity fails (the transmitted
+    wavenumber is a principal root) and the whole grid is evaluated.
     """
     if amplitude is None:
         amplitude = numeric_amplitude
@@ -607,12 +632,17 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     f = lambda k: _inv_t(spec, k, c, amplitude)
     nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
     nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
-    res = np.linspace(region.re_min, region.re_max, nre)
-    ims = np.linspace(region.im_min, region.im_max, nim)
+    res = _grid_columns(region.re_min, region.re_max, nre)
+    ims = _grid_columns(region.im_min, region.im_max, nim)
     cell = max(res[1] - res[0], ims[1] - ims[0])
-    grid = np.empty((nim, nre), dtype=complex)
-    grid.real, grid.imag = res[None, :], ims[:, None]
-    mag = np.abs(f(grid))
+    grid = _grid(res, ims)
+    v_minus, v_plus = normal_form(spec).limits
+    if v_minus == v_plus:
+        # |1/t(-k*)| = |1/t(k)|: one column per distinct |Re k|
+        cols, mirror = np.unique(np.abs(res), return_inverse=True)
+        mag = np.abs(f(_grid(cols, ims)))[:, mirror]
+    else:
+        mag = np.abs(f(grid))
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
     # seeds are the local minima of |1/t| over each point's 3 x 3 window

@@ -246,7 +246,8 @@ class Interfaces:
         an array of k (see transmission_amplitude)."""
         den_k2, _, k3 = self.denominator(k, p2)
         phase = np.exp(1j * (k + k3) * self.a)
-        t = 4.0 * np.sqrt(k) * np.sqrt(k3) * phase / den_k2
+        sqrt_k = np.sqrt(k)
+        t = 4.0 * sqrt_k * (sqrt_k if k3 is k else np.sqrt(k3)) * phase / den_k2
         # a pole (den = 0) is inf, an overflowing exponential nan
         t = np.where(np.isfinite(phase), t, complex("nan"))
         t = np.where(den_k2 == 0, complex("inf"), t)
@@ -351,10 +352,13 @@ class EckartReduction:
         kbar = 0.5 * (k_m + k_p)
         a = self.a
         s = self.s(p2)
-        # nan at a gamma pole
+        # nan at a gamma pole; with equal limits k_p is k_m, and each factor
+        # of k_m is computed once
+        lg_m, sqrt_m = log_gamma(1j * k_m * a), np.sqrt(k_m)
+        lg_p, sqrt_p = (lg_m, sqrt_m) if k_p is k_m else (log_gamma(1j * k_p * a), np.sqrt(k_p))
         log_ratio = log_gamma(1j * kbar * a + 0.5 + s) + log_gamma(1j * kbar * a + 0.5 - s) \
-            - log_gamma(1j * k_p * a) - log_gamma(1j * k_m * a)
-        t = -1j / (np.sqrt(k_p) * np.sqrt(k_m) * a) * np.exp(log_ratio)
+            - lg_p - lg_m
+        t = -1j / (sqrt_p * sqrt_m * a) * np.exp(log_ratio)
         if self.shift != 0.0:
             phase = np.exp(1j * (k_p - k_m) * self.shift)
             t = np.where(np.isfinite(phase), t * phase, complex("nan"))

@@ -37,6 +37,7 @@ from qnf1d.oracle import (
     _EXP_GUARD,
     _NEWTON_MAX_ITER,
     _ODE_HALF_WIDTH,
+    _grid_columns,
     _inv_t,
     _transfer_matrices,
     _window_min,
@@ -111,8 +112,8 @@ def scalar_grid(spec, region, amplitude):
     nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
     nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
     mag = np.full((nim, nre), np.inf)
-    for i, y in enumerate(np.linspace(region.im_min, region.im_max, nim)):
-        for j, x in enumerate(np.linspace(region.re_min, region.re_max, nre)):
+    for i, y in enumerate(_grid_columns(region.im_min, region.im_max, nim)):
+        for j, x in enumerate(_grid_columns(region.re_min, region.re_max, nre)):
             z = complex(x, y)
             if abs(z) >= 1e-6:
                 v = _inv_t(spec, np.array([z]), C, amplitude)[0]
@@ -438,23 +439,73 @@ class TestArrayGrid:
     Newton iteration and one per acceptance check over all seeds at once;
     the poles are those of a grid evaluated point by point."""
 
-    def test_refinement_is_batched(self):
+    REGION = SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
+
+    @staticmethod
+    def grid_call_size(spec, region):
+        """The size of find_poles' first amplitude call, its grid, after
+        checking that every call is an array call and that their number does
+        not grow with the seeds."""
         calls = []
 
         def counting(spec, k, c):
             calls.append(k)
             return numeric_amplitude(spec, k, c)
 
-        region = SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
-        rep = find_poles(RectBarrier(-1.0, 1.0), region, C, amplitude=counting)
+        rep = find_poles(spec, region, C, amplitude=counting)
         assert rep.poles and rep.rejected
         assert all(isinstance(k, np.ndarray) for k in calls)
-        nre = round((region.re_max - region.re_min) * region.grid_density)
-        nim = round((region.im_max - region.im_min) * region.grid_density)
-        assert calls[0].size == nre * nim
         # the plain pass and the on-axis retry: at most _NEWTON_MAX_ITER + 1
         # Newton calls and one acceptance check each, however many seeds there are
         assert len(calls) <= 1 + 2 * (_NEWTON_MAX_ITER + 2)
+        return calls[0].size
+
+    def test_refinement_is_batched(self):
+        # equal limits: the 256 columns are 128 mirrored pairs +-x, and the
+        # grid is evaluated once per |x|
+        assert self.grid_call_size(RectBarrier(-1.0, 1.0), self.REGION) == 20 * 128
+
+    def test_unequal_limits_evaluate_the_whole_grid(self):
+        region = self.REGION
+        nre = round((region.re_max - region.re_min) * region.grid_density)
+        nim = round((region.im_max - region.im_min) * region.grid_density)
+        assert self.grid_call_size(AsymRectBarrier(0.0, 1.0, 0.5, 1.0), region) == nre * nim
+
+    @pytest.mark.parametrize("spec, amplitude", [
+        pytest.param(spec, amplitude, id=f"{spec!r}-{name}")
+        for spec in SCAN_SPECS if len(set(scattering_limits(spec))) == 1
+        for name, amplitude in (("transfer", numeric_amplitude),
+                                ("closed_form", transmission_amplitude))
+    ] + [pytest.param(Sech2(-1.0, 1.0), transmission_amplitude, id="Sech2-closed_form")])
+    def test_folded_grid_against_unmirrored_grid(self, spec, amplitude):
+        # the region shifted right by a third of a cell has no mirrored
+        # columns, so find_poles evaluates its whole grid; the poles at least
+        # two cells inside both regions agree, and the folded scan reports a
+        # mirror-closed set (a real potential with equal limits has its poles
+        # in pairs k, -k*).  Sech2(-1, 1) is reflectionless with no pole in
+        # the region, so its case checks that neither scan reports one
+        region = self.REGION
+        nre = round((region.re_max - region.re_min) * region.grid_density)
+        nim = round((region.im_max - region.im_min) * region.grid_density)
+        res = _grid_columns(region.re_min, region.re_max, nre)
+        ims = _grid_columns(region.im_min, region.im_max, nim)
+        cell = max(res[1] - res[0], ims[1] - ims[0])
+        shift = (res[1] - res[0]) / 3.0
+        shifted = SearchRegion(region.re_min + shift, region.re_max + shift, region.im_min,
+                               region.im_max, region.grid_density)
+        folded = [k for k, _, _ in find_poles(spec, region, C, amplitude=amplitude).poles]
+        whole = [k for k, _, _ in find_poles(spec, shifted, C, amplitude=amplitude).poles]
+
+        def inner(ks):
+            return [k for k in ks
+                    if shifted.re_min + 2 * cell <= k.real <= region.re_max - 2 * cell
+                    and region.im_min + 2 * cell <= k.imag <= region.im_max - 2 * cell]
+
+        assert len(inner(folded)) == len(inner(whole))
+        for k in inner(folded):
+            assert min(abs(k - q) for q in whole) < 1e-10
+        for k in folded:
+            assert min(abs(q + k.conjugate()) for q in folded) < 1e-12
 
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])
