@@ -14,7 +14,6 @@ Identical runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import dataclasses
 import functools
@@ -261,11 +260,7 @@ def _cmd_transmission(args, spec, constants):
     bad = ~np.isfinite(ts)
     if bad.any():
         raise Qnf1dError(f"transmission amplitude not representable at E = {es[bad][0]:g}")
-    # per element: numpy's hypot and arctan2 differ from abs(t) and
-    # cmath.phase(t) in the last bit
-    ts = ts.tolist()
-    return ["E", "T", "abs_t_sq", "arg_t"], [
-        es, Ts, np.array([abs(t) ** 2 for t in ts]), np.array(list(map(cmath.phase, ts)))]
+    return ["E", "T", "abs_t_sq", "arg_t"], [es, Ts, np.abs(ts) ** 2, np.angle(ts)]
 
 
 def _qnf_columns(tower, spec, constants):

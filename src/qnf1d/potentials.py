@@ -356,13 +356,15 @@ class EckartReduction:
         # of k_m is computed once
         lg_m, sqrt_m = log_gamma(1j * k_m * a), np.sqrt(k_m)
         lg_p, sqrt_p = (lg_m, sqrt_m) if k_p is k_m else (log_gamma(1j * k_p * a), np.sqrt(k_p))
-        log_ratio = log_gamma(1j * kbar * a + 0.5 + s) + log_gamma(1j * kbar * a + 0.5 - s) \
-            - lg_p - lg_m
+        num = [log_gamma(1j * kbar * a + 0.5 + sgn * s) for sgn in (1.0, -1.0)]
+        log_ratio = num[0] + num[1] - lg_p - lg_m
         t = -1j / (sqrt_p * sqrt_m * a) * np.exp(log_ratio)
         if self.shift != 0.0:
             phase = np.exp(1j * (k_p - k_m) * self.shift)
             t = np.where(np.isfinite(phase), t * phase, complex("nan"))
-        t = np.where(log_ratio.real > 700.0, complex("inf"), t)
+        # a pole of t where more numerator than denominator gammas are at a pole
+        pole = sum(map(np.isnan, num)) > sum(map(np.isnan, (lg_p, lg_m)))
+        t = np.where((log_ratio.real > 700.0) | pole, complex("inf"), t)
         return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
 
     def probability(self, e: np.ndarray, p2: float) -> np.ndarray:
@@ -894,9 +896,11 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
     here and is only produced by the numeric engine in ``qnf1d.oracle``.
 
     An ndarray k gives arrays of the same shape and never raises per point:
-    t is inf at a pole and nan where it is not representable (k = 0, a gamma
-    pole, an overflowing exponential).  A scalar k is the one-element case
-    and raises instead: AtPoleError at a pole, DomainError where t is nan.
+    t is inf at a pole (for the gamma forms, where more numerator than
+    denominator gammas are at a pole) and nan where it is not representable
+    (k = 0, a denominator gamma pole, an overflowing exponential).  A scalar
+    k is the one-element case and raises instead: AtPoleError at a pole,
+    DomainError where t is nan.
     """
     scalar = not isinstance(k, np.ndarray)
     if scalar and complex(k) == 0:
@@ -912,7 +916,7 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
         raise AtPoleError(amp.k_minus_inf)
     if cmath.isnan(amp.t):
         raise DomainError(f"closed-form t is not representable at k = {amp.k_minus_inf} "
-                          "(a gamma pole or an overflowing exponential)")
+                          "(a denominator gamma pole or an overflowing exponential)")
     return amp
 
 

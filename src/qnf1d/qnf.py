@@ -68,7 +68,8 @@ class QnfResult:
 
     ``classification`` is damped_mode / bound_state / complex_qnf /
     trivial_zero (see ``classify``), or cancelled for an Eckart-family
-    tower member that is no pole of t (see ``closed_form_qnfs``).
+    tower member that is no pole of t, thresholds k- = 0 included (see
+    ``closed_form_qnfs``).
     """
 
     k: complex
@@ -298,11 +299,10 @@ def closed_form_qnfs(spec, n_range, c: PhysicalConstants = DEFAULT_CONSTANTS) ->
 
     A gamma-pole member is classified cancelled when the denominator gammas
     Gamma(i k+- a) of t have at least as many poles there (i k+- a = -m,
-    m >= 1, to GAMMA_POLE_TOL) as the numerator gammas Gamma(i kbar a + 1/2
+    m >= 0, to GAMMA_POLE_TOL) as the numerator gammas Gamma(i kbar a + 1/2
     +- s): t has no pole at it, as at every damped member of a
-    reflectionless sech^2 well.  Such members stay in the list, so the
-    (n, sign) rows do not depend on the coupling.  Members with k- = 0 (a
-    threshold) keep the class ``classify`` gives them.
+    reflectionless sech^2 well and at every threshold k- = 0.  Such members
+    stay in the list, so the (n, sign) rows do not depend on the coupling.
     """
     return _closed_form_tower(spec, n_range, c).results()
 
@@ -360,11 +360,11 @@ def _closed_form_tower(spec, n_range, c: PhysicalConstants) -> _Tower:
               for num in (0.5 * p2 * dv * a, -0.5 * p2 * dv * a))
     # no pole of t where the denominator gammas Gamma(i k+- a) have at least
     # as many poles (i k+- a = -m) as the numerator gammas Gamma(i kbar a +
-    # 1/2 +- s); the thresholds k- = 0 (m = 0) keep their class
+    # 1/2 +- s)
     num_poles = sum(_gamma_pole_distance(0.5 - 0.5 * d + sgn * s) < GAMMA_POLE_TOL
                     for sgn in (1.0, -1.0))
     den_poles = sum(_gamma_pole_distance(1j * side * a) < GAMMA_POLE_TOL for side in (kp, km))
-    cancelled = (den_poles >= num_poles) & (np.abs(km) * a >= GAMMA_POLE_TOL)
+    cancelled = den_poles >= num_poles
     tower = _tower(spec, kp, "closed_form", c, sign=labels, branch=branch, k_minus=km)
     live = tower.classification != "trivial_zero"
     tower = dataclasses.replace(
@@ -386,11 +386,11 @@ def _scan_brackets(f, xs):
 
 
 def _axis_roots(tower: _Tower, a: float) -> _Tower:
-    """The members that meet the pole condition to 1e-8 (the pole finder's
-    acceptance residual) and lie at least 1e-9/a from every earlier one
+    """The members that meet the pole condition to the pole finder's
+    acceptance residual and lie at least 1e-9/a from every earlier one
     kept, sorted by (Im k, Re k); a trivial_zero is a pole too (a barrier's
     lower damped mode, y = k0^2 a, below 1e-8/a)."""
-    ok = np.flatnonzero(tower.residual <= 1e-8)
+    ok = np.flatnonzero(tower.residual <= _oracle._RESIDUAL_TOL)
     ok = ok[_keep_first(tower.k[ok], 1e-9 / a)]
     return tower.take(ok[np.lexsort((tower.k[ok].real, tower.k[ok].imag))])
 

@@ -262,6 +262,11 @@ def test_contract_gamma_pole_and_overflow():
     # Gamma(i k a) in the denominator has a pole at k = i (i k a = -1)
     with pytest.raises(DomainError):
         transmission_amplitude(spec, 1j, C)
+    # the bound state of Sech2(-1, 1): Gamma(i k a + 1/2 - s) in the
+    # numerator has its pole at k = -i (s = 3/2), the denominator has none
+    with pytest.raises(AtPoleError):
+        transmission_amplitude(Sech2(-1.0, 1.0), -1j, C)
+    assert cmath.isinf(transmission_amplitude(Sech2(-1.0, 1.0), np.array([-1j]), C).t[0])
     # far out in the second quadrant the gamma ratio overflows
     far = -569.344619648586 + 717.8391154195901j
     with pytest.raises(AtPoleError):

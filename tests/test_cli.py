@@ -386,6 +386,30 @@ class TestCommands:
         assert "PASS low-lying QNFs vs ODE poles (1 modes): " in out
         assert "SKIP" not in out
 
+    @pytest.mark.parametrize("argv, cancelled", [
+        (["--type", "eckart", "--V-minus", "0", "--V-plus", "2", "--V0", "-1", "--a", "1"], 2),
+        (["--type", "rosen-morse", "--A", "1", "--B", "1", "--C", "-1", "--a", "1"], 2),
+        (["--type", "tanh", "--V-minus", "0", "--V-plus", "2", "--a", "1"], 1),
+    ], ids=["eckart", "rosen_morse", "tanh"])
+    def test_verify_refines_no_threshold(self, argv, cancelled, capsys, monkeypatch):
+        # the low-lying members +-2i (2i for tanh) sit on the threshold
+        # k- = 0, where t has no pole
+        calls = []
+        refine = oracle.refine_pole
+
+        def counting(spec, guesses, c):
+            calls.extend(guesses.tolist())
+            return refine(spec, guesses, c)
+
+        monkeypatch.setattr(oracle, "refine_pole", counting)
+        code, out = run_cli(["verify", *argv], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        assert calls == []
+        assert out.splitlines()[-1] == (
+            "SKIP low-lying QNFs vs ODE poles: no closed-form QNF with |Im k| a <= 2.05 "
+            f"({cancelled} cancelled members not refined)")
+
     def test_verify_convergence_sees_the_tail_series(self, capsys, monkeypatch):
         # the check integrates the oracle's own domain, where a truncated
         # Jost tail series moves t; no call integrates beyond twice that

@@ -514,8 +514,19 @@ class TestArrayGrid:
         self.check_against_pointwise(spec, SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0), amplitude)
 
     def test_sech2_same_poles_as_pointwise_grid(self):
-        self.check_against_pointwise(Sech2(-1.0, 1.0), SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0),
-                                     transmission_amplitude)
+        # a barrier: eight poles in the region (a reflectionless well has none)
+        poles = self.check_against_pointwise(
+            Sech2(3.0, 1.0), SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0), transmission_amplitude)
+        assert poles
+
+    def test_an_iterate_on_the_exact_pole_is_kept(self):
+        # a third of a cell off the folded grid, one Newton iterate lands
+        # exactly on the gamma pole k = i (1/2 + s), s = i sqrt(5.75), where
+        # the closed form gives t = inf
+        d = (32.0 / 255.0) / 3.0
+        rep = find_poles(Sech2(3.0, 1.0), SearchRegion(-16.0 + d, 16.0 + d, 0.01, 2.5, 8.0), C,
+                         amplitude=transmission_amplitude)
+        assert complex(-math.sqrt(5.75), 0.5) in [k for k, _, _ in rep.poles]
 
     @staticmethod
     def check_against_pointwise(spec, region, amplitude):
@@ -524,6 +535,7 @@ class TestArrayGrid:
         assert len(rep.poles) == len(ref.poles)
         for (k, _, _), (k_ref, _, _) in zip(rep.poles, ref.poles):
             assert abs(k - k_ref) < 1e-12
+        return rep.poles
 
     def test_rejected_seeds_carry_a_reason(self):
         spec = RectBarrier(-1.0, 1.0)

@@ -14,6 +14,7 @@ from qnf1d import (
     Eckart,
     PhysicalConstants,
     RectBarrier,
+    RosenMorse,
     SearchRegion,
     Sech2,
     Step,
@@ -142,17 +143,27 @@ class TestCancelledMembers:
             for r, tr in zip(tower, t):
                 if r.classification == "cancelled":
                     assert np.isfinite(tr) and abs(tr) < 1e3, (lam, a, r)
-                elif r.k.imag != 0 and r.k_minus != 0:  # thresholds excepted
+                elif r.k.imag != 0:
                     assert abs(1 / tr) < 1e-4, (lam, a, r)
             assert sum(r.classification == "bound_state" for r in tower) == lam
 
-    def test_thresholds_keep_their_class(self):
-        # k- = 0 is left to a fix of its own: there t vanishes like sqrt(k-)
-        # through Gamma(i k- a) at m = 0, which the cancellation count skips
-        for spec, ns in ((Eckart(0.0, 2.0, -1.0, 1.0), (0, 2)), (Tanh(0.0, 2.0, 1.0), (1, 1))):
-            at_threshold = [r for r in closed_form_qnfs(spec, ns, C) if r.k_minus == 0]
-            assert at_threshold
-            assert all(r.classification != "cancelled" for r in at_threshold)
+    @pytest.mark.parametrize("spec, ns, expected", [
+        (Eckart(0.0, 2.0, -1.0, 1.0), (0, 2), [-2j, 2j]),
+        (RosenMorse(1.0, 1.0, -1.0, 1.0), (0, 2), [-2j, 2j]),
+        (Tanh(0.0, 2.0, 1.0), (1, 1), [2j]),
+        # V+ - V- = 4 n^2 / (p2 a^2): the tanh member n sits on the threshold
+        *((Tanh(-1.0, -1.0 + 8.0 * n * n, 0.5), (n, n), [4j * n]) for n in (1, 2, 3)),
+    ], ids=["eckart", "rosen_morse", "tanh", "tanh_n1", "tanh_n2", "tanh_n3"])
+    def test_thresholds_are_cancelled(self, spec, ns, expected):
+        # at k- = 0 the denominator Gamma(i k- a) is at its m = 0 pole, so
+        # t has no pole there
+        at_threshold = [r for r in closed_form_qnfs(spec, ns, C) if r.k_minus == 0]
+        assert sorted(r.k.imag for r in at_threshold) == [k.imag for k in expected]
+        assert all(r.classification == "cancelled" for r in at_threshold)
+        ks = np.array([r.k for r in at_threshold])
+        for k0, (k, _res, reason) in zip(ks, refine_pole(
+                spec, ks * (1 + 1e-3), C, amplitude=transmission_amplitude)):
+            assert reason is not None or abs(k - k0) > 1e-6, (spec, k0, k)
 
     def test_non_integer_couplings_cancel_nothing(self):
         rng = np.random.default_rng(7)
