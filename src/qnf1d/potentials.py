@@ -979,39 +979,71 @@ def _step_bound(limits, e: np.ndarray, p2: float) -> np.ndarray:
     return 4.0 * r / (1.0 + r) ** 2
 
 
-def _brentq(f, lo: float, hi: float) -> float:
-    """The root of f in a sign-changing bracket [lo, hi], to full double
-    precision, also for a root near 0 (a barrier's lower damped mode at y =
-    k0^2 a).  scipy.optimize imports most of scipy, so it loads here, on the
-    first call, and not with this module."""
-    from scipy.optimize import brentq
+def _find_roots(f, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """The roots of f in the brackets [lo, hi], one per bracket, where f_lo
+    and f_hi are f at the ends and differ in sign (lo == hi with f_lo == 0
+    is a root of its own); all four are float arrays, and f takes one.
 
-    return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    One vectorized Chandrupatla iteration (T. R. Chandrupatla, Adv. Eng.
+    Softw. 28, 145 (1997)) runs over all the brackets, with one call of f
+    per step on the brackets still open: a secant first step, then inverse
+    quadratic interpolation where Chandrupatla's test finds it safe and
+    bisection where not, each step at least one ulp from either end, so
+    that the last one lands across the root.  A bracket closes where f is 0
+    or its ends are adjacent doubles, and gives the end with the smaller
+    |f|: full double precision, also for a root near 0 (a barrier's lower
+    damped mode at y = k0^2 a)."""
+    # x1 is the newest point, [x1, x2] the bracket, x3 the point it dropped,
+    # t the next step as a fraction of dx = x2 - x1, first a secant step
+    x1, x2, f1, f2 = lo, hi, f_lo, f_hi
+    roots = np.empty_like(lo)
+    at = np.arange(lo.size)
+    with np.errstate(all="ignore"):
+        x3, f3, t, dx = x2, f2, f1 / (f1 - f2), x2 - x1
+        while at.size:
+            mid = x1 + 0.5 * dx
+            done = (f1 == 0) | (f2 == 0) | (mid == x1) | (mid == x2)
+            if np.count_nonzero(done):
+                roots[at[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+                at, x1, x2, x3, f1, f2, f3, t, dx = (
+                    v[~done] for v in (at, x1, x2, x3, f1, f2, f3, t, dx))
+                if not at.size:
+                    break
+            # a step at least one ulp from either end, so that the last
+            # step lands across the root; bisection where the bracket holds
+            # one double or t is nan
+            tl = np.minimum(np.spacing(np.abs(x1)) / np.abs(dx), 0.5)
+            x = x1 + np.fmin(np.fmax(t, tl), 1.0 - tl) * dx
+            fx = f(x)
+            same = np.sign(fx) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, fx
+            # inverse quadratic interpolation where Chandrupatla's test finds
+            # it monotonic over the bracket
+            dx, d12, d32 = x2 - x1, f1 - f2, f3 - f2
+            xi, phi = -dx / (x3 - x2), d12 / d32
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / dx * f2 / (f3 - f1)), 0.5)
+    return roots
 
 
 def _double_delta_resonance_roots(k0: float, a: float, n_max: int):
-    """Real-k roots of k = -k0 tan(2 k a), one per half-period window."""
-    roots = []
+    """Real-k roots of k = -k0 tan(2 k a), one per half-period window, as
+    (n, k) pairs."""
+    # k + k0 tan(theta) with theta = 2 k a changes sign once per window
+    # between consecutive poles of tan
     eps = 1e-9
-    for n in range(n_max):
-        # k + k0 tan(theta) with theta = 2 k a changes sign once per window
-        # between consecutive poles of tan
-        if k0 > 0:
-            lo, hi = (n + 0.5) * math.pi + eps, (n + 1.0) * math.pi - eps
-        else:
-            lo, hi = n * math.pi + eps, (n + 0.5) * math.pi - eps
-        f = lambda th: th / (2.0 * a) + k0 * math.tan(th)
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            roots.append((n, lo / (2 * a)))
-            continue
-        if flo * fhi > 0:
-            continue  # no resonance in this window (small-k exceptions)
-        th = _brentq(f, lo, hi)
-        k = th / (2.0 * a)
-        if k > 1e-12:
-            roots.append((n, k))
-    return roots
+    n = np.arange(n_max)
+    start = n + 0.5 if k0 > 0 else n
+    lo, hi = start * math.pi + eps, (start + 0.5) * math.pi - eps
+    f = lambda th: th / (2.0 * a) + k0 * np.tan(th)
+    f_lo, f_hi = f(lo), f(hi)
+    # no resonance in a window with no sign change (small-k exceptions)
+    ok = np.sign(f_lo) * np.sign(f_hi) <= 0
+    k = _find_roots(f, lo[ok], hi[ok], f_lo[ok], f_hi[ok]) / (2.0 * a)
+    keep = k > 1e-12
+    return list(zip(n[ok][keep].tolist(), k[keep].tolist()))
 
 
 def resonances(spec: PotentialSpec, n_max: int, c: PhysicalConstants = DEFAULT_CONSTANTS) -> list[ResonanceEntry]:

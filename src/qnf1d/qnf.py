@@ -27,8 +27,8 @@ from .potentials import (
     PhysicalConstants,
     _array_first,
     _barrier,
-    _brentq,
     _delta_pair,
+    _find_roots,
     length_scale,
     normal_form,
     transmission_amplitude,
@@ -377,12 +377,19 @@ def _closed_form_tower(spec, n_range, c: PhysicalConstants) -> _Tower:
 # ---------------------------------------------------------------------------
 
 def _scan_brackets(f, xs):
-    """Sign-change brackets of f over the grid array xs, with one call of f
-    on the whole grid; non-finite values bracket nothing."""
+    """The brackets (lo, hi, f_lo, f_hi) of the roots of f over the sorted
+    grid array xs, with one call of f on the whole grid: each cell whose ends
+    differ in sign, and each node where f is 0 as the bracket lo == hi; a
+    non-finite value brackets nothing."""
     with np.errstate(all="ignore"):
         vals = f(xs)
-        change = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (vals[:-1] * vals[1:] < 0)
-    return list(zip(xs[:-1][change], xs[1:][change]))
+        # signs, not products of values, which can underflow to 0
+        sign = np.sign(vals) * np.isfinite(vals)
+    opens = vals == 0
+    opens[:-1] |= sign[:-1] * sign[1:] < 0
+    lo = np.flatnonzero(opens)
+    hi = lo + (vals[lo] != 0)
+    return xs[lo], xs[hi], vals[lo], vals[hi]
 
 
 def _axis_roots(tower: _Tower, a: float) -> _Tower:
@@ -395,13 +402,20 @@ def _axis_roots(tower: _Tower, a: float) -> _Tower:
     return tower.take(ok[np.lexsort((tower.k[ok].real, tower.k[ok].imag))])
 
 
+# the axis grid's relative offsets from each |k0|
+_NEAR = np.geomspace(1e-14, 1.0, 48)
+
+
 def _imaginary_axis_tower(spec, form: Interfaces, c) -> _Tower:
     """The poles k = i y of a two-interface form with v1 == v3, where den /
-    k2 of t is i times a real function of y: brentq refines its sign changes
-    on a grid uniform in y out to 50/a (a barrier's upper damped mode for k0
-    a above 1e-19) or past the couplings, uniform in a well's real inner q
-    (roots crowd towards |y| = k0), and geometric towards each |k0| (as do
-    delta-pair roots); below the axis only for a form that can bind."""
+    k2 of t is i times a real function of y.  One call of it on a grid
+    brackets its roots: uniform in y out to 50/a (a barrier's upper damped
+    mode for k0 a above 1e-19) or past the couplings, uniform in a well's
+    real inner q (roots crowd towards |y| = k0), and geometric towards each
+    |k0| (as do delta-pair roots); below the axis only for a form that can
+    bind.  One vectorized bracketed solve (potentials._find_roots), which
+    starts from the grid's values at the bracket ends, refines all the
+    roots together."""
     p2, a = c.p2, form.a
 
     def f(y):
@@ -413,16 +427,14 @@ def _imaginary_axis_tower(spec, form: Interfaces, c) -> _Tower:
     if form.v2 < form.v1:
         # a q step of at most pi / (8a), a quarter of the roots' spacing in q
         q = np.linspace(0.0, k0s[2], int(8.0 * k0s[2] * a / math.pi) + 32)
-        half.append(np.sqrt(k0s[2] ** 2 - q * q))
-    near = np.geomspace(1e-14, 1.0, 48)
-    half += [k0 * side for k0 in k0s if k0 > 0 for side in (1.0 + near, 1.0 - near)]
+        half.append(np.sqrt((k0s[2] - q) * (k0s[2] + q)))
+    half += [k0 * side for k0 in k0s if k0 > 0 for side in (1.0 + _NEAR, 1.0 - _NEAR)]
     half = np.concatenate(half)
     if form.v2 < form.v1 or form.alpha_left < 0 or form.alpha_right < 0:
         half = np.concatenate([-half, half])
-    ys = np.array([_brentq(f, lo, hi) for lo, hi in _scan_brackets(f, np.sort(half))],
-                  dtype=float)
+    ys = _find_roots(f, *_scan_brackets(f, np.sort(half)))
     # 1/t = den e^{2ya} / (4 i y k2) magnifies each ulp of a damped mode:
-    # keep the double within 8 ulps of brentq's root with the least residual
+    # keep the double within 8 ulps of the root of f with the least residual
     ks = _complex(0.0, ys[:, None] + np.arange(-8, 9) * np.spacing(ys)[:, None])
     ks = ks[np.arange(len(ys)), np.argmin(_residual(form, ks, p2), axis=1)]
     aux = None if form.v2 == form.v1 else form.denominator(ks, p2)[1]

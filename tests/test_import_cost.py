@@ -66,3 +66,27 @@ closed_form_qnfs(DoubleDelta(1.0, 1.0), (0, 3))
     assert not [m for m in loaded
                 if m.split(".")[:2] in (["scipy", "spatial"], ["scipy", "linalg"],
                                         ["scipy", "sparse"])]
+
+
+HEAVY = ("optimize", "linalg", "sparse", "spatial", "fft")
+
+
+def test_root_finding_commands_load_no_heavy_scipy():
+    # the delta-pair resonances and the imaginary-axis towers find their
+    # bracketed roots with numpy alone; verify on an unequal pair builds
+    # such a tower too
+    for argv in (
+        ["resonances", "--type", "double-delta", "--alpha", "1", "--a", "1", "--n-max", "50"],
+        ["qnf", "--type", "rect-barrier", "--V0", "-1", "--a", "1",
+         "--method", "transcendental"],
+        ["verify", "--type", "asym-double-delta", "--alpha-plus", "1", "--alpha-minus", "0.7",
+         "--a", "1"],
+    ):
+        code = f"""
+import contextlib, io
+from qnf1d import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+"""
+        loaded = loaded_after(code)
+        assert not [m for m in loaded if m.split(".")[:2] in [["scipy", h] for h in HEAVY]], argv

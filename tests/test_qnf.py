@@ -32,7 +32,7 @@ from qnf1d import (
     transmission_amplitude,
 )
 from qnf1d.errors import DomainError, UnsupportedPotentialError
-from qnf1d.potentials import normal_form
+from qnf1d.potentials import _find_roots, normal_form
 from qnf1d.qnf import (
     _keep_first, _scan_brackets, rect_barrier_k_series, rect_barrier_q_series,
 )
@@ -404,7 +404,35 @@ class TestTranscendental:
         ref = [(x0, x1) for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:])
                if math.isfinite(v0) and math.isfinite(v1) and v0 * v1 < 0]
         assert len(ref) > 100
-        assert _scan_brackets(lambda x: np.tan(x) * np.exp(x) - 1.0, xs) == ref
+        f = lambda x: np.tan(x) * np.exp(x) - 1.0
+        lo, hi, f_lo, f_hi = _scan_brackets(f, xs)
+        assert list(zip(lo, hi)) == ref
+        # the end values are the grid call's, so no root finder calls f there
+        assert np.array_equal(f_lo, f(lo)) and np.array_equal(f_hi, f(hi))
+
+    def test_bracket_scan_lists_a_zero_at_a_node_once(self):
+        # the product of the values next to an exact zero is 0, not < 0
+        xs = np.linspace(0.0, 1.0, 11)
+        assert xs[5] == 0.5
+        brackets = _scan_brackets(lambda y: y - 0.5, xs)
+        assert [b.tolist() for b in brackets] == [[0.5], [0.5], [0.0], [0.0]]
+        assert _find_roots(lambda y: y - 0.5, *brackets).tolist() == [0.5]
+        # and with a sign change in another cell, in grid order
+        lo, hi, _, _ = _scan_brackets(lambda y: (y - 0.5) * (y - 0.15), xs)
+        assert lo.tolist() == [0.1, 0.5] and hi.tolist() == [0.2, 0.5]
+
+    def test_bracket_scan_sees_signs_whose_product_underflows(self):
+        xs = np.array([0.0, 2.0])
+        lo, hi, _, _ = _scan_brackets(lambda y: 1e-200 * (1.0 - y), xs)
+        assert lo.tolist() == [0.0] and hi.tolist() == [2.0]
+
+    def test_well_grid_has_no_nan_node(self):
+        # for this well's k0, k0 ** 2 rounds one ulp above k0 * k0, so a q
+        # grid node written sqrt(k0 ** 2 - q * q) is nan at q = k0 and warns
+        # (an error under this suite's warning filter)
+        spec = RectBarrier(-0.012670899879997586, 0.2983423648043918)
+        roots = transcendental_qnfs(spec, "imaginary_axis", C)
+        assert [r.classification for r in roots] == ["bound_state", "damped_mode"]
 
     def test_bad_descriptor(self):
         with pytest.raises(DomainError):
