@@ -67,6 +67,12 @@ _PANEL_REACH = 2.0
 _PANEL_CAP = 4096
 # panel matrices per linear solve, which bounds the memory of a large grid
 _PANEL_BLOCK = 256
+# find_poles screens out a seed whose two grid estimates of d(1/t)/dk (along
+# Re k and along Im k) agree to this fraction of the larger ...
+_SCREEN_SLOPE_TOL = 0.1
+# ... and whose one Newton step lands more than this many grid cells outside
+# the region
+_SCREEN_CELLS = 1.0
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,11 @@ class PoleReport:
     """Poles found in a region: (k, residual |1/t|, seeds) triples, seeds
     being the number of grid seeds that refined onto k (not a pole order).
 
-    ``rejected`` holds a (seed, reason) pair for every grid seed whose
-    refinement failed the acceptance rule."""
+    ``rejected`` holds a (seed, reason) pair for every grid seed that gave
+    no pole: its refinement failed the acceptance rule, or it was screened
+    out before refinement because the Newton step from the grid's own slope
+    of 1/t lands more than one grid cell outside the region (see
+    ``find_poles``); a screened seed's reason names that landing point."""
 
     poles: list
     region: SearchRegion
@@ -449,7 +458,7 @@ def _newton_polish(f, k0, on_axis=False):
             break
         zl = z[live]
         h = 1e-7 * np.maximum(1.0, np.abs(zl))
-        gz, gp, gm = np.split(g(np.concatenate([zl, zl + h, zl - h])), 3)
+        gz, gp, gm = g(np.concatenate([zl, zl + h, zl - h])).reshape(3, -1)
         ga = np.abs(gz)
         if n == 0:
             best_g[live] = ga
@@ -486,8 +495,8 @@ def _rejections(f, k, basin):
     if basin.any():
         kb = k[basin]
         probe = 1e-4 * (1.0 + np.abs(kb))
-        res[basin], p_re, p_im = np.split(
-            np.abs(f(np.concatenate([kb, kb + probe, kb + 1j * probe]))), 3)
+        res[basin], p_re, p_im = np.abs(
+            f(np.concatenate([kb, kb + probe, kb + 1j * probe]))).reshape(3, -1)
         flat[basin] = ~(np.maximum(p_re, p_im) > 10.0 * np.maximum(res[basin], _RESIDUAL_TOL * 1e-4))
     reasons = []
     for z, r, fl, b in zip(k.tolist(), res.tolist(), flat.tolist(), basin.tolist()):
@@ -607,6 +616,21 @@ def _grid(res, ims):
     return grid
 
 
+# three-point weights of 2 h d/dx: at the first point of a line, inside it
+# and at its last point
+_STENCILS = np.array([[-3.0, 4.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -4.0, 3.0]])
+
+
+def _grid_slope(g, rows, cols, h):
+    """dg/dx at the points g[rows, cols] of a grid whose columns are h apart,
+    from the grid alone: central differences, three-point one-sided ones in
+    the first and the last column."""
+    n = g.shape[1]
+    start = np.clip(cols - 1, 0, n - 3)
+    w = _STENCILS[(cols > 0).astype(int) + (cols == n - 1)]
+    return (w * g[rows[:, None], start[:, None] + np.arange(3)]).sum(axis=1) / (2.0 * h)
+
+
 def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTANTS,
                amplitude=None, count_zeros=False) -> PoleReport:
     """Grid-scan g(k) = 1/t over the region, refine local minima of |g|.
@@ -620,10 +644,20 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
 
     Where the two limits of the spec are equal, a real potential gives
     t(-k*) = t(k)*, so the grid is evaluated once per distinct |Re k| and a
-    column with Re k < 0 takes |1/t| from its mirror: an ``amplitude``
-    passed for such a spec must satisfy that identity, as any t of the spec
-    does.  With unequal limits the identity fails (the transmitted
-    wavenumber is a principal root) and the whole grid is evaluated.
+    column with Re k < 0 takes the conjugate of its mirror's 1/t: an
+    ``amplitude`` passed for such a spec must satisfy that identity, as any
+    t of the spec does.  With unequal limits the identity fails (the
+    transmitted wavenumber is a principal root) and the whole grid is
+    evaluated.
+
+    A seed is not refined when the grid says it cannot give a pole in the
+    region: its two estimates of dg/dk from its grid neighbours, along Re k
+    and along -i times along Im k, agree to ``_SCREEN_SLOPE_TOL`` (10 %) of
+    the larger, and the Newton step g / (dg/dk) from the grid point lands
+    more than ``_SCREEN_CELLS`` (one) grid cell outside the region.  With
+    unequal limits a seed within 1.5 cells of Re k = 0 is always refined:
+    the principal-root cut lies there.  A screened seed is listed in
+    ``rejected`` with its landing point.
     """
     if amplitude is None:
         amplitude = numeric_amplitude
@@ -638,23 +672,43 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     grid = _grid(res, ims)
     v_minus, v_plus = normal_form(spec).limits
     if v_minus == v_plus:
-        # |1/t(-k*)| = |1/t(k)|: one column per distinct |Re k|
-        cols, mirror = np.unique(np.abs(res), return_inverse=True)
-        mag = np.abs(f(_grid(cols, ims)))[:, mirror]
+        # 1/t(-k*) = (1/t(k))*: one column per distinct |Re k|
+        xs, mirror = np.unique(np.abs(res), return_inverse=True)
+        g = f(_grid(xs, ims))[:, mirror]
+        g[:, res < 0] = g[:, res < 0].conj()
     else:
-        mag = np.abs(f(grid))
+        g = f(grid)
+    mag = np.abs(g)
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
     # seeds are the local minima of |1/t| over each point's 3 x 3 window
-    seeds = grid[(mag < 1e6) & (mag <= _window_min(mag))]
+    rows, cols = np.nonzero((mag < 1e6) & (mag <= _window_min(mag)))
+    seeds = grid[rows, cols]
+    near_axis = np.abs(seeds.real) < 1.5 * cell
 
-    def inside(k, _guesses):
-        return ((region.re_min - 1e-9 <= k.real) & (k.real <= region.re_max + 1e-9)
-                & (region.im_min - 1e-9 <= k.imag) & (k.imag <= region.im_max + 1e-9))
+    def inside(k, margin):
+        return ((region.re_min - margin <= k.real) & (k.real <= region.re_max + margin)
+                & (region.im_min - margin <= k.imag) & (k.imag <= region.im_max + margin))
 
-    refined = _refine(f, seeds, np.abs(seeds.real) < 1.5 * cell, inside)
+    with np.errstate(all="ignore"):
+        # an analytic g has dg/dk = dg/dx = -i dg/dy
+        d_re = _grid_slope(g, rows, cols, res[1] - res[0])
+        d_im = -1j * _grid_slope(g.T, cols, rows, ims[1] - ims[0])
+        landing = seeds - g[rows, cols] / (0.5 * (d_re + d_im))
+        analytic = np.abs(d_re - d_im) < _SCREEN_SLOPE_TOL * np.maximum(np.abs(d_re), np.abs(d_im))
+    screened = analytic & ~inside(landing, _SCREEN_CELLS * cell)
+    if v_minus != v_plus:
+        screened &= ~near_axis
+    refined = iter(_refine(f, seeds[~screened], near_axis[~screened],
+                           lambda k, _guesses: inside(k, 1e-9)))
     poles, rejected = [], []
-    for seed, (k, r, reason) in zip(seeds.tolist(), refined):
+    for seed, land, skip in zip(seeds.tolist(), landing.tolist(), screened.tolist()):
+        if skip:
+            rejected.append((seed, f"no certified pole from guess {seed}: the Newton step "
+                                   f"from the grid lands at k={land}, more than "
+                                   f"{_SCREEN_CELLS:g} grid cell outside the region"))
+            continue
+        k, r, reason = next(refined)
         if reason:
             rejected.append((seed, reason))
             continue

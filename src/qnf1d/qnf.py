@@ -160,10 +160,12 @@ class _Tower:
 
 def _tower(spec, ks, method, c, sign=None, branch=None, k_minus=None, aux=None) -> _Tower:
     """The columns of the members ks, with one residual call over all of
-    them; sign defaults to "none" throughout, the other columns to None."""
+    them (none for an empty tower); sign defaults to "none" throughout, the
+    other columns to None."""
     ks = np.asarray(ks, dtype=complex)
     column = lambda v, dtype: None if v is None else np.asarray(v, dtype=dtype)  # noqa: E731
-    return _Tower(ks, method, _residual(normal_form(spec), ks, c.p2),
+    residual = _residual(normal_form(spec), ks, c.p2) if len(ks) else np.empty(0)
+    return _Tower(ks, method, residual,
                   _classify(ks, length_scale(spec)),
                   np.full(len(ks), "none") if sign is None else np.asarray(sign, dtype=str),
                   column(branch, int), column(k_minus, complex), column(aux, complex))
@@ -432,7 +434,10 @@ def _imaginary_axis_tower(spec, form: Interfaces, c) -> _Tower:
     half = np.concatenate(half)
     if form.v2 < form.v1 or form.alpha_left < 0 or form.alpha_right < 0:
         half = np.concatenate([-half, half])
-    ys = _find_roots(f, *_scan_brackets(f, np.sort(half)))
+    brackets = _scan_brackets(f, np.sort(half))
+    if not len(brackets[0]):
+        return _tower(spec, [], "transcendental", c)
+    ys = _find_roots(f, *brackets)
     # 1/t = den e^{2ya} / (4 i y k2) magnifies each ulp of a damped mode:
     # keep the double within 8 ulps of the root of f with the least residual
     ks = _complex(0.0, ys[:, None] + np.arange(-8, 9) * np.spacing(ys)[:, None])

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -37,8 +38,10 @@ from qnf1d.oracle import (
     _EXP_GUARD,
     _NEWTON_MAX_ITER,
     _ODE_HALF_WIDTH,
+    _grid,
     _grid_columns,
     _inv_t,
+    _refine,
     _transfer_matrices,
     _window_min,
     transfer_matrix_det_error,
@@ -107,13 +110,21 @@ def inverse_t_error(spec, k):
     return float(err.max())
 
 
-def scalar_grid(spec, region, amplitude):
-    """|1/t| on the find_poles grid, point by point; inf where unevaluated."""
+def grid_axes(region):
+    """find_poles' grid columns, rows and cell size."""
     nre = max(4, int(round((region.re_max - region.re_min) * region.grid_density)))
     nim = max(4, int(round((region.im_max - region.im_min) * region.grid_density)))
-    mag = np.full((nim, nre), np.inf)
-    for i, y in enumerate(_grid_columns(region.im_min, region.im_max, nim)):
-        for j, x in enumerate(_grid_columns(region.re_min, region.re_max, nre)):
+    res = _grid_columns(region.re_min, region.re_max, nre)
+    ims = _grid_columns(region.im_min, region.im_max, nim)
+    return res, ims, max(res[1] - res[0], ims[1] - ims[0])
+
+
+def scalar_grid(spec, region, amplitude):
+    """|1/t| on the find_poles grid, point by point; inf where unevaluated."""
+    res, ims, _cell = grid_axes(region)
+    mag = np.full((ims.size, res.size), np.inf)
+    for i, y in enumerate(ims):
+        for j, x in enumerate(res):
             z = complex(x, y)
             if abs(z) >= 1e-6:
                 v = _inv_t(spec, np.array([z]), C, amplitude)[0]
@@ -485,11 +496,7 @@ class TestArrayGrid:
         # in pairs k, -k*).  Sech2(-1, 1) is reflectionless with no pole in
         # the region, so its case checks that neither scan reports one
         region = self.REGION
-        nre = round((region.re_max - region.re_min) * region.grid_density)
-        nim = round((region.im_max - region.im_min) * region.grid_density)
-        res = _grid_columns(region.re_min, region.re_max, nre)
-        ims = _grid_columns(region.im_min, region.im_max, nim)
-        cell = max(res[1] - res[0], ims[1] - ims[0])
+        res, _ims, cell = grid_axes(region)
         shift = (res[1] - res[0]) / 3.0
         shifted = SearchRegion(region.re_min + shift, region.re_max + shift, region.im_min,
                                region.im_max, region.grid_density)
@@ -567,6 +574,137 @@ class TestArrayGrid:
         inv = _inv_t(spec, k, C, amplitude)
         assert np.array_equal(seen[0], k)
         assert np.array_equal(inv, 1.0 / transmission_amplitude(spec, k, C).t)
+
+
+def landing_point(reason):
+    """The landing point a screened seed's reason names; None for a seed
+    that was refined."""
+    m = re.search(r"lands at k=(\S+), ", reason)
+    return m and complex(m.group(1))
+
+
+def refine_every_seed(spec, region, amplitude):
+    """The poles of a scan that refines every seed: each local minimum of
+    |1/t| over the whole (unfolded) grid refined with _refine, and the
+    accepted points merged within find_poles' radius, best residual first."""
+    f = lambda k: _inv_t(spec, k, C, amplitude)  # noqa: E731
+    res, ims, cell = grid_axes(region)
+    grid = _grid(res, ims)
+    mag = np.abs(f(grid))
+    mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
+    seeds = grid[(mag < 1e6) & (mag <= _window_min(mag))]
+
+    def inside(k, _guesses):
+        return ((region.re_min - 1e-9 <= k.real) & (k.real <= region.re_max + 1e-9)
+                & (region.im_min - 1e-9 <= k.imag) & (k.imag <= region.im_max + 1e-9))
+
+    refined = _refine(f, seeds, np.abs(seeds.real) < 1.5 * cell, inside)
+    poles = []
+    for k, _r, _reason in sorted((p for p in refined if p[2] is None), key=lambda p: p[1]):
+        if all(abs(k - q) >= 1e-6 / length_scale(spec) for q in poles):
+            poles.append(k)
+    return poles
+
+
+class TestSeedScreening:
+    """find_poles refines a seed only where the Newton step from the grid's
+    own slope of 1/t can land in the region."""
+
+    @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
+                             ids=["transfer", "closed_form"])
+    def test_scan_well_screens_its_stragglers(self, amplitude):
+        # every seed was refined before: 14 amplitude calls, 30 of the 40
+        # seeds rejected, and Newton ran 12 iterations for them
+        spec, region = RectBarrier(-1.0, 1.0), SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
+        calls = []
+
+        def counting(spec, k, c):
+            calls.append(k.size)
+            return amplitude(spec, k, c)
+
+        rep = find_poles(spec, region, C, amplitude=counting)
+        assert len(rep.poles) == 9
+        assert len(calls) <= 8
+        _res, _ims, cell = grid_axes(region)
+        landings = [landing_point(reason) for _seed, reason in rep.rejected]
+        assert any(landings)
+        for k in filter(None, landings):
+            assert not (region.re_min - cell <= k.real <= region.re_max + cell
+                        and region.im_min - cell <= k.imag <= region.im_max + cell), k
+
+    def test_a_pair_below_the_floor_is_screened(self):
+        # 1/t = i (k - 1.5i)(k - 2 + 0.4i)(k + 2 + 0.4i), which keeps
+        # t(-k*) = t(k)* (the folded grid): one pole inside the region and a
+        # mirrored pair about three cells below its floor
+        inner, pair = 1.5j, (2.0 - 0.4j, -2.0 - 0.4j)
+
+        def amplitude(spec, k, c):
+            return ScatteringAmplitudes(1.0 / (1j * (k - inner) * (k - pair[0]) * (k - pair[1])),
+                                        None, k, k)
+
+        region = SearchRegion(-4.0, 4.0, 0.05, 3.0, 8.0)
+        rep = find_poles(RectBarrier(1.0, 1.0), region, C, amplitude=amplitude)
+        assert len(rep.poles) == 1 and abs(rep.poles[0][0] - inner) < 1e-12
+        _res, _ims, cell = grid_axes(region)
+        screened = [seed for seed, reason in rep.rejected if landing_point(reason)]
+        for p in pair:
+            floor = complex(p.real, region.im_min)
+            assert [seed for seed in screened if abs(seed - floor) < 2.0 * cell] != [], p
+
+    def test_seeds_next_to_the_cut_are_refined(self):
+        # unequal limits: 1/t = (sqrt(k^2) - 0.5i)(k + x0 + 0.3i) has the
+        # principal-root cut on Re k = 0.  The floor seed at -x0, 1.5 columns
+        # left of the cut (within 1.5 cells, as the rows are a little wider
+        # apart), sees only the left branch -(k + 0.5i)(k + x0 + 0.3i), whose
+        # Newton step lands below the floor; it is refined all the same
+        region = SearchRegion(-2.0, 2.0, 0.01, 2.0, 8.0)
+        res, ims, cell = grid_axes(region)
+        x0 = 1.5 * (res[1] - res[0])
+        assert x0 < 1.5 * cell
+
+        def amplitude(spec, k, c):
+            return ScatteringAmplitudes(1.0 / ((np.sqrt(k * k) - 0.5j) * (k + x0 + 0.3j)),
+                                        None, k, k)
+
+        rep = find_poles(AsymRectBarrier(0.0, 1.0, 0.5, 1.0), region, C, amplitude=amplitude)
+        assert [abs(k - 0.5j) < 1e-12 for k, _, _ in rep.poles] == [True]
+        seed = complex(-x0, ims[0])
+        left = -(seed + 0.5j) * (seed + x0 + 0.3j)
+        landing = seed - left / -(2.0 * seed + x0 + 0.8j)
+        assert landing.imag < region.im_min - cell
+        [reason] = [reason for k, reason in rep.rejected if abs(k - seed) < 1e-12]
+        assert landing_point(reason) is None
+
+    def test_same_poles_as_refining_every_seed(self):
+        # a census over random specs: screening drops no pole and moves none
+        rng = np.random.default_rng(27)
+
+        def level():
+            return rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
+
+        cases = []
+        for _ in range(5):
+            a = rng.uniform(0.3, 2.5)
+            scan = SearchRegion(-16.0 / a, 16.0 / a, 0.01 / a, 2.5 / a, 8.0 * a)
+            smooth = SearchRegion(-6.0 / a, 6.0 / a, 0.01 / a, 4.0 / a, 8.0 * a)
+            for spec in (RectBarrier(level() / a**2, a),
+                         AsymDoubleDelta(level() / a, level() / a, a),
+                         AsymRectBarrier(level() / a**2, level() / a**2, level() / a**2, a)):
+                cases += [(spec, scan, numeric_amplitude), (spec, scan, transmission_amplitude)]
+            cases += [(Sech2(level() / a**2, a), smooth, transmission_amplitude),
+                      (Eckart(level() / a**2, level() / a**2, level() / a**2, a), smooth,
+                       transmission_amplitude)]
+        total = 0
+        for spec, region, amplitude in cases:
+            rep = find_poles(spec, region, C, amplitude=amplitude)
+            found = sorted((k for k, _, _ in rep.poles), key=lambda k: (k.imag, k.real))
+            ref = sorted(refine_every_seed(spec, region, amplitude),
+                         key=lambda k: (k.imag, k.real))
+            assert len(found) == len(ref), (spec, found, ref)
+            for k, q in zip(found, ref):
+                assert abs(k - q) <= 1e-12 * abs(q), (spec, k, q)
+            total += len(ref)
+        assert total > 100
 
 
 class TestOverflowGuard:

@@ -31,8 +31,9 @@ from qnf1d import (
     transcendental_qnfs,
     transmission_amplitude,
 )
+from qnf1d import qnf as qnf_module
 from qnf1d.errors import DomainError, UnsupportedPotentialError
-from qnf1d.potentials import _find_roots, normal_form
+from qnf1d.potentials import Interfaces, _find_roots, normal_form
 from qnf1d.qnf import (
     _keep_first, _scan_brackets, rect_barrier_k_series, rect_barrier_q_series,
 )
@@ -380,6 +381,23 @@ class TestTranscendental:
         # above the damped-mode threshold no imaginary-axis QNF survives
         assert transcendental_qnfs(AsymDoubleDelta(1.0, 2.0, 1.0),
                                    "imaginary_axis", C) == []
+
+    @pytest.mark.parametrize("spec", [RectBarrier(1.0, 1.0), AsymDoubleDelta(1.0, 0.7, 1.0)],
+                             ids=repr)
+    def test_rootless_tower_ends_at_the_bracket_scan(self, spec, monkeypatch):
+        # no bracket, no root: the one denominator call is the grid's, and no
+        # residual is computed for the empty tower
+        residuals, denominators = [], []
+        monkeypatch.setattr(qnf_module, "_residual", lambda *args: residuals.append(args))
+        denominator = Interfaces.denominator
+
+        def counting(self, k, p2):
+            denominators.append(k)
+            return denominator(self, k, p2)
+
+        monkeypatch.setattr(Interfaces, "denominator", counting)
+        assert transcendental_qnfs(spec, "imaginary_axis", C) == []
+        assert residuals == [] and len(denominators) == 1
 
     def test_region_search_matches_closed_form(self):
         spec = DoubleDelta(0.5, 1.0)
