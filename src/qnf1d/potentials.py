@@ -221,9 +221,11 @@ class Interfaces:
         return np.where(x < -self.a, self.v1, np.where(x > self.a, self.v3, self.v2))
 
     def denominator(self, k: np.ndarray, p2: float) -> tuple:
-        """(den / k2, k2, k3) over an array of incidence k, where t = 4 k2
-        sqrt(k k3) e^{i (k + k3) a} / den; den / k2 is even in k2, nan where
-        sin(2 k2 a) overflows."""
+        """(den / k2, k2, k3, bound) over an array of incidence k, where t = 4
+        k2 sqrt(k k3) e^{i (k + k3) a} / den; den / k2 is even in k2, nan (in
+        both parts) where sin(2 k2 a) overflows.  bound() is B, the sum below
+        with each summand replaced by its magnitude: a multiple of eps B bounds
+        its rounding error (Higham, Accuracy and Stability, 2nd ed., 3.3)."""
         g1, g2 = p2 * self.alpha_left, p2 * self.alpha_right
         e = self.v1 + k * k / p2
         k2 = _level_wavenumber(k, e, self.v1, self.v2, p2)
@@ -237,14 +239,16 @@ class Interfaces:
         sin_k2 = _sin_over(k2, 2.0 * self.a)
         gap1 = _gap(k, sgn * k2, p2 * (self.v2 - self.v1))
         gap3 = gap1 if self.v3 == self.v1 else _gap(k3, sgn * k2, p2 * (self.v2 - self.v3))
-        den_k2 = 2.0 * (w1 + w3) * np.exp(2j * sgn * k2 * self.a) \
-            + 2j * (gap1 - 1j * g1) * (gap3 - 1j * g2) * sin_k2
-        return np.where(np.isfinite(sin_k2), den_k2, complex("nan")), k2, k3
+        decay = np.exp(2j * sgn * k2 * self.a)
+        den_k2 = 2.0 * (w1 + w3) * decay + 2j * (gap1 - 1j * g1) * (gap3 - 1j * g2) * sin_k2
+        bound = lambda: 2.0 * ((abs(k) + abs(g1) + abs(k3) + abs(g2)) * abs(decay)  # noqa: E731
+                               + (abs(gap1) + abs(g1)) * (abs(gap3) + abs(g2)) * abs(sin_k2))
+        return np.where(np.isfinite(sin_k2), den_k2, complex(math.nan, math.nan)), k2, k3, bound
 
     def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
         """t of the two-interface problem with couplings g = p2 * alpha, over
         an array of k (see transmission_amplitude)."""
-        den_k2, _, k3 = self.denominator(k, p2)
+        den_k2, _, k3, _ = self.denominator(k, p2)
         phase = np.exp(1j * (k + k3) * self.a)
         sqrt_k = np.sqrt(k)
         t = 4.0 * sqrt_k * (sqrt_k if k3 is k else np.sqrt(k3)) * phase / den_k2

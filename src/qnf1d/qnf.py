@@ -158,13 +158,15 @@ class _Tower:
                         column(self.aux)))
 
 
-def _tower(spec, ks, method, c, sign=None, branch=None, k_minus=None, aux=None) -> _Tower:
+def _tower(spec, ks, method, c, sign=None, branch=None, k_minus=None, aux=None,
+           residual=None) -> _Tower:
     """The columns of the members ks, with one residual call over all of
-    them (none for an empty tower); sign defaults to "none" throughout, the
-    other columns to None."""
+    them (none for an empty tower or a given residual); sign defaults to
+    "none" throughout, the other columns to None."""
     ks = np.asarray(ks, dtype=complex)
     column = lambda v, dtype: None if v is None else np.asarray(v, dtype=dtype)  # noqa: E731
-    residual = _residual(normal_form(spec), ks, c.p2) if len(ks) else np.empty(0)
+    if residual is None:
+        residual = _residual(normal_form(spec), ks, c.p2)[0] if len(ks) else np.empty(0)
     return _Tower(ks, method, residual,
                   _classify(ks, length_scale(spec)),
                   np.full(len(ks), "none") if sign is None else np.asarray(sign, dtype=str),
@@ -180,38 +182,33 @@ def _gamma_pole_distance(z):
     return np.abs(z + np.maximum(0.0, np.round(-z.real)))
 
 
-def _residual(form, k, p2: float):
-    """pole_condition over an array of k in the form's qnf_level plane."""
+def _residual(form, k, p2: float) -> tuple:
+    """(pole_condition, k2) over an array of k in the form's qnf_level plane,
+    with the inner wavenumber k2 of an Interfaces form (None for Eckart)."""
     with np.errstate(all="ignore"):
-        if isinstance(form, EckartReduction):
+        if isinstance(form, Interfaces):
+            den_k2, k2, _, bound = form.denominator(k, p2)
+            b = bound()
+            res = np.where((k == 0) | np.isinf(b), np.inf, np.abs(den_k2) / b)
+        else:
             # the nearest gamma argument's distance from a pole; either root
             # of the partner k- may be physical
-            km = np.sqrt(k * k + p2 * (form.v_plus - form.v_minus))
+            km, k2 = np.sqrt(k * k + p2 * (form.v_plus - form.v_minus)), None
             zbars = [1j * 0.5 * (k + km_c) * form.a for km_c in (km, -km)]
             if form.v0 != 0.0:
                 s = form.s(p2)
                 zbars = [z + 0.5 + sgn * s for z in zbars for sgn in (1.0, -1.0)]
             res = np.min([_gamma_pole_distance(z) for z in zbars], axis=0)
-        elif form.flat:
-            # the delta pair's (k - i kp)(k - i km) + kp km exp(-4 i k a), relative
-            kp, km = _delta_k0s(form, p2)
-            val = (k - 1j * kp) * (k - 1j * km) + kp * km * np.exp(-4j * k * form.a)
-            scale = np.maximum(abs(kp * km), np.abs(k) ** 2)
-            res = np.where(scale != 0, np.abs(val) / scale, abs(kp + km))
-        else:
-            t = form.amplitudes(k, p2).t
-            res = np.where(k == 0, np.inf, np.where(np.isinf(t), 0.0, np.abs(1.0 / t)))
-    # nan: an overflowing exponential, an unrepresentable t or gamma argument
-    return np.where(np.isnan(res), np.inf, res)
+    # nan: an overflowing sine, an unrepresentable den / k2 or gamma argument
+    return np.where(np.isnan(res), np.inf, res), k2
 
 
 def pole_condition(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """|defining equation| at k, dimensionless; ~0 exactly at a QNF: for the
-    Eckart family the distance of t's nearest gamma argument from a pole,
-    for delta couplings without steps |(k - i kp)(k - i km) + kp km
-    exp(-4 i k a)| / max(kp km, |k|^2), else |1/t| (inf at k = 0).  An exact
-    pole of t gives 0, an unrepresentable equation inf."""
-    return float(_residual(normal_form(spec), np.array([complex(k)]), c.p2)[0])
+    """|defining equation| at k, dimensionless, 0 at an exact pole of t: the
+    distance of t's nearest gamma argument from a pole (Eckart family), or
+    |den / k2| / B, t's denominator over its rounding bound (Interfaces, see
+    Interfaces.denominator); inf at k = 0 and where it is not representable."""
+    return float(_residual(normal_form(spec), np.array([complex(k)]), c.p2)[0][0])
 
 
 def _delta_k0s(form: Interfaces, p2: float) -> tuple:
@@ -232,14 +229,10 @@ def _lambert_argument(scale: float, k0: float, a: float) -> float:
     return arg
 
 
-def _symmetric_barrier(form) -> bool:
-    return _barrier(form) and form.v1 == form.v3
-
-
 def _pole_root(form, k, p2: float):
     """Of the roots k and -k of k^2 over an array, the one that the pole of t
     sits on: the smaller residual, k on a tie."""
-    return np.where(_residual(form, -k, p2) < _residual(form, k, p2), -k, k)
+    return np.where(_residual(form, -k, p2)[0] < _residual(form, k, p2)[0], -k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +387,11 @@ def _scan_brackets(f, xs):
     return xs[lo], xs[hi], vals[lo], vals[hi]
 
 
-def _axis_roots(tower: _Tower, a: float) -> _Tower:
-    """The members that meet the pole condition to the pole finder's
-    acceptance residual and lie at least 1e-9/a from every earlier one
-    kept, sorted by (Im k, Re k); a trivial_zero is a pole too (a barrier's
-    lower damped mode, y = k0^2 a, below 1e-8/a)."""
-    ok = np.flatnonzero(tower.residual <= _oracle._RESIDUAL_TOL)
-    ok = ok[_keep_first(tower.k[ok], 1e-9 / a)]
-    return tower.take(ok[np.lexsort((tower.k[ok].real, tower.k[ok].imag))])
+# |den / k2| / B at the double nearest a root is at most c eps (1 + a (|k|^2
+# + |k2|^2) / |k2|), c = 16, to first order: den / k2 rounds 25 times by eps /
+# 2 along its longest chain, and its exponential and sine turn the 6 such
+# roundings of k2^2 = k^2 - p2 (v2 - v1) into 3 eps a (|k|^2 + |k2|^2) / |k2|
+_DEN_ROUNDING = 16 * np.finfo(float).eps
 
 
 # the axis grid's relative offsets from each |k0|
@@ -415,9 +405,8 @@ def _imaginary_axis_tower(spec, form: Interfaces, c) -> _Tower:
     mode for k0 a above 1e-19) or past the couplings, uniform in a well's
     real inner q (roots crowd towards |y| = k0), and geometric towards each
     |k0| (as do delta-pair roots); below the axis only for a form that can
-    bind.  One vectorized bracketed solve (potentials._find_roots), which
-    starts from the grid's values at the bracket ends, refines all the
-    roots together."""
+    bind.  One vectorized bracketed solve (potentials._find_roots) refines
+    all the roots together from the grid's values at the bracket ends."""
     p2, a = c.p2, form.a
 
     def f(y):
@@ -438,12 +427,19 @@ def _imaginary_axis_tower(spec, form: Interfaces, c) -> _Tower:
     if not len(brackets[0]):
         return _tower(spec, [], "transcendental", c)
     ys = _find_roots(f, *brackets)
-    # 1/t = den e^{2ya} / (4 i y k2) magnifies each ulp of a damped mode:
-    # keep the double within 8 ulps of the root of f with the least residual
+    # the least-residual double within 8 ulps of each root of f, listed when
+    # within rounding (the _DEN_ROUNDING bound times |k2|) and 1e-9/a from
+    # every root listed before it, by Im k (a trivial_zero too: y = k0^2 a)
     ks = _complex(0.0, ys[:, None] + np.arange(-8, 9) * np.spacing(ys)[:, None])
-    ks = ks[np.arange(len(ys)), np.argmin(_residual(form, ks, p2), axis=1)]
-    aux = None if form.v2 == form.v1 else form.denominator(ks, p2)[1]
-    return _axis_roots(_tower(spec, ks, "transcendental", c, aux=aux), a)
+    res, k2 = _residual(form, ks, p2)
+    pick = np.arange(len(ys)), np.argmin(res, axis=1)
+    ks, res, k2 = ks[pick], res[pick], k2[pick]
+    q = np.abs(k2)
+    ok = np.flatnonzero(res * q <= _DEN_ROUNDING * (q + a * (ks.imag ** 2 + q * q)))
+    ok = ok[_keep_first(ks[ok], 1e-9 / a)]
+    ok = ok[np.argsort(ks[ok].imag, kind="stable")]
+    return _tower(spec, ks[ok], "transcendental", c, residual=res[ok],
+                  aux=None if form.v2 == form.v1 else k2[ok])
 
 
 def transcendental_qnfs(spec, search, c: PhysicalConstants = DEFAULT_CONSTANTS) -> list[QnfResult]:
@@ -532,7 +528,7 @@ def perturbative_qnfs(spec, regime: str, n: int = 0,
         return _tower(spec, [k], "perturbative", c, branch=[n]).results()[0]
 
     if regime == "small_k0a_series":
-        if not (_symmetric_barrier(form) and form.v2 > form.v1):
+        if not (_barrier(form) and form.v1 == form.v3 < form.v2):
             raise DomainError("small_k0a_series requires a repulsive symmetric barrier")
         k0 = math.sqrt(c.p2 * (form.v2 - form.v1))
         k = rect_barrier_k_series(k0, form.a)
@@ -579,7 +575,7 @@ def _asymptotic_tower(spec, ns, c: PhysicalConstants, sign: str = "plus") -> _To
         wc = lambert_w_comtet(ns, sgn * _lambert_argument(2.0 * k0 * a, k0, a))
         k = 1j * (k0 - _over(wc, 2.0 * a))
         return _tower(spec, k, "asymptotic", c, sign=signs, branch=ns)
-    if _symmetric_barrier(form):
+    if _barrier(form) and form.v1 == form.v3:
         a, v0 = form.a, form.v2 - form.v1
         # W's argument is k0 a / 2 over a barrier, -i |k0| a / 2 over a well
         arg = math.sqrt(p2 * v0) * a / 2.0 if v0 > 0 else -1j * math.sqrt(-p2 * v0) * a / 2.0

@@ -235,6 +235,19 @@ class TestThreshold:
         assert abs(0.5 * (lo + hi) - W_INV_E) < 1e-6
 
 
+def _mp_axis_root(spec, y):
+    """The root near y of den / q of a RectBarrier's t at k = i y, i times a
+    real function, by 50-digit secant steps."""
+    def den(y):
+        k = mpmath.mpc(0, y)
+        q = mpmath.sqrt(k * k - C.p2 * spec.V0)
+        z = 2j * q * spec.a
+        return (((k + q) ** 2 * mpmath.exp(z) - (k - q) ** 2 * mpmath.exp(-z)) / q).imag
+
+    with mpmath.workdps(50):
+        return mpmath.findroot(den, (y, y * (1 + 1e-10)))
+
+
 class TestTranscendental:
     def test_rect_merge_point(self):
         def count(c0a):
@@ -295,9 +308,17 @@ class TestTranscendental:
     def test_deep_well_real_q_damped_mode(self):
         spec = RectBarrier(-50.0, 1.0)
         roots = transcendental_qnfs(spec, "imaginary_axis", C)
+        assert len(roots) == 12
         assert any(abs(r.k - 7.07396j) < 1e-5 for r in roots)
         assert sum(r.classification == "bound_state" for r in roots) == math.ceil(20 / math.pi)
-        assert self.certified(spec, roots)
+        # the transfer matrix certifies the nine roots below 8.4i; of the
+        # three damped modes above (8.50i, 9.37i, 9.85i) it rejects two, as
+        # its |1/t| grows like e^{2ya}, and 50-digit secant steps on the
+        # denominator of t confirm all three
+        assert [r.k.imag < 8.4 for r in roots] == [True] * 9 + [False] * 3
+        assert self.certified(spec, roots[:9])
+        for r in roots[9:]:
+            assert abs(_mp_axis_root(spec, r.k.imag) - r.k.imag) <= 1e-12 * r.k.imag
 
     def test_axis_roots_print_no_negative_zero(self):
         roots = transcendental_qnfs(AsymDoubleDelta(-1.0, -0.7, 1.0), "imaginary_axis", C)
@@ -348,26 +369,54 @@ class TestTranscendental:
         # damped modes, a well's bound state and damped mode), and 50-digit
         # secant steps on the denominator of t stay on each
         rng = np.random.default_rng(29)
-        with mpmath.workdps(50):
-            for _ in range(15):
-                a = 10 ** rng.uniform(-1.0, 0.5)
-                k0a = 10 ** rng.uniform(-9.0, -1.5)
-                for sign in (1.0, -1.0):
-                    spec = RectBarrier(sign * (k0a / a) ** 2 / C.p2, a)
-                    roots = transcendental_qnfs(spec, "imaginary_axis", C)
-                    assert len(roots) == 2, spec
+        for _ in range(15):
+            a = 10 ** rng.uniform(-1.0, 0.5)
+            k0a = 10 ** rng.uniform(-9.0, -1.5)
+            for sign in (1.0, -1.0):
+                spec = RectBarrier(sign * (k0a / a) ** 2 / C.p2, a)
+                roots = transcendental_qnfs(spec, "imaginary_axis", C)
+                assert len(roots) == 2, spec
+                for r in roots:
+                    y = _mp_axis_root(spec, r.k.imag)
+                    assert abs(y - r.k.imag) <= 1e-12 * abs(r.k.imag), spec
 
-                    def den(y):
-                        # den / q of t at k = i y, i times a real function
-                        k = mpmath.mpc(0, y)
-                        q = mpmath.sqrt(k * k - C.p2 * spec.V0)
-                        z = 2j * q * spec.a
-                        return (((k + q) ** 2 * mpmath.exp(z)
-                                 - (k - q) ** 2 * mpmath.exp(-z)) / q).imag
+    def test_census_lists_every_bracketed_root(self, monkeypatch):
+        # a fixed draw of wells and barriers with k0 a up to about 50 and of
+        # unequal and equal delta pairs with |alpha| <= 3, an equal pair whose
+        # two bound states lie 4.9e-5 apart, and a strong pair whose bound
+        # states share a double and whose grid runs where sin(2 k a)
+        # overflows (nan nodes bracket nothing): every root that the bracket
+        # scan and the root finder find is listed within the 8 ulps of the
+        # pick, and each listed residual meets the rounding bound of t's
+        # denominator
+        found = []
 
-                    for r in roots:
-                        y = mpmath.findroot(den, (r.k.imag, r.k.imag * (1 + 1e-10)))
-                        assert abs(y - r.k.imag) <= 1e-12 * abs(r.k.imag), spec
+        def recording(f, *brackets):
+            found.append(_find_roots(f, *brackets))
+            return found[-1]
+
+        monkeypatch.setattr(qnf_module, "_find_roots", recording)
+        rng = np.random.default_rng(28)
+        specs = [DoubleDelta(-2.1223335622439805, 2.678037710416829), DoubleDelta(-30.0, 3.0)]
+        for _ in range(60):
+            a = 10 ** rng.uniform(-1.0, 0.5)
+            k0a = 10 ** rng.uniform(-2.0, 1.7)
+            specs += [RectBarrier(rng.choice([-1.0, 1.0]) * (k0a / a) ** 2 / C.p2, a),
+                      AsymDoubleDelta(*rng.uniform(-3.0, 3.0, 2), a),
+                      DoubleDelta(rng.uniform(-3.0, 3.0), a)]
+        listed = 0
+        for spec in specs:
+            found.clear()
+            roots = transcendental_qnfs(spec, "imaginary_axis", C)
+            got = np.array([r.k.imag for r in roots])
+            for y in np.concatenate(found) if found else []:
+                assert np.min(np.abs(got - y), initial=np.inf) <= 8 * np.spacing(abs(y)), spec
+            for r in roots:
+                k, k2 = abs(r.k), abs(r.k if r.aux is None else r.aux)
+                bound = 1.0 + normal_form(spec).a * (k * k + k2 * k2) / k2
+                assert r.residual <= qnf_module._DEN_ROUNDING * bound, spec
+            listed += len(roots)
+        assert listed > 300
 
     def test_asym_dd_imaginary_root_exceeds_couplings(self):
         spec = AsymDoubleDelta(0.05, 0.08, 1.0)
@@ -842,15 +891,27 @@ class TestDoubleDeltaTower:
 
 class TestPoleCondition:
     def test_interfaces_with_steps(self):
-        # |1/t|: inf at k = 0 and where the exponentials overflow (t = 0)
+        # |den / k2| / B: inf at k = 0 (a zero of t) and where sin(2 k2 a)
+        # overflows; far from a pole it reads about 1
         for spec in (RectBarrier(1.0, 1.0), AsymRectBarrier(0.0, 1.0, 0.5, 1.0), Step(0.5)):
             assert pole_condition(spec, 0.0, C) == math.inf
-        assert pole_condition(RectBarrier(1.0, 1.0), 100 + 200j, C) == math.inf
+        assert pole_condition(RectBarrier(1.0, 1.0), 100 + 400j, C) == math.inf
+        assert pole_condition(RectBarrier(1.0, 1.0), 100 + 200j, C) == pytest.approx(1.0)
 
     def test_delta_pair(self):
-        # an exact pole is an exact root; an overflowing exp(-4 i k a) is inf
+        # an exact pole is an exact root; an overflowing sin(2 k a) is inf
         assert pole_condition(Delta(1.0), 1j, C) == 0.0
-        assert pole_condition(DoubleDelta(1.0, 1.0), 1 + 300j, C) == math.inf
+        assert pole_condition(DoubleDelta(1.0, 1.0), 1 + 400j, C) == math.inf
+        assert pole_condition(DoubleDelta(1.0, 1.0), 1 + 300j, C) == pytest.approx(1.0)
+
+    def test_delta_pair_zero_of_t_is_no_root(self):
+        # t vanishes at k = 0, where the rewritten delta-pair equation
+        # (k - i kp)(k - i km) + kp km e^{-4ika} had a root: it read 1.4e-6 at
+        # the near_symmetric_order2 n = 0 estimate, where |t| = 4e-8
+        spec = AsymDoubleDelta(1.0, 0.9, 1.0)
+        k = 2.3275795168890053e-07j
+        assert perturbative_qnfs(spec, "near_symmetric_order2", 0, C).k == pytest.approx(k)
+        assert pole_condition(spec, k, C) > 0.5
 
     def test_eckart_family(self):
         # the tanh member k = i n / a is a gamma pole, exactly

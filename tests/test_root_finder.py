@@ -83,8 +83,8 @@ def brentq_resonances():
 
 def test_axis_towers_match_brentq(brentq_towers):
     # the tower keeps, within 8 ulps of the root of f, the double with the
-    # least residual; in a deep well that residual is rounding noise, so a
-    # root an ulp away can pick another double
+    # least residual |den / k2| / B; that close to a root the residual is
+    # rounding noise, so a root an ulp away can pick another double
     members = moved = 0
     for spec, ref in zip(SPECS, brentq_towers):
         got = transcendental_qnfs(spec, "imaginary_axis", C)
