@@ -50,8 +50,10 @@ _TRIVIAL_ZERO_TOL = 1e-6
 _NEWTON_MAX_ITER = 60
 # boundary points per unit length of the argument-principle count
 _WINDING_SAMPLES_PER_UNIT = 40
-# terms of the exponential-tail series in the ODE boundary data: the exact
-# Jost solution of an Eckart reduction, whose terms fall like e^{-2 L / a}
+# most terms of the exponential-tail series in the ODE boundary data: the
+# exact Jost solution of an Eckart reduction, whose terms fall like
+# e^{-2 L / a}; the series stops earlier, once its terms are below rounding
+# (see _tail_eta)
 _TAIL_ORDER = 32
 # default half-width of the ODE domain, in units of a: the subdominant
 # coefficient loses a factor e^{2 |Im k| L} of precision
@@ -210,10 +212,10 @@ def _tail_coefficients(red, c, side):
     return p2 * (-1.0) ** (j - 1) * (4.0 * j * red.v0 - side * dv)
 
 
-def _tail_eta(ws, k, a):
+def _tail_eta(ws, k, a, L):
     """Correction coefficients of psi = e^{-i k u} (1 + sum eta_j e^{-2 j u / a}),
-    over an array of k: shape k.shape + (n,), for tail coefficients ws of
-    shape k.shape[:-1] + (n,) (one row of ws per row of k).
+    over an array of k: shape k.shape + (m,), for tail coefficients ws of
+    shape k.shape[:-1] + (n,) (one row of ws per row of k), m <= n.
 
     Here u is the outward coordinate (+x on the right, -x on the left) and ws
     are the tail coefficients of W = p2 (V - V_inf) = sum_j ws_j e^{-2 j u/a}.
@@ -221,15 +223,26 @@ def _tail_eta(ws, k, a):
     eta_l X_l = ws_l + sum_{j<l} ws_j eta_{l-j} with X_l = 4ikl/a + 4l^2/a^2.
     Each eta_l is one contraction over the eta before it, so a point's eta
     do not depend on the other points.
+
+    The series is evaluated at u = L, where the bracket is 1 plus the terms
+    eta_l e^{-2 l L / a}: the recursion stops at the first two consecutive
+    orders whose terms are below 2^-60 at every point, far below the
+    bracket's rounding, and at the n orders of ws at most.
     """
     n = ws.shape[-1]
     ell = np.arange(1, n + 1)
     x = 4.0j * k[..., None] * ell / a + 4.0 * ell * ell / (a * a)
+    # |eta_l| below this puts the term of order l below 2^-60
+    small = 2.0 ** -60 * np.exp(2.0 * ell * L / a)
     rev = ws[..., ::-1, None]
     etas = np.empty(x.shape, dtype=complex)
+    quiet = 0
     for i in range(n):
         conv = (etas[..., :i] @ rev[..., n - i:, :])[..., 0]
         etas[..., i] = (ws[..., i, None] + conv) / x[..., i]
+        quiet = quiet + 1 if np.abs(etas[..., i]).max(initial=0.0) < small[i] else 0
+        if quiet == 2:
+            return etas[..., :i + 1]
     return etas
 
 
@@ -290,9 +303,11 @@ def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
         resolved[sl] = size[..., -3:].max(axis=(1, 2)) <= rtol * size.max(axis=(1, 2))
         # J^2 sigma and J sigma at each panel's end, for both solutions
         (u1, u2), (du1, du2) = (h * h * (end2 @ coef)).T, (h * (end1 @ coef)).T
+        # each panel's propagator [[1 + u1, d + u2], [du1, 1 + du2]]
+        p11, p12, p22 = 1.0 + u1, d + u2, 1.0 + du2
         y, dy = psi0[sl], dpsi0[sl]
         for s in range(panels):
-            y, dy = (1.0 + u1[s]) * y + (d + u2[s]) * dy, du1[s] * y + (1.0 + du2[s]) * dy
+            y, dy = p11[s] * y + p12[s] * dy, du1[s] * y + p22[s] * dy
         psi[sl], dpsi[sl] = y, dy
     return psi, dpsi, resolved & np.isfinite(psi) & np.isfinite(dpsi)
 
@@ -304,12 +319,15 @@ def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
     The panels start at most a/3 wide (``_PANEL_WIDTH``) and narrow enough
     for the largest local wavenumber of the batch; the points not resolved
     to ``rtol`` (see _propagate) are solved again on twice as many panels,
-    up to ``_PANEL_CAP``, and a point still unresolved there is nan."""
+    up to ``_PANEL_CAP``, and a point still unresolved there is nan.  Where
+    every energy is real, the panel systems are real."""
     mid, slope = 0.5 * (red.v_minus + red.v_plus), 0.5 * abs(red.v_plus - red.v_minus)
     # sup |V - E| over real x bounds the local wavenumber
     kappa = math.sqrt(p2 * (np.abs(e - mid).max(initial=0.0) + slope + abs(red.v0)))
     per_length = max(1.0 / (_PANEL_WIDTH * red.a), kappa / _PANEL_REACH)
     panels = math.ceil(min(_PANEL_CAP, 2.0 * L * per_length))  # per_length may be inf
+    if not e.imag.any():
+        e = e.real  # real energies make real panel systems
     psi = np.full(e.shape, complex("nan"))
     dpsi = psi.copy()
     todo = np.arange(e.size)
@@ -338,7 +356,7 @@ def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
     # k -> -k partner.  dpsi/dx is -dpsi/du on the left
     sides = np.array([[1.0], [-1.0], [-1.0]])
     kk = np.stack([k_p, k, -k]).reshape(3, -1)
-    psi_u, dpsi_u = _tail_state(_tail_eta(_tail_coefficients(red, c, sides), kk, a), kk, a, L)
+    psi_u, dpsi_u = _tail_state(_tail_eta(_tail_coefficients(red, c, sides), kk, a, L), kk, a, L)
     (psi0, p_ref, p_inc), (dpsi0, dp_ref, dp_inc) = (
         z.reshape((3,) + k.shape) for z in (psi_u, sides * dpsi_u))
 
@@ -372,12 +390,15 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
 
     Piecewise-constant and delta potentials use exact transfer matrices;
     smooth potentials integrate the stationary equation over [-L, L] with
-    outgoing boundary data from the N-term Jost tail series (N =
-    ``_TAIL_ORDER``); the default is L = 1.5 a for every k.  The ODE is
-    solved by Chebyshev panel propagators (see _integrate), and ``rtol``
-    bounds the three trailing Chebyshev coefficients of each point's psi''
-    on every panel, relative to its largest one.  The transfer matrices
-    ignore L and rtol.
+    outgoing boundary data from the Jost tail series; the default is
+    L = 1.5 a for every k.  The series stops at the first two consecutive
+    orders whose terms at |x| = L are below 2^-60 at every point (mostly
+    after 14 to 16 orders at L = 1.5 a, 8 or 9 at 3 a), and at
+    ``_TAIL_ORDER`` (32) orders at most.  The ODE is solved by Chebyshev
+    panel propagators (see _integrate), in real arithmetic where every
+    energy is real (real or imaginary k), and ``rtol`` bounds the three
+    trailing Chebyshev coefficients of each point's psi'' on every panel,
+    relative to its largest one.  The transfer matrices ignore L and rtol.
 
     An ndarray k gives arrays under the contract of
     ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t

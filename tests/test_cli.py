@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qnf1d import (
     DoubleDelta, Eckart, Hua, PhysicalConstants, RectBarrier, Sech2, Tanh, Tietz,
@@ -87,6 +88,26 @@ class TestSerialization:
     def test_tietz_kind(self):
         spec, _ = loads("{type: tietz, V0: 1.0, x0: 0.3, a: 0.9, kind: sinh}")
         assert spec == Tietz(1.0, 0.3, 0.9, "sinh")
+
+    @pytest.mark.parametrize("text", [
+        "type: eckart\nV_minus: 0.0\nV_plus: 2.0\nV0: -1.0\na: 1.0\n"
+        "constants: {hbar: 1.0, mass: 1.0, mode: nonrelativistic}\n",
+        "{type: sech2, V0: -0x1, a: 1_000}",
+        "{type: sech2, V0: -1.0, a: .inf}",
+        "{type: sech2, V0: -1.0, a: 1.0",
+    ], ids=["readme", "hex-underscore", "inf", "flow-error"])
+    def test_both_yaml_loaders_read_the_same(self, monkeypatch, text):
+        # libyaml's C loader where pyyaml has it, the pure-Python one
+        # otherwise: the same spec, or a DomainError with the same prefix
+        def read():
+            try:
+                return loads(text)
+            except DomainError as exc:
+                return str(exc).split(":")[0]
+
+        got = read()
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert read() == got
 
 
 def run_cli(args, capsys):
@@ -444,6 +465,15 @@ class TestCommands:
         [line] = [ln for ln in out.splitlines() if "domain/step convergence" in ln]
         assert line.startswith(f"{status} domain/step convergence: ")
         assert low <= float(line.split(": ")[1].split()[0]) < high
+
+    def test_verify_certifies_a_pole_where_the_ode_is_nan(self, capsys):
+        # the bound state -1.0325266745885129i has k a = -1, where the incident
+        # row's X_1 = 4i(-k)/a + 4/a^2 is 0: numeric_amplitude is nan exactly
+        # at the pole, and Newton keeps its best evaluated iterate
+        code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1.066111333736813",
+                             "--a", "0.9684979813219105"], capsys)
+        assert code == 0
+        assert "PASS low-lying QNFs vs ODE poles (1 modes): " in out
 
     def test_verify_pass_and_exit_codes(self, capsys):
         code, out = run_cli(

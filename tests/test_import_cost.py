@@ -71,6 +71,30 @@ closed_form_qnfs(DoubleDelta(1.0, 1.0), (0, 3))
 HEAVY = ("optimize", "linalg", "sparse", "spatial", "fft")
 
 
+def loaded_by(argv: list) -> list[str]:
+    """The scipy and yaml modules a fresh interpreter holds after cli.main(argv)."""
+    return loaded_after(f"""
+import contextlib, io
+from qnf1d import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+""")
+
+
+def test_smooth_verify_loads_no_linalg_integrate_or_optimize():
+    # the ODE oracle solves its panel systems with numpy alone; on top of
+    # scipy.special, scipy.linalg would add some 6 MB of resident memory
+    for argv in (
+        ["verify", "--type", "sech2", "--V0", "-1", "--a", "1"],
+        ["verify", "--type", "tietz", "--V0", "1.1", "--x0", "0.3", "--a", "0.9",
+         "--kind", "cosh"],
+    ):
+        loaded = loaded_by(argv)
+        assert "scipy.special" in loaded, argv
+        assert not [m for m in loaded if m.split(".")[:2] in
+                    (["scipy", "linalg"], ["scipy", "integrate"], ["scipy", "optimize"])], argv
+
+
 def test_root_finding_commands_load_no_heavy_scipy():
     # the delta-pair resonances and the imaginary-axis towers find their
     # bracketed roots with numpy alone; verify on an unequal pair builds
@@ -82,11 +106,5 @@ def test_root_finding_commands_load_no_heavy_scipy():
         ["verify", "--type", "asym-double-delta", "--alpha-plus", "1", "--alpha-minus", "0.7",
          "--a", "1"],
     ):
-        code = f"""
-import contextlib, io
-from qnf1d import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main({argv!r}) == 0
-"""
-        loaded = loaded_after(code)
+        loaded = loaded_by(argv)
         assert not [m for m in loaded if m.split(".")[:2] in [["scipy", h] for h in HEAVY]], argv
