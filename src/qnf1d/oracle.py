@@ -48,6 +48,11 @@ _RESIDUAL_TOL = 1e-8
 _TRIVIAL_ZERO_TOL = 1e-6
 # Newton iterations per pass of the pole refiner
 _NEWTON_MAX_ITER = 60
+# a Newton call carries the flatness probes of an iterate whose last step,
+# from an improving iterate, was below this times max(1, |z|), the square
+# root of the 1e-12 step tolerance: Newton is then quadratic, and the step
+# from the iterate is at or near the tolerance
+_PROBE_STEP = 1e-6
 # boundary points per unit length of the argument-principle count
 _WINDING_SAMPLES_PER_UNIT = 40
 # most terms of the exponential-tail series in the ODE boundary data: the
@@ -99,6 +104,8 @@ class SearchRegion:
 class PoleReport:
     """Poles found in a region: (k, residual |1/t|, seeds) triples, seeds
     being the number of grid seeds that refined onto k (not a pole order).
+    The residual is the |1/t| of the Newton call that evaluated k; no
+    amplitude call follows the reported iterate.
 
     ``rejected`` holds a (seed, reason) pair for every grid seed that gave
     no pole: its refinement failed the acceptance rule, or it was screened
@@ -169,7 +176,10 @@ def _transfer_amplitudes(spec, k, c) -> ScatteringAmplitudes:
     """t and r over an array of k; inf at a pole, nan where M is not
     representable."""
     (m00, _, m10, _), k_p, bad = _transfer_matrices(spec, k, c)
-    t = np.where(m00 == 0, complex("inf"), 1.0 / m00 * np.sqrt(k_p) / np.sqrt(k))
+    # a subnormal m00 overflows 1/m00 to an inf part beside a zero part, whose
+    # product with the flux factor would be nan: that is a pole as well
+    inv = 1.0 / m00
+    t = np.where((m00 == 0) | np.isinf(inv), complex("inf"), inv * np.sqrt(k_p) / np.sqrt(k))
     nan = complex("nan")
     return ScatteringAmplitudes(np.where(bad, nan, t), np.where(bad, nan, m10 / m00),
                                 k, k_p)
@@ -454,71 +464,96 @@ def _inv_t(spec, k, c, amplitude):
     return np.where(k_in == 0, complex("inf"), inv)
 
 
+def _probes(k):
+    """The two flatness probes k + p and k + i p, p = 1e-4 (1 + |k|), of every
+    point in the array k, stacked."""
+    p = 1e-4 * (1.0 + np.abs(k))
+    return np.concatenate([k + p, k + 1j * p])
+
+
 def _newton_polish(f, k0, on_axis=False):
     """Damped Newton on complex f from every seed in the array k0 at once;
-    returns the best iterate seen per seed (nan where f is nan at the seed).
+    returns the reported iterate per seed (nan where f is nan at the seed),
+    |f| there, and |f| at its two flatness probes (see _probes; shape
+    (2, seeds), nan where that iterate's call carried none).
 
     Each iteration makes one call of f, on the stacked (z, z + h, z - h) of
-    the seeds still iterating.  Multiple roots (the tanh amplitude has double
+    the seeds still iterating.  A seed stops as soon as the step from its
+    current iterate is below the step tolerance, and reports that iterate:
+    no call follows it.  Multiple roots (the tanh amplitude has double
     poles) stall at the evaluation noise floor, so a seed whose iterates stop
     improving three times ends its search rather than being allowed to run
-    off.  With ``on_axis`` the iteration runs over the real y of k = i y: the
+    off, and reports the best iterate it saw, as does a seed stopped by a nan
+    or by ``_NEWTON_MAX_ITER``.  The probes ride in the call of an iterate
+    whose last step was below ``_PROBE_STEP`` and was taken from an iterate
+    that improved on the best before it: Newton is then in its quadratic
+    range, and the step from the new iterate is at or near the tolerance.
+    A stalled seed (one on a branch cut, or at its noise floor) carries no
+    probes after its first non-improving iterate.
+    With ``on_axis`` the iteration runs over the real y of k = i y: the
     wavenumber square roots put their branch cuts exactly on the imaginary
     axis, so on-axis poles are polished with a one-real-parameter iteration
     that never crosses the cut."""
     if on_axis:
-        g, z, tol = (lambda y: f(1j * y)), k0.imag.copy(), 1e-13
+        z, tol, to_k = k0.imag.copy(), 1e-13, (lambda y: 1j * y)
     else:
-        g, z, tol = f, k0.astype(complex), 1e-12
+        z, tol, to_k = k0.astype(complex), 1e-12, (lambda k: k)
     best_z, best_g = z.copy(), np.full(z.shape, np.nan)
+    best_p = np.full((2,) + z.shape, np.nan)
     stale = np.zeros(z.shape, dtype=int)
-    step = np.zeros_like(z)
+    # the last step was below _PROBE_STEP, from an improving iterate
+    near = np.zeros(z.shape, dtype=bool)
     live = np.arange(z.size)
     for n in range(_NEWTON_MAX_ITER + 1):
         if not live.size:
             break
-        zl = z[live]
-        h = 1e-7 * np.maximum(1.0, np.abs(zl))
-        gz, gp, gm = g(np.concatenate([zl, zl + h, zl - h])).reshape(3, -1)
+        zl, probed = z[live], near[live]
+        m, az = zl.size, np.abs(zl)
+        scale = np.maximum(1.0, az)
+        h = 1e-7 * scale
+        pts = [to_k(zl), to_k(zl + h), to_k(zl - h)]
+        any_probed = probed.any()
+        if any_probed:
+            pts.append(_probes(to_k(zl[probed])))
+        vals = f(np.concatenate(pts))
+        gz, gp, gm = vals[:3 * m].reshape(3, -1)
+        cap = 0.5 * (1.0 + az)
+        with np.errstate(all="ignore"):
+            s = gz / ((gp - gm) / (2.0 * h))
+            if on_axis:
+                s = np.clip(s.real, -cap, cap)
+            else:
+                s = s * (cap / np.maximum(np.abs(s), cap))
+        size = np.abs(s)
+        converged = size < tol * scale
         ga = np.abs(gz)
         if n == 0:
-            best_g[live] = ga
-            done = np.isnan(ga)
+            better = np.ones(m, dtype=bool)
         else:
             # gz is f at the last step's iterate
             better = ga < best_g[live]
-            best_z[live[better]], best_g[live[better]] = zl[better], ga[better]
             stale[live] = np.where(better, 0, stale[live] + 1)
-            done = (stale[live] >= 3) | (np.abs(step[live]) < tol * np.maximum(1.0, np.abs(zl)))
-        dg = (gp - gm) / (2.0 * h)
-        done |= np.isnan(gz) | (dg == 0) | np.isnan(dg) | (n == _NEWTON_MAX_ITER)
-        live, zl, gz, dg = live[~done], zl[~done], gz[~done], dg[~done]
-        s = gz / dg
-        cap = 0.5 * (1.0 + np.abs(zl))
-        if on_axis:
-            s = np.clip(s.real, -cap, cap)
-        else:
-            s = s * (cap / np.maximum(np.abs(s), cap))
+        keep = better | converged
+        kept = live[keep]
+        best_z[kept], best_g[kept], best_p[:, kept] = zl[keep], ga[keep], np.nan
+        if any_probed:
+            best_p[:, live[keep & probed]] = np.abs(vals[3 * m:]).reshape(2, -1)[:, keep[probed]]
+        # a nan gz, a zero or nan slope give a non-finite step
+        done = converged | ~np.isfinite(s) | (stale[live] >= 3) | (n == _NEWTON_MAX_ITER)
+        near[live] = better & (size < _PROBE_STEP * scale)
+        live, zl, s = live[~done], zl[~done], s[~done]
         z[live] = zl - s
-        step[live] = s
     best_z[np.isnan(best_g)] = np.nan
-    return 1j * best_z if on_axis else best_z
+    return (1j * best_z if on_axis else best_z), best_g, best_p
 
 
-def _rejections(f, k, basin):
-    """Why each k is not a certified pole of t (a zero of f = 1/t), or None;
-    and |f(k)| (nan outside the basin).  ``basin`` marks the k inside their
-    search basin.  One call of f, on the points inside the basin, which also
-    probes that f is not flat around them (guards against regions where 1/t
-    merely underflows)."""
-    res = np.full(k.shape, np.nan)
-    flat = np.ones(k.shape, dtype=bool)
-    if basin.any():
-        kb = k[basin]
-        probe = 1e-4 * (1.0 + np.abs(kb))
-        res[basin], p_re, p_im = np.abs(
-            f(np.concatenate([kb, kb + probe, kb + 1j * probe]))).reshape(3, -1)
-        flat[basin] = ~(np.maximum(p_re, p_im) > 10.0 * np.maximum(res[basin], _RESIDUAL_TOL * 1e-4))
+def _rejections(k, res, probes, basin):
+    """Why each k is not a certified pole of t (a zero of f = 1/t), or None,
+    from what the refinement already holds: the residual res = |f(k)|, |f|
+    at the two flatness probes around k (see _probes), which guard against
+    regions where 1/t merely underflows, and ``basin``, the k inside their
+    search basin.  Makes no call of f."""
+    flat = ~(probes.max(axis=0) > 10.0 * np.maximum(res, _RESIDUAL_TOL * 1e-4))
     reasons = []
     for z, r, fl, b in zip(k.tolist(), res.tolist(), flat.tolist(), basin.tolist()):
         if not b:
@@ -531,7 +566,7 @@ def _rejections(f, k, basin):
             reasons.append(f"1/t is numerically flat around k={z}; not a certified pole")
         else:
             reasons.append(None)
-    return reasons, res
+    return reasons
 
 
 def _refine(f, guesses, near_axis, inside):
@@ -540,16 +575,26 @@ def _refine(f, guesses, near_axis, inside):
 
     ``inside(k, guesses)`` marks the iterates k that lie in the search basin
     of their guesses.  Rejected iterates of the guesses marked ``near_axis``
-    are retried with the on-axis iteration, as a second pass.  ``reason`` is
-    None for a certified pole and otherwise names why the last iterate was
-    rejected."""
-    k = _newton_polish(f, guesses)
-    reasons, res = _rejections(f, k, inside(k, guesses))
+    are retried with the on-axis iteration, as a second pass.  Each pass
+    reads its residuals and probes from its Newton calls (see
+    _newton_polish); a reported iterate in its basin that passes the
+    residual rule but carries no probes gets them in one more call, over
+    all such iterates of the pass.  ``reason`` is None for a certified pole
+    and otherwise names why the last iterate was rejected."""
+
+    def polish(guesses, on_axis):
+        k, res, probes = _newton_polish(f, guesses, on_axis)
+        basin = inside(k, guesses)
+        bare = basin & (res < _RESIDUAL_TOL) & np.isnan(probes[0])
+        if bare.any():
+            probes[:, bare] = np.abs(f(_probes(k[bare]))).reshape(2, -1)
+        return k, res, _rejections(k, res, probes, basin)
+
+    k, res, reasons = polish(guesses, False)
     retry = [i for i, reason in enumerate(reasons) if reason and near_axis[i]]
     if retry:
         # poles on the imaginary axis sit on the channel-sqrt branch cuts
-        k[retry] = _newton_polish(f, guesses[retry], on_axis=True)
-        reasons_ax, res[retry] = _rejections(f, k[retry], inside(k[retry], guesses[retry]))
+        k[retry], res[retry], reasons_ax = polish(guesses[retry], True)
         for i, reason in zip(retry, reasons_ax):
             reasons[i] = reason
     return [(z, r, reason and f"no certified pole from guess {guess}: {reason}")
@@ -562,14 +607,17 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude
     k is a wavenumber of the normal form's ``qnf_level``, as QNFs are reported.
     Raises DomainError when the iteration escapes the basin
     |k - guess| <= (1 + |guess|) / 2, or its result fails the acceptance
-    rule shared with find_poles (residual, trivial zero, flat 1/t).
+    rule shared with find_poles (residual, trivial zero, flat 1/t).  The
+    residual and the flatness probes are read from the Newton calls (see
+    _newton_polish), so no amplitude call follows the reported k.
     ``amplitude`` (default: the numeric engine) must accept an ndarray k.
 
     An ndarray of guesses refines them all at once (each Newton iteration is
-    one amplitude call over every guess still iterating), each in its own
-    basin, and returns a list with one (k, residual, reason) triple per
-    guess instead of raising: ``reason`` is None for a certified pole and
-    otherwise the message the scalar call would raise.
+    one amplitude call over every guess still iterating, and each pass adds
+    at most one call for missing probes), each in its own basin, and
+    returns a list with one (k, residual, reason) triple per guess instead
+    of raising: ``reason`` is None for a certified pole and otherwise the
+    message the scalar call would raise.
     """
     if amplitude is None:
         amplitude = numeric_amplitude
@@ -660,7 +708,9 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     ``qnf1d.potentials.transmission_amplitude`` to hunt poles of the closed
     forms instead (useful for towers beyond the ODE engine's reach).  It
     must accept an ndarray k: the grid, each Newton iteration over all seeds
-    and the ``count_zeros`` boundary are one call each.
+    and the ``count_zeros`` boundary are one call each, and each refinement
+    pass adds at most one call for the flatness probes its Newton calls did
+    not carry (see _refine); the acceptance rule makes no call of its own.
     The region lies in the plane QNFs are reported in (``qnf_level``).
 
     Where the two limits of the spec are equal, a real potential gives

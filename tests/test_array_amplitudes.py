@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnf1d import (
     AsymDoubleDelta,
@@ -124,6 +124,9 @@ def test_smooth_closed_form_array_equals_scalar(spec, ks):
 
 @settings(max_examples=60, deadline=None)
 @given(spec=piecewise_specs(), ks=scaled_wavenumbers)
+# the pole -i with a subnormal real part: m00 is subnormal, and 1/m00
+# overflows to an infinite and a zero part
+@example(spec=Delta(-1.0), ks=[complex(3.1793143469698e-309, -1.0)])
 def test_closed_form_matches_transfer_matrix(spec, ks):
     # the independent engine: 1/t as the pole scan reads it (0 at a pole), to
     # rounding, with the same poles and unrepresentable points

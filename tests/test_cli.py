@@ -466,6 +466,26 @@ class TestCommands:
         assert line.startswith(f"{status} domain/step convergence: ")
         assert low <= float(line.split(": ")[1].split()[0]) < high
 
+    @pytest.mark.parametrize("argv, budget", [
+        (["--type", "sech2", "--V0", "-1", "--a", "1"], 5),
+        (["--type", "rect-barrier", "--V0", "1", "--a", "1"], 10),
+    ], ids=["sech2", "rect-barrier"])
+    def test_verify_engine_call_budget(self, capsys, monkeypatch, argv, budget):
+        # Sech2: the amplitude batch, the convergence check and three Newton
+        # calls; RectBarrier: the amplitude batches, the grid and five Newton
+        # calls.  No call confirms the last iterate or probes it again
+        calls = []
+        amplitude = oracle.numeric_amplitude
+
+        def counting(*args, **options):
+            calls.append(args[1])
+            return amplitude(*args, **options)
+
+        monkeypatch.setattr(oracle, "numeric_amplitude", counting)
+        code, _out = run_cli(["verify", *argv], capsys)
+        assert code == 0
+        assert len(calls) == budget
+
     def test_verify_certifies_a_pole_where_the_ode_is_nan(self, capsys):
         # the bound state -1.0325266745885129i has k a = -1, where the incident
         # row's X_1 = 4i(-k)/a + 4/a^2 is 0: numeric_amplitude is nan exactly

@@ -447,8 +447,9 @@ class TestFindPoles:
 
 class TestArrayGrid:
     """find_poles makes only array calls: one for the grid, then one per
-    Newton iteration and one per acceptance check over all seeds at once;
-    the poles are those of a grid evaluated point by point."""
+    Newton iteration and at most one probe call per refinement pass, each
+    over all seeds at once; the poles are those of a grid evaluated point by
+    point."""
 
     REGION = SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
 
@@ -467,7 +468,7 @@ class TestArrayGrid:
         assert rep.poles and rep.rejected
         assert all(isinstance(k, np.ndarray) for k in calls)
         # the plain pass and the on-axis retry: at most _NEWTON_MAX_ITER + 1
-        # Newton calls and one acceptance check each, however many seeds there are
+        # Newton calls and one probe call each, however many seeds there are
         assert len(calls) <= 1 + 2 * (_NEWTON_MAX_ITER + 2)
         return calls[0].size
 
@@ -525,6 +526,23 @@ class TestArrayGrid:
         poles = self.check_against_pointwise(
             Sech2(3.0, 1.0), SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0), transmission_amplitude)
         assert poles
+
+    @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
+                             ids=["transfer", "closed_form"])
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: repr(s))
+    def test_scan_call_budget(self, spec, amplitude):
+        # the grid and five Newton calls: each accepted pole's last call
+        # carried its flatness probes, and the step from it was below
+        # tolerance, so no confirming or acceptance call follows.  The count
+        # repeats exactly, where a timing does not
+        calls = []
+
+        def counting(spec, k, c):
+            calls.append(k.size)
+            return amplitude(spec, k, c)
+
+        assert find_poles(spec, self.REGION, C, amplitude=counting).poles
+        assert len(calls) == 6
 
     def test_an_iterate_on_the_exact_pole_is_kept(self):
         # a third of a cell off the folded grid, one Newton iterate lands
@@ -613,8 +631,8 @@ class TestSeedScreening:
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])
     def test_scan_well_screens_its_stragglers(self, amplitude):
-        # every seed was refined before: 14 amplitude calls, 30 of the 40
-        # seeds rejected, and Newton ran 12 iterations for them
+        # refining every seed takes 12 amplitude calls: 30 of the 40 seeds
+        # are rejected, and Newton runs 11 iterations for them
         spec, region = RectBarrier(-1.0, 1.0), SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
         calls = []
 
@@ -624,7 +642,7 @@ class TestSeedScreening:
 
         rep = find_poles(spec, region, C, amplitude=counting)
         assert len(rep.poles) == 9
-        assert len(calls) <= 8
+        assert len(calls) == 6
         _res, _ims, cell = grid_axes(region)
         landings = [landing_point(reason) for _seed, reason in rep.rejected]
         assert any(landings)
@@ -705,6 +723,57 @@ class TestSeedScreening:
                 assert abs(k - q) <= 1e-12 * abs(q), (spec, k, q)
             total += len(ref)
         assert total > 100
+
+
+class TestAcceptanceRule:
+    """The acceptance rule on synthetic amplitudes: it reads the residual
+    and the flatness probes from the Newton calls and makes none itself."""
+
+    @staticmethod
+    def recording(inverse):
+        """An amplitude with 1/t = inverse(k) that records each call's k."""
+        calls = []
+
+        def amplitude(spec, k, c):
+            calls.append(k.copy())
+            return ScatteringAmplitudes(1.0 / inverse(k), None, k, k)
+
+        return amplitude, calls
+
+    def test_simple_zero_makes_no_call_after_the_reported_iterate(self):
+        amplitude, calls = self.recording(lambda k: (k - 2j) * (k + 1.0))
+        k, res = refine_pole(Delta(1.0), 0.05 + 1.9j, C, amplitude=amplitude)
+        assert abs(k - 2j) < 1e-12
+        # the last call was the Newton call of k, its step points and both
+        # its probes
+        h, p = 1e-7 * max(1.0, abs(k)), 1e-4 * (1.0 + abs(k))
+        assert {k, k + h, k - h, k + p, k + 1j * p} <= set(calls[-1].tolist())
+        assert res == abs(_inv_t(Delta(1.0), np.array([k]), C, amplitude)[0])
+
+    def test_flat_underflowing_inverse_is_rejected(self):
+        # 1/t = 1e-30 (k - 2i) has a zero at 2i, but its probes stay far
+        # below the 1e-12 floor of the flatness rule
+        amplitude, _calls = self.recording(lambda k: 1e-30 * (k - 2j))
+        with pytest.raises(DomainError, match="numerically flat"):
+            refine_pole(Delta(1.0), 0.05 + 1.9j, C, amplitude=amplitude)
+
+    def test_double_zero_is_accepted_by_the_stale_rule(self):
+        # 1/t = (k - k0)^2 plus noise of size 1e-16, a double zero like the
+        # tanh poles: Newton creeps to within sqrt(1e-16) of k0, where its
+        # steps stay far above the step tolerance and its iterates stop
+        # improving
+        k0 = 1.0 + 2.0j
+
+        def inverse(k):
+            return (k - k0) ** 2 + 1e-16 * np.exp(1e14j * (k.real + k.imag))
+
+        amplitude, calls = self.recording(inverse)
+        k, res = refine_pole(Delta(1.0), k0 * (1.0 + 1e-3), C, amplitude=amplitude)
+        assert abs(k - k0) < 1e-6 and res < 1e-8
+        h = 1e-7 * abs(k)
+        g = inverse(np.array([k, k + h, k - h]))
+        assert abs(g[0] / ((g[1] - g[2]) / (2.0 * h))) > 1e-12 * abs(k)
+        assert len(calls) < _NEWTON_MAX_ITER
 
 
 class TestOverflowGuard:
