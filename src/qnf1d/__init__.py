@@ -55,4 +55,5 @@ from .oracle import (  # noqa: F401
     find_poles,
     refine_pole,
 )
+from .checks import Check, verify  # noqa: F401
 from .specfn import lambert_w, lambert_w_derivative, lambert_w_comtet, log_gamma  # noqa: F401

@@ -4,11 +4,12 @@
 
 Commands: eval, transmission, qnf, resonances, verify, fit, catalog.
 Potentials come from --config FILE (YAML/JSON key-value schema) or from
---type plus parameter flags.  Output is CSV (default) or JSON with a fixed
-column schema per command.  CSV floats are printed with 17 significant
-digits; JSON floats are Python's round-trip repr, with NaN and Infinity as
-json writes them; a missing cell is empty in CSV and null in JSON.
-Identical runs produce byte-identical artifacts.
+--type plus parameter flags.  Output is CSV (default; verify prints
+PASS/FAIL/SKIP lines) or JSON with a fixed column schema per command.  CSV
+floats are printed with 17 significant digits; JSON floats are Python's
+round-trip repr, with NaN and Infinity as json writes them; a missing cell
+is empty in CSV and null in JSON.  Identical runs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize
-from .errors import CanonicalizationError, Qnf1dError, UnsupportedPotentialError
+from .errors import CanonicalizationError, Qnf1dError
 from . import potentials as P
 from . import qnf as Q
 from . import oracle as O
 from . import serialize as S
+from . import checks as V
 
 # one float flag per parameter of the catalog types (Tietz's kind is --kind)
 _PARAM_FLAGS = list(dict.fromkeys(
@@ -360,159 +362,26 @@ def _cmd_catalog(args, spec, constants):
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_checks(spec, constants, region, out):
-    rng = np.random.default_rng(20260810)
-    checks = []
-    skips = []  # checks that test nothing, with the reason
-    form = P.normal_form(spec)
-    piecewise = isinstance(form, P.Interfaces)
-    a_scale = P.length_scale(spec)
-    v_minus, v_plus = form.limits
-
-    base = max(v_minus, v_plus)
-    # check 3's energies on the oracle's default domain (smooth specs): they
-    # ride in the first batch's ODE call
-    conv_k = np.sqrt(constants.p2 * (np.linspace(base + 0.25, base + 4.0, 7) - v_minus))
-    t_conv = None
-
-    # 1. amplitude agreement, analytic vs numeric: one array call per engine
-    # for each batch of draws, until enough samples keep a safe distance from
-    # poles and zeros
-    need = 100 if piecewise else 25
-    worst = 0.0
-    count = 0
-    tries = 0
-    while count < need and tries < 1000:
-        n = min(need - count, 1000 - tries)
-        tries += n
-        if piecewise:
-            # uniform over the disc |k| a <= 10, poles excluded below; one
-            # (radius, angle) row per sample, drawn in the order of a loop
-            r, phi = rng.uniform([0.0025, -math.pi], [1.0, math.pi], size=(n, 2)).T
-            k = 10.0 * np.sqrt(r) * np.exp(1j * phi) / a_scale
-        else:
-            e = base + rng.uniform(0.2, 6.0, size=n)
-            k = np.sqrt(constants.p2 * (e - v_minus))
-        ta = P.transmission_amplitude(spec, k, constants).t
-        if piecewise or t_conv is not None:
-            tn = O.numeric_amplitude(spec, k, constants).t
-        else:
-            tn, t_conv = np.split(O.numeric_amplitude(spec, np.concatenate([k, conv_k]),
-                                                      constants).t, [n])
-        keep = (1e-6 < np.abs(ta)) & (np.abs(ta) < 1e6) & ~np.isnan(tn)
-        if keep.any():
-            worst = max(worst, float(np.max(np.abs(ta[keep] - tn[keep]) / np.abs(ta[keep]))))
-        count += int(keep.sum())
-    tol = 1e-12 if piecewise else 1e-8
-    checks.append((f"amplitude agreement ({count} samples)", worst, tol))
-
-    # 2. T vs |t|^2 on a real-energy grid
-    es = np.linspace(base + 0.05, base + 5.0, 50)
-    Ts = P.transmission_probability(spec, es, constants)
-    t = P.transmission_amplitude(spec, np.sqrt(constants.p2 * (es - v_minus)), constants).t
-    checks.append(("T = |t|^2 on energy grid", float(np.max(np.abs(Ts - np.abs(t) ** 2))), 1e-10))
-
-    # 3. flux surrogate / integrator convergence: the determinant of the
-    # transfer matrices, or the ODE oracle against a tighter copy of itself
-    if piecewise:
-        # |Im k| a <= 2 keeps the matrix conditioning within reach of the
-        # 1e-12 determinant contract
-        re, im = rng.uniform([-8.0, -2.0], [8.0, 2.0], size=(20, 2)).T
-        k = (re + 1j * im) / a_scale
-        k = k[np.abs(k) * a_scale >= 0.05]
-        checks.append(("transfer-matrix determinant",
-                       float(np.max(O.transfer_matrix_det_error(spec, k, constants), initial=0.0)),
-                       1e-12))
-    else:
-        # the domain the samples and the refinement use: a truncated tail
-        # series moves t here, while on long domains it sits below rounding
-        t2 = O.numeric_amplitude(spec, conv_k, constants, L=2.0 * O._ODE_HALF_WIDTH * a_scale,
-                                 rtol=1e-13).t
-        checks.append(("domain/step convergence",
-                       float(np.max(np.abs(t_conv - t2) / np.abs(t_conv))), 1e-8))
-
-    # 4. analytic QNFs vs oracle poles
-    try:
-        if not piecewise:
-            analytic = Q.closed_form_qnfs(spec, (1, 3) if form.v0 == 0.0 else (0, 2),
-                                          constants)
-        elif Q.has_closed_form(spec):
-            span = int(max(abs(region.re_min), abs(region.re_max)) * a_scale / math.pi) + 2
-            analytic = Q.closed_form_qnfs(spec, (-span, span), constants)
-        else:
-            try:
-                analytic = Q.transcendental_qnfs(spec, "imaginary_axis", constants)
-            except UnsupportedPotentialError:
-                analytic = []
-            for r in Q.transcendental_qnfs(spec, region, constants):
-                if not any(abs(r.k - s.k) < 1e-8 for s in analytic):
-                    analytic.append(r)
-    except Qnf1dError:
-        analytic = []
-    if piecewise:
-        rep = O.find_poles(spec, region, constants)
-        inside = [r for r in analytic
-                  if region.re_min <= r.k.real <= region.re_max
-                  and region.im_min <= r.k.imag <= region.im_max]
-        worst = 0.0
-        matched = 0
-        for r in inside:
-            d = min((abs(r.k - kp) for kp, _, _ in rep.poles), default=math.inf)
-            worst = max(worst, d)
-            if d < 1e-8:
-                matched += 1
-        extra = len(rep.poles) - matched
-        if inside or rep.poles:
-            checks.append((f"QNF/pole bijection ({matched}/{len(inside)} matched, "
-                           f"{extra} unmatched poles)", worst + (math.inf if extra else 0.0),
-                           1e-8))
-        else:
-            skips.append("QNF/pole bijection: no closed-form QNF and no oracle pole "
-                         "in the search region")
-    else:
-        low = [r for r in analytic if abs(r.k.imag) * a_scale <= 2.05]
-        # a cancelled member is no pole of t: nothing to refine
-        cancelled = sum(r.classification == "cancelled" for r in low)
-        low = [r for r in low if r.classification != "cancelled"]
-        # one batched refinement: each Newton iteration is one integration
-        ks = np.array([r.k for r in low], dtype=complex)
-        errors, rejections = [], []
-        for k0, (k, _res, reason) in zip(ks, O.refine_pole(spec, ks * (1 + 1e-3), constants)):
-            if reason:
-                rejections.append(reason)
-            else:
-                errors.append(abs(k - k0))
-        label = "low-lying QNFs vs ODE poles"
-        note = f" ({cancelled} cancelled members not refined)" if cancelled else ""
-        if errors:
-            checks.append((f"{label} ({len(errors)} modes)", max(errors), 1e-8))
-        elif low:
-            skips.append(f"{label}: 0 of {len(low)} candidate modes certified by the "
-                         f"oracle; first rejection: {rejections[0]}{note}")
-        else:
-            skips.append(f"{label}: no closed-form QNF with |Im k| a <= 2.05{note}")
-
-    failed = 0
-    for label, value, tol in checks:
-        ok = value < tol
-        failed += 0 if ok else 1
-        out.write(f"{'PASS' if ok else 'FAIL'} {label}: {value:.3e} (tol {tol:.0e})\n")
-    for line in skips:
-        out.write(f"SKIP {line}\n")
-    return failed
+def _verify_line(check) -> str:
+    """A check record as verify's text prints it."""
+    if check.status == "skip":
+        return f"SKIP {check.name}: {check.detail}\n"
+    label = f"{check.name} ({check.detail})" if check.detail else check.name
+    return f"{check.status.upper()} {label}: {check.value:.3e} (tol {check.tol:.0e})\n"
 
 
 def _cmd_verify(args, spec, constants):
-    density = args.grid_density
-    if args.region:
-        region = _parse_region(args.region, density)
+    """(whether a check failed, the output text): PASS/FAIL/SKIP lines, or
+    with --format json one row per check record."""
+    region = (_parse_region(args.region, args.grid_density) if args.region
+              else V.default_region(spec, args.grid_density))
+    checks = V.verify(spec, constants, region)
+    if args.format == "json":
+        text = _emit(args, spec, constants, ["check", "status", "value", "tol", "detail"],
+                     list(zip(*map(dataclasses.astuple, checks))))
     else:
-        a_scale = P.length_scale(spec)
-        region = O.SearchRegion(-12.0 / a_scale, 12.0 / a_scale, 0.01 / a_scale,
-                                3.0 / a_scale, density * a_scale)
-    buf = io.StringIO()
-    failed = _verify_checks(spec, constants, region, buf)
-    return failed, buf.getvalue()
+        text = "".join(map(_verify_line, checks))
+    return any(r.status == "fail" for r in checks), text
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,8 @@ import pytest
 import yaml
 
 from qnf1d import (
-    DoubleDelta, Eckart, Hua, PhysicalConstants, RectBarrier, Sech2, Tanh, Tietz,
-    asymptotic_qnfs, oracle, potentials, qnf_energy,
+    Check, DoubleDelta, Eckart, Hua, MorseFeshbach, PhysicalConstants, RectBarrier, Sech2,
+    Tanh, Tietz, asymptotic_qnfs, oracle, potentials, qnf_energy, verify,
 )
 from qnf1d import __version__, cli
 from qnf1d.cli import _build_parser, _emit, _spec_from_args, main
@@ -358,13 +358,12 @@ class TestCommands:
         assert code == 0
         assert len(calls) == 1
 
-    def test_verify_skip_lines(self, capsys, monkeypatch):
+    def test_verify_skip_lines(self, monkeypatch):
         # a check that tests no mode says so and why, and is not a failure
-        code, out = run_cli(["verify", "--type", "morse-feshbach", "--V0", "0.8",
-                             "--mu", "0.7", "--L", "1.1"], capsys)
-        assert code == 0
-        assert "FAIL" not in out
-        assert "SKIP low-lying QNFs vs ODE poles: no closed-form QNF with |Im k| a <= 2.05" in out
+        checks = verify(MorseFeshbach(0.8, 0.7, 1.1), C)
+        assert "fail" not in [r.status for r in checks]
+        assert checks[-1] == Check("low-lying QNFs vs ODE poles", "skip", detail=(
+            "no closed-form QNF with |Im k| a <= 2.05"))
 
         def reject(spec, guesses, c):
             return [(g, math.nan, f"no certified pole from guess {g}") for g in guesses.tolist()]
@@ -372,12 +371,13 @@ class TestCommands:
         # every refinement rejected, as for the tanh spec V- = 0, V+ = 2,
         # a = 1, whose verify takes seconds
         monkeypatch.setattr(oracle, "refine_pole", reject)
-        code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
-        assert code == 0
-        assert "FAIL" not in out
-        assert ("SKIP low-lying QNFs vs ODE poles: 0 of 1 candidate modes certified by the "
-                "oracle; first rejection: no certified pole from guess") in out
-        assert out.rstrip().endswith("(2 cancelled members not refined)")
+        checks = verify(Sech2(-1.0, 1.0), C)
+        assert "fail" not in [r.status for r in checks]
+        skip = checks[-1]
+        assert (skip.status, skip.value, skip.tol) == ("skip", None, None)
+        assert skip.detail.startswith("0 of 1 candidate modes certified by the oracle; "
+                                      "first rejection: no certified pole from guess")
+        assert skip.detail.endswith("(2 cancelled members not refined)")
 
     @pytest.mark.parametrize("argv", [["--type", "delta", "--alpha", "50"],
                                       ["--type", "step", "--V0", "1"]], ids=["delta", "step"])
@@ -455,16 +455,15 @@ class TestCommands:
 
     @pytest.mark.parametrize("order, status, low, high",
                              [(4, "FAIL", 1e-6, 1e-4), (32, "PASS", 0.0, 1e-12)])
-    def test_verify_convergence_reads_the_tail_order(self, capsys, monkeypatch, order, status,
+    def test_verify_convergence_reads_the_tail_order(self, monkeypatch, order, status,
                                                      low, high):
         # the propagators resolve t far below the check's 1e-8, so on the
         # README Sech2 the check reads the truncation of the Jost tail
         # series: 5.6e-6 with 4 terms, rounding with the default 32
         monkeypatch.setattr(oracle, "_TAIL_ORDER", order)
-        _code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
-        [line] = [ln for ln in out.splitlines() if "domain/step convergence" in ln]
-        assert line.startswith(f"{status} domain/step convergence: ")
-        assert low <= float(line.split(": ")[1].split()[0]) < high
+        [check] = [r for r in verify(Sech2(-1.0, 1.0), C) if r.name == "domain/step convergence"]
+        assert (check.status.upper(), check.tol) == (status, 1e-8)
+        assert low <= check.value < high
 
     @pytest.mark.parametrize("argv, budget", [
         (["--type", "sech2", "--V0", "-1", "--a", "1"], 5),
@@ -536,6 +535,25 @@ class TestCommands:
         )
         assert code == 2
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("alpha, a, code", [
+        ("1", "1", 0),
+        ("1.3051932532822195", "1.3733252972316858", 2),  # FAIL transfer-matrix determinant
+    ], ids=["pass", "fail"])
+    def test_verify_json_prints_the_records(self, alpha, a, code, capsys):
+        # one row per check record, with the exit status of the text output
+        argv = ["verify", "--type", "double-delta", "--alpha", alpha, "--a", a]
+        got, out = run_cli([*argv, "--format", "json"], capsys)
+        assert got == code
+        doc = json.loads(out)
+        assert doc["command"] == "verify"
+        assert doc["spec"] == {"type": "double_delta", "alpha": float(alpha), "a": float(a)}
+        assert doc["columns"] == ["check", "status", "value", "tol", "detail"]
+        assert [Check(*row) for row in doc["rows"]] == verify(DoubleDelta(float(alpha), float(a)),
+                                                             C)
+        _code, text = run_cli(argv, capsys)
+        assert [line.split(" ", 1)[0].lower() for line in text.splitlines()] == [
+            row[1] for row in doc["rows"]]
 
 
 class TestDeterminism:

@@ -39,8 +39,8 @@ from qnf1d import (
     scattering_limits,
     transmission_amplitude,
     transmission_probability,
+    verify,
 )
-from qnf1d.cli import _build_parser, _cmd_verify
 from qnf1d.potentials import EckartReduction, length_scale, normal_form
 from qnf1d.qnf import _closed_form_tower, has_closed_form
 from test_array_amplitudes import (
@@ -124,7 +124,7 @@ def test_oracle_reflection_symmetry_of_symmetric_asymptotes(spec, ks):
     "with V- != V+ the transmitted wavenumber is the principal root "
     "sqrt(k^2 - p2 (V+ - V-)), so -k* keeps the sign of k+ where the "
     "mirrored pole needs -k+*; uniformizing the two-channel k plane "
-    "(ROADMAP item 3) removes this branch choice"))
+    "(ROADMAP item 4) removes this branch choice"))
 # no shrink phase: every drawn spec fails, and shrinking a strict xfail's
 # failure only spends time
 @settings(max_examples=20, deadline=None, report_multiple_bugs=False,
@@ -290,13 +290,12 @@ def test_equal_normal_forms_give_equal_outputs(group, ks, scaled):
 
 @pytest.mark.parametrize("pair", [
     (Sech2(-1.0, 1.0), RosenMorse(0.0, 0.0, -1.0, 1.0)),
-    (Tanh(0.0, 0.6, 1.0), Eckart(0.0, 0.6, 0.0, 1.0)),  # a FAIL line, the same for both
+    (Tanh(0.0, 0.6, 1.0), Eckart(0.0, 0.6, 0.0, 1.0)),  # a FAIL record, the same for both
     (DoubleDelta(1.0, 1.0), AsymDoubleDelta(1.0, 1.0, 1.0)),
     (RectBarrier(1.0, 1.0), AsymRectBarrier(0.0, 1.0, 0.0, 1.0)),
 ], ids=lambda pair: type(pair[0]).__name__)
 def test_equal_normal_forms_give_equal_verify_reports(pair):
     # fixed pairs: a smooth verify costs 0.1 to 0.2 s
-    args = _build_parser().parse_args(["verify"])
-    first, second = (_cmd_verify(args, spec, C) for spec in pair)
+    first, second = (verify(spec, C) for spec in pair)
     assert first == second
-    assert first[1].splitlines()
+    assert len(first) == 4
