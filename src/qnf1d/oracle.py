@@ -74,12 +74,8 @@ _PANEL_REACH = 2.0
 _PANEL_CAP = 4096
 # panel matrices per linear solve, which bounds the memory of a large grid
 _PANEL_BLOCK = 256
-# find_poles screens out a seed whose two grid estimates of d(1/t)/dk (along
-# Re k and along Im k) agree to this fraction of the larger ...
-_SCREEN_SLOPE_TOL = 0.1
-# ... and whose one Newton step lands more than this many grid cells outside
-# the region
-_SCREEN_CELLS = 1.0
+# a find_poles seed whose two grid slopes agree to this starts from their Newton step
+_SLOPE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,8 @@ class PoleReport:
     amplitude call follows the reported iterate.
 
     ``rejected`` holds a (seed, reason) pair for every grid seed that gave
-    no pole: its refinement failed the acceptance rule, or it was screened
-    out before refinement because the Newton step from the grid's own slope
-    of 1/t lands more than one grid cell outside the region (see
-    ``find_poles``); a screened seed's reason names that landing point."""
+    no pole: Newton stopped outside the region (see ``find_poles``), or its
+    result failed the acceptance rule; the reason names the seed and why."""
 
     poles: list
     region: SearchRegion
@@ -471,11 +465,12 @@ def _probes(k):
     return np.concatenate([k + p, k + 1j * p])
 
 
-def _newton_polish(f, k0, on_axis=False):
+def _newton_polish(f, k0, beyond, on_axis=False):
     """Damped Newton on complex f from every seed in the array k0 at once;
-    returns the reported iterate per seed (nan where f is nan at the seed),
-    |f| there, and |f| at its two flatness probes (see _probes; shape
-    (2, seeds), nan where that iterate's call carried none).
+    returns per seed the reported iterate (nan where none in its basin had
+    a finite f), |f| there, |f| at its two flatness probes (see _probes;
+    shape (2, seeds), nan where that iterate's call carried none) and the
+    iterate outside its basin where it stopped (else nan).
 
     Each iteration makes one call of f, on the stacked (z, z + h, z - h) of
     the seeds still iterating.  A seed stops as soon as the step from its
@@ -490,6 +485,11 @@ def _newton_polish(f, k0, on_axis=False):
     range, and the step from the new iterate is at or near the tolerance.
     A stalled seed (one on a branch cut, or at its noise floor) carries no
     probes after its first non-improving iterate.
+    ``beyond(k, k0)`` > 0 is how far the iterates k lie outside the basin
+    of their seeds k0.  An iterate outside that improves on the best (as a
+    first iterate does) stops its seed unless its step halves that
+    distance, which Newton bound for a zero outside does not; the reported
+    iterate is the best one inside.
     With ``on_axis`` the iteration runs over the real y of k = i y: the
     wavenumber square roots put their branch cuts exactly on the imaginary
     axis, so on-axis poles are polished with a one-real-parameter iteration
@@ -503,11 +503,13 @@ def _newton_polish(f, k0, on_axis=False):
     stale = np.zeros(z.shape, dtype=int)
     # the last step was below _PROBE_STEP, from an improving iterate
     near = np.zeros(z.shape, dtype=bool)
+    far = beyond(to_k(z), k0)
     live = np.arange(z.size)
     for n in range(_NEWTON_MAX_ITER + 1):
         if not live.size:
             break
-        zl, probed = z[live], near[live]
+        zl, probed, dist = z[live], near[live], far[live]
+        out = dist > 0
         m, az = zl.size, np.abs(zl)
         scale = np.maximum(1.0, az)
         h = 1e-7 * scale
@@ -533,31 +535,34 @@ def _newton_polish(f, k0, on_axis=False):
             # gz is f at the last step's iterate
             better = ga < best_g[live]
             stale[live] = np.where(better, 0, stale[live] + 1)
-        keep = better | converged
+        keep = (better | converged) & ~out
         kept = live[keep]
         best_z[kept], best_g[kept], best_p[:, kept] = zl[keep], ga[keep], np.nan
         if any_probed:
             best_p[:, live[keep & probed]] = np.abs(vals[3 * m:]).reshape(2, -1)[:, keep[probed]]
+        nxt = beyond(to_k(zl - s), k0[live])
         # a nan gz, a zero or nan slope give a non-finite step
-        done = converged | ~np.isfinite(s) | (stale[live] >= 3) | (n == _NEWTON_MAX_ITER)
+        done = (converged | ~np.isfinite(s) | (stale[live] >= 3) | (n == _NEWTON_MAX_ITER)
+                | (out & better & ~(nxt < 0.5 * dist)))
         near[live] = better & (size < _PROBE_STEP * scale)
         live, zl, s = live[~done], zl[~done], s[~done]
-        z[live] = zl - s
+        z[live], far[live] = zl - s, nxt[~done]
     best_z[np.isnan(best_g)] = np.nan
-    return (1j * best_z if on_axis else best_z), best_g, best_p
+    left = np.where(far > 0, to_k(z), np.nan)  # from each seed's last iterate
+    return (1j * best_z if on_axis else best_z), best_g, best_p, left
 
 
-def _rejections(k, res, probes, basin):
+def _rejections(k, res, probes, left):
     """Why each k is not a certified pole of t (a zero of f = 1/t), or None,
     from what the refinement already holds: the residual res = |f(k)|, |f|
     at the two flatness probes around k (see _probes), which guard against
-    regions where 1/t merely underflows, and ``basin``, the k inside their
-    search basin.  Makes no call of f."""
+    regions where 1/t merely underflows, and ``left`` (see _newton_polish).
+    Makes no call of f."""
     flat = ~(probes.max(axis=0) > 10.0 * np.maximum(res, _RESIDUAL_TOL * 1e-4))
     reasons = []
-    for z, r, fl, b in zip(k.tolist(), res.tolist(), flat.tolist(), basin.tolist()):
-        if not b:
-            reasons.append("the iteration left the search basin")
+    for z, r, fl, out in zip(k.tolist(), res.tolist(), flat.tolist(), left.tolist()):
+        if not cmath.isnan(out):
+            reasons.append(f"the iteration left the search basin at k={out}")
         elif not r < _RESIDUAL_TOL:
             reasons.append(f"refined point k={z} has |1/t|={r:.2e} > {_RESIDUAL_TOL:.0e}")
         elif abs(z) < _TRIVIAL_ZERO_TOL:
@@ -569,28 +574,26 @@ def _rejections(k, res, probes, basin):
     return reasons
 
 
-def _refine(f, guesses, near_axis, inside):
-    """Newton-polish a zero of f from every guess in the array ``guesses``;
-    returns one (k, |f(k)|, reason) triple per guess.
+def _refine(f, guesses, near_axis, beyond, starts=None):
+    """Newton-polish a zero of f from every guess in the array ``guesses``
+    (or ``starts``); returns one (k, |f(k)|, reason) triple per guess.
 
-    ``inside(k, guesses)`` marks the iterates k that lie in the search basin
-    of their guesses.  Rejected iterates of the guesses marked ``near_axis``
-    are retried with the on-axis iteration, as a second pass.  Each pass
-    reads its residuals and probes from its Newton calls (see
-    _newton_polish); a reported iterate in its basin that passes the
-    residual rule but carries no probes gets them in one more call, over
-    all such iterates of the pass.  ``reason`` is None for a certified pole
-    and otherwise names why the last iterate was rejected."""
+    ``beyond`` measures the search basin (see _newton_polish).  Rejected
+    iterates of the guesses marked ``near_axis`` are retried from the
+    guesses with the on-axis iteration, as a second pass.  Each pass reads
+    its residuals and probes from its Newton calls; an iterate that passes
+    the residual rule but carries no probes gets them in one more call,
+    over all such iterates of the pass.  ``reason`` is None for a certified
+    pole, otherwise why the last iterate from the guess was rejected."""
 
-    def polish(guesses, on_axis):
-        k, res, probes = _newton_polish(f, guesses, on_axis)
-        basin = inside(k, guesses)
-        bare = basin & (res < _RESIDUAL_TOL) & np.isnan(probes[0])
+    def polish(starts, on_axis):
+        k, res, probes, left = _newton_polish(f, starts, beyond, on_axis)
+        bare = np.isnan(left) & (res < _RESIDUAL_TOL) & np.isnan(probes[0])
         if bare.any():
             probes[:, bare] = np.abs(f(_probes(k[bare]))).reshape(2, -1)
-        return k, res, _rejections(k, res, probes, basin)
+        return k, res, _rejections(k, res, probes, left)
 
-    k, res, reasons = polish(guesses, False)
+    k, res, reasons = polish(guesses if starts is None else starts, False)
     retry = [i for i, reason in enumerate(reasons) if reason and near_axis[i]]
     if retry:
         # poles on the imaginary axis sit on the channel-sqrt branch cuts
@@ -605,11 +608,12 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude
     """Newton-polish a pole of t from ``guess``; returns (k, residual |1/t|).
 
     k is a wavenumber of the normal form's ``qnf_level``, as QNFs are reported.
-    Raises DomainError when the iteration escapes the basin
-    |k - guess| <= (1 + |guess|) / 2, or its result fails the acceptance
-    rule shared with find_poles (residual, trivial zero, flat 1/t).  The
-    residual and the flatness probes are read from the Newton calls (see
-    _newton_polish), so no amplitude call follows the reported k.
+    Raises DomainError when Newton stops outside the basin
+    |k - guess| <= (1 + |guess|) / 2 (see _newton_polish), naming the
+    iterate where it stopped, or when its result fails the acceptance rule
+    shared with find_poles (residual, trivial zero, flat 1/t).  The
+    residual and the flatness probes are read from the Newton calls, so no
+    amplitude call follows the reported k.
     ``amplitude`` (default: the numeric engine) must accept an ndarray k.
 
     An ndarray of guesses refines them all at once (each Newton iteration is
@@ -626,7 +630,7 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude
     f = lambda k: _inv_t(spec, k, c, amplitude)
     near_axis = np.abs(guesses.real) < 1e-6 * np.maximum(1.0, np.abs(guesses))
     refined = _refine(f, guesses, near_axis,
-                      lambda k, g: np.abs(k - g) <= 0.5 * (1.0 + np.abs(g)))
+                      lambda k, g: np.abs(k - g) - 0.5 * (1.0 + np.abs(g)))
     if not scalar:
         return refined
     [(k, res, reason)] = refined
@@ -721,14 +725,15 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     transmitted wavenumber is a principal root) and the whole grid is
     evaluated.
 
-    A seed is not refined when the grid says it cannot give a pole in the
-    region: its two estimates of dg/dk from its grid neighbours, along Re k
-    and along -i times along Im k, agree to ``_SCREEN_SLOPE_TOL`` (10 %) of
-    the larger, and the Newton step g / (dg/dk) from the grid point lands
-    more than ``_SCREEN_CELLS`` (one) grid cell outside the region.  With
-    unequal limits a seed within 1.5 cells of Re k = 0 is always refined:
-    the principal-root cut lies there.  A screened seed is listed in
-    ``rejected`` with its landing point.
+    The seeds are the grid points whose |g| is the least and not the
+    largest of their 3 x 3 window (none where t = 1).  A seed whose grid
+    estimates of dg/dk along Re k and -i times along Im k agree to
+    ``_SLOPE_TOL`` (10 %) starts Newton from the grid's own step g / (dg/dk),
+    at no call, unless the limits differ and it lies within 1.5 cells of
+    the principal-root cut Re k = 0; the others start from the grid point.
+    The region is the search basin (see _newton_polish).  A seed within 1.5
+    cells of Re k = 0 that gives no pole is retried from itself on the axis
+    (see _refine); each rejection names its seed.
     """
     if amplitude is None:
         amplitude = numeric_amplitude
@@ -752,34 +757,28 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     mag = np.abs(g)
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
-    # seeds are the local minima of |1/t| over each point's 3 x 3 window
-    rows, cols = np.nonzero((mag < 1e6) & (mag <= _window_min(mag)))
+    # seeds: the least |1/t| of each point's 3 x 3 window, below the largest
+    # (-_window_min(-mag)) by more than rounding, so a free form has none
+    rows, cols = np.nonzero((mag < 1e6) & (mag <= _window_min(mag))
+                            & (mag < (1.0 - 1e-12) * -_window_min(-mag)))
     seeds = grid[rows, cols]
     near_axis = np.abs(seeds.real) < 1.5 * cell
 
-    def inside(k, margin):
-        return ((region.re_min - margin <= k.real) & (k.real <= region.re_max + margin)
-                & (region.im_min - margin <= k.imag) & (k.imag <= region.im_max + margin))
+    def beyond(k, _starts):
+        return np.maximum(np.maximum(region.re_min - k.real, k.real - region.re_max),
+                          np.maximum(region.im_min - k.imag, k.imag - region.im_max)) - 1e-9
 
     with np.errstate(all="ignore"):
         # an analytic g has dg/dk = dg/dx = -i dg/dy
         d_re = _grid_slope(g, rows, cols, res[1] - res[0])
         d_im = -1j * _grid_slope(g.T, cols, rows, ims[1] - ims[0])
-        landing = seeds - g[rows, cols] / (0.5 * (d_re + d_im))
-        analytic = np.abs(d_re - d_im) < _SCREEN_SLOPE_TOL * np.maximum(np.abs(d_re), np.abs(d_im))
-    screened = analytic & ~inside(landing, _SCREEN_CELLS * cell)
-    if v_minus != v_plus:
-        screened &= ~near_axis
-    refined = iter(_refine(f, seeds[~screened], near_axis[~screened],
-                           lambda k, _guesses: inside(k, 1e-9)))
+        analytic = np.abs(d_re - d_im) < _SLOPE_TOL * np.maximum(np.abs(d_re), np.abs(d_im))
+        if v_minus != v_plus:  # the principal-root cut lies on Re k = 0
+            analytic &= ~near_axis
+        # an analytic seed starts from the grid's own Newton step
+        starts = np.where(analytic, seeds - g[rows, cols] / (0.5 * (d_re + d_im)), seeds)
     poles, rejected = [], []
-    for seed, land, skip in zip(seeds.tolist(), landing.tolist(), screened.tolist()):
-        if skip:
-            rejected.append((seed, f"no certified pole from guess {seed}: the Newton step "
-                                   f"from the grid lands at k={land}, more than "
-                                   f"{_SCREEN_CELLS:g} grid cell outside the region"))
-            continue
-        k, r, reason = next(refined)
+    for seed, (k, r, reason) in zip(seeds.tolist(), _refine(f, seeds, near_axis, beyond, starts)):
         if reason:
             rejected.append((seed, reason))
             continue

@@ -467,11 +467,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv, budget", [
         (["--type", "sech2", "--V0", "-1", "--a", "1"], 5),
-        (["--type", "rect-barrier", "--V0", "1", "--a", "1"], 10),
+        (["--type", "rect-barrier", "--V0", "1", "--a", "1"], 9),
     ], ids=["sech2", "rect-barrier"])
     def test_verify_engine_call_budget(self, capsys, monkeypatch, argv, budget):
         # Sech2: the amplitude batch, the convergence check and three Newton
-        # calls; RectBarrier: the amplitude batches, the grid and five Newton
+        # calls; RectBarrier: the amplitude batches, the grid and four Newton
         # calls.  No call confirms the last iterate or probes it again
         calls = []
         amplitude = oracle.numeric_amplitude

@@ -38,10 +38,13 @@ from qnf1d.oracle import (
     _EXP_GUARD,
     _NEWTON_MAX_ITER,
     _ODE_HALF_WIDTH,
+    _RESIDUAL_TOL,
     _grid,
     _grid_columns,
     _inv_t,
-    _refine,
+    _newton_polish,
+    _probes,
+    _rejections,
     _transfer_matrices,
     _window_min,
     transfer_matrix_det_error,
@@ -531,10 +534,13 @@ class TestArrayGrid:
                              ids=["transfer", "closed_form"])
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: repr(s))
     def test_scan_call_budget(self, spec, amplitude):
-        # the grid and five Newton calls: each accepted pole's last call
+        # the grid and four Newton calls: each accepted pole's last call
         # carried its flatness probes, and the step from it was below
-        # tolerance, so no confirming or acceptance call follows.  The count
-        # repeats exactly, where a timing does not
+        # tolerance, so no confirming or acceptance call follows.  The well's
+        # axis pole 0.2521i takes one more: the grid slopes of its seeds
+        # +-0.0627 + 0.2721i differ by 25 %, so they start from the grid
+        # point, not from the grid's Newton step.  The count repeats
+        # exactly, where a timing does not
         calls = []
 
         def counting(spec, k, c):
@@ -542,7 +548,42 @@ class TestArrayGrid:
             return amplitude(spec, k, c)
 
         assert find_poles(spec, self.REGION, C, amplitude=counting).poles
-        assert len(calls) == 6
+        assert len(calls) == (6 if spec == RectBarrier(-1.0, 1.0) else 5)
+
+    @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
+                             ids=["ode", "closed_form"])
+    def test_jittered_sech2_scan_call_budget(self, amplitude):
+        # the jittered README well: no pole in the region, and its eight seeds
+        # are all rejected.  Refining every seed with no basin sends six of
+        # them out to |k| ~ 60 and back; here the two corner seeds stop at
+        # their first iterate, 17.8 below the floor, and the on-axis retries
+        # from 3.74i stop at 5.31i, an improving iterate above the ceiling
+        # whose step leads further up.  The grid and seven Newton calls
+        calls = []
+
+        def counting(spec, k, c):
+            calls.append(k.size)
+            return amplitude(spec, k, c)
+
+        rep = find_poles(Sech2(-1.02229, 1.01812), SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0), C,
+                         amplitude=counting)
+        assert rep.poles == [] and len(rep.rejected) == 8
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("spec", [Step(0.0), RectBarrier(0.0, 1.0)], ids=lambda s: repr(s))
+    def test_free_form_has_no_seed(self, spec):
+        # t = 1: |1/t| on the grid is flat to rounding, so no grid point lies
+        # below the largest value of its window, and the grid is the only call
+        from qnf1d.checks import default_region
+
+        calls = []
+
+        def counting(spec, k, c):
+            calls.append(k.size)
+            return numeric_amplitude(spec, k, c)
+
+        rep = find_poles(spec, default_region(spec), C, amplitude=counting)
+        assert (rep.poles, rep.rejected, len(calls)) == ([], [], 1)
 
     def test_an_iterate_on_the_exact_pole_is_kept(self):
         # a third of a cell off the folded grid, one Newton iterate lands
@@ -594,17 +635,15 @@ class TestArrayGrid:
         assert np.array_equal(inv, 1.0 / transmission_amplitude(spec, k, C).t)
 
 
-def landing_point(reason):
-    """The landing point a screened seed's reason names; None for a seed
-    that was refined."""
-    m = re.search(r"lands at k=(\S+), ", reason)
-    return m and complex(m.group(1))
-
-
 def refine_every_seed(spec, region, amplitude):
-    """The poles of a scan that refines every seed: each local minimum of
-    |1/t| over the whole (unfolded) grid refined with _refine, and the
-    accepted points merged within find_poles' radius, best residual first."""
+    """The poles of a scan that refines every seed from its grid point and
+    tests the region only after Newton: each local minimum of |1/t| over the
+    whole (unfolded) grid is polished with no basin, a reported iterate
+    outside the region is rejected, near-axis seeds that gave no pole are
+    retried on the axis, and the accepted points are merged within
+    find_poles' radius, best residual first.  An independent reference for
+    find_poles, which starts from the grid's Newton step and stops Newton
+    outside the region (see _newton_polish)."""
     f = lambda k: _inv_t(spec, k, C, amplitude)  # noqa: E731
     res, ims, cell = grid_axes(region)
     grid = _grid(res, ims)
@@ -612,51 +651,84 @@ def refine_every_seed(spec, region, amplitude):
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
     seeds = grid[(mag < 1e6) & (mag <= _window_min(mag))]
 
-    def inside(k, _guesses):
+    def inside(k):
         return ((region.re_min - 1e-9 <= k.real) & (k.real <= region.re_max + 1e-9)
                 & (region.im_min - 1e-9 <= k.imag) & (k.imag <= region.im_max + 1e-9))
 
-    refined = _refine(f, seeds, np.abs(seeds.real) < 1.5 * cell, inside)
+    def polish(guesses, on_axis):
+        k, res, probes, _left = _newton_polish(f, guesses, lambda k, _g: np.full(k.shape, -np.inf),
+                                               on_axis)
+        bare = inside(k) & (res < _RESIDUAL_TOL) & np.isnan(probes[0])
+        if bare.any():
+            probes[:, bare] = np.abs(f(_probes(k[bare]))).reshape(2, -1)
+        return k, res, _rejections(k, res, probes, np.where(inside(k), np.nan, k))
+
+    k, res, reasons = polish(seeds, False)
+    retry = [i for i, reason in enumerate(reasons) if reason and abs(seeds[i].real) < 1.5 * cell]
+    if retry:
+        k[retry], res[retry], reasons_ax = polish(seeds[retry], True)
+        for i, reason in zip(retry, reasons_ax):
+            reasons[i] = reason
     poles = []
-    for k, _r, _reason in sorted((p for p in refined if p[2] is None), key=lambda p: p[1]):
-        if all(abs(k - q) >= 1e-6 / length_scale(spec) for q in poles):
-            poles.append(k)
+    for z, _r, _reason in sorted((p for p in zip(k, res, reasons) if p[2] is None),
+                                 key=lambda p: p[1]):
+        if all(abs(z - q) >= 1e-6 / length_scale(spec) for q in poles):
+            poles.append(z)
     return poles
 
 
+def left_point(reason):
+    """The first iterate outside the search basin that a rejection names;
+    None for a seed rejected for another reason."""
+    m = re.search(r"left the search basin at k=(\S+)$", reason)
+    return m and complex(m.group(1))
+
+
 class TestSeedScreening:
-    """find_poles refines a seed only where the Newton step from the grid's
-    own slope of 1/t can land in the region."""
+    """find_poles spends calls only on the seeds whose Newton path stays in
+    the region: a seed starts from the grid's own Newton step and stops at
+    an iterate outside the region that improves on its best, unless the
+    step from it halves its distance to the region."""
 
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])
     def test_scan_well_screens_its_stragglers(self, amplitude):
-        # refining every seed takes 12 amplitude calls: 30 of the 40 seeds
-        # are rejected, and Newton runs 11 iterations for them
+        # refining every seed from its grid point with no basin takes 12
+        # amplitude calls: 30 of the 40 seeds are rejected, and Newton runs
+        # 11 iterations for them.  Here the grid's Newton step of each of the
+        # 30 lies outside the region, and each stops there, at its first
+        # iterate: only the first Newton call evaluates points outside the
+        # region (beyond the step and probe offsets), three per straggler
         spec, region = RectBarrier(-1.0, 1.0), SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
         calls = []
 
         def counting(spec, k, c):
-            calls.append(k.size)
+            calls.append(k)
             return amplitude(spec, k, c)
 
+        def outside(k):
+            return ~((region.re_min - 0.01 <= k.real) & (k.real <= region.re_max + 0.01)
+                     & (region.im_min - 0.01 <= k.imag) & (k.imag <= region.im_max + 0.01))
+
         rep = find_poles(spec, region, C, amplitude=counting)
-        assert len(rep.poles) == 9
+        assert len(rep.poles) == 9 and len(rep.rejected) == 30
         assert len(calls) == 6
-        _res, _ims, cell = grid_axes(region)
-        landings = [landing_point(reason) for _seed, reason in rep.rejected]
-        assert any(landings)
-        for k in filter(None, landings):
-            assert not (region.re_min - cell <= k.real <= region.re_max + cell
-                        and region.im_min - cell <= k.imag <= region.im_max + cell), k
+        for seed, reason in rep.rejected:
+            assert reason.startswith(f"no certified pole from guess {seed}: "), reason
+            k = left_point(reason)
+            assert outside(np.array([k]))[0] and k in calls[1].tolist(), reason
+        assert [int(outside(k).sum()) for k in calls[1:]] == [90, 0, 0, 0, 0]
 
     def test_a_pair_below_the_floor_is_screened(self):
         # 1/t = i (k - 1.5i)(k - 2 + 0.4i)(k + 2 + 0.4i), which keeps
         # t(-k*) = t(k)* (the folded grid): one pole inside the region and a
-        # mirrored pair about three cells below its floor
+        # mirrored pair about three cells below its floor.  The floor seeds
+        # bound for the pair stop after at most one call each
         inner, pair = 1.5j, (2.0 - 0.4j, -2.0 - 0.4j)
+        calls = []
 
         def amplitude(spec, k, c):
+            calls.append(k)
             return ScatteringAmplitudes(1.0 / (1j * (k - inner) * (k - pair[0]) * (k - pair[1])),
                                         None, k, k)
 
@@ -664,23 +736,29 @@ class TestSeedScreening:
         rep = find_poles(RectBarrier(1.0, 1.0), region, C, amplitude=amplitude)
         assert len(rep.poles) == 1 and abs(rep.poles[0][0] - inner) < 1e-12
         _res, _ims, cell = grid_axes(region)
-        screened = [seed for seed, reason in rep.rejected if landing_point(reason)]
         for p in pair:
             floor = complex(p.real, region.im_min)
-            assert [seed for seed in screened if abs(seed - floor) < 2.0 * cell] != [], p
+            bound = [seed for seed, reason in rep.rejected
+                     if abs(seed - floor) < 2.0 * cell and left_point(reason)]
+            assert bound, p
+            near = [k for k in calls[1:] if (np.abs(k - floor) < 3.0 * cell).any()]
+            assert len(near) <= 1, p
 
     def test_seeds_next_to_the_cut_are_refined(self):
         # unequal limits: 1/t = (sqrt(k^2) - 0.5i)(k + x0 + 0.3i) has the
         # principal-root cut on Re k = 0.  The floor seed at -x0, 1.5 columns
         # left of the cut (within 1.5 cells, as the rows are a little wider
         # apart), sees only the left branch -(k + 0.5i)(k + x0 + 0.3i), whose
-        # Newton step lands below the floor; it is refined all the same
+        # Newton step lands below the floor; it starts from the grid point
+        # all the same, and its first Newton call evaluates it there
         region = SearchRegion(-2.0, 2.0, 0.01, 2.0, 8.0)
         res, ims, cell = grid_axes(region)
         x0 = 1.5 * (res[1] - res[0])
         assert x0 < 1.5 * cell
+        calls = []
 
         def amplitude(spec, k, c):
+            calls.append(k)
             return ScatteringAmplitudes(1.0 / ((np.sqrt(k * k) - 0.5j) * (k + x0 + 0.3j)),
                                         None, k, k)
 
@@ -690,39 +768,81 @@ class TestSeedScreening:
         left = -(seed + 0.5j) * (seed + x0 + 0.3j)
         landing = seed - left / -(2.0 * seed + x0 + 0.8j)
         assert landing.imag < region.im_min - cell
-        [reason] = [reason for k, reason in rep.rejected if abs(k - seed) < 1e-12]
-        assert landing_point(reason) is None
+        [(grid_point, reason)] = [(k, reason) for k, reason in rep.rejected
+                                  if abs(k - seed) < 1e-12]
+        assert reason.startswith(f"no certified pole from guess {grid_point}: ")
+        assert grid_point in calls[1].tolist()
 
     def test_same_poles_as_refining_every_seed(self):
-        # a census over random specs: screening drops no pole and moves none
+        # a census over random specs: starting from the grid's Newton step and
+        # stopping Newton at the region's edge drop no pole and move none.
+        # Tanh poles are double, so Newton places them only to about the root
+        # of the noise of 1/t: they may move by 1e-7
         rng = np.random.default_rng(27)
 
         def level():
             return rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
 
+        def smooth(a):
+            return SearchRegion(-6.0 / a, 6.0 / a, 0.01 / a, 4.0 / a, 8.0 * a)
+
         cases = []
         for _ in range(5):
             a = rng.uniform(0.3, 2.5)
             scan = SearchRegion(-16.0 / a, 16.0 / a, 0.01 / a, 2.5 / a, 8.0 * a)
-            smooth = SearchRegion(-6.0 / a, 6.0 / a, 0.01 / a, 4.0 / a, 8.0 * a)
             for spec in (RectBarrier(level() / a**2, a),
                          AsymDoubleDelta(level() / a, level() / a, a),
                          AsymRectBarrier(level() / a**2, level() / a**2, level() / a**2, a)):
                 cases += [(spec, scan, numeric_amplitude), (spec, scan, transmission_amplitude)]
-            cases += [(Sech2(level() / a**2, a), smooth, transmission_amplitude),
-                      (Eckart(level() / a**2, level() / a**2, level() / a**2, a), smooth,
+            cases += [(Sech2(level() / a**2, a), smooth(a), transmission_amplitude),
+                      (Eckart(level() / a**2, level() / a**2, level() / a**2, a), smooth(a),
+                       transmission_amplitude)]
+        for _ in range(5):
+            a = rng.uniform(0.3, 2.5)
+            cases += [(Tanh(level() / a**2, level() / a**2, a), smooth(a), transmission_amplitude),
+                      (MorseFeshbach(level() / a**2, rng.uniform(-1.0, 1.0), a), smooth(a),
                        transmission_amplitude)]
         total = 0
         for spec, region, amplitude in cases:
-            rep = find_poles(spec, region, C, amplitude=amplitude)
-            found = sorted((k for k, _, _ in rep.poles), key=lambda k: (k.imag, k.real))
-            ref = sorted(refine_every_seed(spec, region, amplitude),
-                         key=lambda k: (k.imag, k.real))
+            found = [k for k, _, _ in find_poles(spec, region, C, amplitude=amplitude).poles]
+            ref = refine_every_seed(spec, region, amplitude)
             assert len(found) == len(ref), (spec, found, ref)
-            for k, q in zip(found, ref):
-                assert abs(k - q) <= 1e-12 * abs(q), (spec, k, q)
+            tol = 1e-7 if isinstance(spec, Tanh) else 1e-12
+            # one to one: each reference pole takes its own found pole
+            unmatched = list(found)
+            for q in ref:
+                k = min(unmatched, key=lambda k: abs(k - q))
+                assert abs(k - q) <= tol * abs(q), (spec, found, q)
+                unmatched.remove(k)
             total += len(ref)
         assert total > 100
+
+    @pytest.mark.parametrize("spec, amplitude, pole", [
+        # on the cut 0.0046 below the ceiling: the on-axis retry from 0.85i
+        # overshoots to 2.299i and comes back
+        (AsymRectBarrier(0.05877947877907718, 0.05868095078771033, 0.13840597940576047,
+                         1.9801649222079394), numeric_amplitude, 2.0154452663352163j),
+        # a tanh double pole: the on-axis retry from 1.069i runs to 2.479i
+        (Tanh(0.10067164341433432, 0.12848987464261138, 1.9353397786476354),
+         transmission_amplitude, 1.5590883574354835j),
+        # 0.0004 above the floor: Newton steps to 0.0056i below it, then back
+        (AsymRectBarrier(-1.4577733478175479, -0.7169322798592074, -0.5555196522009408,
+                         1.3016530455915563), numeric_amplitude,
+         -1.3679471363803186 + 0.008087188639837052j),
+        # 0.0005 below the ceiling: the ceiling seed's grid step lands above it
+        (MorseFeshbach(-0.2762472132161361, -0.5698994286380625, 2.4690666454925982),
+         transmission_amplitude, 0.7231855656165981 + 1.6194973198524645j),
+    ], ids=["asym-rect-ceiling", "tanh-axis", "asym-rect-floor", "morse-feshbach-ceiling"])
+    def test_keeps_poles_reached_from_outside_the_region(self, spec, amplitude, pole):
+        # poles next to the region's edge that Newton reaches only by way of
+        # iterates outside it, each from a census draw over
+        # (-6/a, 6/a, 0.01/a, 4/a, 8a): the step from the outside iterate
+        # halves its distance to the region, so the seed goes on
+        a = length_scale(spec)
+        region = SearchRegion(-6.0 / a, 6.0 / a, 0.01 / a, 4.0 / a, 8.0 * a)
+        found = [k for k, _, _ in find_poles(spec, region, C, amplitude=amplitude).poles]
+        tol = 1e-7 if isinstance(spec, Tanh) else 1e-12
+        assert min(abs(k - pole) for k in found) <= tol * abs(pole), found
 
 
 class TestAcceptanceRule:
@@ -877,10 +997,15 @@ class TestRefinePole:
         assert batch[-1][2] == str(exc.value)
 
     def test_each_guess_keeps_its_own_basin(self):
-        # from -3 + 2i Newton lands on the pole 2i, which lies in the basin of
-        # the guess 1.9i but not in its own: it is rejected there
+        # from -3 + 2i Newton heads for the pole 2i, which lies in the basin of
+        # the guess 1.9i but not in its own: it stops at an improving iterate
+        # outside that basin, far from 2i, whose step does not halve its
+        # distance to the basin, and reports its best iterate inside it
+        guesses = np.array([1.9j, -3.0 + 2.0j])
         (k1, _res, reason1), (k2, _res2, reason2) = refine_pole(
-            Delta(2.0), np.array([1.9j, -3.0 + 2.0j]), C, amplitude=transmission_amplitude)
+            Delta(2.0), guesses, C, amplitude=transmission_amplitude)
         assert reason1 is None and abs(k1 - 2j) < 1e-12
-        assert abs(k2 - 2j) < 1e-6 and abs(k2 - 1.9j) <= 0.5 * (1.0 + 1.9)
-        assert reason2.endswith("the iteration left the search basin")
+        radius = 0.5 * (1.0 + abs(guesses[1]))
+        left = left_point(reason2)
+        assert abs(left - guesses[1]) > radius >= abs(k2 - guesses[1])
+        assert abs(left - 2j) > 0.1

@@ -38,6 +38,10 @@ REPRODUCERS = [
     Hua(1.2, -2.0, 1.0),  # a bound state searched on the wrong sheet (item 4)
     Tanh(0.0, 0.6, 1.0),  # a double pole (item 5)
     Tanh(0.0, 2.0, 1.0),  # its one low-lying member is cancelled (item 5)
+    # determinant rounding on an unequal barrier, 6.7e-12 (item 6)
+    AsymRectBarrier(-1.128118076945254, 1.9089627596630316, -0.30513573012964956,
+                    0.999828070938855),
+    RectBarrier(-0.18111066515885835, 2.5694615639002065),  # a pole just above the floor (item 8)
 ]
 
 # (class, check) -> the ROADMAP item that mends it
@@ -45,6 +49,8 @@ KNOWN_FAILS = {
     ("AsymRectBarrier", "amplitude agreement"): 6,
     ("RectBarrier", "amplitude agreement"): 6,
     ("DoubleDelta", "transfer-matrix determinant"): 6,
+    ("AsymRectBarrier", "transfer-matrix determinant"): 6,
+    ("RectBarrier", "QNF/pole bijection"): 8,
     ("Delta", "QNF/pole bijection"): 8,
     ("AsymDoubleDelta", "QNF/pole bijection"): 8,
     ("asymmetric Eckart", "low-lying QNFs vs ODE poles"): 4,
