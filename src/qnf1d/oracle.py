@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,10 +26,12 @@ from .potentials import (
     ScatteringAmplitudes,
     _first_point,
     _level_wavenumber,
+    _reciprocal,
     _sin_over,
     evaluate,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
     length_scale,
     normal_form,
+    transmission_amplitude,
 )
 
 __all__ = [
@@ -118,12 +121,16 @@ class PoleReport:
 # Transfer matrices (piecewise-constant + delta potentials)
 # ---------------------------------------------------------------------------
 
-def _transfer_matrices(spec, k, c):
-    """The entries (m00, m01, m10, m11) of M = W(-a, k)^-1 J_left P J_right
-    W(a, k+), with (A_left, B_left) = M (A_right, B_right), over an array of
-    k, each 2 x 2 product written out; also returns k+ and the mask of the
-    points where M is not representable (k = 0, an exponential beyond the
-    guard, or a non-finite entry)."""
+def _transfer_matrices(spec, k, c, entries=((0, 0), (0, 1), (1, 0), (1, 1))):
+    """The entries m_ij named by the (i, j) pairs ``entries`` (default all
+    four, m00 m01 m10 m11) of M = W(-a, k)^-1 J_left P J_right W(a, k+),
+    with (A_left, B_left) = M (A_right, B_right), over an array of k, each
+    2 x 2 product written out and each row and column formed only for the
+    entries asked for; also returns k+ and the mask of the points where M
+    is not representable (k = 0 or an exponential beyond the guard).  Each
+    factor can scale the entries by exp(|Im kappa a|), so an entry
+    overflows long before one exponential does: the caller masks the
+    entries it reads that are not finite."""
     form = normal_form(spec)
     if not isinstance(form, Interfaces):
         raise NotAScatteringPotential(f"{type(spec).__name__} is not piecewise-constant")
@@ -139,14 +146,23 @@ def _transfer_matrices(spec, k, c):
     # harmless stand-in for k in W(-a, k)^-1 and are masked by the caller
     g_left, g_right = -c.p2 * form.alpha_left, -c.p2 * form.alpha_right
     k_in = np.where(bad, 1.0, k)
-    em, ep = 0.5 * np.exp(-1j * k_in * a), 0.5 * np.exp(1j * k_in * a)
-    l01, l11 = -em / (1j * k_in), ep / (1j * k_in)  # left = W(-a, k)^-1 J_left
-    l00, l10 = em + l01 * g_left, ep + l11 * g_left
-    # right = J_right W(a, k+); with equal limits k+ is k, whose exponentials
-    # are em and ep wherever M is representable
-    r00, r01 = (2.0 * em, 2.0 * ep) if k_p is k else (np.exp(-1j * k_p * a),
-                                                       np.exp(1j * k_p * a))
-    r10, r11 = (g_right - 1j * k_p) * r00, (g_right + 1j * k_p) * r01
+    # exp(-+i k a) / 2; the second only for an entry off m00
+    em = 0.5 * np.exp(-1j * k_in * a)
+    ep = 0.5 * np.exp(1j * k_in * a) if any(i or j for i, j in entries) else None
+
+    def row(i):  # (l_i0, l_i1) of left = W(-a, k)^-1 J_left
+        l1 = -em / (1j * k_in) if i == 0 else ep / (1j * k_in)
+        return (em if i == 0 else ep) + l1 * g_left, l1
+
+    def col(j):  # (r_0j, r_1j) of right = J_right W(a, k+)
+        # with equal limits k+ is k, whose exponentials are em and ep
+        # wherever M is representable
+        if j == 0:
+            r0 = 2.0 * em if k_p is k else np.exp(-1j * k_p * a)
+            return r0, (g_right - 1j * k_p) * r0
+        r0 = 2.0 * ep if k_p is k else np.exp(1j * k_p * a)
+        return r0, (g_right + 1j * k_p) * r0
+
     # the middle region carries (psi, psi') from x = a to x = -a by
     # P = e I + sin(k_mid d) / k_mid u v^T, d = -2a, u = (1, w), v = (w, 1),
     # with e = exp(-w d) the decaying one of exp(+-i k_mid d): no cancellation
@@ -155,28 +171,24 @@ def _transfer_matrices(spec, k, c):
     d = -2.0 * a
     w = np.where((k_mid * d).imag >= 0, -1j, 1j) * k_mid
     ex, s = np.exp(-w * d), _sin_over(k_mid, d)
-    lu0, lu1 = s * (l00 + w * l01), s * (l10 + w * l11)  # s (left u)
-    vr0, vr1 = w * r00 + r10, w * r01 + r11  # v^T right
-    m = (ex * (l00 * r00 + l01 * r10) + lu0 * vr0, ex * (l00 * r01 + l01 * r11) + lu0 * vr1,
-         ex * (l10 * r00 + l11 * r10) + lu1 * vr0, ex * (l10 * r01 + l11 * r11) + lu1 * vr1)
-    # each factor can scale the entries by exp(|Im kappa a|), so the product
-    # overflows long before one exponential does
-    for entry in m:
-        bad |= ~np.isfinite(entry)
+    rows, cols = {i: row(i) for i, _ in entries}, {j: col(j) for _, j in entries}
+    m = []
+    for i, j in entries:
+        (l0, l1), (r0, r1) = rows[i], cols[j]
+        # e (left right)_ij + (s left u)_i (v^T right)_j
+        m.append(ex * (l0 * r0 + l1 * r1) + s * (l0 + w * l1) * (w * r0 + r1))
     return m, k_p, bad
 
 
-def _transfer_amplitudes(spec, k, c) -> ScatteringAmplitudes:
-    """t and r over an array of k; inf at a pole, nan where M is not
-    representable."""
-    (m00, _, m10, _), k_p, bad = _transfer_matrices(spec, k, c)
-    # a subnormal m00 overflows 1/m00 to an inf part beside a zero part, whose
-    # product with the flux factor would be nan: that is a pole as well
-    inv = 1.0 / m00
-    t = np.where((m00 == 0) | np.isinf(inv), complex("inf"), inv * np.sqrt(k_p) / np.sqrt(k))
-    nan = complex("nan")
-    return ScatteringAmplitudes(np.where(bad, nan, t), np.where(bad, nan, m10 / m00),
-                                k, k_p)
+def _flux_inverse(den, k, k_p, bad):
+    """1/t = den sqrt(k) / sqrt(k+) over an array of k, from the incident
+    coefficient den of the solution with unit outgoing wave (m00 of the
+    transfer matrix, A of the ODE): 0 at a pole, nan at the ``bad`` points
+    and where den is not finite, inf in both parts where 1/t overflows
+    (t = 0 at k+ = 0)."""
+    inv = den if k_p is k else den * np.sqrt(k) / np.sqrt(k_p)
+    return np.where(bad | ~np.isfinite(den), complex("nan"),
+                    np.where(np.isinf(inv), complex("inf"), inv))
 
 
 def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS):
@@ -190,6 +202,8 @@ def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS)
     k = np.array([k] if scalar else k, dtype=complex)
     with np.errstate(all="ignore"):
         (m00, m01, m10, m11), k_p, bad = _transfer_matrices(spec, k, c)
+        for entry in (m00, m01, m10, m11):
+            bad |= ~np.isfinite(entry)
         err = np.where(bad, np.nan, np.abs(m00 * m11 - m01 * m10 - k_p / k))
     if not scalar:
         return err
@@ -343,10 +357,13 @@ def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
     return psi, dpsi
 
 
-def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
-    """t and r of the Eckart reduction ``red`` over an array of k, with one
-    integration over [-L, L] (default 1.5 a); inf at a pole, nan at k = 0
-    and where t is not representable or the propagators do not resolve."""
+def _ode_solution(red, k, c, L=None, rtol=1e-12):
+    """(A, B, k+, bad) of the Eckart reduction ``red`` over an array of k,
+    with one integration over [-L, L] (default 1.5 a): the solution whose
+    transmitted wave is flux-normalized to t = 1 is A times the incident
+    wave plus B times the reflected one, so t = sqrt(k+) / (A sqrt(k)) and
+    r = B / A (see _flux_inverse); ``bad`` marks k = 0 and the points where
+    they are not representable or the propagators do not resolve."""
     a, shift, p2 = red.a, red.shift, c.p2
     e = red.v_minus + k * k / p2
     k_p = _level_wavenumber(k, e, red.v_minus, red.v_plus, p2)
@@ -375,17 +392,13 @@ def _ode_amplitudes(red, k, c, L=None, rtol=1e-12) -> ScatteringAmplitudes:
     det = p_inc * dp_ref - p_ref * dp_inc
     a_coef = (psi * dp_ref - p_ref * dpsi) / det
     b_coef = (p_inc * dpsi - psi * dp_inc) / det
-    t = 1.0 / a_coef * np.sqrt(k_p) / np.sqrt(k)
-    r = b_coef / a_coef
     if shift != 0.0:
+        # t gains e^{i (k+ - k) shift} and r e^{-2 i k shift}
         phase = np.exp(1j * (k_p - k) * shift)
         bad |= ~np.isfinite(phase)
-        t, r = t * phase, r * np.exp(-2j * k * shift)
-    nan = complex("nan")
+        a_coef, b_coef = a_coef / phase, b_coef * np.exp(-2j * k * shift) / phase
     bad |= (det == 0) | ~np.isfinite(psi) | ~np.isfinite(dpsi)
-    t = np.where(bad, nan, np.where(a_coef == 0, complex("inf"), t))
-    r = np.where(bad | (a_coef == 0), nan, r)
-    return ScatteringAmplitudes(t, r, k, k_p)
+    return a_coef, b_coef, k_p, bad
 
 
 def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
@@ -404,6 +417,11 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
     trailing Chebyshev coefficients of each point's psi'' on every panel,
     relative to its largest one.  The transfer matrices ignore L and rtol.
 
+    t is the reciprocal of the engine's 1/t, m00 sqrt(k) / sqrt(k+) of the
+    transfer matrix or A sqrt(k) / sqrt(k+) of the ODE (see _flux_inverse),
+    which the pole search reads directly (see _numeric_inverse); r is m10 /
+    m00 or B / A.
+
     An ndarray k gives arrays under the contract of
     ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
     is not representable); the transfer matrices are then written entry by
@@ -419,9 +437,13 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
     with np.errstate(all="ignore"):
         k = np.array([k] if scalar else k, dtype=complex)
         if isinstance(form, Interfaces):
-            amp = _transfer_amplitudes(spec, k, c)
+            (den, num), k_p, bad = _transfer_matrices(spec, k, c, ((0, 0), (1, 0)))
         else:
-            amp = _ode_amplitudes(form, k, c, L, rtol)
+            den, num, k_p, bad = _ode_solution(form, k, c, L, rtol)
+        t = _reciprocal(_flux_inverse(den, k, k_p, bad), k)
+        r = np.where(bad | (den == 0) | ~np.isfinite(den) | ~np.isfinite(num), complex("nan"),
+                     num / den)
+        amp = ScatteringAmplitudes(t, r, k, k_p)
     if not scalar:
         return amp
     amp = _first_point(amp)
@@ -429,6 +451,18 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
         raise OverflowGuardError(f"numeric amplitude not representable at k={amp.k_minus_inf} "
                                  "(an overflow guard or an unresolved integration)")
     return amp
+
+
+def _numeric_inverse(spec, k, c):
+    """The numeric engine's 1/t over an array of incidence k (see
+    _flux_inverse), with the default L and rtol: the transfer matrix forms
+    m00 alone."""
+    form = normal_form(spec)
+    if isinstance(form, Interfaces):
+        (den,), k_p, bad = _transfer_matrices(spec, k, c, ((0, 0),))
+    else:
+        den, _, k_p, bad = _ode_solution(form, k, c)
+    return _flux_inverse(den, k, k_p, bad)
 
 
 def solve_ivp(*args, **kwargs):
@@ -447,15 +481,32 @@ def solve_ivp(*args, **kwargs):
 
 def _inv_t(spec, k, c, amplitude):
     """1/t over an array of k in the reported plane (the normal form's
-    ``qnf_level``) with one amplitude call: 0 at a pole, inf at k = 0, nan
-    where t is not representable."""
+    ``qnf_level``) with one engine call: 0 at a pole, inf at k = 0, nan
+    where t is not representable.
+
+    The two library engines, numeric_amplitude and transmission_amplitude,
+    are called through their 1/t (``_INVERSES``), which they build t from;
+    a wrapper that names an engine in ``__wrapped__`` (functools.wraps)
+    counts as that engine.  Any other callable is called for t, and 1/t is
+    taken here."""
     form = normal_form(spec)
-    level = form.qnf_level
+    level, v_in = form.qnf_level, form.limits[0]
     with np.errstate(all="ignore"):
-        k_in = _level_wavenumber(k, level + k * k / c.p2, level, form.limits[0], c.p2)
-        t = amplitude(spec, k_in, c).t
-        inv = np.where(t == 0, complex("inf"), np.where(np.isinf(np.abs(t)), 0j, 1.0 / t))
+        k_in = k if level == v_in else _level_wavenumber(k, level + k * k / c.p2, level, v_in,
+                                                         c.p2)
+        inverse = _INVERSES.get(inspect.unwrap(amplitude))
+        if inverse is not None:
+            inv = inverse(spec, k_in, c)
+        else:
+            t = amplitude(spec, k_in, c).t
+            inv = np.where(t == 0, complex("inf"), np.where(np.isinf(np.abs(t)), 0j, 1.0 / t))
     return np.where(k_in == 0, complex("inf"), inv)
+
+
+# each library engine's 1/t over an array of incidence k (0 at a pole, nan
+# where t is not representable), which the pole search calls in its place
+_INVERSES = {numeric_amplitude: _numeric_inverse,
+             transmission_amplitude: lambda spec, k, c: normal_form(spec).inverse_t(k, c.p2)[0]}
 
 
 def _probes(k):
@@ -614,7 +665,8 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude
     shared with find_poles (residual, trivial zero, flat 1/t).  The
     residual and the flatness probes are read from the Newton calls, so no
     amplitude call follows the reported k.
-    ``amplitude`` (default: the numeric engine) must accept an ndarray k.
+    ``amplitude`` (default: the numeric engine) must accept an ndarray k;
+    either library engine is called through its 1/t (see _inv_t).
 
     An ndarray of guesses refines them all at once (each Newton iteration is
     one amplitude call over every guess still iterating, and each pass adds
@@ -673,6 +725,16 @@ def _window_min(mag):
     return np.minimum(np.minimum(cols[:-2], cols[1:-1]), cols[2:])
 
 
+def _window_max_at(mag, rows, cols):
+    """The maximum of mag over the 3 x 3 window of each point (rows, cols)
+    alone, the window cut at the edges: an index clipped to the edge names
+    a point of the window, and a maximum does not round."""
+    offsets = np.arange(-1, 2)[:, None]
+    r = np.clip(rows + offsets, 0, mag.shape[0] - 1)
+    c = np.clip(cols + offsets, 0, mag.shape[1] - 1)
+    return mag[r[:, None], c[None, :]].reshape(9, -1).max(axis=0)
+
+
 def _grid_columns(lo, hi, n):
     """n equally spaced points from lo to hi, each mid + half m / (n - 1)
     with the integer m = 2j - (n - 1): for lo = -hi the points are exactly
@@ -710,12 +772,14 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
 
     ``amplitude`` defaults to the numeric engine; pass
     ``qnf1d.potentials.transmission_amplitude`` to hunt poles of the closed
-    forms instead (useful for towers beyond the ODE engine's reach).  It
-    must accept an ndarray k: the grid, each Newton iteration over all seeds
-    and the ``count_zeros`` boundary are one call each, and each refinement
-    pass adds at most one call for the flatness probes its Newton calls did
-    not carry (see _refine); the acceptance rule makes no call of its own.
-    The region lies in the plane QNFs are reported in (``qnf_level``).
+    forms instead (useful for towers beyond the ODE engine's reach).  Either
+    engine is called through its 1/t, which it builds t from (see _inv_t);
+    any other ``amplitude`` is called for t.  It must accept an ndarray k:
+    the grid, each Newton iteration over all seeds and the ``count_zeros``
+    boundary are one call each, and each refinement pass adds at most one
+    call for the flatness probes its Newton calls did not carry (see
+    _refine); the acceptance rule makes no call of its own.  The region
+    lies in the plane QNFs are reported in (``qnf_level``).
 
     Where the two limits of the spec are equal, a real potential gives
     t(-k*) = t(k)*, so the grid is evaluated once per distinct |Re k| and a
@@ -758,9 +822,10 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
     # seeds: the least |1/t| of each point's 3 x 3 window, below the largest
-    # (-_window_min(-mag)) by more than rounding, so a free form has none
-    rows, cols = np.nonzero((mag < 1e6) & (mag <= _window_min(mag))
-                            & (mag < (1.0 - 1e-12) * -_window_min(-mag)))
+    # by more than rounding, so a free form has none
+    rows, cols = np.nonzero((mag < 1e6) & (mag <= _window_min(mag)))
+    steep = mag[rows, cols] < (1.0 - 1e-12) * _window_max_at(mag, rows, cols)
+    rows, cols = rows[steep], cols[steep]
     seeds = grid[rows, cols]
     near_axis = np.abs(seeds.real) < 1.5 * cell
 

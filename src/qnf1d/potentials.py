@@ -245,17 +245,18 @@ class Interfaces:
                                + (abs(gap1) + abs(g1)) * (abs(gap3) + abs(g2)) * abs(sin_k2))
         return np.where(np.isfinite(sin_k2), den_k2, complex(math.nan, math.nan)), k2, k3, bound
 
-    def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
-        """t of the two-interface problem with couplings g = p2 * alpha, over
-        an array of k (see transmission_amplitude)."""
+    def inverse_t(self, k: np.ndarray, p2: float) -> tuple:
+        """(1/t, k3) of the two-interface problem with couplings g = p2 *
+        alpha, over an array of k: 1/t = (den / k2) / (4 sqrt(k k3) e^{i (k +
+        k3) a}), 0 at a pole and nan where t is not representable."""
         den_k2, _, k3, _ = self.denominator(k, p2)
         phase = np.exp(1j * (k + k3) * self.a)
         sqrt_k = np.sqrt(k)
-        t = 4.0 * sqrt_k * (sqrt_k if k3 is k else np.sqrt(k3)) * phase / den_k2
-        # a pole (den = 0) is inf, an overflowing exponential nan
-        t = np.where(np.isfinite(phase), t, complex("nan"))
-        t = np.where(den_k2 == 0, complex("inf"), t)
-        return ScatteringAmplitudes(t, None, k, k3)
+        inv = den_k2 / (4.0 * sqrt_k * (sqrt_k if k3 is k else np.sqrt(k3)) * phase)
+        # a pole (den = 0) is 0, a zero of t (k3 = 0 at the upper threshold)
+        # inf in both parts, an overflowing exponential nan
+        inv = np.where(np.isinf(inv), complex("inf"), inv)
+        return np.where(np.isfinite(phase), inv, complex("nan")), k3
 
     def probability(self, e: np.ndarray, p2: float) -> np.ndarray:
         """T(E) over an array of real E above both limits: the
@@ -347,9 +348,10 @@ class EckartReduction:
         slope = 0.5 * (self.v_plus - self.v_minus)
         return mid + slope * np.tanh(u) + self.v0 / np.cosh(u) ** 2
 
-    def amplitudes(self, k: np.ndarray, p2: float) -> ScatteringAmplitudes:
-        """t as a ratio of gamma functions, over an array of (complex) k
-        (see transmission_amplitude)."""
+    def inverse_t(self, k: np.ndarray, p2: float) -> tuple:
+        """(1/t, k+) over an array of (complex) k, with t a ratio of gamma
+        functions: 1/t = i sqrt(k+) sqrt(k-) a e^{-log ratio}, 0 at a pole
+        and nan where t is not representable."""
         e = self.v_minus + k * k / p2
         k_m = k
         k_p = _level_wavenumber(k, e, self.v_minus, self.v_plus, p2)
@@ -362,14 +364,15 @@ class EckartReduction:
         lg_p, sqrt_p = (lg_m, sqrt_m) if k_p is k_m else (log_gamma(1j * k_p * a), np.sqrt(k_p))
         num = [log_gamma(1j * kbar * a + 0.5 + sgn * s) for sgn in (1.0, -1.0)]
         log_ratio = num[0] + num[1] - lg_p - lg_m
-        t = -1j / (sqrt_p * sqrt_m * a) * np.exp(log_ratio)
+        inv = 1j * sqrt_p * sqrt_m * a * np.exp(-log_ratio)
         if self.shift != 0.0:
             phase = np.exp(1j * (k_p - k_m) * self.shift)
-            t = np.where(np.isfinite(phase), t * phase, complex("nan"))
-        # a pole of t where more numerator than denominator gammas are at a pole
+            inv = np.where(np.isfinite(phase), inv / phase, complex("nan"))
+        # a pole of t where more numerator than denominator gammas are at a
+        # pole; an overflowing 1/t (t -> 0 as k -> 0) is inf in both parts
         pole = sum(map(np.isnan, num)) > sum(map(np.isnan, (lg_p, lg_m)))
-        t = np.where((log_ratio.real > 700.0) | pole, complex("inf"), t)
-        return ScatteringAmplitudes(t=t, r=None, k_minus_inf=k_m, k_plus_inf=k_p)
+        inv = np.where(np.isinf(inv), complex("inf"), inv)
+        return np.where((log_ratio.real > 700.0) | pole, 0j, inv), k_p
 
     def probability(self, e: np.ndarray, p2: float) -> np.ndarray:
         """T(E) = sinh(x-) sinh(x+) / (sinh(xbar)^2 + cos(pi s)^2), x = pi k a,
@@ -898,6 +901,8 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
 
     Reflection amplitudes are not displayed by the closed forms; ``r`` is None
     here and is only produced by the numeric engine in ``qnf1d.oracle``.
+    t is the reciprocal of the normal form's 1/t (its ``inverse_t``), which
+    the pole search reads directly.
 
     An ndarray k gives arrays of the same shape and never raises per point:
     t is inf at a pole (for the gamma forms, where more numerator than
@@ -911,8 +916,8 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
         raise DomainError("transmission amplitude requires k != 0")
     with np.errstate(all="ignore"):
         k = np.array([k] if scalar else k, dtype=complex)
-        amp = normal_form(spec).amplitudes(k, c.p2)
-        amp = dataclasses.replace(amp, t=np.where(k == 0, complex("nan"), amp.t))
+        inv, k_plus = normal_form(spec).inverse_t(k, c.p2)
+        amp = ScatteringAmplitudes(_reciprocal(inv, k), None, k, k_plus)
     if not scalar:
         return amp
     amp = _first_point(amp)
@@ -922,6 +927,14 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
         raise DomainError(f"closed-form t is not representable at k = {amp.k_minus_inf} "
                           "(a denominator gamma pole or an overflowing exponential)")
     return amp
+
+
+def _reciprocal(inv: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """t = 1 / inv over an array of k, from an engine's 1/t: inf at a pole
+    (inv = 0, or a subnormal inv whose reciprocal overflows), nan at k = 0
+    and where inv is nan."""
+    t = 1.0 / inv
+    return np.where(k == 0, complex("nan"), np.where(np.isinf(t), complex("inf"), t))
 
 
 def _first_point(amp: ScatteringAmplitudes) -> ScatteringAmplitudes:

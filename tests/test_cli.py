@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -472,15 +473,25 @@ class TestCommands:
     def test_verify_engine_call_budget(self, capsys, monkeypatch, argv, budget):
         # Sech2: the amplitude batch, the convergence check and three Newton
         # calls; RectBarrier: the amplitude batches, the grid and four Newton
-        # calls.  No call confirms the last iterate or probes it again
+        # calls.  No call confirms the last iterate or probes it again.  The
+        # checks call numeric_amplitude and the pole search its 1/t
+        # (oracle._INVERSES); the counting wrapper names the engine in
+        # __wrapped__, so the pole search still takes the 1/t
         calls = []
         amplitude = oracle.numeric_amplitude
+        inverse = oracle._INVERSES[amplitude]
 
+        @functools.wraps(amplitude)
         def counting(*args, **options):
             calls.append(args[1])
             return amplitude(*args, **options)
 
+        def counting_inverse(spec, k, c):
+            calls.append(k)
+            return inverse(spec, k, c)
+
         monkeypatch.setattr(oracle, "numeric_amplitude", counting)
+        monkeypatch.setitem(oracle._INVERSES, amplitude, counting_inverse)
         code, _out = run_cli(["verify", *argv], capsys)
         assert code == 0
         assert len(calls) == budget

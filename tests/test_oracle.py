@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import random
 import re
@@ -6,9 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import energy_grid
+from qnf1d import oracle
 from qnf1d import (
     AsymDoubleDelta,
     AsymRectBarrier,
@@ -33,7 +35,13 @@ from qnf1d import (
     scattering_limits,
     transmission_amplitude,
 )
-from qnf1d.errors import AtPoleError, DomainError, NotAScatteringPotential, OverflowGuardError
+from qnf1d.errors import (
+    AtPoleError,
+    DomainError,
+    NotAScatteringPotential,
+    OverflowGuardError,
+    Qnf1dError,
+)
 from qnf1d.oracle import (
     _EXP_GUARD,
     _NEWTON_MAX_ITER,
@@ -46,11 +54,19 @@ from qnf1d.oracle import (
     _probes,
     _rejections,
     _transfer_matrices,
+    _window_max_at,
     _window_min,
     transfer_matrix_det_error,
 )
-from qnf1d.potentials import _level_wavenumber, _sin_over, length_scale, normal_form
-from test_array_amplitudes import piecewise_specs, scaled_wavenumbers
+from qnf1d.potentials import (
+    EckartReduction,
+    _level_wavenumber,
+    _sin_over,
+    length_scale,
+    normal_form,
+)
+from qnf1d.qnf import has_closed_form
+from test_array_amplitudes import piecewise_specs, scaled_wavenumbers, smooth_specs
 
 C = PhysicalConstants()
 
@@ -111,6 +127,32 @@ def inverse_t_error(spec, k):
     exact = _inv_t(spec, k, C, transmission_amplitude)
     err = np.abs(_inv_t(spec, k, C, numeric_amplitude) - exact) / np.maximum(1.0, np.abs(exact))
     return float(err.max())
+
+
+def engine_calls(monkeypatch, amplitude):
+    """The k of every call that the pole search makes of the library engine
+    ``amplitude``, recorded in a list: _inv_t calls the engine's 1/t
+    (oracle._INVERSES), not the engine, so the 1/t is what is counted."""
+    calls = []
+    inverse = oracle._INVERSES[amplitude]
+
+    def counting(spec, k, c):
+        calls.append(k.copy())
+        return inverse(spec, k, c)
+
+    monkeypatch.setitem(oracle._INVERSES, amplitude, counting)
+    return calls
+
+
+def assert_same_poles(found, ref, tol, spec):
+    """found and ref list the same poles, matched one to one: each
+    reference pole q takes its own nearest found pole, within tol(q)."""
+    assert len(found) == len(ref), (spec, found, ref)
+    unmatched = list(found)
+    for q in ref:
+        k = min(unmatched, key=lambda k: abs(k - q))
+        assert abs(k - q) <= tol(q), (spec, found, q)
+        unmatched.remove(k)
 
 
 def grid_axes(region):
@@ -175,6 +217,7 @@ def assert_matches_stacked_product(spec, k):
     k = np.asarray(k, dtype=complex)
     with np.errstate(all="ignore"):
         entries, _k_p, bad = _transfer_matrices(spec, k, C)
+        bad |= ~np.isfinite(entries).all(axis=0)
         m_ref, bad_ref = stacked_transfer_matrices(spec, k)
     assert (bad == bad_ref).all(), (spec, k[bad != bad_ref])
     refs = (m_ref[..., 0, 0], m_ref[..., 0, 1], m_ref[..., 1, 0], m_ref[..., 1, 1])
@@ -437,8 +480,10 @@ class TestFindPoles:
     @pytest.mark.parametrize("shape", [(20, 256), (7, 5), (3, 1), (1, 4), (1, 1)])
     def test_window_min_is_scipy_minimum_filter(self, shape):
         # the seeds' 3 x 3 window minimum, against scipy's filter with inf
-        # beyond the edges; a minimum does not round, so they are equal
-        from scipy.ndimage import minimum_filter
+        # beyond the edges, and the window maximum at a random subset of the
+        # points, against its maximum filter with -inf beyond the edges; a
+        # minimum or a maximum does not round, so they are equal
+        from scipy.ndimage import maximum_filter, minimum_filter
 
         rng = np.random.default_rng(sum(shape))
         for _ in range(20):
@@ -446,6 +491,9 @@ class TestFindPoles:
             mag[rng.random(shape) < 0.2] = np.inf
             expected = minimum_filter(mag, size=3, mode="constant", cval=np.inf)
             assert np.array_equal(_window_min(mag), expected)
+            rows, cols = np.nonzero(rng.random(shape) < 0.3)
+            expected = maximum_filter(mag, size=3, mode="constant", cval=-np.inf)[rows, cols]
+            assert np.array_equal(_window_max_at(mag, rows, cols), expected)
 
 
 class TestArrayGrid:
@@ -457,17 +505,12 @@ class TestArrayGrid:
     REGION = SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
 
     @staticmethod
-    def grid_call_size(spec, region):
+    def grid_call_size(monkeypatch, spec, region):
         """The size of find_poles' first amplitude call, its grid, after
         checking that every call is an array call and that their number does
         not grow with the seeds."""
-        calls = []
-
-        def counting(spec, k, c):
-            calls.append(k)
-            return numeric_amplitude(spec, k, c)
-
-        rep = find_poles(spec, region, C, amplitude=counting)
+        calls = engine_calls(monkeypatch, numeric_amplitude)
+        rep = find_poles(spec, region, C)
         assert rep.poles and rep.rejected
         assert all(isinstance(k, np.ndarray) for k in calls)
         # the plain pass and the on-axis retry: at most _NEWTON_MAX_ITER + 1
@@ -475,16 +518,17 @@ class TestArrayGrid:
         assert len(calls) <= 1 + 2 * (_NEWTON_MAX_ITER + 2)
         return calls[0].size
 
-    def test_refinement_is_batched(self):
+    def test_refinement_is_batched(self, monkeypatch):
         # equal limits: the 256 columns are 128 mirrored pairs +-x, and the
         # grid is evaluated once per |x|
-        assert self.grid_call_size(RectBarrier(-1.0, 1.0), self.REGION) == 20 * 128
+        assert self.grid_call_size(monkeypatch, RectBarrier(-1.0, 1.0), self.REGION) == 20 * 128
 
-    def test_unequal_limits_evaluate_the_whole_grid(self):
+    def test_unequal_limits_evaluate_the_whole_grid(self, monkeypatch):
         region = self.REGION
         nre = round((region.re_max - region.re_min) * region.grid_density)
         nim = round((region.im_max - region.im_min) * region.grid_density)
-        assert self.grid_call_size(AsymRectBarrier(0.0, 1.0, 0.5, 1.0), region) == nre * nim
+        assert self.grid_call_size(monkeypatch, AsymRectBarrier(0.0, 1.0, 0.5, 1.0),
+                                   region) == nre * nim
 
     @pytest.mark.parametrize("spec, amplitude", [
         pytest.param(spec, amplitude, id=f"{spec!r}-{name}")
@@ -533,7 +577,7 @@ class TestArrayGrid:
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: repr(s))
-    def test_scan_call_budget(self, spec, amplitude):
+    def test_scan_call_budget(self, monkeypatch, spec, amplitude):
         # the grid and four Newton calls: each accepted pole's last call
         # carried its flatness probes, and the step from it was below
         # tolerance, so no confirming or acceptance call follows.  The well's
@@ -541,48 +585,33 @@ class TestArrayGrid:
         # +-0.0627 + 0.2721i differ by 25 %, so they start from the grid
         # point, not from the grid's Newton step.  The count repeats
         # exactly, where a timing does not
-        calls = []
-
-        def counting(spec, k, c):
-            calls.append(k.size)
-            return amplitude(spec, k, c)
-
-        assert find_poles(spec, self.REGION, C, amplitude=counting).poles
+        calls = engine_calls(monkeypatch, amplitude)
+        assert find_poles(spec, self.REGION, C, amplitude=amplitude).poles
         assert len(calls) == (6 if spec == RectBarrier(-1.0, 1.0) else 5)
 
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["ode", "closed_form"])
-    def test_jittered_sech2_scan_call_budget(self, amplitude):
+    def test_jittered_sech2_scan_call_budget(self, monkeypatch, amplitude):
         # the jittered README well: no pole in the region, and its eight seeds
         # are all rejected.  Refining every seed with no basin sends six of
         # them out to |k| ~ 60 and back; here the two corner seeds stop at
         # their first iterate, 17.8 below the floor, and the on-axis retries
         # from 3.74i stop at 5.31i, an improving iterate above the ceiling
         # whose step leads further up.  The grid and seven Newton calls
-        calls = []
-
-        def counting(spec, k, c):
-            calls.append(k.size)
-            return amplitude(spec, k, c)
-
+        calls = engine_calls(monkeypatch, amplitude)
         rep = find_poles(Sech2(-1.02229, 1.01812), SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0), C,
-                         amplitude=counting)
+                         amplitude=amplitude)
         assert rep.poles == [] and len(rep.rejected) == 8
         assert len(calls) == 8
 
     @pytest.mark.parametrize("spec", [Step(0.0), RectBarrier(0.0, 1.0)], ids=lambda s: repr(s))
-    def test_free_form_has_no_seed(self, spec):
+    def test_free_form_has_no_seed(self, monkeypatch, spec):
         # t = 1: |1/t| on the grid is flat to rounding, so no grid point lies
         # below the largest value of its window, and the grid is the only call
         from qnf1d.checks import default_region
 
-        calls = []
-
-        def counting(spec, k, c):
-            calls.append(k.size)
-            return numeric_amplitude(spec, k, c)
-
-        rep = find_poles(spec, default_region(spec), C, amplitude=counting)
+        calls = engine_calls(monkeypatch, numeric_amplitude)
+        rep = find_poles(spec, default_region(spec), C)
         assert (rep.poles, rep.rejected, len(calls)) == ([], [], 1)
 
     def test_an_iterate_on_the_exact_pole_is_kept(self):
@@ -598,9 +627,10 @@ class TestArrayGrid:
     def check_against_pointwise(spec, region, amplitude):
         rep = find_poles(spec, region, C, amplitude=amplitude)
         ref = find_poles(spec, region, C, amplitude=pointwise(amplitude))
-        assert len(rep.poles) == len(ref.poles)
-        for (k, _, _), (k_ref, _, _) in zip(rep.poles, ref.poles):
-            assert abs(k - k_ref) < 1e-12
+        # matched one to one, not by sort order: the two members of a mirror
+        # pair +-x + iy may differ in the last bit of Im k and swap places
+        assert_same_poles([k for k, _, _ in rep.poles], [k for k, _, _ in ref.poles],
+                          lambda q: 1e-12, spec)
         return rep.poles
 
     def test_rejected_seeds_carry_a_reason(self):
@@ -692,7 +722,7 @@ class TestSeedScreening:
 
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])
-    def test_scan_well_screens_its_stragglers(self, amplitude):
+    def test_scan_well_screens_its_stragglers(self, monkeypatch, amplitude):
         # refining every seed from its grid point with no basin takes 12
         # amplitude calls: 30 of the 40 seeds are rejected, and Newton runs
         # 11 iterations for them.  Here the grid's Newton step of each of the
@@ -700,17 +730,13 @@ class TestSeedScreening:
         # iterate: only the first Newton call evaluates points outside the
         # region (beyond the step and probe offsets), three per straggler
         spec, region = RectBarrier(-1.0, 1.0), SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
-        calls = []
-
-        def counting(spec, k, c):
-            calls.append(k)
-            return amplitude(spec, k, c)
+        calls = engine_calls(monkeypatch, amplitude)
 
         def outside(k):
             return ~((region.re_min - 0.01 <= k.real) & (k.real <= region.re_max + 0.01)
                      & (region.im_min - 0.01 <= k.imag) & (k.imag <= region.im_max + 0.01))
 
-        rep = find_poles(spec, region, C, amplitude=counting)
+        rep = find_poles(spec, region, C, amplitude=amplitude)
         assert len(rep.poles) == 9 and len(rep.rejected) == 30
         assert len(calls) == 6
         for seed, reason in rep.rejected:
@@ -806,14 +832,8 @@ class TestSeedScreening:
         for spec, region, amplitude in cases:
             found = [k for k, _, _ in find_poles(spec, region, C, amplitude=amplitude).poles]
             ref = refine_every_seed(spec, region, amplitude)
-            assert len(found) == len(ref), (spec, found, ref)
             tol = 1e-7 if isinstance(spec, Tanh) else 1e-12
-            # one to one: each reference pole takes its own found pole
-            unmatched = list(found)
-            for q in ref:
-                k = min(unmatched, key=lambda k: abs(k - q))
-                assert abs(k - q) <= tol * abs(q), (spec, found, q)
-                unmatched.remove(k)
+            assert_same_poles(found, ref, lambda q: tol * abs(q), spec)
             total += len(ref)
         assert total > 100
 
@@ -843,6 +863,87 @@ class TestSeedScreening:
         found = [k for k, _, _ in find_poles(spec, region, C, amplitude=amplitude).poles]
         tol = 1e-7 if isinstance(spec, Tanh) else 1e-12
         assert min(abs(k - pole) for k in found) <= tol * abs(pole), found
+
+
+def through_t(amplitude):
+    """``amplitude`` behind a pass-through wrapper, which _inv_t calls for t
+    and inverts: the route every callable but the two engines takes."""
+    return lambda spec, k, c: amplitude(spec, k, c)
+
+
+class TestEngineInverse:
+    """The pole search calls each library engine's 1/t (see _inv_t); the
+    engine's t is its reciprocal, so the route through t gives the same 1/t
+    to rounding, and the same poles."""
+
+    @seed(33)
+    @settings(max_examples=60, deadline=None)
+    @given(spec=piecewise_specs() | smooth_specs(),
+           kas=st.lists(st.complex_numbers(max_magnitude=5.0, allow_nan=False,
+                                           allow_infinity=False), min_size=1, max_size=8),
+           far=st.floats(0.5 * _EXP_GUARD, 2.0 * _EXP_GUARD))
+    # at Im k a = -300 the transfer matrix's m10 and m11 overflow and m00
+    # does not: t is representable there, and r is not
+    @example(spec=DoubleDelta(1.0, 1.0), kas=[0j], far=300.0)
+    def test_same_inverse_as_through_t(self, spec, kas, far):
+        # k a anywhere in |k a| <= 5, k = 0, closed-form tower members (poles
+        # of t) and points out to twice the overflow guard: 1/t within 4 ulps
+        # of its magnitude, with 0, inf and nan at the same points
+        a = length_scale(spec)
+        tower = []
+        if has_closed_form(spec):
+            with contextlib.suppress(Qnf1dError):
+                tower = [r.k for r in closed_form_qnfs(spec, (1, 4), C)]
+        far_k = [far * 1j, -far * 1j, 1.0 + far * 1j, 1.0 - far * 1j]
+        k = np.array(kas + [0.0] + far_k, dtype=complex) / a
+        k = np.concatenate([k, np.array(tower, dtype=complex)])
+        smooth = isinstance(normal_form(spec), EckartReduction)
+        # the ODE integrates each point: a few points keep it short
+        for amplitude, ks in ((transmission_amplitude, k),
+                              (numeric_amplitude, k[:6] if smooth else k)):
+            inv = _inv_t(spec, ks, C, amplitude)
+            ref = _inv_t(spec, ks, C, through_t(amplitude))
+            for where in (lambda z: z == 0, np.isinf, np.isnan):
+                assert (where(inv) == where(ref)).all(), (amplitude, ks, inv, ref)
+            fin = np.isfinite(ref)
+            err = np.abs(inv[fin] - ref[fin])
+            assert (err <= 4.0 * np.finfo(float).eps * np.abs(ref[fin])).all(), \
+                (amplitude, ks[fin], inv[fin], ref[fin])
+
+    def test_same_poles_as_through_t(self):
+        # a census over random specs of the eight classes: the same poles,
+        # one to one (tanh double poles to 1e-7 relative, the square root of
+        # the noise of 1/t; simple poles to 2e-12 max(1, |k|), two Newton
+        # stops below the 1e-12 step tolerance), and the same rejected seeds
+        rng = np.random.default_rng(33)
+
+        def level():
+            return rng.uniform(0.05, 3.0) * rng.choice([-1.0, 1.0])
+
+        cases = []
+        for _ in range(3):
+            a = rng.uniform(0.3, 2.5)
+            region = SearchRegion(-6.0 / a, 6.0 / a, 0.01 / a, 4.0 / a, 8.0 * a)
+            for spec in (DoubleDelta(abs(level()) / a, a),
+                         AsymDoubleDelta(level() / a, level() / a, a),
+                         RectBarrier(level() / a**2, a),
+                         AsymRectBarrier(level() / a**2, level() / a**2, level() / a**2, a)):
+                cases += [(spec, region, numeric_amplitude), (spec, region, transmission_amplitude)]
+            for spec in (Sech2(level() / a**2, a),
+                         Eckart(level() / a**2, level() / a**2, level() / a**2, a),
+                         Tanh(level() / a**2, level() / a**2, a),
+                         MorseFeshbach(level() / a**2, rng.uniform(-1.0, 1.0), a)):
+                cases.append((spec, region, transmission_amplitude))
+        total = 0
+        for spec, region, amplitude in cases:
+            rep = find_poles(spec, region, C, amplitude=amplitude)
+            ref = find_poles(spec, region, C, amplitude=through_t(amplitude))
+            assert [s for s, _ in rep.rejected] == [s for s, _ in ref.rejected], spec
+            tol = 1e-7 if isinstance(spec, Tanh) else 2e-12
+            assert_same_poles([k for k, _, _ in rep.poles], [k for k, _, _ in ref.poles],
+                              lambda q: tol * max(1.0, abs(q)), spec)
+            total += len(rep.poles)
+        assert total > 100
 
 
 class TestAcceptanceRule:
