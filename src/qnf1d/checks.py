@@ -116,6 +116,7 @@ def verify(spec, c: P.PhysicalConstants = P.DEFAULT_CONSTANTS,
                                 float(np.max(np.abs(t_conv - t2) / np.abs(t_conv))), 1e-8))
 
     # 4. analytic QNFs vs oracle poles
+    failure = ""  # why the closed form gave no QNF list
     try:
         if not piecewise:
             analytic = Q.closed_form_qnfs(spec, (1, 3) if form.v0 == 0.0 else (0, 2), c)
@@ -130,8 +131,8 @@ def verify(spec, c: P.PhysicalConstants = P.DEFAULT_CONSTANTS,
             for r in Q.transcendental_qnfs(spec, region, c):
                 if not any(abs(r.k - s.k) < 1e-8 for s in analytic):
                     analytic.append(r)
-    except Qnf1dError:
-        analytic = []
+    except Qnf1dError as exc:
+        analytic, failure = [], f"closed form raised {type(exc).__name__}: {exc}"
     if piecewise:
         name = "QNF/pole bijection"
         rep = O.find_poles(spec, region, c)
@@ -144,10 +145,12 @@ def verify(spec, c: P.PhysicalConstants = P.DEFAULT_CONSTANTS,
         extra = len(rep.poles) - matched
         if inside or rep.poles:
             checks.append(_measured(name, worst + (math.inf if extra else 0.0), 1e-8,
-                                    f"{matched}/{len(inside)} matched, {extra} unmatched poles"))
+                                    f"{matched}/{len(inside)} matched, {extra} unmatched poles"
+                                    + (f"; {failure}" if failure else "")))
         else:
-            checks.append(Check(name, "skip", detail="no closed-form QNF and no oracle pole "
-                                                     "in the search region"))
+            checks.append(Check(name, "skip", detail=(
+                f"{failure}; no" if failure else "no closed-form QNF and no")
+                + " oracle pole in the search region"))
     else:
         name = "low-lying QNFs vs ODE poles"
         low = [r for r in analytic if abs(r.k.imag) * a_scale <= 2.05]
@@ -165,5 +168,6 @@ def verify(spec, c: P.PhysicalConstants = P.DEFAULT_CONSTANTS,
         else:
             checks.append(Check(name, "skip", detail=(
                 f"0 of {len(low)} candidate modes certified by the oracle; first rejection: "
-                f"{rejections[0]}" if low else "no closed-form QNF with |Im k| a <= 2.05") + note))
+                f"{rejections[0]}" if low
+                else failure or "no closed-form QNF with |Im k| a <= 2.05") + note))
     return checks

@@ -19,12 +19,12 @@ import numpy as np
 import numpy.polynomial.chebyshev as cheb
 
 from .errors import DomainError, NotAScatteringPotential, OverflowGuardError
+from .specfn import _array_first
 from .potentials import (
     DEFAULT_CONSTANTS,
     Interfaces,
     PhysicalConstants,
     ScatteringAmplitudes,
-    _first_point,
     _level_wavenumber,
     _reciprocal,
     _sin_over,
@@ -193,23 +193,21 @@ def _flux_inverse(den, k, k_p, bad):
 
 def transfer_matrix_det_error(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS):
     """|det M - k_+/k_-|: the flux-conservation surrogate (0 for exact matrices),
-    with det M = m00 m11 - m01 m10 from M's entries.
+    with det M = m00 m11 - m01 m10 from M's entries."""
 
-    An ndarray k gives an array of the same shape, nan where M is not
-    representable; a scalar k gives a float and raises OverflowGuardError
-    there instead."""
-    scalar = not isinstance(k, np.ndarray)
-    k = np.array([k] if scalar else k, dtype=complex)
-    with np.errstate(all="ignore"):
-        (m00, m01, m10, m11), k_p, bad = _transfer_matrices(spec, k, c)
-        for entry in (m00, m01, m10, m11):
-            bad |= ~np.isfinite(entry)
-        err = np.where(bad, np.nan, np.abs(m00 * m11 - m01 * m10 - k_p / k))
-    if not scalar:
-        return err
-    if bad[0]:
-        raise OverflowGuardError(f"transfer matrix not representable at k={k[0]}")
-    return float(err[0])
+    def det_error(k):
+        with np.errstate(all="ignore"):
+            (m00, m01, m10, m11), k_p, bad = _transfer_matrices(spec, k, c)
+            for entry in (m00, m01, m10, m11):
+                bad |= ~np.isfinite(entry)
+            return np.where(bad, np.nan, np.abs(m00 * m11 - m01 * m10 - k_p / k))
+
+    def fault(err):
+        if not math.isnan(err):
+            return err
+        raise OverflowGuardError(f"transfer matrix or det M not representable at k={complex(k)}")
+
+    return _array_first(det_error, k, fault=fault)
 
 
 # ---------------------------------------------------------------------------
@@ -421,48 +419,39 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
     transfer matrix or A sqrt(k) / sqrt(k+) of the ODE (see _flux_inverse),
     which the pole search reads directly (see _numeric_inverse); r is m10 /
     m00 or B / A.
-
-    An ndarray k gives arrays under the contract of
-    ``qnf1d.potentials.transmission_amplitude`` (inf at a pole, nan where t
-    is not representable); the transfer matrices are then written entry by
-    entry over the array, and the ODE is one linear solve over every point
-    and panel, repeated on more panels for the points it does not resolve.
-    A scalar k is the one-element case: t is inf at a pole, and
-    OverflowGuardError is raised where the array would be nan.
     """
-    form = normal_form(spec)
-    scalar = not isinstance(k, np.ndarray)
-    if scalar and complex(k) == 0:
-        raise DomainError("numeric amplitude requires k != 0")
-    with np.errstate(all="ignore"):
-        k = np.array([k] if scalar else k, dtype=complex)
-        if isinstance(form, Interfaces):
-            (den, num), k_p, bad = _transfer_matrices(spec, k, c, ((0, 0), (1, 0)))
-        else:
-            den, num, k_p, bad = _ode_solution(form, k, c, L, rtol)
-        t = _reciprocal(_flux_inverse(den, k, k_p, bad), k)
-        r = np.where(bad | (den == 0) | ~np.isfinite(den) | ~np.isfinite(num), complex("nan"),
-                     num / den)
-        amp = ScatteringAmplitudes(t, r, k, k_p)
-    if not scalar:
+
+    def amplitudes(k):
+        with np.errstate(all="ignore"):
+            inv, den, num, k_p, bad = _numeric_inverse(spec, k, c, L, rtol, reflected=True)
+            r = np.where(bad | (den == 0) | ~np.isfinite(den) | ~np.isfinite(num),
+                         complex("nan"), num / den)
+            return _reciprocal(inv, k), r, k, k_p
+
+    def fault(amp):
+        t, _, k, _ = amp
+        if k == 0:
+            raise DomainError("numeric amplitude requires k != 0")
+        if cmath.isnan(t):
+            raise OverflowGuardError(f"numeric amplitude not representable at k={k} "
+                                     "(an overflow guard or an unresolved integration)")
         return amp
-    amp = _first_point(amp)
-    if cmath.isnan(amp.t):
-        raise OverflowGuardError(f"numeric amplitude not representable at k={amp.k_minus_inf} "
-                                 "(an overflow guard or an unresolved integration)")
-    return amp
+
+    return ScatteringAmplitudes(*_array_first(amplitudes, k, fault=fault))
 
 
-def _numeric_inverse(spec, k, c):
-    """The numeric engine's 1/t over an array of incidence k (see
-    _flux_inverse), with the default L and rtol: the transfer matrix forms
-    m00 alone."""
+def _numeric_inverse(spec, k, c, L=None, rtol=1e-12, reflected=False):
+    """(1/t, den, num, k+, bad) over an array of k: 1/t (see _flux_inverse)
+    from the incident and reflected coefficients den and num of the solution
+    with unit outgoing wave, m00 and m10 of the transfer matrix (m10 only
+    when ``reflected``, else None) or A and B of the ODE."""
     form = normal_form(spec)
     if isinstance(form, Interfaces):
-        (den,), k_p, bad = _transfer_matrices(spec, k, c, ((0, 0),))
+        m, k_p, bad = _transfer_matrices(spec, k, c, ((0, 0), (1, 0))[:1 + reflected])
+        den, num = m[0], m[1] if reflected else None
     else:
-        den, _, k_p, bad = _ode_solution(form, k, c)
-    return _flux_inverse(den, k, k_p, bad)
+        den, num, k_p, bad = _ode_solution(form, k, c, L, rtol)
+    return _flux_inverse(den, k, k_p, bad), den, num, k_p, bad
 
 
 def solve_ivp(*args, **kwargs):
@@ -505,7 +494,7 @@ def _inv_t(spec, k, c, amplitude):
 
 # each library engine's 1/t over an array of incidence k (0 at a pole, nan
 # where t is not representable), which the pole search calls in its place
-_INVERSES = {numeric_amplitude: _numeric_inverse,
+_INVERSES = {numeric_amplitude: lambda spec, k, c: _numeric_inverse(spec, k, c)[0],
              transmission_amplitude: lambda spec, k, c: normal_form(spec).inverse_t(k, c.p2)[0]}
 
 
@@ -668,27 +657,28 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude
     ``amplitude`` (default: the numeric engine) must accept an ndarray k;
     either library engine is called through its 1/t (see _inv_t).
 
-    An ndarray of guesses refines them all at once (each Newton iteration is
-    one amplitude call over every guess still iterating, and each pass adds
-    at most one call for missing probes), each in its own basin, and
-    returns a list with one (k, residual, reason) triple per guess instead
-    of raising: ``reason`` is None for a certified pole and otherwise the
-    message the scalar call would raise.
+    An array of guesses is refined at once (each Newton iteration is one
+    amplitude call over every guess still iterating, and each pass adds at
+    most one call for missing probes), each in its own basin, and gives one
+    (k, residual, reason) triple per guess: ``reason`` is None for a
+    certified pole and otherwise the message a number guess raises.
     """
     if amplitude is None:
         amplitude = numeric_amplitude
-    scalar = not isinstance(guess, np.ndarray)
-    guesses = np.array([guess] if scalar else guess, dtype=complex).ravel()
-    f = lambda k: _inv_t(spec, k, c, amplitude)
-    near_axis = np.abs(guesses.real) < 1e-6 * np.maximum(1.0, np.abs(guesses))
-    refined = _refine(f, guesses, near_axis,
-                      lambda k, g: np.abs(k - g) - 0.5 * (1.0 + np.abs(g)))
-    if not scalar:
-        return refined
-    [(k, res, reason)] = refined
-    if reason:
-        raise DomainError(reason)
-    return k, res
+
+    def triples(guesses):
+        near_axis = np.abs(guesses.real) < 1e-6 * np.maximum(1.0, np.abs(guesses))
+        refined = _refine(lambda k: _inv_t(spec, k, c, amplitude), guesses, near_axis,
+                          lambda k, g: np.abs(k - g) - 0.5 * (1.0 + np.abs(g)))
+        return np.fromiter(refined, dtype=object, count=len(refined))
+
+    def fault(triple):
+        k, res, reason = triple
+        if reason:
+            raise DomainError(reason)
+        return k, res
+
+    return _array_first(triples, guess, fault=fault)
 
 
 def _winding_count(f, region):

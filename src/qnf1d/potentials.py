@@ -39,7 +39,7 @@ from .errors import (
     NotAScatteringPotential,
     RegimeError,
 )
-from .specfn import log_gamma
+from .specfn import _array_first, log_gamma
 
 __all__ = [
     "PhysicalConstants",
@@ -829,20 +829,8 @@ PotentialSpec = Union[
 # Pointwise evaluation and scattering structure
 # ---------------------------------------------------------------------------
 
-def _array_first(x, dtype, f):
-    """f over the 1-d array of x, in x's shape: an array gives an array, and
-    a number or a 0-d array is the one-element case, with the bits of the
-    same x inside an array (numpy's 0-d path rounds tanh, exp, products
-    unlike its vector loops); a number gives a Python number, 0-d a numpy
-    scalar."""
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=dtype)
-    out = f(x.reshape(-1)).reshape(x.shape)
-    return out.item() if scalar else out[()]
-
-
 def evaluate(spec: PotentialSpec, x):
-    """V(x); x is a number or an array (see _array_first).
+    """V(x).
 
     Delta-function potentials are distributional: evaluate returns their
     regular part (identically zero).  Potentials with a pole (Manning-Rosen,
@@ -851,7 +839,7 @@ def evaluate(spec: PotentialSpec, x):
     """
     if not isinstance(spec, _Spec):
         raise TypeError(f"unknown potential spec {type(spec).__name__}")
-    return _array_first(x, float, spec._potential)
+    return _array_first(spec._potential, x, dtype=float)
 
 
 def normal_form(spec: PotentialSpec) -> Interfaces | EckartReduction:
@@ -886,10 +874,9 @@ def is_scattering(spec: PotentialSpec) -> bool:
 
 
 def asymptotic_wavenumbers(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS):
-    """k_{-inf} and k_{+inf} at (possibly complex) energy E, principal roots;
-    E is an ndarray or a number (see _array_first)."""
-    return tuple(_array_first(E, complex, lambda e: np.sqrt(c.p2 * (e - v)))
-                 for v in scattering_limits(spec))
+    """k_{-inf} and k_{+inf} at (possibly complex) energy E, principal roots."""
+    limits = scattering_limits(spec)
+    return _array_first(lambda e: tuple(np.sqrt(c.p2 * (e - v)) for v in limits), E)
 
 
 # ---------------------------------------------------------------------------
@@ -902,31 +889,27 @@ def transmission_amplitude(spec: PotentialSpec, k, c: PhysicalConstants = DEFAUL
     Reflection amplitudes are not displayed by the closed forms; ``r`` is None
     here and is only produced by the numeric engine in ``qnf1d.oracle``.
     t is the reciprocal of the normal form's 1/t (its ``inverse_t``), which
-    the pole search reads directly.
-
-    An ndarray k gives arrays of the same shape and never raises per point:
-    t is inf at a pole (for the gamma forms, where more numerator than
-    denominator gammas are at a pole) and nan where it is not representable
-    (k = 0, a denominator gamma pole, an overflowing exponential).  A scalar
-    k is the one-element case and raises instead: AtPoleError at a pole,
-    DomainError where t is nan.
+    the pole search reads directly.  For the gamma forms t has a pole where
+    more numerator than denominator gammas do.
     """
-    scalar = not isinstance(k, np.ndarray)
-    if scalar and complex(k) == 0:
-        raise DomainError("transmission amplitude requires k != 0")
-    with np.errstate(all="ignore"):
-        k = np.array([k] if scalar else k, dtype=complex)
-        inv, k_plus = normal_form(spec).inverse_t(k, c.p2)
-        amp = ScatteringAmplitudes(_reciprocal(inv, k), None, k, k_plus)
-    if not scalar:
+
+    def amplitudes(k):
+        with np.errstate(all="ignore"):
+            inv, k_plus = normal_form(spec).inverse_t(k, c.p2)
+            return _reciprocal(inv, k), None, k, k_plus
+
+    def fault(amp):
+        t, _, k, _ = amp
+        if k == 0:
+            raise DomainError("transmission amplitude requires k != 0")
+        if cmath.isinf(t):
+            raise AtPoleError(k)
+        if cmath.isnan(t):
+            raise DomainError(f"closed-form t is not representable at k = {k} "
+                              "(a denominator gamma pole or an overflowing exponential)")
         return amp
-    amp = _first_point(amp)
-    if cmath.isinf(amp.t):
-        raise AtPoleError(amp.k_minus_inf)
-    if cmath.isnan(amp.t):
-        raise DomainError(f"closed-form t is not representable at k = {amp.k_minus_inf} "
-                          "(a denominator gamma pole or an overflowing exponential)")
-    return amp
+
+    return ScatteringAmplitudes(*_array_first(amplitudes, k, fault=fault))
 
 
 def _reciprocal(inv: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -935,12 +918,6 @@ def _reciprocal(inv: np.ndarray, k: np.ndarray) -> np.ndarray:
     and where inv is nan."""
     t = 1.0 / inv
     return np.where(k == 0, complex("nan"), np.where(np.isinf(t), complex("inf"), t))
-
-
-def _first_point(amp: ScatteringAmplitudes) -> ScatteringAmplitudes:
-    """The first point of array-valued amplitudes, as Python scalars."""
-    return ScatteringAmplitudes(complex(amp.t[0]), None if amp.r is None else complex(amp.r[0]),
-                                complex(amp.k_minus_inf[0]), complex(amp.k_plus_inf[0]))
 
 
 def _above_limits(limits, e: np.ndarray, p2: float) -> np.ndarray:
@@ -964,13 +941,12 @@ def _above_limits(limits, e: np.ndarray, p2: float) -> np.ndarray:
 
 
 def transmission_probability(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Closed-form T(E) for real E above both asymptotic limits; E is an
-    ndarray or a number (see _array_first).  The first energy that is not
-    above both limits raises RegimeError (DomainError for E = +inf and where
-    p2 (E - limit) overflows)."""
+    """Closed-form T(E) for real E above both asymptotic limits.  The first
+    energy that is not above both limits raises RegimeError (DomainError for
+    E = +inf and where p2 (E - limit) overflows), also inside an array."""
     form = normal_form(spec)
-    return _array_first(E, float,
-                        lambda e: form.probability(_above_limits(form.limits, e, c.p2), c.p2))
+    return _array_first(lambda e: form.probability(_above_limits(form.limits, e, c.p2), c.p2),
+                        E, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -981,8 +957,8 @@ def step_bound(spec: PotentialSpec, E, c: PhysicalConstants = DEFAULT_CONSTANTS)
     """T_step = 4 k1 k3 / (k1 + k3)^2, the step-barrier transmission bound;
     it takes E like transmission_probability."""
     limits = scattering_limits(spec)
-    return _array_first(E, float,
-                        lambda e: _step_bound(limits, _above_limits(limits, e, c.p2), c.p2))
+    return _array_first(lambda e: _step_bound(limits, _above_limits(limits, e, c.p2), c.p2),
+                        E, dtype=float)
 
 
 def _step_bound(limits, e: np.ndarray, p2: float) -> np.ndarray:

@@ -25,7 +25,6 @@ from .potentials import (
     EckartReduction,
     Interfaces,
     PhysicalConstants,
-    _array_first,
     _barrier,
     _delta_pair,
     _find_roots,
@@ -33,7 +32,7 @@ from .potentials import (
     normal_form,
     transmission_amplitude,
 )
-from .specfn import lambert_w, lambert_w_comtet
+from .specfn import _array_first, lambert_w, lambert_w_comtet
 from . import oracle as _oracle
 
 __all__ = [
@@ -94,22 +93,21 @@ class AsymptoticFit:
     log_coeff: complex | None = None
 
 
-def classify(k: complex, length_scale: float = 1.0) -> str:
+def classify(k, length_scale: float = 1.0):
     """Physical classification of a pole position at tolerance 1e-10.
 
     Reads k alone, so it never says cancelled: only ``closed_form_qnfs``,
     which knows the gamma functions behind a tower member, does."""
-    return str(_classify(np.array([complex(k)]), length_scale)[0])
 
+    def classes(k):
+        # hypot is abs(k) to the bit; numpy's complex abs rounds differently
+        size = np.hypot(k.real, k.imag)
+        return np.where(size < TRIVIAL_ZERO_TOL / length_scale, "trivial_zero",
+                        np.where(np.abs(k.real) <= CLASSIFY_TOL * np.fmax(1.0, size),
+                                 np.where(k.imag > 0, "damped_mode", "bound_state"),
+                                 "complex_qnf"))
 
-def _classify(k, length_scale: float):
-    """classify over an array of k."""
-    # hypot is abs(k) to the bit; numpy's complex abs rounds differently
-    size = np.hypot(k.real, k.imag)
-    return np.where(size < TRIVIAL_ZERO_TOL / length_scale, "trivial_zero",
-                    np.where(np.abs(k.real) <= CLASSIFY_TOL * np.fmax(1.0, size),
-                             np.where(k.imag > 0, "damped_mode", "bound_state"),
-                             "complex_qnf"))
+    return _array_first(classes, k)
 
 
 def _over(z, d: float):
@@ -168,7 +166,7 @@ def _tower(spec, ks, method, c, sign=None, branch=None, k_minus=None, aux=None,
     if residual is None:
         residual = _residual(normal_form(spec), ks, c.p2)[0] if len(ks) else np.empty(0)
     return _Tower(ks, method, residual,
-                  _classify(ks, length_scale(spec)),
+                  classify(ks, length_scale(spec)),
                   np.full(len(ks), "none") if sign is None else np.asarray(sign, dtype=str),
                   column(branch, int), column(k_minus, complex), column(aux, complex))
 
@@ -208,7 +206,7 @@ def pole_condition(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     distance of t's nearest gamma argument from a pole (Eckart family), or
     |den / k2| / B, t's denominator over its rounding bound (Interfaces, see
     Interfaces.denominator); inf at k = 0 and where it is not representable."""
-    return float(_residual(normal_form(spec), np.array([complex(k)]), c.p2)[0][0])
+    return _array_first(lambda k: _residual(normal_form(spec), k, c.p2)[0], k)
 
 
 def _delta_k0s(form: Interfaces, p2: float) -> tuple:
@@ -599,12 +597,10 @@ def _asymptotic_tower(spec, ns, c: PhysicalConstants, sign: str = "plus") -> _To
 # ---------------------------------------------------------------------------
 
 def qnf_energy(k, c: PhysicalConstants = DEFAULT_CONSTANTS, v_offset: float = 0.0):
-    """E = V_offset + hbar^2 k^2 / (2m); in relativistic mode returns omega = k.
-    A number k gives a complex, an ndarray k the array of energies."""
+    """E = V_offset + hbar^2 k^2 / (2m); in relativistic mode returns omega = k."""
     relativistic = c.mode == "relativistic"
     with np.errstate(all="ignore"):  # silent on overflow, like Python's complex product
-        return _array_first(k, complex,
-                            lambda z: z if relativistic else v_offset + c.h2_2m * z * z)
+        return _array_first(lambda z: z if relativistic else v_offset + c.h2_2m * z * z, k)
 
 
 def fit_offset_gap(tower: list[QnfResult], model: str = "linear") -> AsymptoticFit:

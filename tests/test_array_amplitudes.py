@@ -1,8 +1,8 @@
-"""Array-valued amplitude engines: an ndarray k gives t point by point, with
-poles as inf and unrepresentable points as nan; a scalar k is the
-one-element case, with a library error in place of nan.  The energy-side
-functions (T, T_step, the asymptotic wavenumbers) take arrays of E the same
-way."""
+"""Numbers and arrays: every public numeric function takes an array (a list,
+a tuple, an ndarray of any dimension) point by point, in its shape, and a
+number is the one-element case, with a library error in place of an array's
+inf or nan.  The amplitude engines' batches, the special functions, the
+pole refiner and the energy side are each checked against that."""
 
 import cmath
 import math
@@ -21,12 +21,21 @@ from qnf1d import (
     MorseFeshbach,
     PhysicalConstants,
     RectBarrier,
+    ScatteringAmplitudes,
     Sech2,
     Step,
     Tietz,
     asymptotic_wavenumbers,
+    classify,
     closed_form_qnfs,
+    evaluate,
+    lambert_w,
+    lambert_w_comtet,
+    lambert_w_derivative,
+    log_gamma,
     numeric_amplitude,
+    pole_condition,
+    qnf_energy,
     refine_pole,
     scattering_limits,
     step_bound,
@@ -35,7 +44,7 @@ from qnf1d import (
 )
 from qnf1d import oracle
 from qnf1d.errors import AtPoleError, DomainError, OverflowGuardError, Qnf1dError
-from qnf1d.oracle import _inv_t
+from qnf1d.oracle import _inv_t, transfer_matrix_det_error
 from qnf1d.potentials import length_scale
 
 C = PhysicalConstants()
@@ -88,38 +97,112 @@ scaled_wavenumbers = st.lists(
     min_size=1, max_size=12)
 
 
-def assert_matches_scalar(amplitude, spec, ks):
-    ks = [k / length_scale(spec) for k in ks]
-    t = amplitude(spec, np.array(ks, dtype=complex), C).t
-    assert t.shape == (len(ks),)
-    for k, t_arr in zip(ks, t):
+def _bits(z):
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _fields(v):
+    """A ScatteringAmplitudes as the tuple of its fields; anything else as is."""
+    if isinstance(v, ScatteringAmplitudes):
+        return v.t, v.r, v.k_minus_inf, v.k_plus_inf
+    return v
+
+
+def _point(v):
+    """One point's result bit for bit: a number as its type and bits, a
+    string or None as is, or a tuple (a ScatteringAmplitudes) of them.  An
+    array's members come from ``tolist()`` and so carry the Python type of
+    its dtype, which a number call must return too."""
+    v = _fields(v)
+    if isinstance(v, tuple):
+        return tuple(map(_point, v))
+    return v if v is None or isinstance(v, str) else (type(v), _bits(v))
+
+
+def _members(out):
+    """An array call's result as its shape and its members in C order, each
+    a value or a tuple of values (refine_pole's triples come as a nested
+    list, or as one triple for a 0-d guess, the amplitudes and the
+    wavenumbers as parallel arrays)."""
+    if isinstance(out, list) or isinstance(out, tuple) and isinstance(out[-1], (str, type(None))):
+        rows = np.array(out, dtype=object)
+        return rows.shape[:-1], [tuple(r) for r in rows.reshape(-1, 3).tolist()]
+    out = _fields(out)
+    if not isinstance(out, tuple):
+        return out.shape, out.ravel().tolist()
+    columns = [[None] * out[0].size if v is None else v.ravel().tolist() for v in out]
+    return out[0].shape, list(zip(*columns))
+
+
+def _lead(v):
+    """The value that a number's error stands for: t of amplitudes, k of a
+    refined pole, the first of a pair, a lone value as is."""
+    v = _fields(v)
+    return v[0] if isinstance(v, tuple) else v
+
+
+def _unrepresented(member, error):
+    """Whether the member is what the number's error leaves in an array:
+    inf for AtPoleError, nan for any other library error."""
+    z = _lead(member)
+    return cmath.isinf(z) if isinstance(error, AtPoleError) else cmath.isnan(z)
+
+
+def assert_array_is_the_one_element_case(f, x, number=lambda member: member,
+                                         raised=_unrepresented):
+    """f over the 1-d array x agrees bit for bit with f over each one-element
+    slice of x, over x as a list and as a tuple, over x as a column, over
+    each member as a 0-d array, and, through ``number``, with f at each
+    member as a number, which gives a value of the member's type and never
+    nan; a number that raises a library error is a member for which
+    ``raised(member, error)`` holds."""
+    shape, members = _members(f(x))
+    assert shape == x.shape
+    bits = list(map(_point, members))
+    assert [_point(_members(f(x[i:i + 1]))[1][0]) for i in range(len(x))] == bits
+    for v in (x.tolist(), tuple(x.tolist())):
+        assert _members(f(v))[0] == x.shape
+        assert list(map(_point, _members(f(v))[1])) == bits
+    column_shape, column = _members(f(x.reshape(-1, 1)))
+    assert column_shape == (len(x), 1) and list(map(_point, column)) == bits
+    for i, point in enumerate(bits):
+        shape, (member,) = _members(f(x[i:i + 1].reshape(())))
+        assert shape == () and _point(member) == point
+    for v, member in zip(x.tolist(), members):
         try:
-            t_sc = amplitude(spec, k, C).t
-        except AtPoleError:
-            assert cmath.isinf(t_arr)
+            value = f(v)
+        except Qnf1dError as error:
+            assert raised(member, error), (v, member, error)
             continue
-        except (OverflowGuardError, DomainError):
-            assert cmath.isnan(t_arr)
-            continue
-        if 1e-6 < abs(t_sc) < 1e6:
-            # compared as 1/t, the quantity the pole scan reads: the engines
-            # compute 1/t (m00, the closed-form denominator) to rounding, and
-            # t = 1/m00 multiplies that error by |t| next to a pole
-            assert abs(1.0 / t_arr - 1.0 / t_sc) <= 1e-12 * max(1.0, abs(1.0 / t_sc)), \
-                (k, t_arr, t_sc)
+        # where an array holds nan, a number raises
+        z = _lead(value)
+        assert not (isinstance(z, (float, complex)) and cmath.isnan(z)), (v, value)
+        assert _point(value) == _point(number(member)), (v, value, member)
 
 
 @settings(max_examples=60, deadline=None)
 @given(spec=piecewise_specs(), ks=scaled_wavenumbers)
+# the pole 2i and k = 0; an exponential that overflows the closed form; a
+# representable M whose determinant m00 m11 - m01 m10 overflows
+@example(spec=Delta(2.0), ks=[2j, 0.0, 1.0 + 0.5j])
+@example(spec=DoubleDelta(1.0, 1.0), ks=[1.0 + 400j, 0.5, -4.4 + 180.05j])
 def test_piecewise_array_equals_scalar(spec, ks):
-    assert_matches_scalar(transmission_amplitude, spec, ks)
-    assert_matches_scalar(numeric_amplitude, spec, ks)
+    k = np.array(ks, dtype=complex) / length_scale(spec)
+    for f in (transmission_amplitude, numeric_amplitude, transfer_matrix_det_error,
+              pole_condition):
+        assert_array_is_the_one_element_case(lambda k: f(spec, k, C), k)
+    assert_array_is_the_one_element_case(lambda k: classify(k, length_scale(spec)), k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(spec=smooth_specs(), ks=scaled_wavenumbers)
 def test_smooth_closed_form_array_equals_scalar(spec, ks):
-    assert_matches_scalar(transmission_amplitude, spec, ks)
+    # the ODE is no one-element case: a batch shares one panel count (see
+    # test_ode_batch_matches_one_point_calls)
+    k = np.array(ks, dtype=complex) / length_scale(spec)
+    assert_array_is_the_one_element_case(lambda k: transmission_amplitude(spec, k, C), k)
+    assert_array_is_the_one_element_case(lambda k: pole_condition(spec, k, C), k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,40 +452,54 @@ def test_shapes_are_kept():
             assert amp.t[1, 2] == pytest.approx(amplitude(spec, ks[1, 2], C).t, rel=rel)
 
 
+def test_refine_pole_array_is_the_one_element_case():
+    # a pole's guess, a guess whose Newton leaves its basin, one far from
+    # any pole
+    guesses = np.array([1.9j, -3.0 + 2.0j, 100.0 + 0.5j])
+    assert_array_is_the_one_element_case(
+        lambda g: refine_pole(Delta(2.0), g, C), guesses, number=lambda m: m[:2],
+        raised=lambda m, error: m[2] == str(error))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zs=st.lists(st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=12),
+       n=st.integers(-4, 4))
+# z = 0, the branch point -1/e and the gamma poles 0, -1 and -2
+@example(zs=[0j, complex(-math.exp(-1.0)), -1 + 0j, 0.3], n=1)
+@example(zs=[0j, complex(-math.exp(-1.0)), -2 + 0j, 0.3], n=0)
+def test_special_functions_array_is_the_one_element_case(zs, n):
+    z = np.array(zs, dtype=complex)
+    assert_array_is_the_one_element_case(lambda z: lambert_w(n, z), z)
+    # at the branch point W = -1 an array holds inf
+    assert_array_is_the_one_element_case(lambda z: lambert_w_derivative(n, z), z,
+                                         raised=lambda m, error: not cmath.isfinite(m))
+    assert_array_is_the_one_element_case(log_gamma, z)
+    branches = np.arange(n - 2, n + 3)
+    assert_array_is_the_one_element_case(lambda b: lambert_w(b, zs[0]), branches)
+    # L1 = ln z + 2 pi i n vanishes only at z = 1 on branch 0, and ln 0 has no value
+    w = zs[-1] if zs[-1] not in (0, 1) else 2.0
+    for terms in (1, 2, 3):
+        assert_array_is_the_one_element_case(lambda b: lambert_w_comtet(b, w, terms), branches)
+
+
 # ---------------------------------------------------------------------------
 # Energy-side functions
 # ---------------------------------------------------------------------------
 
-def _bits(z):
-    z = complex(z)
-    return struct.pack("<dd", z.real, z.imag)
-
-
 # E a^2 above the higher limit, from near threshold to far above it
 scaled_energies = st.lists(st.floats(1e-6, 1e4), min_size=1, max_size=40)
-
-
-def assert_array_is_the_one_element_case(f, spec, e):
-    """f over e, over each one-element slice of e and at each number agree
-    bit for bit; a 2-d e gives a 2-d result and a 0-d e its member's bits."""
-    got = f(spec, e, C)
-    assert got.shape == e.shape
-    one = [f(spec, e[i:i + 1], C)[0] for i in range(len(e))]
-    number = [f(spec, x, C) for x in e.tolist()]
-    assert all(type(v) is float for v in number)
-    assert list(map(_bits, got)) == list(map(_bits, one)) == list(map(_bits, number))
-    column = f(spec, e.reshape(-1, 1), C)
-    assert column.shape == (len(e), 1)
-    assert list(map(_bits, column.ravel())) == list(map(_bits, got))
-    assert _bits(f(spec, e[0:1].reshape(()), C)) == _bits(got[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(spec=piecewise_specs() | smooth_specs(), offsets=scaled_energies)
 def test_probability_array_is_the_one_element_case(spec, offsets):
     e = max(scattering_limits(spec)) + np.array(offsets) / length_scale(spec) ** 2
-    assert_array_is_the_one_element_case(transmission_probability, spec, e)
-    assert_array_is_the_one_element_case(step_bound, spec, e)
+    assert_array_is_the_one_element_case(lambda e: transmission_probability(spec, e, C), e)
+    assert_array_is_the_one_element_case(lambda e: step_bound(spec, e, C), e)
+    # x from about -14 a to 9 a, where cosh(x / a)^2 does not overflow
+    x = np.log(offsets) * length_scale(spec)
+    assert_array_is_the_one_element_case(lambda x: evaluate(spec, x), x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,14 +508,8 @@ def test_probability_array_is_the_one_element_case(spec, offsets):
                                             allow_infinity=False), min_size=1, max_size=20))
 def test_wavenumbers_array_is_the_one_element_case(spec, energies):
     e = np.array(energies, dtype=complex)
-    km, kp = asymptotic_wavenumbers(spec, e, C)
-    assert km.shape == kp.shape == e.shape
-    for i, x in enumerate(energies):
-        one = asymptotic_wavenumbers(spec, e[i:i + 1], C)
-        number = asymptotic_wavenumbers(spec, x, C)
-        assert all(type(k) is complex for k in number)
-        assert [_bits(k) for k in (km[i], kp[i])] == [_bits(k[0]) for k in one] \
-            == list(map(_bits, number))
+    assert_array_is_the_one_element_case(lambda e: asymptotic_wavenumbers(spec, e, C), e)
+    assert_array_is_the_one_element_case(lambda k: qnf_energy(k, C, 0.5), e)
 
 
 @pytest.mark.parametrize("spec", [DoubleDelta(0.8, 1.2), RectBarrier(1.5, 0.7),

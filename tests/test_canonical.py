@@ -138,3 +138,5 @@ def test_outside_family_rejected():
 
     with pytest.raises(CanonicalizationError):
         canonicalize(Delta(1.0))
+    with pytest.raises(CanonicalizationError, match="not a catalog potential"):
+        canonicalize(object())

@@ -13,8 +13,8 @@ import pytest
 import yaml
 
 from qnf1d import (
-    Check, DoubleDelta, Eckart, Hua, MorseFeshbach, PhysicalConstants, RectBarrier, Sech2,
-    Tanh, Tietz, asymptotic_qnfs, oracle, potentials, qnf_energy, verify,
+    Check, DoubleDelta, Eckart, Hua, MorseFeshbach, PhysicalConstants, PoleReport, RectBarrier,
+    Sech2, Tanh, Tietz, asymptotic_qnfs, oracle, potentials, qnf_energy, verify,
 )
 from qnf1d import __version__, cli
 from qnf1d.cli import _build_parser, _emit, _spec_from_args, main
@@ -85,6 +85,19 @@ class TestSerialization:
             "mode: relativistic}}"
         )
         assert constants == PhysicalConstants(2.0, 0.5, "relativistic")
+        assert loads(dumps(spec, constants)) == (spec, constants)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: spec_to_dict(object()), "unknown spec class"),
+        (lambda: dict_to_spec(["delta"]), "must be a mapping"),
+        (lambda: loads("{type: delta, alpha: 1.0, constants: [1, 2]}"), "'constants' must be"),
+        (lambda: loads("{type: delta, alpha: 1.0, constants: {h: 1.0}}"), "unknown constants"),
+        (lambda: loads("[1, 2]"), "key-value mapping"),
+    ], ids=["spec-class", "spec-document", "constants-mapping", "constants-keys",
+            "config-mapping"])
+    def test_malformed_documents_rejected(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
 
     def test_tietz_kind(self):
         spec, _ = loads("{type: tietz, V0: 1.0, x0: 0.3, a: 0.9, kind: sinh}")
@@ -308,6 +321,12 @@ class TestCommands:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert {float(row[4]): row[6] for row in rows} == {
             -1.0: "bound_state", 2.0: "cancelled", 3.0: "cancelled"}
+        # a constants flag overrides the file's constants
+        code, out = run_cli(["eval", "--config", str(cfg), "--hbar", "2", "--points", "2",
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["constants"] == {"hbar": 2.0, "mass": 1.0,
+                                                "mode": "nonrelativistic"}
 
     def test_validation_errors_exit_one(self, capsys):
         code = main(["qnf", "--type", "sech2"])  # missing V0/a
@@ -325,8 +344,9 @@ class TestCommands:
         ["transmission", "--type", "sech2", "--V0", "-1", "--a", "1", "--points", "-1"],
         ["qnf", "--type", "double-delta", "--alpha", "353", "--a", "1"],
         ["qnf", "--type", "double-delta", "--alpha", "400", "--a", "1"],
+        ["eval", "--points", "3"],
     ], ids=["inf-region", "nan-density", "text-region", "text-n", "eval-points", "points",
-            "coupling-353", "coupling-400"])
+            "coupling-353", "coupling-400", "no-spec"])
     def test_bad_input_is_an_error_message(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -390,6 +410,20 @@ class TestCommands:
         assert "FAIL" not in out and "QNF/pole bijection (" not in out
         assert out.splitlines()[-1] == ("SKIP QNF/pole bijection: no closed-form QNF and no "
                                         "oracle pole in the search region")
+
+    def test_verify_names_a_closed_form_error(self, monkeypatch):
+        # the Lambert-W argument 2 k0 a e^(2 k0 a) overflows, so the closed
+        # form raises: the QNF check's detail names the error, on a skip and,
+        # with a pole in the region, on a failure
+        spec = DoubleDelta(400.0, 1.0)
+        error = ("closed form raised DomainError: delta coupling k0 = m alpha / hbar^2 = 400 "
+                 "is too strong at a = 1: the Lambert-W argument 2 k0 a e^(2 k0 a) overflows")
+        assert verify(spec, C)[-1] == Check("QNF/pole bijection", "skip", detail=(
+            error + "; no oracle pole in the search region"))
+        monkeypatch.setattr(oracle, "find_poles",
+                            lambda spec, region, c: PoleReport([(1j, 0.0, 1)], region))
+        check = verify(spec, C)[-1]
+        assert (check.status, check.detail) == ("fail", "0/0 matched, 1 unmatched poles; " + error)
 
     def test_verify_refines_no_cancelled_member(self, capsys, monkeypatch):
         # the README Sech2 lists -1i, 1i and 2i below |Im k| a = 2.05; only

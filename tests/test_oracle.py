@@ -56,6 +56,7 @@ from qnf1d.oracle import (
     _transfer_matrices,
     _window_max_at,
     _window_min,
+    _winding_count,
     transfer_matrix_det_error,
 )
 from qnf1d.potentials import (
@@ -343,6 +344,8 @@ class TestOdeEngine:
     def test_non_scattering_rejected(self):
         with pytest.raises(NotAScatteringPotential):
             numeric_amplitude(Hulthen(1.0, 1.0), 1.0, C)
+        with pytest.raises(NotAScatteringPotential, match="piecewise"):
+            transfer_matrix_det_error(Sech2(-1.0, 1.0), 1.0, C)
 
     @pytest.mark.parametrize("spec, pole", [
         (Hua(1.2, -2.0, 1.0), 1.599435167939166j),
@@ -423,6 +426,13 @@ class TestFindPoles:
                          count_zeros=True)
         assert rep.poles
         assert rep.count_check == len(rep.poles)
+
+    def test_winding_count_undecided(self):
+        region = SearchRegion(-1.0, 1.0, -1.0, 1.0)
+        assert _winding_count(lambda k: k - 0.5, region) == 1
+        # a zero on a boundary sample, and a phase that turns by 3 between samples
+        assert _winding_count(lambda k: k - 1.0, region) is None
+        assert _winding_count(lambda k: np.exp(120j * k.real), region) is None
 
     def test_region_validation(self):
         with pytest.raises(DomainError):

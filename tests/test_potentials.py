@@ -108,6 +108,24 @@ class TestEvaluate:
         assert float(evaluate(spec, np.asarray(xs[9]))).hex() == grid[9].hex()  # 0-d
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PhysicalConstants(mode="x"), DomainError, "unknown mode"),
+    (lambda: scattering_limits(Mobius2(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)), NotAScatteringPotential,
+     "constant"),
+    (lambda: Mobius2(0.0, 1.0, 1.0, 0.0, 0.0, 1.0), DomainError, "cannot both vanish"),
+    (lambda: evaluate(Mobius2(0.0, 1.0, 1.0, 1.0, -1.0, 1.0), 0.0), DomainError, "pole"),
+    (lambda: evaluate(Tietz(1.0, 0.3, 1.0, "sinh"), 0.0), DomainError, "pole"),
+    (lambda: evaluate(Hua(1.0, 1.0, 1.0), np.array([1.0, 0.0])), DomainError, "pole"),
+    (lambda: Tietz(1.0, 0.0, 1.0, "tan"), DomainError, "kind"),
+    (lambda: evaluate(object(), 0.0), TypeError, "unknown potential spec"),
+    (lambda: resonances(RectBarrier(1.0, 1.0), 0, C), DomainError, "n_max"),
+], ids=["mode", "constant-mobius2", "mobius2-denominator", "mobius2-pole", "tietz-pole",
+        "hua-pole", "tietz-kind", "not-a-spec", "n-max"])
+def test_bad_input_is_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestWavenumbers:
     def test_free_step(self):
         km, kp = asymptotic_wavenumbers(Step(0.0), 1.0, C)

@@ -104,6 +104,16 @@ class TestClosedForms:
         assert [r.k for r in res] == [pytest.approx(1.5j), pytest.approx(8j / 3)]
         assert [r.branch for r in res] == [2, 3]
 
+    def test_index_ranges(self):
+        # an iterable of indices is sorted and de-duplicated; an empty one,
+        # and a sech^2 tower below n = 0, are rejected
+        spec = DoubleDelta(1.0, 1.0)
+        assert closed_form_qnfs(spec, [2, 0, 1, 1], C) == closed_form_qnfs(spec, (0, 2), C)
+        with pytest.raises(DomainError, match="empty"):
+            closed_form_qnfs(spec, [], C)
+        with pytest.raises(DomainError, match="n >= 0"):
+            closed_form_qnfs(Sech2(-1.0, 1.0), (-1, 2), C)
+
     def test_tanh_rejects_nonpositive_indices(self):
         with pytest.raises(DomainError):
             closed_form_qnfs(Tanh(0.0, 2.0, 1.0), (0, 2), C)
@@ -592,9 +602,20 @@ class TestPerturbative:
             perturbative_qnfs(AsymDoubleDelta(0.1, 0.2, 1.0), "small_k0a_series", 0, C)
         with pytest.raises(DomainError):
             perturbative_qnfs(RectBarrier(-1.0, 1.0), "small_k0a_series", 0, C)
+        with pytest.raises(DomainError, match="unknown regime"):
+            perturbative_qnfs(RectBarrier(1.0, 1.0), "large_n", 0, C)
+        with pytest.raises(DomainError, match="requires a barrier"):
+            perturbative_qnfs(DoubleDelta(1.0, 1.0), "small_a_asym_rect", 0, C)
+        # k12^2 + k23^2 = p2 (2 V2 - V1 - V3) = 0
+        with pytest.raises(DomainError, match="degenerate"):
+            perturbative_qnfs(AsymRectBarrier(1.0, 0.0, -1.0, 1.0), "small_a_asym_rect", 0, C)
 
 
 class TestAsymptotic:
+    def test_no_asymptotic_form(self):
+        with pytest.raises(UnsupportedPotentialError):
+            asymptotic_qnfs(Step(1.0), 3, C)
+
     def test_double_delta_improves_with_branch(self):
         self.check_double_delta_tower("plus")
 
@@ -775,6 +796,16 @@ class TestFits:
         # the real-axis spacing is pi/a and the log coefficient is ~ i/(2a)
         assert lin.gap.real == pytest.approx(math.pi, abs=0.01)
         assert log.log_coeff.imag == pytest.approx(0.5, abs=0.1)
+
+    def test_bad_model_and_indices(self):
+        tower = [r for r in closed_form_qnfs(Sech2(-1.0, 1.0), (0, 6), C)
+                 if r.sign_choice == "plus"]
+        with pytest.raises(DomainError, match="unknown model"):
+            fit_offset_gap(tower[1:], "quadratic")
+        with pytest.raises(DomainError, match="consecutive"):
+            fit_offset_gap(tower[1:3] + tower[4:], "linear")
+        with pytest.raises(DomainError, match="positive"):
+            fit_offset_gap(tower, "linear")
 
     def test_insufficient_data(self):
         tower = [r for r in closed_form_qnfs(Sech2(-1.0, 1.0), (1, 3), C)
