@@ -139,9 +139,14 @@ def verify(spec, c: P.PhysicalConstants = P.DEFAULT_CONSTANTS,
         inside = [r for r in analytic
                   if region.re_min <= r.k.real <= region.re_max
                   and region.im_min <= r.k.imag <= region.im_max]
-        dist = [min((abs(r.k - kp) for kp, _, _ in rep.poles), default=math.inf) for r in inside]
-        worst = max([0.0, *dist])
-        matched = sum(d < 1e-8 for d in dist)
+        # each member's distance to its nearest oracle pole (inf with none),
+        # by hypot, which rounds as Python's abs does and numpy's complex abs not
+        members = np.array([r.k for r in inside], dtype=complex)
+        poles = np.array([kp for kp, _, _ in rep.poles], dtype=complex)
+        diff = members[:, None] - poles
+        dist = np.hypot(diff.real, diff.imag).min(axis=1, initial=math.inf)
+        worst = float(dist.max(initial=0.0))
+        matched = int(np.count_nonzero(dist < 1e-8))
         extra = len(rep.poles) - matched
         if inside or rep.poles:
             checks.append(_measured(name, worst + (math.inf if extra else 0.0), 1e-8,

@@ -76,7 +76,7 @@ _PANEL_REACH = 2.0
 # most panels on [-L, L]; a point still unresolved on that many is nan
 _PANEL_CAP = 4096
 # panel matrices per linear solve, which bounds the memory of a large grid
-_PANEL_BLOCK = 256
+_PANEL_BLOCK = 512
 # a find_poles seed whose two grid slopes agree to this starts from their Newton step
 _SLOPE_TOL = 0.1
 
@@ -247,16 +247,20 @@ def _tail_eta(ws, k, a, L):
     """
     n = ws.shape[-1]
     ell = np.arange(1, n + 1)
-    x = 4.0j * k[..., None] * ell / a + 4.0 * ell * ell / (a * a)
+    # X_l as one contiguous row per order: shape (n,) + k.shape
+    col = ell.reshape((n,) + (1,) * k.ndim)
+    x = 4.0j * k * col / a + 4.0 * col * col / (a * a)
     # |eta_l| below this puts the term of order l below 2^-60
-    small = 2.0 ** -60 * np.exp(2.0 * ell * L / a)
-    rev = ws[..., ::-1, None]
-    etas = np.empty(x.shape, dtype=complex)
+    small = (2.0 ** -60 * np.exp(2.0 * ell * L / a)).tolist()
+    rev = ws[..., ::-1, None].astype(complex)
+    etas = np.empty(k.shape + (n,), dtype=complex)
     quiet = 0
     for i in range(n):
-        conv = (etas[..., :i] @ rev[..., n - i:, :])[..., 0]
-        etas[..., i] = (ws[..., i, None] + conv) / x[..., i]
-        quiet = quiet + 1 if np.abs(etas[..., i]).max(initial=0.0) < small[i] else 0
+        eta = (etas[..., :i] @ rev[..., n - i:, :])[..., 0]
+        eta += ws[..., i, None]
+        eta /= x[i]
+        etas[..., i] = eta
+        quiet = quiet + 1 if np.abs(eta).max(initial=0.0) < small[i] else 0
         if quiet == 2:
             return etas[..., :i + 1]
     return etas
@@ -283,8 +287,30 @@ def _chebyshev_panel(n):
     once = cheb.chebint(np.eye(n), lbnd=-1, axis=0)
     twice = cheb.chebint(np.eye(n), m=2, lbnd=-1, axis=0)
     # T_j(1) = 1, so a coefficient array's value at t = 1 is its sum
-    return (t, cheb.chebvander(t, n - 1), cheb.chebvander(t, n + 1) @ twice,
-            once.sum(0), twice.sum(0))
+    arrays = (t, cheb.chebvander(t, n - 1), cheb.chebvander(t, n + 1) @ twice,
+              once.sum(0), twice.sum(0))
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every call
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _panel_geometry(red, L, panels, degree):
+    """The energy-free part of a propagator pass of ``red`` over ``panels``
+    equal panels of [-L, L], built once, its arrays read-only: the panel
+    width d (from x = L towards -L) and dx / dt = d / 2; V at each panel's
+    ``degree`` Chebyshev points, shape (panels, degree); the value matrix;
+    J^2 in x, with its sign in the integral equation; the basis 1 and
+    x - x0; and the end rows of _chebyshev_panel."""
+    t, vander, j2, end1, end2 = _chebyshev_panel(degree)
+    d = -2.0 * L / panels
+    h = 0.5 * d
+    v = red.evaluate(L + d * (np.arange(panels)[:, None] + 0.5 * (t + 1.0)))
+    j2 = -h * h * j2
+    basis = np.stack([np.ones_like(t), h * (t + 1.0)], axis=-1)
+    for arr in (v, j2, basis):
+        arr.flags.writeable = False  # shared by every call
+    return d, h, v, vander, j2, basis, end1, end2
 
 
 def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
@@ -299,12 +325,7 @@ def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
     and their end values are the panel's 2 x 2 propagator.  A point is
     resolved when the three trailing coefficients of its sigma stay below
     rtol times its largest one."""
-    t, vander, j2, end1, end2 = _chebyshev_panel(_PANEL_DEGREE)
-    d = -2.0 * L / panels
-    h = 0.5 * d  # dx / dt on a panel
-    j2 = -h * h * j2  # J^2 in x, with its sign in the integral equation
-    v = red.evaluate(L + d * (np.arange(panels)[:, None] + 0.5 * (t + 1.0)))
-    basis = np.stack([np.ones_like(t), h * (t + 1.0)], axis=-1)  # 1 and x - x0
+    d, h, v, vander, j2, basis, end1, end2 = _panel_geometry(red, L, panels, _PANEL_DEGREE)
     psi, dpsi = np.empty_like(psi0), np.empty_like(dpsi0)
     resolved = np.empty(e.shape, dtype=bool)
     # points per block, so that a large grid does not grow the matrices
@@ -315,16 +336,23 @@ def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
         mat = q[..., None] * j2
         mat += vander
         coef = np.linalg.solve(mat, q[..., None] * basis)
-        size = np.abs(coef).max(axis=-1)
+        mag = np.abs(coef)
+        size = np.maximum(mag[..., 0], mag[..., 1])
         resolved[sl] = size[..., -3:].max(axis=(1, 2)) <= rtol * size.max(axis=(1, 2))
-        # J^2 sigma and J sigma at each panel's end, for both solutions
-        (u1, u2), (du1, du2) = (h * h * (end2 @ coef)).T, (h * (end1 @ coef)).T
-        # each panel's propagator [[1 + u1, d + u2], [du1, 1 + du2]]
-        p11, p12, p22 = 1.0 + u1, d + u2, 1.0 + du2
-        y, dy = psi0[sl], dpsi0[sl]
+        # each panel's propagator [[1 + u1, d + u2], [du1, 1 + du2]] from
+        # J^2 sigma (u) and J sigma (du) at its end, for both solutions
+        prop = np.empty(coef.shape[:2] + (2, 2), dtype=coef.dtype)
+        np.multiply(h * h, end2 @ coef, out=prop[..., 0, :])
+        prop[..., 0, :] += (1.0, d)
+        np.multiply(h, end1 @ coef, out=prop[..., 1, :])
+        prop[..., 1, 1] += 1.0
+        # one product and one sum per panel: a stacked matmul would round
+        # differently, as BLAS fuses the multiply-adds of real systems
+        state = np.stack([psi0[sl], dpsi0[sl]], axis=-1)
         for s in range(panels):
-            y, dy = p11[s] * y + p12[s] * dy, du1[s] * y + p22[s] * dy
-        psi[sl], dpsi[sl] = y, dy
+            terms = prop[:, s] * state[:, None, :]
+            state = terms[..., 0] + terms[..., 1]
+        psi[sl], dpsi[sl] = state[:, 0], state[:, 1]
     return psi, dpsi, resolved & np.isfinite(psi) & np.isfinite(dpsi)
 
 
@@ -353,6 +381,12 @@ def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
         todo = todo[~ok]
         panels *= 2
     return psi, dpsi
+
+
+@functools.lru_cache(maxsize=64)
+def _unshifted(red):
+    """The reduction red with shift 0, built once per reduction."""
+    return replace(red, shift=0.0)
 
 
 def _ode_solution(red, k, c, L=None, rtol=1e-12):
@@ -384,7 +418,7 @@ def _ode_solution(red, k, c, L=None, rtol=1e-12):
     dpsi = psi.copy()
     ok = ~bad
     if ok.any():
-        psi[ok], dpsi[ok] = _integrate(replace(red, shift=0.0), p2, e[ok], psi0[ok], dpsi0[ok],
+        psi[ok], dpsi[ok] = _integrate(_unshifted(red), p2, e[ok], psi0[ok], dpsi0[ok],
                                        L, rtol)
 
     det = p_inc * dp_ref - p_ref * dp_inc

@@ -295,16 +295,18 @@ class Interfaces:
             e = self.v1 + c.h2_2m * k * k
             return [ResonanceEntry(n, "approximate", k=k_n, E=e_n, T=T_n) for n, (k_n, e_n, T_n)
                     in enumerate(zip(k.tolist(), e.tolist(), self.probability(e, c.p2).tolist()))]
-        out = []
-        if _barrier(self):
-            for n in range(1, n_max + 1):
-                e = self.v2 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2
-                if not (e > self.v1 and e > self.v3):
-                    continue  # below the asymptotic continuum, not a scattering energy
-                T = None if self.v1 == self.v3 else float(_step_bound(self.limits, e, c.p2))
-                out.append(ResonanceEntry(n, "exact" if T is None else "pseudo",
-                                          k=math.sqrt(c.p2 * (e - self.v1)), E=e, T=T))
-        return out
+        if not _barrier(self):
+            return []
+        levels = [(n, self.v2 + c.h2_2m * (n * math.pi / (2.0 * self.a)) ** 2)
+                  for n in range(1, n_max + 1)]
+        # energies below either limit are not scattering energies
+        levels = [(n, e) for n, e in levels if e > self.v1 and e > self.v3]
+        # T_step through the array path, so each T is step_bound(spec, E)
+        ts = ([None] * len(levels) if self.v1 == self.v3 else
+              _step_bound(self.limits, np.array([e for _, e in levels]), c.p2).tolist())
+        return [ResonanceEntry(n, "exact" if T is None else "pseudo",
+                               k=math.sqrt(c.p2 * (e - self.v1)), E=e, T=T)
+                for (n, e), T in zip(levels, ts)]
 
 
 def _delta_pair(form) -> bool:

@@ -70,6 +70,8 @@ def lambert_w(branch, z):
     def fault(w):
         if z == 0 and branch != 0:
             raise DomainError(f"W_{int(branch)}(0) is singular for branch != 0")
+        if cmath.isnan(w):  # scipy's lambertw off branch 0 at subnormal z
+            raise DomainError(f"W_{int(branch)}(z) has no representable value at z = {z}")
         return w
 
     return _array_first(w_of, branch, z, dtype=None, fault=fault)
@@ -89,6 +91,8 @@ def lambert_w_derivative(branch, z):
             raise DomainError("W'(z) is singular at z = 0")
         if cmath.isinf(d):
             raise DomainError("W'(z) is singular at the branch point W = -1")
+        if cmath.isnan(d):
+            raise DomainError(f"W'(z) has no representable value at z = {z}")
         return d
 
     return _array_first(derivative, branch, z, dtype=None, fault=fault)
@@ -103,6 +107,8 @@ def lambert_w_comtet(branch, z: complex, terms: int = 2):
     """
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
+    if z == 0:
+        raise DomainError("ln z is singular at z = 0: L1 = ln z + 2 pi i n needs z != 0")
 
     def comtet(n):
         l1 = cmath.log(complex(z)) + 1j * _TWO_PI * n

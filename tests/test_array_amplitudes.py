@@ -18,6 +18,7 @@ from qnf1d import (
     Delta,
     DoubleDelta,
     Eckart,
+    Mobius2,
     MorseFeshbach,
     PhysicalConstants,
     RectBarrier,
@@ -256,6 +257,51 @@ def test_ode_batch_matches_one_point_calls(spec):
     assert cmath.isnan(t[-1]) and cmath.isnan(one[-1])
     assert np.isfinite(t[:-1]).all()
     assert (np.abs(t[:-1] - one[:-1]) <= 1e-9 * np.abs(one[:-1])).all(), (k, t, one)
+
+
+@pytest.mark.parametrize("spec", ODE_SPECS, ids=lambda s: type(s).__name__)
+def test_ode_block_splits_keep_the_bits(spec, monkeypatch):
+    # the panel systems of a call are solved in blocks of points; one point
+    # per block, on the call's panel count and tail order, gives the same
+    # bits as the default blocks
+    a = length_scale(spec)
+    k = np.concatenate([np.sqrt(C.p2 * np.linspace(0.3, 9.0, 32)) + 0j,
+                        [0.7 + 0.1j, 1.3 - 0.2j, 0.4 + 0.9j, -1.1 + 0.6j, 0.9 - 1.2j]]) / a
+    calls = []
+    for block in (None, 1):
+        if block is not None:
+            monkeypatch.setattr(oracle, "_PANEL_BLOCK", block)
+        # the real energies and the complex ones: two calls, two panel systems
+        calls.append([numeric_amplitude(spec, part, C) for part in (k[:32], k[32:])])
+    for whole, split in zip(*calls):
+        assert np.isfinite(whole.t).all()
+        assert whole.t.tobytes() == split.t.tobytes()
+        assert whole.r.tobytes() == split.r.tobytes()
+
+
+def test_ode_caches_serve_no_stale_geometry():
+    # the panel geometry is cached per shift-free reduction, length and panel
+    # count: calls that alternate the mass, the specs sharing a length a
+    # (shifted Tietz barriers, an unshifted one, a Mobius2 form whose
+    # reduction is shifted) and the domain each agree with the closed form,
+    # and with a call on cold caches to the last bit
+    specs = [Tietz(1.1, 0.3, 0.9, "cosh"), Tietz(1.1, 0.0, 0.9, "cosh"),
+             Tietz(1.1, -0.3, 0.9, "cosh"), Mobius2(0.0, 1.0, -1.5, 1.0, 2.0, 0.9, 1.1)]
+    masses = [PhysicalConstants(), PhysicalConstants(mass=2.0)]
+    k = np.array([0.4, 1.1, 2.3, 0.8 + 0.2j, 1.5 - 0.4j])
+    warm = []
+    for _ in range(2):
+        for spec in specs:
+            for c in masses:
+                for L in (None, 2.7):
+                    t = numeric_amplitude(spec, k, c, L=L).t
+                    ta = transmission_amplitude(spec, k, c).t
+                    assert (np.abs(t - ta) <= 1e-8 * np.abs(ta)).all(), (spec, c, L, t, ta)
+                    warm.append((spec, c, L, t.tobytes()))
+    for spec, c, L, bits in warm:
+        oracle._panel_geometry.cache_clear()
+        oracle._unshifted.cache_clear()
+        assert numeric_amplitude(spec, k, c, L=L).t.tobytes() == bits, (spec, c, L)
 
 
 def full_tail_eta(ws, k, a):

@@ -404,6 +404,21 @@ class TestResonances:
             T = transmission_probability(spec, e.E, C)
             assert T / step_bound(spec, e.E, C) == pytest.approx(1.0, abs=1e-10)
 
+    def test_pseudo_T_is_step_bound_bit_for_bit(self):
+        # each pseudo resonance's T is step_bound at its E, to the last bit,
+        # over random asymmetric barriers and two mass scales
+        rng = np.random.default_rng(20261020)
+        count = 0
+        for _ in range(200):
+            v1, v2, v3 = rng.uniform(-3.0, 3.0, 3).tolist()
+            spec = AsymRectBarrier(v1, v2, v3, float(rng.uniform(0.2, 3.0)))
+            for c in (C, PhysicalConstants(mass=2.0)):
+                for e in resonances(spec, 30, c):
+                    assert e.kind == "pseudo"
+                    assert e.T == step_bound(spec, e.E, c), (spec, c, e)
+                    count += 1
+        assert count > 10000
+
     def test_sech2_parameter_family(self):
         entries = resonances(Sech2(-1.0, 1.0), 3, C)
         assert [e.parameter for e in entries] == pytest.approx([-1.0, -3.0, -6.0])

@@ -92,6 +92,19 @@ class TestLambertW:
         ws = lambert_w(np.array([1, 0, 1]), np.array([0.0, 0.0, 1.0]))
         assert np.isnan(ws[0]) and ws[1] == 0.0 and ws[2] == lambert_w(1, 1.0)
 
+    @pytest.mark.parametrize("z", [5e-324, -1e-320, 5e-324j, complex(1e-320, -1e-320)])
+    def test_subnormal_z_off_branch_zero_raises(self, z):
+        # scipy's lambertw has no value off branch 0 for |z| below about
+        # 2.5e-316: an array holds nan there, a number raises, and W_0 is z
+        branches = np.array([-2, -1, 1, 3])
+        assert np.isnan(lambert_w(branches, z)).all()
+        assert np.isnan(lambert_w_derivative(branches, z)).all()
+        for n in branches.tolist():
+            for f in (lambert_w, lambert_w_derivative):
+                with pytest.raises(DomainError, match="no representable value"):
+                    f(n, z)
+        assert lambert_w(0, z) == z
+
     def test_exact_inverse_of_x_exp_x(self):
         # W_0(x e^x) = x for x >= -1 (used by the trivial double-delta zero)
         for x in (0.3, 1.0, 2.0):
@@ -154,6 +167,15 @@ class TestComtet:
         for branch in (0, np.array([3, 0])):
             with pytest.raises(DomainError):
                 lambert_w_comtet(branch, 1.0, 2)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    @pytest.mark.parametrize("z", [0, 0.0, -0.0, 0j])
+    def test_zero_argument_has_no_logarithm(self, z, terms):
+        # ln z, and so L1, has no value at z = 0, on a number branch and on
+        # an array of branches
+        for branch in (3, np.array([1, 2, 5])):
+            with pytest.raises(DomainError, match="z = 0"):
+                lambert_w_comtet(branch, z, terms)
 
 
 class TestLogGamma:
