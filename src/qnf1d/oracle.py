@@ -28,7 +28,7 @@ from .potentials import (
     _level_wavenumber,
     _reciprocal,
     _sin_over,
-    evaluate,  # noqa: F401  unused here; perfbench's tracer test rebinds this alias
+    evaluate,
     length_scale,
     normal_form,
     transmission_amplitude,
@@ -79,6 +79,13 @@ _PANEL_CAP = 4096
 _PANEL_BLOCK = 512
 # a find_poles seed whose two grid slopes agree to this starts from their Newton step
 _SLOPE_TOL = 0.1
+# spectral QNFs: eigenvalues closer than this in k a (on both sides) form
+# one cluster, as the two halves of a split double pole (about 1e-5 apart
+# at 10 to 12 nodes) do
+_CLUSTER_RADIUS = 1e-3
+# ... and a cluster is stable where its mean moves by less than this times
+# max(1, |k a|) from n to n + 2 nodes, which discretization ghosts do not
+_CLUSTER_AGREE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -486,6 +493,170 @@ def _numeric_inverse(spec, k, c, L=None, rtol=1e-12, reflected=False):
     else:
         den, num, k_p, bad = _ode_solution(form, k, c, L, rtol)
     return _flux_inverse(den, k, k_p, bad), den, num, k_p, bad
+
+
+# ---------------------------------------------------------------------------
+# Spectral QNFs for smooth potentials
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _collocation(n):
+    """The n Chebyshev points z of the first kind on [-1, 1] and the
+    matrices taking a polynomial's values there to those of its first and
+    second derivatives, read-only."""
+    z, vander = _chebyshev_panel(n)[:2]
+    eye = np.eye(n)
+    d1 = cheb.chebvander(z, n - 2) @ cheb.chebder(eye, axis=0)
+    d2 = cheb.chebvander(z, n - 3) @ cheb.chebder(eye, m=2, axis=0)
+    # d @ vander^-1, from values to coefficients to derivatives
+    d1, d2 = (np.linalg.solve(vander.T, d.T).T for d in (d1, d2))
+    for arr in (d1, d2):
+        arr.flags.writeable = False  # shared by every call
+    return z, d1, d2
+
+
+def _collocated(spec, c, n):
+    """The QNF problem of a smooth spec collocated on n nodes, as the
+    polynomial sum_j x^j M_j, whose leading M_j is a scalar times the
+    identity: the list of M_j and the map from an array of eigenvalues x to
+    their (k-, k+) pairs, one row each (see _spectral_qnfs)."""
+    form = normal_form(spec)
+    a, p2 = form.a, c.p2
+    v_minus, v_plus = form.limits
+    dv = v_plus - v_minus
+    z, d1, d2 = _collocation(n)
+    # a^2 p2 W, where W = (V - V- - dv (1 + z)^2 / 4) / (1 - z^2) stays finite at z = +-1
+    v = evaluate(spec, form.shift + a * np.arctanh(z))
+    w_pot = a * a * p2 * (v - v_minus - 0.25 * dv * (1.0 + z) ** 2) / (1.0 - z * z)
+    base = (1.0 - z * z)[:, None] * d2 - 2.0 * z[:, None] * d1
+    base[np.diag_indices(n)] -= w_pot
+    zd1 = z[:, None] * d1
+    eye = np.eye(n)
+    if dv == 0.0:
+        # quadratic in alpha = i a k / 2
+        coefs = [base, -4.0 * zd1 - 2.0 * eye, -4.0 * eye]
+        scale, sign = -2.0 / a, 0.0
+    else:
+        # cubic in u, with k+- = i (2 g / a)(u +- sigma / u), g = a sqrt(|p2 dv|) / 4
+        # and sigma = sign(dv): real coefficients, and each (k-, k+) on its own sheet
+        sign = math.copysign(1.0, dv)
+        g = 0.25 * a * math.sqrt(abs(p2 * dv))
+        coefs = [4.0 * sign * g * d1, base + 4.0 * sign * g * g * eye,
+                 g * (4.0 * zd1 + 2.0 * eye), -4.0 * g * g * eye]
+        scale = 2.0 * g / a
+
+    def pairs(x):
+        with np.errstate(all="ignore"):
+            inv = sign / x  # x = 0 (unequal limits) is k at infinity
+            return np.stack([1j * scale * (x - inv), 1j * scale * (x + inv)], axis=-1)
+
+    return coefs, pairs
+
+
+def _newton_step(coefs, x, vec):
+    """One Newton step for the eigenpairs (x, v) of sum_j x^j M_j, v the
+    columns of vec, on the bordered system [[P(x), P'(x) v], [v^H, 0]],
+    which stays regular at a simple eigenvalue: the new x, or the old one
+    where the system is singular."""
+    n = vec.shape[0]
+    v = (vec / np.linalg.norm(vec, axis=0)).T[..., None]
+    xs = x[:, None, None]
+    p = sum(xs ** j * m for j, m in enumerate(coefs))
+    dp = sum(j * xs ** (j - 1) * m for j, m in enumerate(coefs) if j)
+    jac = np.zeros((x.size, n + 1, n + 1), dtype=complex)
+    jac[:, :n, :n] = p
+    jac[:, :n, n:] = dp @ v
+    jac[:, n:, :n] = v.conj().transpose(0, 2, 1)
+    rhs = np.zeros((x.size, n + 1, 1), dtype=complex)
+    rhs[:, :n] = -(p @ v)
+    try:
+        step = np.linalg.solve(jac, rhs)[:, n, 0]
+    except np.linalg.LinAlgError:
+        return x
+    return np.where(np.isfinite(step), x + step, x)
+
+
+def _spectral_clusters(spec, c, n, polish=False):
+    """The eigenvalue clusters of the QNF problem on n nodes (see
+    _spectral_qnfs): the (k-, k+) mean and the size of each, without the
+    trivial zero k+ = 0 and the eigenvalues at infinity.  With ``polish``,
+    a cluster of one eigenvalue takes one Newton step on the collocated
+    polynomial itself (see _newton_step), unless that moves it by more than
+    the stability tolerance: the companion matrix rounds the eigenvalue
+    worse than the polynomial does.  A split double pole keeps its mean."""
+    a = normal_form(spec).a
+    coefs, pairs = _collocated(spec, c, n)
+    degree = len(coefs) - 1
+    # the block companion matrix, with eigenvectors (v, x v, ...) for polish
+    comp = np.zeros((degree * n, degree * n))
+    comp[:-n, n:] = np.eye((degree - 1) * n)
+    comp[-n:] = np.hstack(coefs[:-1]) / -coefs[-1][0, 0]
+    x, vec = np.linalg.eig(comp) if polish else (np.linalg.eigvals(comp), None)
+    k = pairs(x)
+    keep = np.isfinite(k).all(axis=1) & (np.abs(k[:, 1]) * a >= 1e-6)
+    x, k = x[keep], k[keep]
+    # single linkage within _CLUSTER_RADIUS, each cluster labeled by its first member
+    diff = k[:, None] - k[None]
+    near = (np.hypot(diff.real, diff.imag).max(axis=-1) * a < _CLUSTER_RADIUS) * 1.0
+    while (near.sum(axis=1) > 2).any():  # the transitive closure of chains, by squaring
+        grown = (near @ near > 0) * 1.0
+        if (grown == near).all():
+            break
+        near = grown
+    first, label = np.unique(near.argmax(axis=1), return_inverse=True)
+    size = np.bincount(label, minlength=first.size)
+    if polish:
+        lone = size[label] == 1
+        new = pairs(_newton_step(coefs, x[lone], vec[:n, keep][:, lone]))
+        move = np.abs(new - k[lone]).max(axis=1, initial=0.0)
+        ok = np.isfinite(move) & (move * a < _CLUSTER_AGREE * np.maximum(
+            1.0, np.abs(k[lone, 1]) * a))
+        k[np.flatnonzero(lone)[ok]] = new[ok]
+    mean = np.stack([np.bincount(label, col.real, first.size)
+                     + 1j * np.bincount(label, col.imag, first.size) for col in k.T], axis=-1)
+    return mean / size[:, None], size
+
+
+def _spectral_qnfs(spec, c: PhysicalConstants = DEFAULT_CONSTANTS, n=10):
+    """The QNFs of a smooth (Eckart-family) spec as eigenvalues, with no
+    seed, grid or sheet choice: (k-, k+, size) arrays of the eigenvalue
+    clusters that are stable between n and n + 2 Chebyshev nodes, each at
+    its mean on n nodes, k+ a wavenumber of the normal form's qnf_level.
+
+    With z = tanh((x - shift) / a) and psi = (1 - z)^(alpha+) (1 + z)^(alpha-) f,
+    alpha+- = i a k+- / 2 (outgoing, QNFs at Im k > 0), k is a QNF where f
+    is analytic on [-1, 1].  The equation for f,
+    (1 - z^2) f'' + c1 f' + c0 f = 0, with
+    c1 = 2 (alpha- (1 - z) - alpha+ (1 + z)) - 2 z and
+    c0 = -alpha+ - alpha- - 2 alpha- (alpha- + alpha+) - a^2 p2 W,
+    W = (V - V- - (V+ - V-) (1 + z)^2 / 4) / (1 - z^2), is collocated on n
+    first-kind Chebyshev nodes (which exclude z = +-1); V enters only
+    through evaluate(spec, x) there and the normal form's limits, a and
+    shift.  With equal limits the collocated problem is quadratic in alpha;
+    otherwise it is cubic in the uniformizing variable u of
+    k+- = i (sqrt(|p2 (V+ - V-)|) / 2) (u +- sigma / u), sigma the sign of
+    V+ - V-, so every (k-, k+) comes on its own sheet with no square root.
+    Either is one real companion eigenproblem (2n or 3n), solved by
+    numpy.linalg (A. Jansen, Eur. Phys. J. Plus 132, 546 (2017);
+    L. N. Trefethen, Spectral Methods in MATLAB, SIAM (2000)).
+
+    An eigenvalue is a member of the closed-form tower, live or cancelled:
+    it cannot tell a pole of t from a cancelled member.  A double pole (a
+    tanh member) is a defective eigenvalue that splits in two about 1e-5
+    apart, whose mean stays accurate, so the eigenvalues cluster within
+    _CLUSTER_RADIUS and the clusters, not single eigenvalues, are compared
+    between the two resolutions: discretization ghosts move, members do
+    not.  On n nodes a single eigenvalue is polished (see
+    _spectral_clusters).  The trivial zero k+ = 0 and the eigenvalues at
+    infinity are dropped.  The error grows with n and with
+    p2 |V+ - V-| a^2."""
+    a = normal_form(spec).a
+    mean, size = _spectral_clusters(spec, c, n, polish=True)
+    finer, _ = _spectral_clusters(spec, c, n + 2)
+    diff = mean[:, None] - finer[None]
+    moved = np.hypot(diff.real, diff.imag).max(axis=-1).min(axis=1, initial=math.inf)
+    stable = moved * a < _CLUSTER_AGREE * np.maximum(1.0, np.abs(mean[:, 1]) * a)
+    return mean[stable, 0], mean[stable, 1], size[stable]
 
 
 def solve_ivp(*args, **kwargs):

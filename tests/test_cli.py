@@ -385,20 +385,19 @@ class TestCommands:
         assert "fail" not in [r.status for r in checks]
         assert checks[-1] == Check("low-lying QNFs vs ODE poles", "skip", detail=(
             "no closed-form QNF with |Im k| a <= 2.05"))
-
-        def reject(spec, guesses, c):
-            return [(g, math.nan, f"no certified pole from guess {g}") for g in guesses.tolist()]
-
-        # every refinement rejected, as for the tanh spec V- = 0, V+ = 2,
-        # a = 1, whose verify takes seconds
-        monkeypatch.setattr(oracle, "refine_pole", reject)
-        checks = verify(Sech2(-1.0, 1.0), C)
-        assert "fail" not in [r.status for r in checks]
-        skip = checks[-1]
+        # the README Eckart's low-lying members are its thresholds, no pole of t
+        skip = verify(Eckart(0.0, 2.0, -1.0, 1.0), C)[-1]
         assert (skip.status, skip.value, skip.tol) == ("skip", None, None)
-        assert skip.detail.startswith("0 of 1 candidate modes certified by the oracle; "
-                                      "first rejection: no certified pole from guess")
-        assert skip.detail.endswith("(2 cancelled members not refined)")
+        assert skip.detail == ("no closed-form QNF with |Im k| a <= 2.05 "
+                               "(2 cancelled members, no pole of t)")
+
+        # a member the eigen-solve does not resolve is a failure, not a skip
+        empty = np.array([], dtype=complex)
+        monkeypatch.setattr(oracle, "_spectral_qnfs",
+                            lambda spec, c: (empty, empty, np.array([], dtype=int)))
+        check = verify(Sech2(-1.0, 1.0), C)[-1]
+        assert (check.status, check.value, check.detail) == (
+            "fail", math.inf, "0/3 matched, 0 unmatched eigenvalues")
 
     @pytest.mark.parametrize("argv", [["--type", "delta", "--alpha", "50"],
                                       ["--type", "step", "--V0", "1"]], ids=["delta", "step"])
@@ -425,21 +424,28 @@ class TestCommands:
         check = verify(spec, C)[-1]
         assert (check.status, check.detail) == ("fail", "0/0 matched, 1 unmatched poles; " + error)
 
-    def test_verify_refines_no_cancelled_member(self, capsys, monkeypatch):
+    def test_verify_matches_cancelled_members(self, capsys, monkeypatch):
         # the README Sech2 lists -1i, 1i and 2i below |Im k| a = 2.05; only
-        # the bound state -1i is a pole of t
+        # the bound state -1i is a pole of t, but an eigenvalue cannot tell
+        # a pole from a cancelled member, so all three are matched, by one
+        # eigen-solve and no pole refinement
         calls = []
-        refine = oracle.refine_pole
+        solve = oracle._spectral_qnfs
 
-        def counting(spec, guesses, c):
-            calls.extend(guesses.tolist())
-            return refine(spec, guesses, c)
+        def counting(spec, c):
+            calls.append(spec)
+            return solve(spec, c)
 
-        monkeypatch.setattr(oracle, "refine_pole", counting)
+        def refine(*args):
+            raise AssertionError("verify refined a pole")
+
+        monkeypatch.setattr(oracle, "_spectral_qnfs", counting)
+        monkeypatch.setattr(oracle, "refine_pole", refine)
         code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
         assert code == 0
         assert len(calls) == 1
-        assert "PASS low-lying QNFs vs ODE poles (1 modes): " in out
+        assert ("PASS low-lying QNFs vs ODE poles (3/3 matched, 0 unmatched eigenvalues): "
+                in out)
         assert "SKIP" not in out
 
     @pytest.mark.parametrize("argv, cancelled", [
@@ -449,22 +455,18 @@ class TestCommands:
     ], ids=["eckart", "rosen_morse", "tanh"])
     def test_verify_refines_no_threshold(self, argv, cancelled, capsys, monkeypatch):
         # the low-lying members +-2i (2i for tanh) sit on the threshold
-        # k- = 0, where t has no pole
-        calls = []
-        refine = oracle.refine_pole
+        # k- = 0, where t has no pole: a window of cancelled members makes
+        # no eigen-solve and skips
+        def solve(*args):
+            raise AssertionError("verify solved for a cancelled-only window")
 
-        def counting(spec, guesses, c):
-            calls.extend(guesses.tolist())
-            return refine(spec, guesses, c)
-
-        monkeypatch.setattr(oracle, "refine_pole", counting)
+        monkeypatch.setattr(oracle, "_spectral_qnfs", solve)
         code, out = run_cli(["verify", *argv], capsys)
         assert code == 0
         assert "FAIL" not in out
-        assert calls == []
         assert out.splitlines()[-1] == (
             "SKIP low-lying QNFs vs ODE poles: no closed-form QNF with |Im k| a <= 2.05 "
-            f"({cancelled} cancelled members not refined)")
+            f"({cancelled} cancelled members, no pole of t)")
 
     def test_verify_convergence_sees_the_tail_series(self, capsys, monkeypatch):
         # the check integrates the oracle's own domain, where a truncated
@@ -501,16 +503,17 @@ class TestCommands:
         assert low <= check.value < high
 
     @pytest.mark.parametrize("argv, budget", [
-        (["--type", "sech2", "--V0", "-1", "--a", "1"], 5),
+        (["--type", "sech2", "--V0", "-1", "--a", "1"], 2),
+        (["--type", "tietz", "--V0", "1.1", "--x0", "0.3", "--a", "0.9", "--kind", "cosh"], 2),
         (["--type", "rect-barrier", "--V0", "1", "--a", "1"], 9),
-    ], ids=["sech2", "rect-barrier"])
+    ], ids=["sech2", "tietz", "rect-barrier"])
     def test_verify_engine_call_budget(self, capsys, monkeypatch, argv, budget):
-        # Sech2: the amplitude batch, the convergence check and three Newton
-        # calls; RectBarrier: the amplitude batches, the grid and four Newton
-        # calls.  No call confirms the last iterate or probes it again.  The
-        # checks call numeric_amplitude and the pole search its 1/t
-        # (oracle._INVERSES); the counting wrapper names the engine in
-        # __wrapped__, so the pole search still takes the 1/t
+        # Sech2 and Tietz: the amplitude batch and the convergence check (the
+        # QNF check is an eigen-solve); RectBarrier: the amplitude batches,
+        # the grid and four Newton calls.  No call confirms the last iterate
+        # or probes it again.  The checks call numeric_amplitude and the
+        # pole search its 1/t (oracle._INVERSES); the counting wrapper names
+        # the engine in __wrapped__, so the pole search still takes the 1/t
         calls = []
         amplitude = oracle.numeric_amplitude
         inverse = oracle._INVERSES[amplitude]
@@ -530,14 +533,24 @@ class TestCommands:
         assert code == 0
         assert len(calls) == budget
 
-    def test_verify_certifies_a_pole_where_the_ode_is_nan(self, capsys):
+    def test_verify_certifies_a_pole_where_the_ode_is_nan(self, capsys, monkeypatch):
         # the bound state -1.0325266745885129i has k a = -1, where the incident
         # row's X_1 = 4i(-k)/a + 4/a^2 is 0: numeric_amplitude is nan exactly
-        # at the pole, and Newton keeps its best evaluated iterate
+        # at the pole.  The eigen-solve certifies it with no ODE call there
+        pole = -1.0325266745885129j
+        near = []
+        amplitude = oracle.numeric_amplitude
+
+        def counting(spec, k, c, *args, **options):
+            near.extend(np.asarray(k)[np.abs(np.asarray(k) - pole) < 0.5].tolist())
+            return amplitude(spec, k, c, *args, **options)
+
+        monkeypatch.setattr(oracle, "numeric_amplitude", counting)
         code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1.066111333736813",
                              "--a", "0.9684979813219105"], capsys)
         assert code == 0
-        assert "PASS low-lying QNFs vs ODE poles (1 modes): " in out
+        assert "PASS low-lying QNFs vs ODE poles (3/3 matched, 0 unmatched eigenvalues): " in out
+        assert near == []
 
     def test_verify_pass_and_exit_codes(self, capsys):
         code, out = run_cli(

@@ -53,6 +53,7 @@ from qnf1d.oracle import (
     _newton_polish,
     _probes,
     _rejections,
+    _spectral_qnfs,
     _transfer_matrices,
     _window_max_at,
     _window_min,
@@ -1120,3 +1121,66 @@ class TestRefinePole:
         left = left_point(reason2)
         assert abs(left - guesses[1]) > radius >= abs(k2 - guesses[1])
         assert abs(left - 2j) > 0.1
+
+
+def window_members(spec):
+    """The closed-form tower's distinct members with |Im k| a <= 2.05, live
+    and cancelled, as (k-, k+) pairs."""
+    a = length_scale(spec)
+    first = 1 if normal_form(spec).v0 == 0.0 else 0
+    pairs = []
+    for r in closed_form_qnfs(spec, (first, 8), C):
+        if abs(r.k.imag) * a <= 2.05 and not any(abs(r.k - k) < 1e-9 for _, k in pairs):
+            pairs.append((r.k_minus, r.k))
+    return np.array(pairs)
+
+
+class TestSpectral:
+    @pytest.mark.parametrize("spec", [
+        Sech2(-1.0, 1.0), Sech2(3.0, 1.0), Eckart(0.0, 0.5, -0.4, 1.0),
+        Tietz(1.1, 0.3, 0.9, "cosh"), Hua(1.2, -2.0, 1.0),
+    ], ids=["sech2-well", "sech2-barrier", "eckart", "tietz", "hua"])
+    def test_eigenvalues_are_the_closed_form_members(self, spec):
+        # every low-lying member, on both sides, and no other eigenvalue
+        # there: a bijection; measured <= 3.6e-11 (Tietz), 3.6e-13 elsewhere
+        k_minus, k_plus, _size = _spectral_qnfs(spec, C)
+        low = np.abs(k_plus.imag) * length_scale(spec) <= 2.05
+        found = np.stack([k_minus[low], k_plus[low]], axis=-1)
+        members = window_members(spec)
+        assert len(members) == len(found)
+        dist = np.abs(members[:, None] - found[None]).max(axis=-1)
+        assert dist.min(axis=1).max() < 1e-10
+        assert dist.min(axis=0).max() < 1e-10
+
+    def test_a_double_pole_is_one_cluster(self):
+        # the tanh member 1.3i (k- = 0.7i) is a double pole, a defective
+        # eigenvalue that splits in two; the pair counts once, at its mean
+        k_minus, k_plus, size = _spectral_qnfs(Tanh(0.0, 0.6, 1.0), C)
+        near = np.abs(k_plus - 1.3j) < 1e-3
+        assert near.sum() == 1 and size[near][0] == 2
+        assert abs(k_plus[near][0] - 1.3j) < 1e-8 and abs(k_minus[near][0] - 0.7j) < 1e-8
+
+    def test_a_member_listed_twice_is_one_location(self):
+        # the Eckart tower lists 2.5i as n = 0 plus and n = 3 minus
+        spec = Eckart(0.0, 2.0, -1.0, 1.0)
+        assert sum(abs(r.k - 2.5j) < 1e-12 for r in closed_form_qnfs(spec, (0, 3), C)) == 2
+        _k_minus, k_plus, _size = _spectral_qnfs(spec, C)
+        near = np.abs(k_plus - 2.5j) < 1e-3
+        assert near.sum() == 1 and abs(k_plus[near][0] - 2.5j) < 1e-8
+
+    def test_the_trivial_zero_is_dropped(self):
+        # the reflectionless well has the eigenvalue k = 0 (f = z)
+        spec = Sech2(-1.0, 1.0)
+        _k_minus, k_plus, _size = _spectral_qnfs(spec, C)
+        assert np.abs(k_plus).min() > 0.5
+
+    def test_eigenvalues_at_infinity_raise_no_warning(self):
+        # with unequal limits u = 0 solves the collocated problem (its
+        # constant term kills constants); that is k at infinity, dropped
+        # without a floating-point warning
+        spec = Eckart(0.0, 0.5, -0.4, 1.0)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            k_minus, k_plus, _size = _spectral_qnfs(spec, C)
+        assert np.isfinite(k_minus).all() and np.isfinite(k_plus).all()
+

@@ -130,6 +130,7 @@ def test_oracle_reflection_symmetry_of_symmetric_asymptotes(spec, ks):
 @settings(max_examples=20, deadline=None, report_multiple_bugs=False,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(spec=asymmetric_specs, scaled=scaled_energies)
+@example(spec=Eckart(0.0, -0.228, 0.0, 2.61), scaled=[0.2, 1.0, 4.0])
 def test_reflection_symmetry_of_asymmetric_asymptotes(spec, scaled):
     # on the real axis above both limits; every drawn spec breaks it today
     # (relative error >= 0.1 over 3000 examples)

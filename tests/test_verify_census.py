@@ -3,9 +3,11 @@ piecewise_specs() | smooth_specs() (test_array_amplitudes), from a numpy
 generator with a fixed seed, so a FAIL reproduces whatever else the test
 session loads.  The named reproducers keep every known failure class in the
 sample.  The checks that FAIL must be exactly the committed table, whose
-rows name the ROADMAP item that mends them: a fix edits the table."""
+rows name the ROADMAP item that mends them: a fix edits the table.  The QNF
+reproducers, which the smooth QNF check once failed, must pass it."""
 
 import numpy as np
+import pytest
 
 from qnf1d import (
     AsymDoubleDelta,
@@ -14,20 +16,39 @@ from qnf1d import (
     DoubleDelta,
     Eckart,
     Hua,
+    Mobius2,
     MorseFeshbach,
     PhysicalConstants,
     RectBarrier,
+    RosenMorse,
     Sech2,
     Step,
     Tanh,
+    Tietz,
     verify,
 )
 from qnf1d.potentials import EckartReduction, normal_form
 
 C = PhysicalConstants()
 
+# smooth specs whose low-lying QNFs the Newton refinement on the ODE failed
+# to certify: a member on the other sheet of the principal-root cut, a
+# double pole, or a pole beyond the seed's basin
+QNF_REPRODUCERS = [
+    Hua(1.2, -2.0, 1.0),  # a bound state on the other sheet
+    Tanh(0.0, 0.6, 1.0),  # a double pole
+    MorseFeshbach(0.7, 0.3, 1.0),
+    MorseFeshbach(1.812, -0.915, 1.047),  # 0.049457i refined onto 0.21565i
+    Eckart(0.0, 0.5, -0.4, 1.0),
+    RosenMorse(0.0, -0.215, -0.210, 1.943),
+    Mobius2(0.0953, 1.011, 0.169, 1.0, 1.2, 2.925, 0.0677),
+    Hua(1.503, -0.486, 1.049),
+    Tietz(0.312, 0.218, 2.314, "cosh"),
+    Tanh(0.0, -0.242, 2.806),
+]
+
 # the fixed cases: ROADMAP's reproducers of each known class
-REPRODUCERS = [
+REPRODUCERS = QNF_REPRODUCERS + [
     RectBarrier(5e-9, 1.0),  # inner ~ outer wavenumber cancellation (item 6)
     AsymRectBarrier(0.5947, 0.022222222222222223, 0.022222222222222227, 1.5),  # the same
     AsymRectBarrier(0.5725, 0.5725, 0.1746, 1.7466),  # a V1 == V2 barrier (item 6)
@@ -35,8 +56,6 @@ REPRODUCERS = [
     Delta(0.05),  # a pole within a grid cell of the region's floor (item 8)
     AsymDoubleDelta(0.0835, -0.0355, 1.967),  # the same
     Eckart(0.0, 2.0, -1.0, 1.0),  # the README Eckart
-    Hua(1.2, -2.0, 1.0),  # a bound state searched on the wrong sheet (item 4)
-    Tanh(0.0, 0.6, 1.0),  # a double pole (item 5)
     Tanh(0.0, 2.0, 1.0),  # its one low-lying member is cancelled (item 5)
     # determinant rounding on an unequal barrier, 6.7e-12 (item 6)
     AsymRectBarrier(-1.128118076945254, 1.9089627596630316, -0.30513573012964956,
@@ -53,10 +72,6 @@ KNOWN_FAILS = {
     ("RectBarrier", "QNF/pole bijection"): 8,
     ("Delta", "QNF/pole bijection"): 8,
     ("AsymDoubleDelta", "QNF/pole bijection"): 8,
-    ("asymmetric Eckart", "low-lying QNFs vs ODE poles"): 4,
-    ("MorseFeshbach", "low-lying QNFs vs ODE poles"): 4,
-    ("Hua", "low-lying QNFs vs ODE poles"): 4,
-    ("tanh", "low-lying QNFs vs ODE poles"): 5,
 }
 
 
@@ -123,3 +138,12 @@ def test_verify_census_fails_only_in_the_known_classes():
                 unexplained.append((spec, check.name))
     assert failed == set(KNOWN_FAILS)
     assert unexplained == []
+
+
+@pytest.mark.parametrize("spec", QNF_REPRODUCERS,
+                         ids=[f"{type(s).__name__}-{i}" for i, s in enumerate(QNF_REPRODUCERS)])
+def test_qnf_reproducer_passes(spec):
+    # the eigen-solve certifies at least one member of each
+    [check] = [r for r in verify(spec, C) if r.name == "low-lying QNFs vs ODE poles"]
+    assert check.status == "pass", check
+    assert not check.detail.startswith("0/"), check
