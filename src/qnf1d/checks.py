@@ -51,7 +51,8 @@ def verify(spec, c: P.PhysicalConstants = P.DEFAULT_CONSTANTS,
     (default_region(spec) by default) against the poles find_poles refines
     there; for a smooth spec, the tower's distinct members with
     |Im k| a <= 2.05, live and cancelled, against the stable eigenvalue
-    clusters of oracle._spectral_qnfs, each as its (k-, k+) pair.  An
+    clusters of oracle._spectral_qnfs on max(10, n_max + 2) nodes (n_max
+    the largest tower index there), each as its (k-, k+) pair.  An
     eigenvalue cannot tell a pole of t from a cancelled member, so the smooth
     check runs only where that window holds a live member and otherwise
     skips, counting the cancelled ones; its record keeps the name
@@ -171,8 +172,10 @@ def verify(spec, c: P.PhysicalConstants = P.DEFAULT_CONSTANTS,
                 low.append(r)
         cancelled = sum(r.classification == "cancelled" for r in low)
         if cancelled < len(low):
-            # both sides as (k-, k+) pairs, each on its own sheet
-            k_minus, k_plus, _size = O._spectral_qnfs(spec, c)
+            # both sides as (k-, k+) pairs, each on its own sheet; member n's
+            # f is a polynomial of degree n, so the nodes follow the tower
+            n = max(10, max(r.branch for r in low) + 2)
+            k_minus, k_plus, _size = O._spectral_qnfs(spec, c, n)
             checks.append(_bijection(
                 name, np.array([(r.k_minus, r.k) for r in low], dtype=complex).reshape(-1, 2),
                 np.stack([k_minus, k_plus], axis=-1), np.abs(k_plus.imag) * a_scale <= _WINDOW,

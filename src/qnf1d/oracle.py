@@ -75,7 +75,7 @@ _PANEL_WIDTH = 1.0 / 3.0
 _PANEL_REACH = 2.0
 # most panels on [-L, L]; a point still unresolved on that many is nan
 _PANEL_CAP = 4096
-# panel matrices per linear solve, which bounds the memory of a large grid
+# point-panel pairs per series sum, which bounds the memory of a large grid
 _PANEL_BLOCK = 512
 # a find_poles seed whose two grid slopes agree to this starts from their Newton step
 _SLOPE_TOL = 0.1
@@ -302,22 +302,92 @@ def _chebyshev_panel(n):
 
 
 @functools.lru_cache(maxsize=64)
-def _panel_geometry(red, L, panels, degree):
-    """The energy-free part of a propagator pass of ``red`` over ``panels``
-    equal panels of [-L, L], built once, its arrays read-only: the panel
-    width d (from x = L towards -L) and dx / dt = d / 2; V at each panel's
-    ``degree`` Chebyshev points, shape (panels, degree); the value matrix;
-    J^2 in x, with its sign in the integral equation; the basis 1 and
-    x - x0; and the end rows of _chebyshev_panel."""
+def _panel_geometry(red, p2, L, panels, degree):
+    """Every energy-free part of a propagator pass of ``red`` over ``panels``
+    equal panels of [-L, L], built once per (reduction, p2, L, panels), its
+    arrays read-only: each panel's centre energy p2 e0, e0 the mean of V at
+    its Chebyshev points; the bound on |lambda| = p2 |E - e0| within which
+    the series below is summed to rounding; and its orders, shape (orders,
+    panels (2 degree + 4)): per panel the (degree, 2) Chebyshev coefficients
+    of sigma = psi'' of both solutions, then the 2 x 2 propagator, each in C
+    order.
+
+    On a panel from x0 the integral equation of _propagate is the linear
+    system (A - lambda J^2) c = R - lambda B, with A = vander + q0 J^2,
+    R = q0 B, q0 = p2 (V - e0) and B the basis 1, x - x0: its solution is
+    the power series c = sum_m lambda^m c_m, c_0 = A^-1 R,
+    c_1 = A^-1 (J^2 c_0 - B), c_m = A^-1 J^2 c_(m-1), from one inverse of
+    A per panel (the first four orders refined once against A), and the
+    end values of c_m are the propagator's order m.  Centring each panel
+    on its own mean keeps q0 small where V is flat, so that the sum does
+    not cancel there.  _integrate's panel rule bounds |lambda| by
+    (panels _PANEL_REACH / 2L)^2, that is |lambda| h^2 <= 1 with h = d / 2,
+    where the orders, sized with c_m scaled by h^2 (h for the second
+    solution) against the propagator's identity, fall faster than
+    geometrically: the series keeps them up to and including the first two
+    consecutive ones below 2^-60 there, far below the rounding of the
+    identity (the rule of _tail_eta), 16 orders.  The bound is that,
+    or lower if 2 ``degree`` orders do not reach 2^-60 there.  An entry holds
+    36 floats per order and panel (degree 16): with 16 orders 4.6 kB per
+    panel, 41 kB at 9 panels, 19 MB at _PANEL_CAP."""
     t, vander, j2, end1, end2 = _chebyshev_panel(degree)
     d = -2.0 * L / panels
     h = 0.5 * d
     v = red.evaluate(L + d * (np.arange(panels)[:, None] + 0.5 * (t + 1.0)))
+    e0 = p2 * v.mean(axis=1)
+    q0 = p2 * v - e0[:, None]
     j2 = -h * h * j2
     basis = np.stack([np.ones_like(t), h * (t + 1.0)], axis=-1)
-    for arr in (v, j2, basis):
+    mat = q0[..., None] * j2 + vander
+    inv = np.linalg.inv(mat)
+    step = inv @ j2
+
+    def refined(rhs):  # A^-1 rhs, with one step of iterative refinement
+        x = inv @ rhs
+        return x + inv @ (rhs - mat @ x)
+
+    coefs = [refined(q0[..., None] * basis)]
+    coefs.append(refined(j2 @ coefs[0] - basis))
+    # each order's size against the propagator's identity: h^2 sigma (h sigma
+    # for the second solution)
+    scale = np.array([h * h, abs(h)])
+    sizes = [np.abs(c * scale).max() for c in coefs]
+    bound = (panels * _PANEL_REACH / (2.0 * L)) ** 2
+    tiny = 2.0 ** -60
+    while max(sizes[-2] * bound ** (len(sizes) - 2), sizes[-1] * bound ** (len(sizes) - 1)) >= tiny:
+        if len(coefs) == 2 * degree:
+            # the largest |lambda| at which the last two orders are below 2^-60
+            bound = min((tiny / sizes[m]) ** (1.0 / m) for m in (len(sizes) - 2, len(sizes) - 1))
+            break
+        # the first four orders' terms at the bound are about 1, 1, 0.3 and
+        # 0.03 (the identity is 1): the later ones are below 1 % of the sum,
+        # and so is their rounding without refinement
+        coefs.append(refined(j2 @ coefs[-1]) if len(coefs) < 4 else step @ coefs[-1])
+        sizes.append(np.abs(coefs[-1] * scale).max())
+    coefs = np.stack(coefs)
+    # each panel's propagator [[1 + u1, d + u2], [du1, 1 + du2]] from J^2
+    # sigma (u) and J sigma (du) at its end, for both solutions, by order
+    props = np.stack([h * h * (end2 @ coefs), h * (end1 @ coefs)], axis=-2)
+    props[0, :, 0] += (1.0, d)
+    props[0, :, 1, 1] += 1.0
+    # per order, each panel's 2 degree coefficients and then its 4 entries
+    orders = np.concatenate([coefs.reshape(coefs.shape[:2] + (-1,)),
+                             props.reshape(props.shape[:2] + (4,))], axis=-1)
+    orders = orders.reshape(orders.shape[0], -1)
+    for arr in (e0, orders):
         arr.flags.writeable = False  # shared by every call
-    return d, h, v, vander, j2, basis, end1, end2
+    return e0, bound, orders
+
+
+def _horner(orders, lam):
+    """sum_m lam^m orders[m] over the leading axis of ``orders``, elementwise,
+    so that a point's bits do not depend on the others."""
+    acc = orders[-1] * lam
+    acc += orders[-2]
+    for order in orders[-3::-1]:
+        acc *= lam
+        acc += order
+    return acc
 
 
 def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
@@ -328,31 +398,29 @@ def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
     On a panel from x0, psi'' = q psi (q = p2 (V - E)) is the integral
     equation sigma = q (psi(x0) + psi'(x0) (x - x0) + J^2 sigma) for
     sigma = psi''.  The Chebyshev coefficients of sigma for the two
-    fundamental solutions are one linear solve with two right-hand sides,
-    and their end values are the panel's 2 x 2 propagator.  A point is
-    resolved when the three trailing coefficients of its sigma stay below
-    rtol times its largest one."""
-    d, h, v, vander, j2, basis, end1, end2 = _panel_geometry(red, L, panels, _PANEL_DEGREE)
+    fundamental solutions, and their end values, the panel's 2 x 2
+    propagator, are power series in lambda = p2 (E - e0) built once per
+    panel (see _panel_geometry): a pass sums them by Horner's rule,
+    elementwise over every point and panel at once, in blocks of at most
+    ``_PANEL_BLOCK`` point-panel pairs.  A point is resolved when every
+    |lambda| of it is within the series' bound and the three trailing
+    coefficients of its sigma stay below rtol times its largest one."""
+    e0, bound, orders = _panel_geometry(red, p2, L, panels, _PANEL_DEGREE)
+    lam = p2 * e[:, None] - e0
+    inside = np.abs(lam).max(axis=1) <= bound
+    lam[~inside] = 0.0  # a point outside the bound is summed at lambda = 0, unresolved
+    width = orders.shape[1] // panels
     psi, dpsi = np.empty_like(psi0), np.empty_like(dpsi0)
     resolved = np.empty(e.shape, dtype=bool)
-    # points per block, so that a large grid does not grow the matrices
+    # points per block, so that a large grid does not grow the sums
     block = max(1, _PANEL_BLOCK // panels)
     for lo in range(0, e.size, block):
         sl = slice(lo, lo + block)
-        q = p2 * (v - e[sl, None, None])
-        mat = q[..., None] * j2
-        mat += vander
-        coef = np.linalg.solve(mat, q[..., None] * basis)
-        mag = np.abs(coef)
-        size = np.maximum(mag[..., 0], mag[..., 1])
-        resolved[sl] = size[..., -3:].max(axis=(1, 2)) <= rtol * size.max(axis=(1, 2))
-        # each panel's propagator [[1 + u1, d + u2], [du1, 1 + du2]] from
-        # J^2 sigma (u) and J sigma (du) at its end, for both solutions
-        prop = np.empty(coef.shape[:2] + (2, 2), dtype=coef.dtype)
-        np.multiply(h * h, end2 @ coef, out=prop[..., 0, :])
-        prop[..., 0, :] += (1.0, d)
-        np.multiply(h, end1 @ coef, out=prop[..., 1, :])
-        prop[..., 1, 1] += 1.0
+        sums = _horner(orders, np.repeat(lam[sl], width, axis=1)).reshape(-1, panels, width)
+        # the coefficients of both solutions, the last 6 of them the three trailing ones
+        mag = np.abs(sums[..., :-4])
+        resolved[sl] = mag[..., -6:].max(axis=(1, 2)) <= rtol * mag.max(axis=(1, 2))
+        prop = sums[..., -4:].reshape(sums.shape[:2] + (2, 2))
         # one product and one sum per panel: a stacked matmul would round
         # differently, as BLAS fuses the multiply-adds of real systems
         state = np.stack([psi0[sl], dpsi0[sl]], axis=-1)
@@ -360,7 +428,7 @@ def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
             terms = prop[:, s] * state[:, None, :]
             state = terms[..., 0] + terms[..., 1]
         psi[sl], dpsi[sl] = state[:, 0], state[:, 1]
-    return psi, dpsi, resolved & np.isfinite(psi) & np.isfinite(dpsi)
+    return psi, dpsi, inside & resolved & np.isfinite(psi) & np.isfinite(dpsi)
 
 
 def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
@@ -368,17 +436,20 @@ def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
     at x = L, one per energy in the array e, by Chebyshev panel propagators.
 
     The panels start at most a/3 wide (``_PANEL_WIDTH``) and narrow enough
-    for the largest local wavenumber of the batch; the points not resolved
-    to ``rtol`` (see _propagate) are solved again on twice as many panels,
-    up to ``_PANEL_CAP``, and a point still unresolved there is nan.  Where
-    every energy is real, the panel systems are real."""
+    for the largest local wavenumber of the batch, which keeps every
+    |lambda| within the bound of the panel series (see _panel_geometry);
+    the points not resolved (see _propagate: beyond that bound, as on
+    _PANEL_CAP panels an energy can be, or short of ``rtol``) are solved
+    again on twice as many panels, up to ``_PANEL_CAP``, and a point still
+    unresolved there is nan.  Where every energy is real, the panel sums
+    are real."""
     mid, slope = 0.5 * (red.v_minus + red.v_plus), 0.5 * abs(red.v_plus - red.v_minus)
     # sup |V - E| over real x bounds the local wavenumber
     kappa = math.sqrt(p2 * (np.abs(e - mid).max(initial=0.0) + slope + abs(red.v0)))
     per_length = max(1.0 / (_PANEL_WIDTH * red.a), kappa / _PANEL_REACH)
     panels = math.ceil(min(_PANEL_CAP, 2.0 * L * per_length))  # per_length may be inf
     if not e.imag.any():
-        e = e.real  # real energies make real panel systems
+        e = e.real  # real energies make real panel sums
     psi = np.full(e.shape, complex("nan"))
     dpsi = psi.copy()
     todo = np.arange(e.size)
@@ -420,10 +491,12 @@ def _ode_solution(red, k, c, L=None, rtol=1e-12):
     (psi0, p_ref, p_inc), (dpsi0, dp_ref, dp_inc) = (
         z.reshape((3,) + k.shape) for z in (psi_u, sides * dpsi_u))
 
-    # integrate the unshifted reduction; the shift becomes a phase below
+    # integrate the unshifted reduction; the shift becomes a phase below.  A
+    # start state that is not finite (the tail recursion divides by 0 on the
+    # lattice k = +-i l / a) is not integrated: no panel count resolves it
     psi = np.full(k.shape, complex("nan"))
     dpsi = psi.copy()
-    ok = ~bad
+    ok = ~bad & np.isfinite(psi0) & np.isfinite(dpsi0)
     if ok.any():
         psi[ok], dpsi[ok] = _integrate(_unshifted(red), p2, e[ok], psi0[ok], dpsi0[ok],
                                        L, rtol)
@@ -451,10 +524,12 @@ def numeric_amplitude(spec, k, c: PhysicalConstants = DEFAULT_CONSTANTS, L=None,
     orders whose terms at |x| = L are below 2^-60 at every point (mostly
     after 14 to 16 orders at L = 1.5 a, 8 or 9 at 3 a), and at
     ``_TAIL_ORDER`` (32) orders at most.  The ODE is solved by Chebyshev
-    panel propagators (see _integrate), in real arithmetic where every
-    energy is real (real or imaginary k), and ``rtol`` bounds the three
-    trailing Chebyshev coefficients of each point's psi'' on every panel,
-    relative to its largest one.  The transfer matrices ignore L and rtol.
+    panel propagators (see _integrate), each a power series in the energy
+    that is built once per panel and summed at every energy of the call
+    (see _propagate), in real arithmetic where every energy is real (real
+    or imaginary k); ``rtol`` bounds the three trailing Chebyshev
+    coefficients of each point's psi'' on every panel, relative to its
+    largest one.  The transfer matrices ignore L and rtol.
 
     t is the reciprocal of the engine's 1/t, m00 sqrt(k) / sqrt(k+) of the
     transfer matrix or A sqrt(k) / sqrt(k+) of the ODE (see _flux_inverse),

@@ -261,18 +261,28 @@ def test_ode_batch_matches_one_point_calls(spec):
 
 @pytest.mark.parametrize("spec", ODE_SPECS, ids=lambda s: type(s).__name__)
 def test_ode_block_splits_keep_the_bits(spec, monkeypatch):
-    # the panel systems of a call are solved in blocks of points; one point
+    # the panel series of a call are summed in blocks of points; one point
     # per block, on the call's panel count and tail order, gives the same
     # bits as the default blocks
     a = length_scale(spec)
     k = np.concatenate([np.sqrt(C.p2 * np.linspace(0.3, 9.0, 32)) + 0j,
                         [0.7 + 0.1j, 1.3 - 0.2j, 0.4 + 0.9j, -1.1 + 0.6j, 0.9 - 1.2j]]) / a
-    calls = []
+    calls, blocks = [], []
+    horner = oracle._horner
+
+    def counting(orders, lam):
+        blocks[-1] += 1
+        return horner(orders, lam)
+
+    monkeypatch.setattr(oracle, "_horner", counting)
     for block in (None, 1):
+        blocks.append(0)
         if block is not None:
             monkeypatch.setattr(oracle, "_PANEL_BLOCK", block)
-        # the real energies and the complex ones: two calls, two panel systems
+        # the real energies and the complex ones: two calls, two passes
         calls.append([numeric_amplitude(spec, part, C) for part in (k[:32], k[32:])])
+    # one block per pass, then one per point
+    assert blocks == [2, k.size]
     for whole, split in zip(*calls):
         assert np.isfinite(whole.t).all()
         assert whole.t.tobytes() == split.t.tobytes()
@@ -359,10 +369,78 @@ def test_tail_series_stopped_at_rounding_matches_every_order(spec, kas):
             assert etas.shape[-1] <= 20
 
 
+def dense_propagate(red, p2, e, psi0, dpsi0, L, panels):
+    """(psi, psi') at x = -L of a propagator pass of oracle._propagate, each
+    panel's integral equation solved as its dense linear system, one
+    np.linalg.solve per point and panel: the reference for the power series
+    in the energy that the oracle sums."""
+    t, vander, j2, end1, end2 = oracle._chebyshev_panel(oracle._PANEL_DEGREE)
+    d = -2.0 * L / panels
+    h = 0.5 * d
+    v = red.evaluate(L + d * (np.arange(panels)[:, None] + 0.5 * (t + 1.0)))
+    q = p2 * (v - e[:, None, None])
+    basis = np.stack([np.ones_like(t), h * (t + 1.0)], axis=-1)
+    coef = np.linalg.solve(q[..., None] * (-h * h * j2) + vander, q[..., None] * basis)
+    prop = np.stack([h * h * (end2 @ coef) + (1.0, d), h * (end1 @ coef) + (0.0, 1.0)], axis=-2)
+    state = np.stack([psi0, dpsi0], axis=-1)
+    for s in range(panels):
+        state = (prop[:, s] @ state[..., None])[..., 0]
+    return state[:, 0], state[:, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=smooth_specs(), ks=scaled_wavenumbers,
+       c=st.sampled_from([C, PhysicalConstants(mass=2.0)]))
+# the free form, whose series has no energy-free order (V = e0 on every
+# panel); a k whose energy overflows beside ordinary ones, which the panel
+# rule puts on _PANEL_CAP panels, where only it is outside the series' bound
+@example(spec=Sech2(0.0, 1.3), ks=[0.4, 1.7 + 0.3j, 2.5j], c=C)
+@example(spec=Sech2(-1.0, 1.0), ks=[0.8, 1e200, 1.2 + 0.3j], c=C)
+def test_panel_series_matches_dense_solves(spec, ks, c):
+    # on each pass of a numeric_amplitude call, from the series and from
+    # dense solves, both columns of the transfer matrix over [-L, L], made
+    # dimensionless by the length a, agree to 1e-13 of its largest entry at
+    # every resolved point; every point whose energy is finite is resolved
+    # on some pass, and no other point is
+    a = length_scale(spec)
+    k = np.array(ks, dtype=complex) / a
+    passes = []
+    propagate = oracle._propagate
+
+    def recording(red, p2, e, psi0, dpsi0, L, panels, rtol):
+        passes.append((red, p2, e, L, panels, rtol))
+        return propagate(red, p2, e, psi0, dpsi0, L, panels, rtol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_propagate", recording)
+        numeric_amplitude(spec, k, c)
+    resolved = set()
+    for red, p2, e, L, panels, rtol in passes:
+        one, zero = np.ones(e.shape, dtype=complex), np.zeros(e.shape, dtype=complex)
+        series, dense = [], []
+        with np.errstate(all="ignore"):  # as in numeric_amplitude
+            for start in ((one, zero), (zero, one)):
+                psi, dpsi, ok = oracle._propagate(red, p2, e, *start, L, panels, rtol)
+                series.append((psi, dpsi))
+                dense.append(dense_propagate(red, p2, e, *start, L, panels))
+            got = np.array([[series[0][0], series[1][0] / a], [series[0][1] * a, series[1][1]]])
+            want = np.array([[dense[0][0], dense[1][0] / a], [dense[0][1] * a, dense[1][1]]])
+            size = np.abs(want).max(axis=(0, 1))
+            err = np.abs(got - want).max(axis=(0, 1))
+        assert (err[ok] <= 1e-13 * size[ok]).all(), (red, panels, e[ok], err[ok] / size[ok])
+        assert not ok[~np.isfinite(e)].any()
+        resolved.update(e[ok].tolist())
+    assert resolved == {z for z in passes[0][2].tolist() if cmath.isfinite(z)}
+    if 1e200 in ks:
+        # the overflowing point alone is on the cap and outside the bound
+        assert passes[0][4] == oracle._PANEL_CAP
+        assert [p[2].size for p in passes] == [len(ks)]
+
+
 @pytest.mark.parametrize("spec", ODE_SPECS, ids=lambda s: type(s).__name__)
 def test_real_energies_solve_real_systems(spec, monkeypatch):
     # verify's 25-sample draw: real energies above both levels, whose panel
-    # systems are solved in real arithmetic
+    # series are summed in real arithmetic
     energies = []
     propagate = oracle._propagate
 
@@ -432,6 +510,18 @@ def test_unresolved_point_is_nan_alone(monkeypatch):
     assert sizes[0] == k.size and len(sizes) > 1 and set(sizes[1:]) == {1}
     with pytest.raises(OverflowGuardError):
         numeric_amplitude(spec, k[2], C)
+
+
+def test_nan_start_state_is_not_integrated(monkeypatch):
+    # at k a = 2i (1 - 2^-53) the tail recursion's X_2 rounds to 0, so the
+    # outgoing boundary state is nan: that point is nan with no pass, and
+    # the batch's other point takes one pass
+    counter = CountingPasses(monkeypatch)
+    spec = Sech2(0.0, 2.5)
+    k = np.array([1.9999999999999998j, 0.5]) / 2.5
+    t = numeric_amplitude(spec, k, C).t
+    assert cmath.isnan(t[0]) and t[1] == pytest.approx(1.0, rel=1e-12)
+    assert counter.calls == 1
 
 
 def test_ode_contract_guard_row():

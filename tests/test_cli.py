@@ -394,7 +394,7 @@ class TestCommands:
         # a member the eigen-solve does not resolve is a failure, not a skip
         empty = np.array([], dtype=complex)
         monkeypatch.setattr(oracle, "_spectral_qnfs",
-                            lambda spec, c: (empty, empty, np.array([], dtype=int)))
+                            lambda spec, c, n: (empty, empty, np.array([], dtype=int)))
         check = verify(Sech2(-1.0, 1.0), C)[-1]
         assert (check.status, check.value, check.detail) == (
             "fail", math.inf, "0/3 matched, 0 unmatched eigenvalues")
@@ -428,13 +428,13 @@ class TestCommands:
         # the README Sech2 lists -1i, 1i and 2i below |Im k| a = 2.05; only
         # the bound state -1i is a pole of t, but an eigenvalue cannot tell
         # a pole from a cancelled member, so all three are matched, by one
-        # eigen-solve and no pole refinement
+        # eigen-solve on the least nodes, 10, and no pole refinement
         calls = []
         solve = oracle._spectral_qnfs
 
-        def counting(spec, c):
-            calls.append(spec)
-            return solve(spec, c)
+        def counting(spec, c, n):
+            calls.append(n)
+            return solve(spec, c, n)
 
         def refine(*args):
             raise AssertionError("verify refined a pole")
@@ -443,7 +443,7 @@ class TestCommands:
         monkeypatch.setattr(oracle, "refine_pole", refine)
         code, out = run_cli(["verify", "--type", "sech2", "--V0", "-1", "--a", "1"], capsys)
         assert code == 0
-        assert len(calls) == 1
+        assert calls == [10]
         assert ("PASS low-lying QNFs vs ODE poles (3/3 matched, 0 unmatched eigenvalues): "
                 in out)
         assert "SKIP" not in out

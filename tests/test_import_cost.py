@@ -82,7 +82,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_smooth_verify_loads_no_linalg_integrate_or_optimize():
-    # the ODE oracle solves its panel systems with numpy alone; on top of
+    # the ODE oracle builds and sums its panel series with numpy alone; on top of
     # scipy.special, scipy.linalg would add some 6 MB of resident memory
     for argv in (
         ["verify", "--type", "sech2", "--V0", "-1", "--a", "1"],
