@@ -73,7 +73,8 @@ _PANEL_DEGREE = 16
 _PANEL_WIDTH = 1.0 / 3.0
 # bound on panel width times the largest local wavenumber at the first pass
 _PANEL_REACH = 2.0
-# most panels on [-L, L]; a point still unresolved on that many is nan
+# most panels on [-L, L], where the panel series go on to 2 _PANEL_DEGREE
+# orders; a point still unresolved on that many is nan
 _PANEL_CAP = 4096
 # point-panel pairs per series sum, which bounds the memory of a large grid
 _PANEL_BLOCK = 512
@@ -110,8 +111,10 @@ class SearchRegion:
 class PoleReport:
     """Poles found in a region: (k, residual |1/t|, seeds) triples, seeds
     being the number of grid seeds that refined onto k (not a pole order).
-    The residual is the |1/t| of the Newton call that evaluated k; no
-    amplitude call follows the reported iterate.
+    The residual is the |1/t| of the Newton call that evaluated k, or, for
+    a k that a mirrored search reports as the mirror -k* of a refined point
+    (see ``find_poles``), that of its partner; no amplitude call follows
+    the reported iterate.
 
     ``rejected`` holds a (seed, reason) pair for every grid seed that gave
     no pole: Newton stopped outside the region (see ``find_poles``), or its
@@ -306,7 +309,7 @@ def _panel_geometry(red, p2, L, panels, degree):
     """Every energy-free part of a propagator pass of ``red`` over ``panels``
     equal panels of [-L, L], built once per (reduction, p2, L, panels), its
     arrays read-only: each panel's centre energy p2 e0, e0 the mean of V at
-    its Chebyshev points; the bound on |lambda| = p2 |E - e0| within which
+    its Chebyshev points; the bounds on |lambda| = p2 |E - e0| within which
     the series below is summed to rounding; and its orders, shape (orders,
     panels (2 degree + 4)): per panel the (degree, 2) Chebyshev coefficients
     of sigma = psi'' of both solutions, then the 2 x 2 propagator, each in C
@@ -327,9 +330,13 @@ def _panel_geometry(red, p2, L, panels, degree):
     geometrically: the series keeps them up to and including the first two
     consecutive ones below 2^-60 there, far below the rounding of the
     identity (the rule of _tail_eta), 16 orders.  The bound is that,
-    or lower if 2 ``degree`` orders do not reach 2^-60 there.  An entry holds
-    36 floats per order and panel (degree 16): with 16 orders 4.6 kB per
-    panel, 41 kB at 9 panels, 19 MB at _PANEL_CAP."""
+    or lower if 2 ``degree`` orders do not reach 2^-60 there.  On
+    _PANEL_CAP panels, where no pass with more panels follows, the orders go
+    on to 2 ``degree``, and each adds the bound of the sum that ends with
+    it (the largest |lambda| at which its last two orders are below 2^-60):
+    ``bounds`` holds one bound per sum, the first that of the series above.
+    An entry holds 36 floats per order and panel (degree 16): with 16 orders
+    4.6 kB per panel, 41 kB at 9 panels; 38 MB at _PANEL_CAP, with 32."""
     t, vander, j2, end1, end2 = _chebyshev_panel(degree)
     d = -2.0 * L / panels
     h = 0.5 * d
@@ -352,18 +359,33 @@ def _panel_geometry(red, p2, L, panels, degree):
     # for the second solution)
     scale = np.array([h * h, abs(h)])
     sizes = [np.abs(c * scale).max() for c in coefs]
-    bound = (panels * _PANEL_REACH / (2.0 * L)) ** 2
-    tiny = 2.0 ** -60
-    while max(sizes[-2] * bound ** (len(sizes) - 2), sizes[-1] * bound ** (len(sizes) - 1)) >= tiny:
-        if len(coefs) == 2 * degree:
-            # the largest |lambda| at which the last two orders are below 2^-60
-            bound = min((tiny / sizes[m]) ** (1.0 / m) for m in (len(sizes) - 2, len(sizes) - 1))
-            break
+
+    def more():
         # the first four orders' terms at the bound are about 1, 1, 0.3 and
         # 0.03 (the identity is 1): the later ones are below 1 % of the sum,
         # and so is their rounding without refinement
         coefs.append(refined(j2 @ coefs[-1]) if len(coefs) < 4 else step @ coefs[-1])
         sizes.append(np.abs(coefs[-1] * scale).max())
+
+    def reach():
+        # the largest |lambda| at which the last two orders are below 2^-60
+        with np.errstate(divide="ignore"):
+            return min((tiny / sizes[m]) ** (1.0 / m) for m in (len(sizes) - 2, len(sizes) - 1))
+
+    bound = (panels * _PANEL_REACH / (2.0 * L)) ** 2
+    tiny = 2.0 ** -60
+    while max(sizes[-2] * bound ** (len(sizes) - 2), sizes[-1] * bound ** (len(sizes) - 1)) >= tiny:
+        if len(coefs) == 2 * degree:
+            bound = reach()
+            break
+        more()
+    bounds = [bound]
+    # no pass follows one on _PANEL_CAP panels: there the orders go on to 2
+    # degree, for the points beyond the bound, each with the bound of the sum
+    # that ends with it
+    while panels >= _PANEL_CAP and len(coefs) < 2 * degree:
+        more()
+        bounds.append(max(bounds[-1], reach()))
     coefs = np.stack(coefs)
     # each panel's propagator [[1 + u1, d + u2], [du1, 1 + du2]] from J^2
     # sigma (u) and J sigma (du) at its end, for both solutions, by order
@@ -374,9 +396,10 @@ def _panel_geometry(red, p2, L, panels, degree):
     orders = np.concatenate([coefs.reshape(coefs.shape[:2] + (-1,)),
                              props.reshape(props.shape[:2] + (4,))], axis=-1)
     orders = orders.reshape(orders.shape[0], -1)
-    for arr in (e0, orders):
+    bounds = np.array(bounds)
+    for arr in (e0, bounds, orders):
         arr.flags.writeable = False  # shared by every call
-    return e0, bound, orders
+    return e0, bounds, orders
 
 
 def _horner(orders, lam):
@@ -402,33 +425,42 @@ def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
     propagator, are power series in lambda = p2 (E - e0) built once per
     panel (see _panel_geometry): a pass sums them by Horner's rule,
     elementwise over every point and panel at once, in blocks of at most
-    ``_PANEL_BLOCK`` point-panel pairs.  A point is resolved when every
-    |lambda| of it is within the series' bound and the three trailing
-    coefficients of its sigma stay below rtol times its largest one."""
-    e0, bound, orders = _panel_geometry(red, p2, L, panels, _PANEL_DEGREE)
+    ``_PANEL_BLOCK`` point-panel pairs, each point with the orders of the
+    first sum whose bound holds its every |lambda| (on fewer than
+    _PANEL_CAP panels the one sum).  A point is resolved when it has such
+    a sum and the three trailing coefficients of its sigma stay below rtol
+    times its largest one."""
+    e0, bounds, orders = _panel_geometry(red, p2, L, panels, _PANEL_DEGREE)
     lam = p2 * e[:, None] - e0
-    inside = np.abs(lam).max(axis=1) <= bound
-    lam[~inside] = 0.0  # a point outside the bound is summed at lambda = 0, unresolved
+    # each point's sum ends with the first order whose bound holds it; a
+    # point beyond every bound (or nan) is not summed, and is unresolved
+    need = np.searchsorted(bounds, np.abs(lam).max(axis=1))
+    first = orders.shape[0] - bounds.size + 1
     width = orders.shape[1] // panels
     psi, dpsi = np.empty_like(psi0), np.empty_like(dpsi0)
-    resolved = np.empty(e.shape, dtype=bool)
+    resolved = np.zeros(e.shape, dtype=bool)
     # points per block, so that a large grid does not grow the sums
     block = max(1, _PANEL_BLOCK // panels)
-    for lo in range(0, e.size, block):
-        sl = slice(lo, lo + block)
-        sums = _horner(orders, np.repeat(lam[sl], width, axis=1)).reshape(-1, panels, width)
-        # the coefficients of both solutions, the last 6 of them the three trailing ones
-        mag = np.abs(sums[..., :-4])
-        resolved[sl] = mag[..., -6:].max(axis=(1, 2)) <= rtol * mag.max(axis=(1, 2))
-        prop = sums[..., -4:].reshape(sums.shape[:2] + (2, 2))
-        # one product and one sum per panel: a stacked matmul would round
-        # differently, as BLAS fuses the multiply-adds of real systems
-        state = np.stack([psi0[sl], dpsi0[sl]], axis=-1)
-        for s in range(panels):
-            terms = prop[:, s] * state[:, None, :]
-            state = terms[..., 0] + terms[..., 1]
-        psi[sl], dpsi[sl] = state[:, 0], state[:, 1]
-    return psi, dpsi, inside & resolved & np.isfinite(psi) & np.isfinite(dpsi)
+    for extra in range(bounds.size):
+        pts = np.flatnonzero(need == extra)
+        for lo in range(0, pts.size, block):
+            # slices where one sum serves every point, as it does below the cap
+            sl = slice(lo, lo + block) if pts.size == e.size else pts[lo:lo + block]
+            sums = _horner(orders[:first + extra],
+                           np.repeat(lam[sl], width, axis=1)).reshape(-1, panels, width)
+            # the coefficients of both solutions, the last 6 of them the three
+            # trailing ones
+            mag = np.abs(sums[..., :-4])
+            resolved[sl] = mag[..., -6:].max(axis=(1, 2)) <= rtol * mag.max(axis=(1, 2))
+            prop = sums[..., -4:].reshape(sums.shape[:2] + (2, 2))
+            # one product and one sum per panel: a stacked matmul would round
+            # differently, as BLAS fuses the multiply-adds of real systems
+            state = np.stack([psi0[sl], dpsi0[sl]], axis=-1)
+            for s in range(panels):
+                terms = prop[:, s] * state[:, None, :]
+                state = terms[..., 0] + terms[..., 1]
+            psi[sl], dpsi[sl] = state[:, 0], state[:, 1]
+    return psi, dpsi, resolved & np.isfinite(psi) & np.isfinite(dpsi)
 
 
 def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
@@ -440,9 +472,9 @@ def _integrate(red, p2, e, psi0, dpsi0, L, rtol):
     |lambda| within the bound of the panel series (see _panel_geometry);
     the points not resolved (see _propagate: beyond that bound, as on
     _PANEL_CAP panels an energy can be, or short of ``rtol``) are solved
-    again on twice as many panels, up to ``_PANEL_CAP``, and a point still
-    unresolved there is nan.  Where every energy is real, the panel sums
-    are real."""
+    again on twice as many panels, up to ``_PANEL_CAP``, where the series
+    go on to more orders, and a point still unresolved there is nan.  Where
+    every energy is real, the panel sums are real."""
     mid, slope = 0.5 * (red.v_minus + red.v_plus), 0.5 * abs(red.v_plus - red.v_minus)
     # sup |V - E| over real x bounds the local wavenumber
     kappa = math.sqrt(p2 * (np.abs(e - mid).max(initial=0.0) + slope + abs(red.v0)))
@@ -896,32 +928,41 @@ def _rejections(k, res, probes, left):
 
 def _refine(f, guesses, near_axis, beyond, starts=None):
     """Newton-polish a zero of f from every guess in the array ``guesses``
-    (or ``starts``); returns one (k, |f(k)|, reason) triple per guess.
+    (or ``starts``); returns per guess the reported iterate k, |f(k)|, |f|
+    at its two flatness probes and the iterate where it left its basin (see
+    _newton_polish), the arrays _verdicts reads.
 
     ``beyond`` measures the search basin (see _newton_polish).  Rejected
     iterates of the guesses marked ``near_axis`` are retried from the
     guesses with the on-axis iteration, as a second pass.  Each pass reads
     its residuals and probes from its Newton calls; an iterate that passes
     the residual rule but carries no probes gets them in one more call,
-    over all such iterates of the pass.  ``reason`` is None for a certified
-    pole, otherwise why the last iterate from the guess was rejected."""
+    over all such iterates of the pass."""
 
     def polish(starts, on_axis):
         k, res, probes, left = _newton_polish(f, starts, beyond, on_axis)
         bare = np.isnan(left) & (res < _RESIDUAL_TOL) & np.isnan(probes[0])
         if bare.any():
             probes[:, bare] = np.abs(f(_probes(k[bare]))).reshape(2, -1)
-        return k, res, _rejections(k, res, probes, left)
+        return k, res, probes, left
 
-    k, res, reasons = polish(guesses if starts is None else starts, False)
-    retry = [i for i, reason in enumerate(reasons) if reason and near_axis[i]]
-    if retry:
+    out = polish(guesses if starts is None else starts, False)
+    retry = np.flatnonzero(near_axis)
+    retry = retry[[reason is not None for reason in _rejections(*(z[..., retry] for z in out))]]
+    if retry.size:
         # poles on the imaginary axis sit on the channel-sqrt branch cuts
-        k[retry], res[retry], reasons_ax = polish(guesses[retry], True)
-        for i, reason in zip(retry, reasons_ax):
-            reasons[i] = reason
+        for whole, part in zip(out, polish(guesses[retry], True)):
+            whole[..., retry] = part
+    return out
+
+
+def _verdicts(guesses, k, res, probes, left):
+    """One (k, |f(k)|, reason) triple per guess from its refinement (see
+    _refine): ``reason`` is None for a certified pole, otherwise why the
+    last iterate from the guess was rejected."""
     return [(z, r, reason and f"no certified pole from guess {guess}: {reason}")
-            for guess, z, r, reason in zip(guesses.tolist(), k.tolist(), res.tolist(), reasons)]
+            for guess, z, r, reason in zip(guesses.tolist(), k.tolist(), res.tolist(),
+                                           _rejections(k, res, probes, left))]
 
 
 def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude=None):
@@ -948,8 +989,9 @@ def refine_pole(spec, guess, c: PhysicalConstants = DEFAULT_CONSTANTS, amplitude
 
     def triples(guesses):
         near_axis = np.abs(guesses.real) < 1e-6 * np.maximum(1.0, np.abs(guesses))
-        refined = _refine(lambda k: _inv_t(spec, k, c, amplitude), guesses, near_axis,
-                          lambda k, g: np.abs(k - g) - 0.5 * (1.0 + np.abs(g)))
+        refined = _verdicts(guesses, *_refine(
+            lambda k: _inv_t(spec, k, c, amplitude), guesses, near_axis,
+            lambda k, g: np.abs(k - g) - 0.5 * (1.0 + np.abs(g))))
         return np.fromiter(refined, dtype=object, count=len(refined))
 
     def fault(triple):
@@ -1055,9 +1097,14 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     t(-k*) = t(k)*, so the grid is evaluated once per distinct |Re k| and a
     column with Re k < 0 takes the conjugate of its mirror's 1/t: an
     ``amplitude`` passed for such a spec must satisfy that identity, as any
-    t of the spec does.  With unequal limits the identity fails (the
-    transmitted wavenumber is a principal root) and the whole grid is
-    evaluated.
+    t of the spec does.  On a region with re_min = -re_max the whole search
+    is then mirrored: the seeds, their grid slopes and Newton come from the
+    columns with Re k >= 0 (the mirror of a column is the first one's left
+    neighbour; a column on Re k = 0 is refined once), and each seed with
+    Re k < 0 reports the mirror -k* of its partner's result, with the same
+    residual, and a reason that names the mirrored seed and iterates.  With
+    unequal limits the identity fails (the transmitted wavenumber is a
+    principal root) and the whole grid is evaluated and refined.
 
     The seeds are the grid points whose |g| is the least and not the
     largest of their 3 x 3 window (none where t = 1).  A seed whose grid
@@ -1079,22 +1126,34 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
     res = _grid_columns(region.re_min, region.re_max, nre)
     ims = _grid_columns(region.im_min, region.im_max, nim)
     cell = max(res[1] - res[0], ims[1] - ims[0])
-    grid = _grid(res, ims)
     v_minus, v_plus = normal_form(spec).limits
-    if v_minus == v_plus:
-        # 1/t(-k*) = (1/t(k))*: one column per distinct |Re k|
+    # a symmetric region has mirrored columns (see _grid_columns)
+    fold = v_minus == v_plus and region.re_min == -region.re_max
+    lo = 0  # the first column scanned
+    if fold:
+        # 1/t(-k*) = (1/t(k))*: the scan runs on the columns with Re k >= 0
+        # and, as the first one's left neighbour, the mirror of a column
+        lo = nre // 2 - 1
+        g = f(_grid(res[lo + 1:], ims))
+        g = np.concatenate([g[:, [nre % 2]].conj(), g], axis=1)
+    elif v_minus == v_plus:
+        # one column per distinct |Re k|
         xs, mirror = np.unique(np.abs(res), return_inverse=True)
         g = f(_grid(xs, ims))[:, mirror]
         g[:, res < 0] = g[:, res < 0].conj()
     else:
-        g = f(grid)
+        g = f(_grid(res, ims))
+    grid = _grid(res[lo:], ims)
     mag = np.abs(g)
     # unevaluated (|k| ~ 0) and unrepresentable (nan) points are inf
     mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
     # seeds: the least |1/t| of each point's 3 x 3 window, below the largest
-    # by more than rounding, so a free form has none
+    # by more than rounding, so a free form has none; none in the mirrored
+    # column of a fold
     rows, cols = np.nonzero((mag < 1e6) & (mag <= _window_min(mag)))
     steep = mag[rows, cols] < (1.0 - 1e-12) * _window_max_at(mag, rows, cols)
+    if fold:
+        steep &= cols > 0
     rows, cols = rows[steep], cols[steep]
     seeds = grid[rows, cols]
     near_axis = np.abs(seeds.real) < 1.5 * cell
@@ -1112,8 +1171,17 @@ def find_poles(spec, region: SearchRegion, c: PhysicalConstants = DEFAULT_CONSTA
             analytic &= ~near_axis
         # an analytic seed starts from the grid's own Newton step
         starts = np.where(analytic, seeds - g[rows, cols] / (0.5 * (d_re + d_im)), seeds)
+    ks, resid, probes, left = _refine(f, seeds, near_axis, beyond, starts)
+    if fold:
+        # each seed with Re k > 0 stands for its mirror -k*, whose Newton path
+        # is the mirror of its own.  The mirrors follow the refined seeds in
+        # their order, so a pole and its mirror merge alike, and a pole on
+        # the axis keeps a refined point
+        m = seeds.real > 0
+        seeds, ks, left = (np.concatenate([z, -z[m].conj()]) for z in (seeds, ks, left))
+        resid, probes = (np.concatenate([z, z[..., m]], axis=-1) for z in (resid, probes))
     poles, rejected = [], []
-    for seed, (k, r, reason) in zip(seeds.tolist(), _refine(f, seeds, near_axis, beyond, starts)):
+    for seed, (k, r, reason) in zip(seeds.tolist(), _verdicts(seeds, ks, resid, probes, left)):
         if reason:
             rejected.append((seed, reason))
             continue

@@ -534,6 +534,21 @@ def test_ode_contract_guard_row():
     assert t[0] == pytest.approx(transmission_amplitude(spec, 0.8, C).t, rel=1e-8)
 
 
+@pytest.mark.parametrize("ka", [3000.0, 3500.0])
+def test_ode_sums_beyond_the_bound_on_the_cap(ka):
+    # real k a above about 2731 puts lambda beyond the series bound of
+    # _PANEL_CAP panels, where no pass follows: the point is summed with the
+    # orders it needs there, up to 2 _PANEL_DEGREE, and meets rtol
+    spec = Sech2(-1.0, 1.0)
+    k = np.array([ka, 2000.0])
+    t = numeric_amplitude(spec, k, C).t
+    ta = transmission_amplitude(spec, k, C).t
+    assert (np.abs(t - ta) <= 1e-10 * np.abs(ta)).all(), (t, ta)
+    # k a = 2000, within the bound, has the bits of a cap pass with no
+    # point beyond it (an overflowing energy is beyond every bound)
+    assert t[1] == numeric_amplitude(spec, np.array([1e200, 2000.0]), C).t[1]
+
+
 def test_morse_feshbach_array_matches_closed_form():
     # the shifted reduction: the shift enters as a phase per point
     spec = MorseFeshbach(0.8, 0.7, 1.1)

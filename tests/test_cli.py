@@ -505,12 +505,12 @@ class TestCommands:
     @pytest.mark.parametrize("argv, budget", [
         (["--type", "sech2", "--V0", "-1", "--a", "1"], 2),
         (["--type", "tietz", "--V0", "1.1", "--x0", "0.3", "--a", "0.9", "--kind", "cosh"], 2),
-        (["--type", "rect-barrier", "--V0", "1", "--a", "1"], 9),
+        (["--type", "rect-barrier", "--V0", "1", "--a", "1"], 6),
     ], ids=["sech2", "tietz", "rect-barrier"])
     def test_verify_engine_call_budget(self, capsys, monkeypatch, argv, budget):
         # Sech2 and Tietz: the amplitude batch and the convergence check (the
-        # QNF check is an eigen-solve); RectBarrier: the amplitude batches,
-        # the grid and four Newton calls.  No call confirms the last iterate
+        # QNF check is an eigen-solve); RectBarrier: one amplitude call on
+        # the oversampled disc, the grid and four Newton calls.  No call confirms the last iterate
         # or probes it again.  The checks call numeric_amplitude and the
         # pole search its 1/t (oracle._INVERSES); the counting wrapper names
         # the engine in __wrapped__, so the pole search still takes the 1/t

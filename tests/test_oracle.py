@@ -571,7 +571,9 @@ class TestArrayGrid:
         for k in inner(folded):
             assert min(abs(k - q) for q in whole) < 1e-10
         for k in folded:
-            assert min(abs(q + k.conjugate()) for q in folded) < 1e-12
+            # exactly, but for an axis pole that seeds on both sides of the
+            # axis refined to one point: it is its own mirror to rounding
+            assert -k.conjugate() in folded or abs(k.real) < 0.5e-12
 
     @pytest.mark.parametrize("amplitude", [numeric_amplitude, transmission_amplitude],
                              ids=["transfer", "closed_form"])
@@ -676,6 +678,100 @@ class TestArrayGrid:
         assert np.array_equal(inv, 1.0 / transmission_amplitude(spec, k, C).t)
 
 
+def mirror(k):
+    """-k*, the mirror of k about the imaginary axis."""
+    return complex(-k.real, k.imag)
+
+
+def mirrored_reason(reason):
+    """A rejection's reason with the guess and every iterate it names
+    replaced by its mirror -k*."""
+    return re.sub(r"(guess |k=)(\([^)]*\)|[^\s:;]+)",
+                  lambda m: m.group(1) + str(mirror(complex(m.group(2)))), reason)
+
+
+def grid_seeds(spec, region, amplitude):
+    """find_poles' seeds over its whole grid, evaluated with no fold: the
+    least |1/t| of each 3 x 3 window, below the window's largest."""
+    res, ims, _cell = grid_axes(region)
+    grid = _grid(res, ims)
+    mag = np.abs(_inv_t(spec, grid, C, amplitude))
+    mag[np.isnan(mag) | (np.abs(grid) < 1e-6)] = np.inf
+    rows, cols = np.nonzero((mag < 1e6) & (mag <= _window_min(mag)))
+    steep = mag[rows, cols] < (1.0 - 1e-12) * _window_max_at(mag, rows, cols)
+    return grid[rows[steep], cols[steep]]
+
+
+class TestHalfPlane:
+    """Equal limits on a region symmetric about Re k = 0: t(-k*) = t(k)*
+    mirrors the whole search, so find_poles refines the seeds with
+    Re k >= 0 and each seed with Re k < 0 reports the mirror of its
+    partner's result."""
+
+    REGION = SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
+
+    @pytest.mark.parametrize("spec, amplitude", [
+        pytest.param(spec, amplitude, id=f"{spec!r}-{name}")
+        for spec in SCAN_SPECS if len(set(scattering_limits(spec))) == 1
+        for name, amplitude in (("transfer", numeric_amplitude),
+                                ("closed_form", transmission_amplitude))
+    ] + [pytest.param(Sech2(3.0, 1.0), transmission_amplitude, id="Sech2-closed_form")])
+    def test_poles_and_rejections_are_mirror_closed(self, spec, amplitude):
+        # every pole k has its mirror -k* with the same residual and seed
+        # count, but an axis pole that a seed pair refined to one point (its
+        # own mirror to rounding); every rejection has its mirror's, which
+        # names the mirrored seed and iterates
+        region = (SearchRegion(-6.0, 6.0, 0.01, 4.0, 8.0) if isinstance(spec, Sech2)
+                  else self.REGION)
+        rep = find_poles(spec, region, C, amplitude=amplitude)
+        assert rep.poles
+        for k, r, seeds in rep.poles:
+            assert (mirror(k), r, seeds) in rep.poles or abs(k.real) < 0.5e-12, (k, rep.poles)
+        for seed, reason in rep.rejected:
+            assert (mirror(seed), mirrored_reason(reason)) in rep.rejected, reason
+        # the seeds of the whole grid, each reported once
+        assert len(rep.rejected) + sum(n for _, _, n in rep.poles) == grid_seeds(
+            spec, region, amplitude).size
+
+    def test_newton_calls_carry_half_the_points(self, monkeypatch):
+        # the grid once per |Re k|, then Newton on the 22 seeds with Re k > 0
+        # (refining both halves took [2560, 66, 66, 64, 100])
+        calls = engine_calls(monkeypatch, numeric_amplitude)
+        find_poles(DoubleDelta(1.0, 1.0), self.REGION, C)
+        assert [k.size for k in calls] == [2560, 33, 33, 32, 50]
+
+    def test_odd_columns_refine_the_axis_column_once(self, monkeypatch):
+        # 257 columns, the middle one on Re k = 0: its seeds are refined once,
+        # in the one pass over the seeds with Re k >= 0, and their mirrors are
+        # themselves
+        spec, region = RectBarrier(-1.0, 1.0), SearchRegion(-16.0625, 16.0625, 0.01, 2.5, 8.0)
+        res, _ims, _cell = grid_axes(region)
+        assert res.size == 257 and res[128] == 0.0
+        seeds = grid_seeds(spec, region, transmission_amplitude)
+        axis = np.count_nonzero(seeds.real == 0.0)
+        assert axis
+        calls = engine_calls(monkeypatch, transmission_amplitude)
+        rep = find_poles(spec, region, C, amplitude=transmission_amplitude)
+        # the first Newton call holds (z, z + h, z - h) of each refined seed
+        assert calls[1].size == 3 * np.count_nonzero(seeds.real >= 0.0)
+        assert len(rep.rejected) + sum(n for _, _, n in rep.poles) == seeds.size
+        for seed, reason in rep.rejected:
+            if seed.real != 0.0:
+                assert (mirror(seed), mirrored_reason(reason)) in rep.rejected, reason
+
+    @pytest.mark.parametrize("spec", [RectBarrier(-1.0, 1.0), DoubleDelta(1.0, 1.0)],
+                             ids=lambda s: repr(s))
+    def test_asymmetric_region_refines_every_seed(self, monkeypatch, spec):
+        # Re k from -16 to 20: the grid has no mirrored half, so every seed
+        # of it starts Newton
+        region = SearchRegion(-16.0, 20.0, 0.01, 2.5, 8.0)
+        seeds = grid_seeds(spec, region, transmission_amplitude)
+        calls = engine_calls(monkeypatch, transmission_amplitude)
+        rep = find_poles(spec, region, C, amplitude=transmission_amplitude)
+        assert calls[1].size == 3 * seeds.size
+        assert len(rep.rejected) + sum(n for _, _, n in rep.poles) == seeds.size
+
+
 def refine_every_seed(spec, region, amplitude):
     """The poles of a scan that refines every seed from its grid point and
     tests the region only after Newton: each local minimum of |1/t| over the
@@ -740,6 +836,8 @@ class TestSeedScreening:
         # 30 lies outside the region, and each stops there, at its first
         # iterate: only the first Newton call evaluates points outside the
         # region (beyond the step and probe offsets), three per straggler
+        # with Re k > 0.  A straggler with Re k < 0 reports the mirror -k* of
+        # its partner's iterate, which no call evaluates
         spec, region = RectBarrier(-1.0, 1.0), SearchRegion(-16.0, 16.0, 0.01, 2.5, 8.0)
         calls = engine_calls(monkeypatch, amplitude)
 
@@ -753,14 +851,17 @@ class TestSeedScreening:
         for seed, reason in rep.rejected:
             assert reason.startswith(f"no certified pole from guess {seed}: "), reason
             k = left_point(reason)
-            assert outside(np.array([k]))[0] and k in calls[1].tolist(), reason
-        assert [int(outside(k).sum()) for k in calls[1:]] == [90, 0, 0, 0, 0]
+            evaluated = k if seed.real > 0 else -k.conjugate()
+            assert outside(np.array([k]))[0] and evaluated in calls[1].tolist(), reason
+        assert [int(outside(k).sum()) for k in calls[1:]] == [45, 0, 0, 0, 0]
 
     def test_a_pair_below_the_floor_is_screened(self):
         # 1/t = i (k - 1.5i)(k - 2 + 0.4i)(k + 2 + 0.4i), which keeps
         # t(-k*) = t(k)* (the folded grid): one pole inside the region and a
         # mirrored pair about three cells below its floor.  The floor seeds
-        # bound for the pair stop after at most one call each
+        # bound for the pair stop after at most one call each; those bound for
+        # -2 - 0.4i report the mirrors of their partners' iterates, and no
+        # call evaluates a point near that floor
         inner, pair = 1.5j, (2.0 - 0.4j, -2.0 - 0.4j)
         calls = []
 
@@ -775,11 +876,14 @@ class TestSeedScreening:
         _res, _ims, cell = grid_axes(region)
         for p in pair:
             floor = complex(p.real, region.im_min)
-            bound = [seed for seed, reason in rep.rejected
+            bound = [(seed, left_point(reason)) for seed, reason in rep.rejected
                      if abs(seed - floor) < 2.0 * cell and left_point(reason)]
             assert bound, p
+            for seed, k in bound:
+                evaluated = k if seed.real > 0 else -k.conjugate()
+                assert any(evaluated in z.tolist() for z in calls[1:]), (seed, k)
             near = [k for k in calls[1:] if (np.abs(k - floor) < 3.0 * cell).any()]
-            assert len(near) <= 1, p
+            assert len(near) <= (1 if p.real > 0 else 0), p
 
     def test_seeds_next_to_the_cut_are_refined(self):
         # unequal limits: 1/t = (sqrt(k^2) - 0.5i)(k + x0 + 0.3i) has the

@@ -6,11 +6,15 @@ sample.  The checks that FAIL must be exactly the committed table, whose
 rows name the ROADMAP item that mends them: a fix edits the table.  The QNF
 reproducers, which the smooth QNF check once failed, must pass it.  Under
 --hypothesis-profile=explore the census also runs on seeds 2 to 4, where
-every FAIL must be in the table."""
+every FAIL must be in the table.  verify's amplitude check is checked
+against the loop of batches it replays, over the same draws."""
+
+import functools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 
 from qnf1d import (
     AsymDoubleDelta,
@@ -28,9 +32,15 @@ from qnf1d import (
     Step,
     Tanh,
     Tietz,
+    numeric_amplitude,
+    transmission_amplitude,
     verify,
 )
-from qnf1d.potentials import EckartReduction, normal_form
+from qnf1d import oracle
+from qnf1d.checks import Check
+from qnf1d.oracle import transfer_matrix_det_error
+from qnf1d.potentials import EckartReduction, Interfaces, length_scale, normal_form
+from test_array_amplitudes import piecewise_specs, smooth_specs
 
 C = PhysicalConstants()
 
@@ -173,3 +183,102 @@ def test_qnf_reproducer_passes(spec):
     [check] = [r for r in verify(spec, C) if r.name == "low-lying QNFs vs ODE poles"]
     assert check.status == "pass", check
     assert not check.detail.startswith("0/"), check
+
+
+def batched_checks(spec, c=C):
+    """verify's amplitude agreement and its third record, from a loop of
+    batches: each draws the shortfall (need - count rows) from verify's
+    generator and calls each engine on it, until need samples keep |t| in
+    (1e-6, 1e6) or 1000 rows are drawn; the third check's draws follow on
+    the same generator.  The reference for verify's one call per engine on
+    an oversampled draw."""
+    rng = np.random.default_rng(20260810)
+    form = normal_form(spec)
+    piecewise = isinstance(form, Interfaces)
+    a_scale = length_scale(spec)
+    v_minus, v_plus = form.limits
+    base = max(v_minus, v_plus)
+    conv_k = np.sqrt(c.p2 * (np.linspace(base + 0.25, base + 4.0, 7) - v_minus))
+    t_conv = None
+    need = 100 if piecewise else 25
+    worst = 0.0
+    count = 0
+    tries = 0
+    while count < need and tries < 1000:
+        n = min(need - count, 1000 - tries)
+        tries += n
+        if piecewise:
+            r, phi = rng.uniform([0.0025, -math.pi], [1.0, math.pi], size=(n, 2)).T
+            k = 10.0 * np.sqrt(r) * np.exp(1j * phi) / a_scale
+        else:
+            e = base + rng.uniform(0.2, 6.0, size=n)
+            k = np.sqrt(c.p2 * (e - v_minus))
+        ta = transmission_amplitude(spec, k, c).t
+        if piecewise or t_conv is not None:
+            tn = numeric_amplitude(spec, k, c).t
+        else:
+            tn, t_conv = np.split(numeric_amplitude(spec, np.concatenate([k, conv_k]), c).t, [n])
+        keep = (1e-6 < np.abs(ta)) & (np.abs(ta) < 1e6) & ~np.isnan(tn)
+        if keep.any():
+            worst = max(worst, float(np.max(np.abs(ta[keep] - tn[keep]) / np.abs(ta[keep]))))
+        count += int(keep.sum())
+    tol = 1e-12 if piecewise else 1e-8
+    amplitude = Check("amplitude agreement", "pass" if worst < tol else "fail", worst, tol,
+                      f"{count} samples")
+    if piecewise:
+        re, im = rng.uniform([-8.0, -2.0], [8.0, 2.0], size=(20, 2)).T
+        k = (re + 1j * im) / a_scale
+        k = k[np.abs(k) * a_scale >= 0.05]
+        name, value = "transfer-matrix determinant", float(
+            np.max(transfer_matrix_det_error(spec, k, c), initial=0.0))
+        tol = 1e-12
+    else:
+        t2 = numeric_amplitude(spec, conv_k, c, L=2.0 * oracle._ODE_HALF_WIDTH * a_scale,
+                               rtol=1e-13).t
+        name, value = "domain/step convergence", float(
+            np.max(np.abs(t_conv - t2) / np.abs(t_conv)))
+        tol = 1e-8
+    return [amplitude, Check(name, "pass" if value < tol else "fail", value, tol)]
+
+
+def assert_checks_replay_the_batches(spec):
+    records = verify(spec, C)
+    got = [records[0], records[2]]
+    # repr gives each float's shortest round trip: equal reprs, equal bits
+    assert repr(got) == repr(batched_checks(spec)), spec
+
+
+def test_amplitude_check_replays_the_batches_over_the_census():
+    for spec in census_specs() + REPRODUCERS:
+        assert_checks_replay_the_batches(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=piecewise_specs() | smooth_specs())
+def test_amplitude_check_replays_the_batches(spec):
+    assert_checks_replay_the_batches(spec)
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (RectBarrier(1.0, 1.0), [200]),
+    # about 40 % of the disc draws keep |t| in range: each pass draws twice
+    # the shortfall and falls short of it
+    (RectBarrier(50.0, 1.0), [200, 48, 8, 4, 2]),
+    # none do: five passes of 200 rows reach the 1000-row cap
+    (RectBarrier(100.0, 1.0), [200] * 5),
+], ids=["RectBarrier(1, 1)", "RectBarrier(50, 1)", "RectBarrier(100, 1)"])
+def test_amplitude_check_passes(monkeypatch, spec, rows):
+    # one numeric_amplitude call per pass of the amplitude check (the pole
+    # search calls the 1/t of the engine that the wrapper names), and the
+    # same records as the batches
+    calls = []
+    amplitude = oracle.numeric_amplitude
+
+    @functools.wraps(amplitude)
+    def counting(*args, **options):
+        calls.append(args[1].size)
+        return amplitude(*args, **options)
+
+    monkeypatch.setattr(oracle, "numeric_amplitude", counting)
+    assert_checks_replay_the_batches(spec)
+    assert calls == rows
