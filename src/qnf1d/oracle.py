@@ -309,7 +309,7 @@ def _panel_geometry(red, p2, L, panels, degree):
     """Every energy-free part of a propagator pass of ``red`` over ``panels``
     equal panels of [-L, L], built once per (reduction, p2, L, panels), its
     arrays read-only: each panel's centre energy p2 e0, e0 the mean of V at
-    its Chebyshev points; the bounds on |lambda| = p2 |E - e0| within which
+    its Chebyshev points; the bound on |lambda| = p2 |E - e0| within which
     the series below is summed to rounding; and its orders, shape (orders,
     panels (2 degree + 4)): per panel the (degree, 2) Chebyshev coefficients
     of sigma = psi'' of both solutions, then the 2 x 2 propagator, each in C
@@ -331,12 +331,15 @@ def _panel_geometry(red, p2, L, panels, degree):
     consecutive ones below 2^-60 there, far below the rounding of the
     identity (the rule of _tail_eta), 16 orders.  The bound is that,
     or lower if 2 ``degree`` orders do not reach 2^-60 there.  On
-    _PANEL_CAP panels, where no pass with more panels follows, the orders go
-    on to 2 ``degree``, and each adds the bound of the sum that ends with
-    it (the largest |lambda| at which its last two orders are below 2^-60):
-    ``bounds`` holds one bound per sum, the first that of the series above.
-    An entry holds 36 floats per order and panel (degree 16): with 16 orders
-    4.6 kB per panel, 41 kB at 9 panels; 38 MB at _PANEL_CAP, with 32."""
+    _PANEL_CAP panels, where no pass with more panels follows, the series
+    always runs to 2 ``degree`` orders, and its bound is the largest
+    |lambda| at which the last two are below 2^-60, so that a point beyond
+    the first bound is summed there too.  An entry holds 36 floats per
+    order and panel (degree 16): with 16 orders 4.6 kB per panel, 41 kB at
+    9 panels, 9.4 MB at 2048; 38 MB on _PANEL_CAP panels, with 32 orders.
+    This cache keeps 64 entries and _cap_geometry, which serves the
+    _PANEL_CAP passes, 2: with 16 orders below the cap that is at most
+    0.7 GB."""
     t, vander, j2, end1, end2 = _chebyshev_panel(degree)
     d = -2.0 * L / panels
     h = 0.5 * d
@@ -359,33 +362,21 @@ def _panel_geometry(red, p2, L, panels, degree):
     # for the second solution)
     scale = np.array([h * h, abs(h)])
     sizes = [np.abs(c * scale).max() for c in coefs]
-
-    def more():
+    bound = (panels * _PANEL_REACH / (2.0 * L)) ** 2
+    tiny = 2.0 ** -60
+    # no pass follows one on _PANEL_CAP panels: there the series goes on to
+    # 2 degree orders, and its bound with them
+    while panels >= _PANEL_CAP or max(sizes[-2] * bound ** (len(sizes) - 2),
+                                      sizes[-1] * bound ** (len(sizes) - 1)) >= tiny:
+        if len(coefs) == 2 * degree:
+            # the largest |lambda| at which the last two orders are below 2^-60
+            bound = min((tiny / sizes[m]) ** (1.0 / m) for m in (len(sizes) - 2, len(sizes) - 1))
+            break
         # the first four orders' terms at the bound are about 1, 1, 0.3 and
         # 0.03 (the identity is 1): the later ones are below 1 % of the sum,
         # and so is their rounding without refinement
         coefs.append(refined(j2 @ coefs[-1]) if len(coefs) < 4 else step @ coefs[-1])
         sizes.append(np.abs(coefs[-1] * scale).max())
-
-    def reach():
-        # the largest |lambda| at which the last two orders are below 2^-60
-        with np.errstate(divide="ignore"):
-            return min((tiny / sizes[m]) ** (1.0 / m) for m in (len(sizes) - 2, len(sizes) - 1))
-
-    bound = (panels * _PANEL_REACH / (2.0 * L)) ** 2
-    tiny = 2.0 ** -60
-    while max(sizes[-2] * bound ** (len(sizes) - 2), sizes[-1] * bound ** (len(sizes) - 1)) >= tiny:
-        if len(coefs) == 2 * degree:
-            bound = reach()
-            break
-        more()
-    bounds = [bound]
-    # no pass follows one on _PANEL_CAP panels: there the orders go on to 2
-    # degree, for the points beyond the bound, each with the bound of the sum
-    # that ends with it
-    while panels >= _PANEL_CAP and len(coefs) < 2 * degree:
-        more()
-        bounds.append(max(bounds[-1], reach()))
     coefs = np.stack(coefs)
     # each panel's propagator [[1 + u1, d + u2], [du1, 1 + du2]] from J^2
     # sigma (u) and J sigma (du) at its end, for both solutions, by order
@@ -396,10 +387,13 @@ def _panel_geometry(red, p2, L, panels, degree):
     orders = np.concatenate([coefs.reshape(coefs.shape[:2] + (-1,)),
                              props.reshape(props.shape[:2] + (4,))], axis=-1)
     orders = orders.reshape(orders.shape[0], -1)
-    bounds = np.array(bounds)
-    for arr in (e0, bounds, orders):
+    for arr in (e0, orders):
         arr.flags.writeable = False  # shared by every call
-    return e0, bounds, orders
+    return e0, bound, orders
+
+
+# an entry on _PANEL_CAP panels holds 38 MB: a cache of its own keeps two
+_cap_geometry = functools.lru_cache(maxsize=2)(_panel_geometry.__wrapped__)
 
 
 def _horner(orders, lam):
@@ -425,42 +419,34 @@ def _propagate(red, p2, e, psi0, dpsi0, L, panels, rtol):
     propagator, are power series in lambda = p2 (E - e0) built once per
     panel (see _panel_geometry): a pass sums them by Horner's rule,
     elementwise over every point and panel at once, in blocks of at most
-    ``_PANEL_BLOCK`` point-panel pairs, each point with the orders of the
-    first sum whose bound holds its every |lambda| (on fewer than
-    _PANEL_CAP panels the one sum).  A point is resolved when it has such
-    a sum and the three trailing coefficients of its sigma stay below rtol
-    times its largest one."""
-    e0, bounds, orders = _panel_geometry(red, p2, L, panels, _PANEL_DEGREE)
+    ``_PANEL_BLOCK`` point-panel pairs.  A point is resolved when every
+    |lambda| of it is within the series' bound and the three trailing
+    coefficients of its sigma stay below rtol times its largest one."""
+    geometry = _cap_geometry if panels >= _PANEL_CAP else _panel_geometry
+    e0, bound, orders = geometry(red, p2, L, panels, _PANEL_DEGREE)
     lam = p2 * e[:, None] - e0
-    # each point's sum ends with the first order whose bound holds it; a
-    # point beyond every bound (or nan) is not summed, and is unresolved
-    need = np.searchsorted(bounds, np.abs(lam).max(axis=1))
-    first = orders.shape[0] - bounds.size + 1
+    inside = np.abs(lam).max(axis=1) <= bound
+    lam[~inside] = 0.0  # a point outside the bound is summed at lambda = 0, unresolved
     width = orders.shape[1] // panels
     psi, dpsi = np.empty_like(psi0), np.empty_like(dpsi0)
-    resolved = np.zeros(e.shape, dtype=bool)
+    resolved = np.empty(e.shape, dtype=bool)
     # points per block, so that a large grid does not grow the sums
     block = max(1, _PANEL_BLOCK // panels)
-    for extra in range(bounds.size):
-        pts = np.flatnonzero(need == extra)
-        for lo in range(0, pts.size, block):
-            # slices where one sum serves every point, as it does below the cap
-            sl = slice(lo, lo + block) if pts.size == e.size else pts[lo:lo + block]
-            sums = _horner(orders[:first + extra],
-                           np.repeat(lam[sl], width, axis=1)).reshape(-1, panels, width)
-            # the coefficients of both solutions, the last 6 of them the three
-            # trailing ones
-            mag = np.abs(sums[..., :-4])
-            resolved[sl] = mag[..., -6:].max(axis=(1, 2)) <= rtol * mag.max(axis=(1, 2))
-            prop = sums[..., -4:].reshape(sums.shape[:2] + (2, 2))
-            # one product and one sum per panel: a stacked matmul would round
-            # differently, as BLAS fuses the multiply-adds of real systems
-            state = np.stack([psi0[sl], dpsi0[sl]], axis=-1)
-            for s in range(panels):
-                terms = prop[:, s] * state[:, None, :]
-                state = terms[..., 0] + terms[..., 1]
-            psi[sl], dpsi[sl] = state[:, 0], state[:, 1]
-    return psi, dpsi, resolved & np.isfinite(psi) & np.isfinite(dpsi)
+    for lo in range(0, e.size, block):
+        sl = slice(lo, lo + block)
+        sums = _horner(orders, np.repeat(lam[sl], width, axis=1)).reshape(-1, panels, width)
+        # the coefficients of both solutions, the last 6 of them the three trailing ones
+        mag = np.abs(sums[..., :-4])
+        resolved[sl] = mag[..., -6:].max(axis=(1, 2)) <= rtol * mag.max(axis=(1, 2))
+        prop = sums[..., -4:].reshape(sums.shape[:2] + (2, 2))
+        # one product and one sum per panel: a stacked matmul would round
+        # differently, as BLAS fuses the multiply-adds of real systems
+        state = np.stack([psi0[sl], dpsi0[sl]], axis=-1)
+        for s in range(panels):
+            terms = prop[:, s] * state[:, None, :]
+            state = terms[..., 0] + terms[..., 1]
+        psi[sl], dpsi[sl] = state[:, 0], state[:, 1]
+    return psi, dpsi, inside & resolved & np.isfinite(psi) & np.isfinite(dpsi)
 
 
 def _integrate(red, p2, e, psi0, dpsi0, L, rtol):

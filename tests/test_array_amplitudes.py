@@ -536,17 +536,27 @@ def test_ode_contract_guard_row():
 
 @pytest.mark.parametrize("ka", [3000.0, 3500.0])
 def test_ode_sums_beyond_the_bound_on_the_cap(ka):
-    # real k a above about 2731 puts lambda beyond the series bound of
-    # _PANEL_CAP panels, where no pass follows: the point is summed with the
-    # orders it needs there, up to 2 _PANEL_DEGREE, and meets rtol
+    # real k a above about 2731 puts lambda beyond the first series bound of
+    # _PANEL_CAP panels, where no pass follows: the series there runs to
+    # 2 _PANEL_DEGREE orders, whose bound holds the point, and it meets rtol
     spec = Sech2(-1.0, 1.0)
     k = np.array([ka, 2000.0])
     t = numeric_amplitude(spec, k, C).t
     ta = transmission_amplitude(spec, k, C).t
     assert (np.abs(t - ta) <= 1e-10 * np.abs(ta)).all(), (t, ta)
-    # k a = 2000, within the bound, has the bits of a cap pass with no
-    # point beyond it (an overflowing energy is beyond every bound)
+    # k a = 2000 on the cap has the bits it has beside an overflowing
+    # energy, which is beyond every bound
     assert t[1] == numeric_amplitude(spec, np.array([1e200, 2000.0]), C).t[1]
+
+
+def test_cap_geometry_is_cached_apart():
+    # a geometry on _PANEL_CAP panels (38 MB) goes to a cache of two
+    # entries, not to the 64 entries of the finer passes
+    oracle._panel_geometry.cache_clear()
+    oracle._cap_geometry.cache_clear()
+    numeric_amplitude(Sech2(-1.0, 1.0), np.array([3000.0]), C)
+    assert oracle._panel_geometry.cache_info().currsize == 0
+    assert oracle._cap_geometry.cache_info()[2:] == (2, 1)  # maxsize, currsize
 
 
 def test_morse_feshbach_array_matches_closed_form():
